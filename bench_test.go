@@ -192,13 +192,19 @@ func TestPersistentSolverAcceptance(t *testing.T) {
 // TestObservabilityOverheadAcceptance is the PR 7 acceptance gate: running
 // a 20-epoch flash-crowd timeline with the full observability tap on —
 // canonical metrics registry plus JSONL tracer — must cost less than 3% of
-// epoch wall versus the uninstrumented run. Arms are interleaved 7x and
+// epoch wall versus the uninstrumented run. Arms are interleaved 41x and
 // each epoch's wall is taken as the minimum across runs before summing, so
 // a single GC pause or scheduler preemption in one run cannot poison the
-// comparison. Under the race detector the assertion is informational only
-// (instrumented atomics distort the ratio).
+// comparison. The whole timeline takes about 30 ms, so on a 2-core host
+// seven runs let scheduler noise swing the reading from −19% to +25%; 41
+// runs kept it between −4.1% and +2.3% there, inside the 3% budget.
+// Under the race detector the assertion is informational only
+// (instrumented atomics distort the ratio), so that build keeps 7 runs.
 func TestObservabilityOverheadAcceptance(t *testing.T) {
-	const runs = 7
+	runs := 41
+	if raceEnabled {
+		runs = 7
+	}
 	sc := live.FlashCrowd(1, 20)
 	runOnce := func(o *obs.Observer) []int64 {
 		t.Helper()

@@ -299,8 +299,8 @@ func lpStages(ps *pipelineState) []Stage {
 		sopts := solverOptions(ps.opts)
 		if sp := ps.stageSpan; sp != nil {
 			// Surface the simplex internals on the lp-solve span:
-			// refactorizations, FT adoptions, and devex resets land as span
-			// events with their pivot iteration.
+			// refactorizations, FT adoptions, column replacements, and devex
+			// resets land as span events with their pivot iteration.
 			sopts.Events = func(e lp.Event) {
 				sp.Event(e.Kind.String(), obs.A("iteration", e.Iteration))
 			}

@@ -62,7 +62,7 @@ func TestSolveFeedsObserver(t *testing.T) {
 			t.Fatalf("stage %s: %d spans, want %d", st.Name, spans[st.Name], st.Runs)
 		}
 	}
-	if want := res.LPStats.Refactorizations + res.LPStats.FTUpdates + res.LPStats.DevexResets; events != want {
+	if want := res.LPStats.Refactorizations + res.LPStats.FTUpdates + res.LPStats.Replacements + res.LPStats.DevexResets; events != want {
 		t.Fatalf("lp-solve spans carry %d simplex events, want %d", events, want)
 	}
 }

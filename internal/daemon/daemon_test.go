@@ -194,8 +194,8 @@ func TestDaemonAPI(t *testing.T) {
 		t.Fatalf("solve info: %+v", info)
 	}
 	// Warm continuity: the live LP was patched in place, never rebuilt.
-	// (Basis adoption vs refactorization depends on whether the edits
-	// touched basic columns — the round-trip test pins that telemetry.)
+	// (Whether the install adopts the carried basis or refactorizes
+	// depends on the edits — the round-trip test pins that telemetry.)
 	if info.LPRebuilds != 0 || info.LPPatches == 0 {
 		t.Fatalf("epoch 1 did not patch the live LP incrementally: %+v", info)
 	}

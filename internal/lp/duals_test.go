@@ -239,7 +239,7 @@ func TestDevexResetOnPatchedAdoption(t *testing.T) {
 		t.Fatalf("%v %v", first.Status, err)
 	}
 	// Patch a structural column that is NOT basic (a basic patch would
-	// force a refactorization, which resets devex anyway).
+	// add a column replacement; this isolates the unchanged-B case).
 	target, row, pos := -1, -1, -1
 	for r := 0; r < p.NumRows() && target < 0; r++ {
 		for k := 0; k < p.RowLen(r); k++ {

@@ -11,19 +11,23 @@ import "math"
 // epochs) can resume pivoting from the exact elimination form it left off
 // with.
 //
-// The invalidation contract with the in-place patch API: the Problem stamps
+// The adoption contract with the in-place patch API: the Problem stamps
 // every structural column a SetRowCoef actually changed with a monotone
-// patch version. A carried factorization is adoptable only when it was
-// snapshotted from the SAME Problem and no column that is basic in it has
-// been patched since the snapshot — a patched nonbasic column leaves B
-// untouched, while a patched basic column changes B itself, so the eta file
-// would invert a stale matrix. Adoption then installs the carried lower/
-// upper/update files verbatim (a Forrest–Tomlin-style product form: later
-// pivots keep appending update etas to the carried file instead of starting
-// from a fresh refactorization), and the install refactorizes only when a
-// patched column is currently basic, the handle belongs to a different
-// Problem, or the carried update file has already outgrown the
-// refactorization cadence.
+// patch version. A carried factorization is adoptable when it was
+// snapshotted from the SAME Problem (or from one whose matrix fingerprints
+// identically). Adoption installs the carried lower/upper/update files
+// verbatim (a Forrest–Tomlin-style product form: later pivots keep
+// appending update etas to the carried file instead of starting from a
+// fresh refactorization). A patched nonbasic column leaves B untouched. A
+// column that is basic in the file and was patched since the snapshot
+// changed B itself: B′ = B + (a′−a)e_rᵀ at its basis row r, so
+// B′⁻¹ = E⁻¹B⁻¹ with E = I + (B⁻¹a′ − e_r)e_rᵀ — exactly the update a pivot
+// bringing a′ into row r makes. The install FTRANs a′ through the carried
+// factors and appends that eta (a column replacement). It refactorizes only
+// when a replacement pivot falls below tolReplace, when the carried update
+// file plus the replacements would reach the refactorization cadence, or
+// when the handle belongs to a different Problem that does not fingerprint
+// identically.
 
 // Factorization is the reusable eta-file basis state of a finished solve:
 // the elimination-form factors (lower/upper from the last refactorization,
@@ -106,22 +110,30 @@ func (p *Problem) fingerprint() uint64 {
 	return h
 }
 
+// tolReplace is the smallest |pivot| a column replacement accepts at
+// install. Below it the patch nearly made B singular at that row, and the
+// eta would amplify the carried file's rounding error, so the install
+// refactorizes instead. It is stricter than tolPivot because nothing chose
+// this pivot: the patch did.
+const tolReplace = 1e-7
+
 // adoptFactorization installs a carried factorization instead of
 // refactorizing, when it is valid for the current problem state: a basic set
-// agreeing with the statuses installWarm just loaded, and a basis matrix
-// that provably has not changed under the eta file. Two routes establish
-// that: the SAME Problem with no structural column that is basic in the
-// handle patched since the snapshot (the Patcher path), or a DIFFERENT
-// Problem whose constraint matrix fingerprints identically to the donor's —
-// the rebuilt-but-identical-shape case, where the donor must itself be
-// unpatched since the snapshot so its current fingerprint still describes
-// the matrix the file was built from. Returns false when the caller must
-// refactorize. On success the basic values are recomputed against the
-// current rhs and bounds, and the carried update file — if it already
-// outgrew the cadence — is collapsed by an immediate refactorization (the
-// Forrest–Tomlin file cannot be allowed to grow without bound across epochs:
-// the etaDrop truncation per eta would otherwise accumulate past the
-// feasibility audit's tolerance).
+// agreeing with the statuses installWarm just loaded, and eta files that
+// describe the current basis matrix. Two routes establish that: the SAME
+// Problem (the Patcher path), where every structural column that is basic in
+// the handle and was patched since the snapshot is replaced in the file (see
+// replaceColumn), or a DIFFERENT Problem whose constraint matrix fingerprints
+// identically to the donor's — the rebuilt-but-identical-shape case, where
+// the donor must itself be unpatched since the snapshot so its current
+// fingerprint still describes the matrix the file was built from. On
+// success — the only case counted as an FT update — the basic values are
+// recomputed against the current rhs and bounds. Returns false when the
+// caller must refactorize instead: the handle does not fit, a replacement
+// pivot is below tolReplace, or the carried update file plus the
+// replacements would reach the cadence (the Forrest–Tomlin file cannot be
+// allowed to grow without bound across epochs: the etaDrop truncation per
+// eta would otherwise accumulate past the feasibility audit's tolerance).
 func (s *sparse) adoptFactorization(f *Factorization) bool {
 	if f == nil || f.m != s.m || len(f.basis) != s.m || len(f.artSign) != s.m {
 		return false
@@ -133,12 +145,13 @@ func (s *sparse) adoptFactorization(f *Factorization) bool {
 			return false
 		}
 	}
+	replace := 0
 	for _, c := range f.basis {
 		if s.stat[c] != basic {
 			return false
 		}
-		if sameProb && c < s.n && s.p.colVer != nil && s.p.colVer[c] > f.ver {
-			return false // patched basic column: B changed under the file
+		if sameProb && s.p.patchedSince(c, f.ver) {
+			replace++
 		}
 	}
 	copy(s.basis, f.basis)
@@ -146,20 +159,53 @@ func (s *sparse) adoptFactorization(f *Factorization) bool {
 	s.lower.copyFrom(f.lower)
 	s.upper.copyFrom(f.upper)
 	s.updates.copyFrom(f.updates)
-	s.stats.FTUpdates++
-	s.emit(EventFTAdoption)
-	if s.updates.count() >= s.refactorEvery {
-		return s.refactor()
+	if s.updates.count()+replace >= s.refactorEvery {
+		return false
 	}
-	// The matrix VALUES may have moved since the snapshot even though no
-	// basic column did — nonbasic coefficient patches (the price-exchange
-	// master rescaling contested capacity rows) and cross-Problem adoptions
-	// both land here. The devex reference weights describe the pre-patch
-	// pricing geometry; without a reset the re-solve can chase stale
-	// steepest-edge estimates into a degenerate stall.
+	for r, left := 0, replace; left > 0; r++ {
+		if !s.p.patchedSince(s.basis[r], f.ver) {
+			continue
+		}
+		if !s.replaceColumn(r) {
+			return false
+		}
+		left--
+	}
+	s.stats.FTUpdates++
+	s.stats.Replacements += replace
+	s.emit(EventFTAdoption)
+	for ; replace > 0; replace-- {
+		s.emit(EventColumnReplacement)
+	}
+	// The matrix VALUES may have moved since the snapshot — nonbasic
+	// coefficient patches (the price-exchange master rescaling contested
+	// capacity rows), replaced basic columns, and cross-Problem adoptions all
+	// land here. The devex reference weights describe the pre-patch pricing
+	// geometry; without a reset the re-solve can chase stale steepest-edge
+	// estimates into a degenerate stall.
 	if !sameProb || f.ver != s.p.patchVer {
 		s.resetDevex()
 	}
 	s.computeBeta()
+	return true
+}
+
+// patchedSince reports whether column c is a structural column whose
+// coefficients changed after patch version ver.
+func (p *Problem) patchedSince(c int, ver uint64) bool {
+	return c < p.n && p.colVer != nil && p.colVer[c] > ver
+}
+
+// replaceColumn brings the factorization up to date with the current values
+// of the column basic in row r, which a patch changed since the file was
+// built: it FTRANs the new column through the current factors and appends
+// the product-form eta of pivoting it into row r. Returns false, appending
+// nothing, when that pivot is below tolReplace.
+func (s *sparse) replaceColumn(r int) bool {
+	d := s.ftranColumn(s.basis[r])
+	if math.Abs(d[r]) < tolReplace {
+		return false
+	}
+	s.updates.push(d, r)
 	return true
 }

@@ -2,10 +2,11 @@ package lp
 
 // Locks for the persistent basis factorization: a warm start that adopts a
 // carried Factorization must reach the same optimum as one that refactorizes
-// at install, adoption must be refused whenever a patched column is basic in
-// the carried file, and the Forrest–Tomlin update file must stay bounded by
-// the refactorization cadence across arbitrarily long patched-re-solve
-// chains (the etaDrop truncation per eta would otherwise accumulate past the
+// at install, a patched column that is basic in the carried file must be
+// replaced in it (or, when the replacement pivot vanishes, refactorized),
+// and the Forrest–Tomlin update file must stay bounded by the
+// refactorization cadence across arbitrarily long patched-re-solve chains
+// (the etaDrop truncation per eta would otherwise accumulate past the
 // feasibility audit's tolerance).
 
 import (
@@ -16,10 +17,14 @@ import (
 )
 
 // patchEpoch applies one epoch of deterministic churn to a covering LP:
-// objective drift on a third of the columns plus an RHS change — the exact
-// churn surface the overlay Patcher drives (costs, thresholds), none of
-// which touches the basis matrix B.
-func patchEpoch(p *Problem, seed uint64) {
+// objective drift on a third of the columns plus an RHS change — the churn
+// surface the overlay Patcher drives (costs, thresholds), none of which
+// touches the basis matrix B. With a non-nil basis it also rescales some of
+// the coefficients of one column that is basic there, the way an aggregate
+// unit's weight change rescales its load coefficients: that patch changes B
+// itself. The draws depend only on seed and basis, so chains patched with
+// the same seed and basis stay identical problems.
+func patchEpoch(p *Problem, seed uint64, basis *Basis) {
 	rng := stats.NewRNG(seed)
 	for j := 0; j < p.NumVars(); j++ {
 		if rng.Bernoulli(0.33) {
@@ -29,7 +34,37 @@ func patchEpoch(p *Problem, seed uint64) {
 	r := rng.Intn(p.NumRows())
 	_, rhs := p.RHS(r)
 	p.SetRHS(r, rhs*rng.Range(0.95, 1.05))
+	if basis == nil {
+		return
+	}
+	var cols []int
+	for j := 0; j < p.NumVars(); j++ {
+		if basis.ColStat[j] == BasisBasic {
+			cols = append(cols, j)
+		}
+	}
+	if len(cols) == 0 {
+		return
+	}
+	j := cols[rng.Intn(len(cols))]
+	f := rng.Range(0.8, 1.25)
+	scaled := false
+	for r := 0; r < p.NumRows(); r++ {
+		for k := 0; k < p.RowLen(r); k++ {
+			if c := p.RowCoef(r, k); c.Var == j && (!scaled || rng.Bernoulli(0.5)) {
+				p.SetRowCoef(r, k, c.Val*f)
+				scaled = true
+			}
+		}
+	}
 }
+
+// patchVariants names the two churn surfaces the persistence properties run
+// under: costs and thresholds only, and the same plus a basic-column rescale.
+var patchVariants = []struct {
+	name    string
+	rescale bool
+}{{"costs", false}, {"basic-rescale", true}}
 
 // TestPersistedFactorizationAcrossPatchedEpochs is the property test for the
 // persistent factorization: two chains solve the same 12-epoch patched
@@ -37,7 +72,17 @@ func patchEpoch(p *Problem, seed uint64) {
 // refactorizing at every install. Both must stay Optimal with matching
 // objectives and feasible points every epoch, and the adopting chain must
 // actually have adopted (FT-updates fired) — otherwise the test is vacuous.
+// Under the basic-rescale variant the adopting chain must also have replaced
+// patched basic columns in its carried files.
 func TestPersistedFactorizationAcrossPatchedEpochs(t *testing.T) {
+	for _, v := range patchVariants {
+		t.Run(v.name, func(t *testing.T) {
+			persistedAcrossPatchedEpochs(t, v.rescale)
+		})
+	}
+}
+
+func persistedAcrossPatchedEpochs(t *testing.T, rescale bool) {
 	const epochs = 12
 	var totalPersist, totalRefactor SolveStats
 	for trial := 0; trial < 10; trial++ {
@@ -54,8 +99,12 @@ func TestPersistedFactorizationAcrossPatchedEpochs(t *testing.T) {
 		}
 		for e := 0; e < epochs; e++ {
 			eseed := seed ^ uint64(e)*0x9e3779b97f4a7c15
-			patchEpoch(pA, eseed)
-			patchEpoch(pB, eseed)
+			var basis *Basis
+			if rescale {
+				basis = solA.Basis
+			}
+			patchEpoch(pA, eseed, basis)
+			patchEpoch(pB, eseed, basis)
 			solA, err = pA.SolveOpts(Options{WarmStart: solA.Basis})
 			if err != nil {
 				t.Fatal(err)
@@ -89,8 +138,11 @@ func TestPersistedFactorizationAcrossPatchedEpochs(t *testing.T) {
 	if totalPersist.FTUpdates == 0 {
 		t.Fatal("persisting chain never adopted a carried factorization")
 	}
-	if totalRefactor.FTUpdates != 0 {
+	if totalRefactor.FTUpdates != 0 || totalRefactor.Replacements != 0 {
 		t.Fatal("RefactorOnInstall chain adopted a factorization")
+	}
+	if rescale && totalPersist.Replacements == 0 {
+		t.Fatal("basic-column rescales never replaced a column in a carried factorization")
 	}
 	if totalPersist.Refactorizations >= totalRefactor.Refactorizations {
 		t.Fatalf("persistence bought no refactorizations: %d vs %d",
@@ -130,36 +182,42 @@ func TestPersistedFactorizationSameProblemAdopts(t *testing.T) {
 	}
 }
 
-// TestPersistedFactorizationRejectsPatchedBasicColumn: patching a column
-// that is basic in the carried file changes B itself, so adoption must be
-// refused and the install must refactorize — and still reach the optimum of
-// a freshly built problem with the same data.
-func TestPersistedFactorizationRejectsPatchedBasicColumn(t *testing.T) {
+// TestPersistedFactorizationReplacesPatchedBasicColumn: patching a column
+// that is basic in the carried file changes B itself, so the adoption must
+// replace that column in the file — one product-form eta, no
+// refactorization — and still reach the optimum of a cold solve and of a
+// refactorize-on-install warm solve: the same objective, point and duals.
+// A second patch makes the replacement pivot vanish (the new column lies in
+// the span of the other basic columns), which the install must answer by
+// refactorizing instead of adopting — B′ is singular then, so the solve
+// ends cold — and still match.
+func TestPersistedFactorizationReplacesPatchedBasicColumn(t *testing.T) {
 	p := randomCovering(777)
 	p.Precompute()
 	first, err := p.Solve()
 	if err != nil || first.Status != Optimal {
 		t.Fatalf("%v %v", first.Status, err)
 	}
-	// Find a structural column that is basic and a row it appears in.
-	target, row, pos := -1, -1, -1
-	for j := 0; j < p.NumVars() && target < 0; j++ {
-		if first.Basis.ColStat[j] != BasisBasic {
-			continue
-		}
-		for r := 0; r < p.NumRows() && target < 0; r++ {
-			for k := 0; k < p.RowLen(r); k++ {
-				if p.RowCoef(r, k).Var == j {
-					target, row, pos = j, r, k
-					break
-				}
-			}
+	// Find a structural column that is basic and its basis row.
+	target, basisRow := -1, -1
+	for r, c := range first.Basis.Fact.basis {
+		if c < p.NumVars() {
+			target, basisRow = c, r
+			break
 		}
 	}
 	if target < 0 {
 		t.Fatal("no basic structural column found")
 	}
-	p.SetRowCoef(row, pos, p.RowCoef(row, pos).Val*1.25)
+	var rows, pos []int // the target column's entries
+	for r := 0; r < p.NumRows(); r++ {
+		for k := 0; k < p.RowLen(r); k++ {
+			if p.RowCoef(r, k).Var == target {
+				rows, pos = append(rows, r), append(pos, k)
+			}
+		}
+	}
+	p.SetRowCoef(rows[0], pos[0], p.RowCoef(rows[0], pos[0]).Val*1.25)
 	warm, err := p.SolveOpts(Options{WarmStart: first.Basis})
 	if err != nil {
 		t.Fatal(err)
@@ -167,29 +225,104 @@ func TestPersistedFactorizationRejectsPatchedBasicColumn(t *testing.T) {
 	if warm.Status != Optimal {
 		t.Fatalf("warm re-solve after basic-column patch: %v", warm.Status)
 	}
-	if warm.Stats.FTUpdates != 0 {
-		t.Fatal("adoption was not refused for a patched basic column")
+	if warm.Stats.FTUpdates != 1 || warm.Stats.Replacements != 1 || warm.Stats.Refactorizations != 0 {
+		t.Fatalf("basic-column patch: %+v, want one adoption, one replacement, no refactorization", warm.Stats)
 	}
-	if warm.Stats.Refactorizations == 0 {
-		t.Fatal("install did not refactorize after refusing adoption")
+	sameOptimum(t, "replaced", p, first.Basis, warm)
+
+	// ρ = row basisRow of the basis inverse. Replacing the column basic in
+	// that row only rescales the row of the inverse (by 1/pivot), so ρ
+	// taken after the first patch is proportional to the carried B's.
+	// Rewriting the target's entry with the largest |ρ_i| so that ρ·a′ = 0
+	// zeroes the pivot the replacement would divide by.
+	s := newSparse(p, Options{})
+	if !s.installWarm(first.Basis) {
+		t.Fatal("could not install the first basis")
 	}
-	fresh, err := p.SolveOpts(Options{})
+	rho := make([]float64, p.NumRows())
+	rho[basisRow] = 1
+	s.btran(rho)
+	big := 0
+	for i, r := range rows {
+		if math.Abs(rho[r]) > math.Abs(rho[rows[big]]) {
+			big = i
+		}
+	}
+	if math.Abs(rho[rows[big]]) < 1e-9 {
+		t.Fatal("target column has no entry that reaches its basis row")
+	}
+	dot := 0.0
+	for i, r := range rows {
+		if i != big {
+			dot += rho[r] * p.RowCoef(r, pos[i]).Val
+		}
+	}
+	p.SetRowCoef(rows[big], pos[big], -dot/rho[rows[big]])
+	zero, err := p.SolveOpts(Options{WarmStart: first.Basis})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(warm.Objective-fresh.Objective) > 1e-9 {
-		t.Fatalf("post-patch warm %.17g != fresh %.17g", warm.Objective, fresh.Objective)
+	if zero.Status != Optimal {
+		t.Fatalf("warm re-solve after zero-pivot patch: %v", zero.Status)
+	}
+	t.Logf("replaced: %+v | zero pivot: %+v", warm.Stats, zero.Stats)
+	if zero.Stats.FTUpdates != 0 || zero.Stats.Replacements != 0 || zero.Stats.Refactorizations == 0 {
+		t.Fatalf("zero-pivot patch: %+v, want a refactorization and no adoption", zero.Stats)
+	}
+	sameOptimum(t, "zero pivot", p, first.Basis, zero)
+}
+
+// sameOptimum requires got, a warm solve of p from basis, to match a cold
+// solve and a refactorize-on-install warm solve of p in objective, point and
+// duals.
+func sameOptimum(t *testing.T, name string, p *Problem, basis *Basis, got *Solution) {
+	t.Helper()
+	cold, err := p.SolveOpts(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	refac, err := p.SolveOpts(Options{WarmStart: basis, RefactorOnInstall: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	near := func(a, b float64) bool { return math.Abs(a-b) <= 1e-9*(1+math.Abs(b)) }
+	for _, ref := range []struct {
+		arm string
+		sol *Solution
+	}{{"cold", cold}, {"refactorize-on-install", refac}} {
+		if ref.sol.Status != Optimal || !near(got.Objective, ref.sol.Objective) {
+			t.Fatalf("%s: warm %.17g != %s %v %.17g", name, got.Objective, ref.arm, ref.sol.Status, ref.sol.Objective)
+		}
+		for j := range got.X {
+			if !near(got.X[j], ref.sol.X[j]) {
+				t.Fatalf("%s: x[%d] warm %.17g != %s %.17g", name, j, got.X[j], ref.arm, ref.sol.X[j])
+			}
+		}
+		for r := range got.Duals {
+			if !near(got.Duals[r], ref.sol.Duals[r]) {
+				t.Fatalf("%s: dual %d warm %.17g != %s %.17g", name, r, got.Duals[r], ref.arm, ref.sol.Duals[r])
+			}
+		}
 	}
 }
 
 // TestPersistedFactorizationUpdateEtasBounded is the etaDrop drift bound: a
 // long chain of patched warm re-solves keeps appending Forrest–Tomlin
-// update etas to the carried file, and the install-time cadence check must
-// collapse the file by refactorizing before it outgrows RefactorEvery — so
-// the accumulated per-eta truncation error never degrades the feasibility
-// audit. Every epoch's carried handle is checked against the bound and
-// every epoch's point against the feasibility tolerance.
+// update etas (pivots and column replacements) to the carried file, and the
+// install-time cadence check must collapse the file by refactorizing before
+// it outgrows RefactorEvery — so the accumulated per-eta truncation error
+// never degrades the feasibility audit. Every epoch's carried handle is
+// checked against the bound and every epoch's point against the feasibility
+// tolerance.
 func TestPersistedFactorizationUpdateEtasBounded(t *testing.T) {
+	for _, v := range patchVariants {
+		t.Run(v.name, func(t *testing.T) {
+			updateEtasBounded(t, v.rescale)
+		})
+	}
+}
+
+func updateEtasBounded(t *testing.T, rescale bool) {
 	p := randomCovering(31337)
 	sol, err := p.Solve()
 	if err != nil || sol.Status != Optimal {
@@ -198,7 +331,11 @@ func TestPersistedFactorizationUpdateEtasBounded(t *testing.T) {
 	bound := 16 + 2*int(math.Sqrt(float64(p.NumRows())))
 	var total SolveStats
 	for e := 0; e < 60; e++ {
-		patchEpoch(p, uint64(100+e))
+		var basis *Basis
+		if rescale {
+			basis = sol.Basis
+		}
+		patchEpoch(p, uint64(100+e), basis)
 		sol, err = p.SolveOpts(Options{WarmStart: sol.Basis})
 		if err != nil {
 			t.Fatal(err)
@@ -220,6 +357,9 @@ func TestPersistedFactorizationUpdateEtasBounded(t *testing.T) {
 	t.Logf("60 patched epochs: %+v (update-eta bound %d)", total, bound)
 	if total.FTUpdates == 0 {
 		t.Fatal("chain never adopted a carried factorization")
+	}
+	if rescale && total.Replacements == 0 {
+		t.Fatal("basic-column rescales never replaced a column in a carried factorization")
 	}
 	if total.Refactorizations == 0 {
 		t.Fatal("cadence never collapsed the update file across 60 epochs")

@@ -39,8 +39,9 @@
 // persistent Factorization handle; passing it back through Options.WarmStart
 // re-solves a same-shaped problem (identical variable and row counts — costs
 // and bounds may differ) from that basis instead of from scratch. When the
-// re-solve targets the very same Problem and no patched column is basic, the
-// install resumes from the carried eta file rather than refactorizing.
+// re-solve targets the very same Problem, the install resumes from the
+// carried eta file rather than refactorizing: basic columns patched since
+// the snapshot are replaced in the file by one product-form eta each.
 // Invalid or unusable warm bases are detected and silently degrade to a cold
 // solve, so warm starting is always safe to attempt.
 //
@@ -194,10 +195,10 @@ func (p *Problem) Precompute() {
 // place rather than rebuilt, and a warm-start Basis captured before the
 // patch remains shape-compatible afterwards. The basis factorization IS
 // persisted across solves (Basis.Fact): SetRowCoef stamps the patched
-// column with a monotone version so a warm-start install can tell whether
-// any column that is basic in the carried factorization changed since it
-// was built — only then does the install refactorize; otherwise it resumes
-// from the carried eta file (see Factorization).
+// column with a monotone version so a warm-start install can tell which
+// columns that are basic in the carried factorization changed since it was
+// built. It replaces those columns in the carried eta file and resumes from
+// it (see Factorization).
 //
 // Patches must not race with concurrent solves of the same Problem (the
 // shared-CSC concurrency guarantee of Precompute covers readers only).
@@ -333,7 +334,7 @@ type Basis struct {
 	// snapshotted with. It is an in-memory handle tied to the identity of the
 	// Problem it was built from (never serialized): a warm-start install
 	// adopts it instead of refactorizing when it is still valid — see
-	// Factorization for the invalidation contract. A nil Fact simply
+	// Factorization for the adoption contract. A nil Fact simply
 	// refactorizes at install, so hand-built bases keep working.
 	Fact *Factorization
 }
@@ -344,6 +345,24 @@ const (
 	BasisAtUpper
 	BasisBasic
 )
+
+// AppendSlackRow returns b extended to the same problem with one more
+// constraint row appended: every existing column keeps its status and the
+// new row's slack is basic. When the point b describes satisfies the new
+// row, the extended basis is as primal feasible as b, so the grown LP can
+// start from it in phase 2. The copy carries no Fact (the handle factorizes
+// the smaller basis). A nil or malformed b returns nil, which solves cold.
+func (b *Basis) AppendSlackRow() *Basis {
+	if b == nil || len(b.ColStat) != b.NumVars+2*b.NumRows {
+		return nil
+	}
+	n, m := b.NumVars, b.NumRows
+	out := &Basis{NumVars: n, NumRows: m + 1, ColStat: make([]int8, n+2*(m+1))}
+	copy(out.ColStat, b.ColStat[:n+m])              // structurals, slacks
+	out.ColStat[n+m] = BasisBasic                   // the new row's slack
+	copy(out.ColStat[n+m+1:], b.ColStat[n+m:n+2*m]) // artificials
+	return out
+}
 
 // compatible reports whether b can warm-start problem p.
 func (b *Basis) compatible(p *Problem) bool {
@@ -372,6 +391,10 @@ type SolveStats struct {
 	// FTUpdates counts warm-start installs that adopted a carried
 	// factorization (product-form resume) instead of refactorizing.
 	FTUpdates int
+	// Replacements counts patched basic columns an adoption replaced in the
+	// carried factorization (one product-form eta each) instead of
+	// refactorizing.
+	Replacements int
 	// DevexResets counts devex reference-framework resets (one per
 	// refactorization under devex pricing).
 	DevexResets int
@@ -381,6 +404,7 @@ type SolveStats struct {
 func (s *SolveStats) Add(o SolveStats) {
 	s.Refactorizations += o.Refactorizations
 	s.FTUpdates += o.FTUpdates
+	s.Replacements += o.Replacements
 	s.DevexResets += o.DevexResets
 }
 
@@ -400,6 +424,9 @@ const (
 	EventFTAdoption
 	// EventDevexReset fires when the devex reference framework resets.
 	EventDevexReset
+	// EventColumnReplacement fires when an adoption replaces a patched basic
+	// column in the carried factorization.
+	EventColumnReplacement
 )
 
 func (k EventKind) String() string {
@@ -410,6 +437,8 @@ func (k EventKind) String() string {
 		return "ft-adoption"
 	case EventDevexReset:
 		return "devex-reset"
+	case EventColumnReplacement:
+		return "column-replacement"
 	}
 	return "unknown"
 }
@@ -511,7 +540,8 @@ type Options struct {
 	// only) as they happen — one call per SolveStats increment. The callback
 	// runs on the solving goroutine inside the pivot loop; it must be cheap
 	// and must not call back into the solver. Used by the observability layer
-	// to attach refactorization/FT-adoption/devex-reset events to trace spans.
+	// to attach refactorization/FT-adoption/devex-reset/column-replacement
+	// events to trace spans.
 	Events func(Event)
 }
 

@@ -157,8 +157,9 @@ func restoreEta(d EtaFileData) *etaFile {
 // files were built from (see the package comment on the caller's soundness
 // obligation). All locally checkable invariants are validated; the returned
 // handle adopts on the next warm start of p exactly like the in-memory one
-// it was exported from, and later coefficient patches of p invalidate it
-// through the usual patch-version stamps.
+// it was exported from, and later coefficient patches of p reach it
+// through the usual patch-version stamps (basic columns they touch are
+// replaced at install).
 func RestoreFactorization(p *Problem, d *FactorizationData) (*Factorization, error) {
 	if p == nil {
 		return nil, fmt.Errorf("lp: restore factorization: nil problem")

@@ -115,7 +115,7 @@ func TestBasisSerializePatchedChainMatches(t *testing.T) {
 			data := roundTrip(t, basisB.Export())
 			pB = randomCovering(seed)
 			for pe := 0; pe < e; pe++ {
-				patchEpoch(pB, seed^uint64(pe)*0x9e3779b97f4a7c15)
+				patchEpoch(pB, seed^uint64(pe)*0x9e3779b97f4a7c15, nil)
 			}
 			basisB, err = RestoreBasis(pB, data)
 			if err != nil {
@@ -123,8 +123,8 @@ func TestBasisSerializePatchedChainMatches(t *testing.T) {
 			}
 		}
 		eseed := seed ^ uint64(e)*0x9e3779b97f4a7c15
-		patchEpoch(pA, eseed)
-		patchEpoch(pB, eseed)
+		patchEpoch(pA, eseed, nil)
+		patchEpoch(pB, eseed, nil)
 		solA, err = pA.SolveOpts(Options{WarmStart: solA.Basis})
 		if err != nil {
 			t.Fatal(err)

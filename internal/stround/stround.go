@@ -214,7 +214,10 @@ func Round(in *netmodel.Instance, xbar [][]float64, opts Options) (*Result, erro
 	}
 	coverage := -sol1.Objective
 
-	// Stage 2: among maximum-coverage flows, minimize cost.
+	// Stage 2: among maximum-coverage flows, minimize cost. It is the
+	// stage-1 LP plus one coverage row that stage 1's optimum satisfies
+	// with 1e-7 to spare, so it starts warm from that basis (see
+	// solveStage2).
 	p2 := build()
 	for vid, v := range vars {
 		pr := pairs[v.pair]
@@ -225,9 +228,12 @@ func Round(in *netmodel.Instance, xbar [][]float64, opts Options) (*Result, erro
 		covRow[vid] = lp.Coef{Var: vid, Val: 1}
 	}
 	p2.AddConstraint(lp.GE, coverage-1e-7, covRow...)
-	sol2, err := p2.Solve()
+	sol2, err := solveStage2(p2, sol1)
 	if err != nil {
 		return nil, err
+	}
+	if stage2Probe != nil {
+		stage2Probe(p2, sol1, sol2)
 	}
 	if sol2.Status != lp.Optimal {
 		return nil, fmt.Errorf("stround: stage-2 LP status %v", sol2.Status)
@@ -263,6 +269,20 @@ func Round(in *netmodel.Instance, xbar [][]float64, opts Options) (*Result, erro
 	}
 	return best, nil
 }
+
+// solveStage2 solves the stage-2 LP p2 from stage 1's optimal basis with
+// the coverage row's slack basic. That basis is primal feasible, so the
+// solve runs phase 2 from stage 1's optimum instead of a crash basis and
+// phase 1. A stage 1 that returned no basis (the solver's row-equilibrated
+// rescue returns none) leaves stage 2 to solve cold.
+func solveStage2(p2 *lp.Problem, sol1 *lp.Solution) (*lp.Solution, error) {
+	return p2.SolveOpts(lp.Options{WarmStart: sol1.Basis.AppendSlackRow()})
+}
+
+// stage2Probe, when non-nil, sees every stage-2 solve Round makes: the
+// problem, the stage-1 solution it started from and its result. Tests set
+// it to check warm solves against cold ones on real pipeline calls.
+var stage2Probe func(p2 *lp.Problem, sol1, sol2 *lp.Solution)
 
 func emptyServe(r, d int) [][]bool {
 	s := make([][]bool, r)

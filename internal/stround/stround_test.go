@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/gen"
+	"repro/internal/lp"
 	"repro/internal/lpmodel"
 	"repro/internal/netmodel"
 	"repro/internal/round"
@@ -125,5 +126,54 @@ func TestWeightGuaranteeEndToEnd(t *testing.T) {
 		if a.WeightFactor < 0.25-1e-9 && res.ServedBoxes == res.TotalBoxes {
 			t.Errorf("seed %d: weight factor %.4f < 1/4 with all boxes served", seed, a.WeightFactor)
 		}
+	}
+}
+
+// TestStage2WarmMatchesCold: on random clustered instances, stage 2 warm
+// from stage 1's basis reaches the cold stage-2 optimum.
+func TestStage2WarmMatchesCold(t *testing.T) {
+	c := &Stage2Checker{T: t}
+	defer SetStage2Probe(c.Probe)()
+	for seed := uint64(1); seed <= 12; seed++ {
+		cc := gen.DefaultClustered(1+int(seed%2), 2+int(seed%3), 2+int(seed%2), 3+int(seed%4))
+		in := gen.Clustered(cc, 100+seed)
+		if _, err := Round(in, roundedXBar(t, in, seed), DefaultOptions(seed)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.Check("random instances")
+}
+
+// TestStage2ColdWithoutStage1Basis: a stage 1 that returns no basis — the
+// solver's row-equilibrated rescue path — leaves stage 2 to solve cold,
+// exactly as a plain cold solve of the stage-2 LP would.
+func TestStage2ColdWithoutStage1Basis(t *testing.T) {
+	var p2 *lp.Problem
+	var sol1 *lp.Solution
+	restore := SetStage2Probe(func(p *lp.Problem, s1, _ *lp.Solution) { p2, sol1 = p, s1 })
+	in := gen.Clustered(gen.DefaultClustered(2, 2, 3, 4), 7)
+	_, err := Round(in, roundedXBar(t, in, 3), DefaultOptions(5))
+	restore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p2 == nil || sol1.Basis == nil {
+		t.Fatal("stage 2 did not run from a stage-1 basis")
+	}
+	rescued := *sol1
+	rescued.Basis = nil
+	got, err := solveStage2(p2, &rescued)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, err := p2.Solve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Status != lp.Optimal || got.Objective != cold.Objective ||
+		got.Iterations != cold.Iterations || got.Stats != cold.Stats {
+		t.Fatalf("basis-less stage 2: %v %.17g in %d pivots %+v, cold %v %.17g in %d pivots %+v",
+			got.Status, got.Objective, got.Iterations, got.Stats,
+			cold.Status, cold.Objective, cold.Iterations, cold.Stats)
 	}
 }
