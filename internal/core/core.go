@@ -299,8 +299,9 @@ func lpStages(ps *pipelineState) []Stage {
 		sopts := solverOptions(ps.opts)
 		if sp := ps.stageSpan; sp != nil {
 			// Surface the simplex internals on the lp-solve span:
-			// refactorizations, FT adoptions, column replacements, and devex
-			// resets land as span events with their pivot iteration.
+			// refactorizations, FT adoptions, column replacements, devex
+			// resets, basis repairs, and warm fallbacks land as span events
+			// with their pivot iteration.
 			sopts.Events = func(e lp.Event) {
 				sp.Event(e.Kind.String(), obs.A("iteration", e.Iteration))
 			}
@@ -437,6 +438,8 @@ func recordSolve(o *obs.Observer, res *Result) {
 	o.Counter(obs.MLPRefactorizations).Add(float64(res.LPStats.Refactorizations))
 	o.Counter(obs.MLPFTUpdates).Add(float64(res.LPStats.FTUpdates))
 	o.Counter(obs.MLPDevexResets).Add(float64(res.LPStats.DevexResets))
+	o.Counter(obs.MLPWarmFallbacks).Add(float64(res.LPStats.WarmFallbacks))
+	o.Counter(obs.MLPBasisRepairs).Add(float64(res.LPStats.Repairs))
 	if p := res.Patch; p != nil {
 		o.Counter(obs.MLPPatchedCells).Add(float64(p.Patches()))
 		if p.Rebuilt {

@@ -62,7 +62,8 @@ func TestSolveFeedsObserver(t *testing.T) {
 			t.Fatalf("stage %s: %d spans, want %d", st.Name, spans[st.Name], st.Runs)
 		}
 	}
-	if want := res.LPStats.Refactorizations + res.LPStats.FTUpdates + res.LPStats.Replacements + res.LPStats.DevexResets; events != want {
+	st := res.LPStats
+	if want := st.Refactorizations + st.FTUpdates + st.Replacements + st.DevexResets + st.WarmFallbacks + st.Repairs; events != want {
 		t.Fatalf("lp-solve spans carry %d simplex events, want %d", events, want)
 	}
 }

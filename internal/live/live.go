@@ -208,12 +208,14 @@ type EpochReport struct {
 	// Solver factorization telemetry (summed over shards on the sharded
 	// path): Refactorizations counts from-scratch basis factorizations,
 	// FTUpdates warm starts that resumed a persisted factorization instead,
-	// DevexResets devex reference-framework resets, and ExtractionsSkipped
-	// the shards that reused their cached sub-instance without extraction
+	// DevexResets devex reference-framework resets, WarmFallbacks warm
+	// starts abandoned for a cold re-solve, and ExtractionsSkipped the
+	// shards that reused their cached sub-instance without extraction
 	// (always 0 on the monolithic path).
 	Refactorizations   int `json:"refactorizations"`
 	FTUpdates          int `json:"ft_updates"`
 	DevexResets        int `json:"devex_resets"`
+	WarmFallbacks      int `json:"warm_fallbacks"`
 	ExtractionsSkipped int `json:"extractions_skipped"`
 	// Hierarchical-exchange telemetry (zero unless the epoch ran with
 	// Solver.ShardLevels ≥ 2): dual-price clearing rounds, distinct
@@ -263,6 +265,7 @@ type RunReport struct {
 	TotalRefactorizations   int `json:"total_refactorizations"`
 	TotalFTUpdates          int `json:"total_ft_updates"`
 	TotalDevexResets        int `json:"total_devex_resets"`
+	TotalWarmFallbacks      int `json:"total_warm_fallbacks"`
 	TotalExtractionsSkipped int `json:"total_extractions_skipped"`
 	TotalExchangeRounds     int `json:"total_exchange_rounds"`
 	// Availability SLO summary: the window/target the tracker ran with,
@@ -422,6 +425,7 @@ func Run(sc *Scenario, cfg Config) (*RunReport, error) {
 		er.Refactorizations = res.LPStats.Refactorizations
 		er.FTUpdates = res.LPStats.FTUpdates
 		er.DevexResets = res.LPStats.DevexResets
+		er.WarmFallbacks = res.LPStats.WarmFallbacks
 		if si := res.ShardInfo; si != nil {
 			er.ExtractionsSkipped = si.ExtractionsSkipped
 			er.ExchangeRounds = si.ExchangeRounds
@@ -479,6 +483,7 @@ func Run(sc *Scenario, cfg Config) (*RunReport, error) {
 		rep.TotalRefactorizations += er.Refactorizations
 		rep.TotalFTUpdates += er.FTUpdates
 		rep.TotalDevexResets += er.DevexResets
+		rep.TotalWarmFallbacks += er.WarmFallbacks
 		rep.TotalExtractionsSkipped += er.ExtractionsSkipped
 		rep.TotalExchangeRounds += er.ExchangeRounds
 		if !er.AuditOK {

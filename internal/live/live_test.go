@@ -10,7 +10,8 @@ import (
 
 // TestAllScenariosRunClean runs every registered scenario for a short
 // horizon under the warm+sticky policy: no errors, full horizon, every
-// epoch's design passing the paper's audit.
+// epoch's design passing the paper's audit, and every warm start of the
+// main LP finishing warm (no fallback to a cold solve).
 func TestAllScenariosRunClean(t *testing.T) {
 	for _, name := range Names() {
 		name := name
@@ -32,6 +33,9 @@ func TestAllScenariosRunClean(t *testing.T) {
 						t.Fatalf("epoch %d failed audit: weight=%.3f fanout=%.3f", er.Epoch, er.WeightFactor, er.FanoutFactor)
 					}
 				}
+			}
+			if rep.TotalWarmFallbacks != 0 {
+				t.Fatalf("%d warm starts fell back to a cold solve", rep.TotalWarmFallbacks)
 			}
 			t.Logf("%s: pivots=%d arcChurn=%d cost=%.1f", name, rep.TotalPivots, rep.TotalArcChurn, rep.TotalTrueCost)
 		})

@@ -28,10 +28,12 @@
 //     pricing selectable via Options and a Bland fallback for anti-cycling.
 //   - Phases: a cold solve runs the classic two phases — artificials are
 //     priced out first, then the true objective — while a warm solve skips
-//     phase 1 entirely when the supplied basis is already primal feasible
-//     (costs changed, e.g. churn re-optimization) and runs the dual simplex
-//     when it is primal infeasible but dual feasible (bounds changed, e.g.
-//     branch-and-bound children).
+//     phase 1 entirely: primal phase 2 when the supplied basis is already
+//     primal feasible (costs changed, e.g. churn re-optimization), and the
+//     dual simplex otherwise — directly when the basis is dual feasible
+//     (bounds changed, e.g. branch-and-bound children), under temporarily
+//     shifted costs when it is not (costs and rhs changed together),
+//     followed by primal phase 2 on the true costs.
 //
 // # Warm starts
 //
@@ -41,9 +43,12 @@
 // and bounds may differ) from that basis instead of from scratch. When the
 // re-solve targets the very same Problem, the install resumes from the
 // carried eta file rather than refactorizing: basic columns patched since
-// the snapshot are replaced in the file by one product-form eta each.
-// Invalid or unusable warm bases are detected and silently degrade to a cold
-// solve, so warm starting is always safe to attempt.
+// the snapshot are replaced in the file by one product-form eta each. A
+// basis that patches made singular is repaired at install: each dependent
+// column leaves the basis and the slack of its unpivoted row replaces it.
+// Bases of the wrong shape, and warm solves that fail or whose optimum
+// fails the feasibility audit, degrade to a cold solve (counted in
+// SolveStats.WarmFallbacks), so warm starting is always safe to attempt.
 //
 // The previous dense two-phase tableau solver is retained behind
 // Options.Dense as a golden reference: tests cross-check every sparse
@@ -398,6 +403,13 @@ type SolveStats struct {
 	// DevexResets counts devex reference-framework resets (one per
 	// refactorization under devex pricing).
 	DevexResets int
+	// WarmFallbacks counts solves that were offered a compatible warm start
+	// but returned a solution from the cold path (the warm attempt failed,
+	// ended non-optimal, or failed the feasibility audit).
+	WarmFallbacks int
+	// Repairs counts dependent basic columns a warm-start install swapped
+	// for row slacks to make a singular carried basis factorizable.
+	Repairs int
 }
 
 // Add accumulates o into s.
@@ -406,6 +418,8 @@ func (s *SolveStats) Add(o SolveStats) {
 	s.FTUpdates += o.FTUpdates
 	s.Replacements += o.Replacements
 	s.DevexResets += o.DevexResets
+	s.WarmFallbacks += o.WarmFallbacks
+	s.Repairs += o.Repairs
 }
 
 // EventKind identifies a solver-internal occurrence surfaced through
@@ -427,6 +441,12 @@ const (
 	// EventColumnReplacement fires when an adoption replaces a patched basic
 	// column in the carried factorization.
 	EventColumnReplacement
+	// EventWarmFallback fires when a compatible warm start is abandoned and
+	// the solve continues from a cold crash basis.
+	EventWarmFallback
+	// EventBasisRepair fires when a warm-start install swaps a dependent
+	// basic column for a row slack.
+	EventBasisRepair
 )
 
 func (k EventKind) String() string {
@@ -439,6 +459,10 @@ func (k EventKind) String() string {
 		return "devex-reset"
 	case EventColumnReplacement:
 		return "column-replacement"
+	case EventWarmFallback:
+		return "warm-fallback"
+	case EventBasisRepair:
+		return "basis-repair"
 	}
 	return "unknown"
 }
@@ -522,8 +546,9 @@ type Options struct {
 	Dense bool
 	// WarmStart, when non-nil and shape-compatible with the problem,
 	// starts the sparse solver from this basis: primal phase 2 directly if
-	// the basis is primal feasible, dual simplex if it is only dual
-	// feasible, cold start otherwise.
+	// the basis is primal feasible, the dual simplex otherwise (under
+	// shifted costs when the basis is not dual feasible either). A singular
+	// basis is repaired at install; a cold start is the last resort.
 	WarmStart *Basis
 	// RefactorEvery rebuilds the product-form basis inverse after this
 	// many pivots (default 16 + 2*sqrt(rows)). Lower values trade time for

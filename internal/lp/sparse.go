@@ -503,7 +503,16 @@ func (s *sparse) colRow(c int) int {
 // magnitude within each column's unpivoted rows guards numerics.
 // Reassigns basis rows and recomputes beta; returns false if the basis is
 // numerically singular.
-func (s *sparse) refactor() bool {
+func (s *sparse) refactor() bool { return s.factor(false) }
+
+// factor is refactor's elimination. With repair set (a warm-start install
+// only) a singular basis does not fail: each column that finds no usable
+// pivot is dependent on the columns already eliminated, so it leaves the
+// basis at its lower bound (always finite), and the slack of each row left
+// unpivoted takes its place. Mid-solve refactorizations never repair: a
+// basis the solver's own pivots made singular is numerical breakdown, which
+// the caller's recovery ladder handles.
+func (s *sparse) factor(repair bool) bool {
 	s.lower.reset()
 	s.upper.reset()
 	s.updates.reset()
@@ -581,6 +590,7 @@ func (s *sparse) refactor() bool {
 	loVals, upVals := s.refLoVals, s.refUpVals
 
 	minB := int32(1)
+	repaired := 0
 	for picked := 0; picked < m; picked++ {
 		// Pop the lowest-bucket live column.
 		k := int32(-1)
@@ -633,7 +643,12 @@ func (s *sparse) refactor() bool {
 			}
 		}
 		if bv < 1e-10 {
-			return false
+			if !repair {
+				return false
+			}
+			s.stat[c] = atLower
+			repaired++
+			continue
 		}
 		// Drop the pivot itself from the lower entry list.
 		piv := d[best]
@@ -669,6 +684,26 @@ func (s *sparse) refactor() bool {
 	}
 	s.refLoRows, s.refUpRows = loRows, upRows
 	s.refLoVals, s.refUpVals = loVals, upVals
+	if repaired > 0 {
+		// The slack of an unpivoted row r is ±e_r, and no lower eta pivots
+		// on r, so elimination leaves it untransformed: its lower eta is the
+		// bare pivot ±1 (the identity when +1) and it has no upper entries.
+		for r := 0; r < m; r++ {
+			if pivoted[r] {
+				continue
+			}
+			slack := s.n + r
+			s.basis[r] = slack
+			s.stat[slack] = basic
+			if s.slackSign[r] != 1 {
+				s.lower.pushParts(r, s.slackSign[r], nil, nil)
+			}
+		}
+		s.stats.Repairs += repaired
+		for ; repaired > 0; repaired-- {
+			s.emit(EventBasisRepair)
+		}
+	}
 	s.computeBeta()
 	s.stats.Refactorizations++
 	s.emit(EventRefactorization)
@@ -1139,29 +1174,45 @@ func (s *sparse) primalInfeasibility() float64 {
 	return worst
 }
 
-// dualFeasible reports whether the current basis satisfies the phase-2
-// optimality sign conditions on every enterable nonbasic column.
-func (s *sparse) dualFeasible() bool {
+// shiftMargin is the reduced cost, relative to 1+|c_j|, that shiftCosts
+// leaves a shifted column with. Shifting to exactly zero makes every shifted
+// column dual degenerate: the dual ratio test then takes zero steps among
+// them and can cycle until the pivot limit.
+const shiftMargin = 1e-6
+
+// shiftCosts makes the current basis dual feasible: every enterable
+// nonbasic column whose reduced cost d_j violates the phase-2 optimality
+// sign condition has its working cost moved by d_j, less shiftMargin, so it
+// prices at a small margin of the right sign. The true costs come back with
+// setPhase(false). Returns the number of shifted columns.
+func (s *sparse) shiftCosts() int {
 	y := s.btranCost()
+	shifted := 0
 	for j := 0; j < s.ncols; j++ {
 		if s.stat[j] == basic || !s.enterable(j) {
 			continue
 		}
 		d := s.reducedCost(j, y)
-		if s.stat[j] == atLower && d < -tolFeas {
-			return false
-		}
-		if s.stat[j] == atUpper && d > tolFeas {
-			return false
+		if (s.stat[j] == atLower && d < -tolFeas) || (s.stat[j] == atUpper && d > tolFeas) {
+			margin := shiftMargin * (1 + math.Abs(s.ccost[j]))
+			if s.stat[j] == atUpper {
+				margin = -margin
+			}
+			s.ccost[j] -= d - margin
+			shifted++
 		}
 	}
-	return true
+	return shifted
 }
 
 // installWarm loads a warm-start basis. Statuses are reinterpreted against
 // the problem's current bounds (an atUpper column whose upper bound became
-// +Inf degrades to atLower). Returns false if the basis cannot be
-// factorized.
+// +Inf degrades to atLower). The install adopts the carried factorization
+// when it still describes the basis (adoptFactorization); otherwise it
+// refactorizes with repair, so a carried basis that patches made singular
+// (departing viewers zero a basic column's covering coefficients) loses its
+// dependent columns to row slacks instead of being discarded. Returns false
+// only when b does not have exactly one basic column per row.
 func (s *sparse) installWarm(b *Basis) bool {
 	k := 0
 	for j, st := range b.ColStat {
@@ -1189,7 +1240,7 @@ func (s *sparse) installWarm(b *Basis) bool {
 	if !s.opts.RefactorOnInstall && s.adoptFactorization(b.Fact) {
 		return true
 	}
-	return s.refactor()
+	return s.factor(true)
 }
 
 // dualIterate runs dual simplex pivots from a dual-feasible basis until
@@ -1328,10 +1379,14 @@ func (s *sparse) rowDot(j int, rho []float64) float64 {
 	return v
 }
 
-// runWarm attempts a warm-started solve: primal phase 2 from a primal
-// feasible basis, dual simplex from a dual feasible one. The bool reports
-// whether the warm path produced a trustworthy terminal status; on false
-// the caller must fall back to a cold solve.
+// runWarm attempts a warm-started solve from b, installed (and repaired if
+// singular) by installWarm. A primal feasible basis runs primal phase 2. Any
+// other runs the dual simplex to primal feasibility: directly when the basis
+// is dual feasible (bounds or rhs changed), or, when it is not (costs moved
+// too), under costs shifted to make it so (shiftCosts), restoring the true
+// costs before primal phase 2 finishes. The bool reports whether the warm
+// path produced a trustworthy terminal status; on false the caller must fall
+// back to a cold solve.
 func (s *sparse) runWarm(b *Basis) (Status, bool) {
 	if !s.installWarm(b) {
 		return 0, false
@@ -1339,21 +1394,23 @@ func (s *sparse) runWarm(b *Basis) (Status, bool) {
 	if s.primalInfeasibility() <= tolFeas {
 		return s.iterate(), true
 	}
-	if !s.dualFeasible() {
-		return 0, false
-	}
+	shifted := s.shiftCosts()
 	st := s.dualIterate()
 	if st == Infeasible {
-		// Dual unboundedness proves primal infeasibility, but the caller
-		// re-verifies with a cold phase 1 before trusting it (a wrong
-		// Infeasible would silently mis-prune branch-and-bound).
+		// Dual unboundedness proves primal infeasibility whatever the costs,
+		// but the caller re-verifies with a cold phase 1 before trusting it
+		// (a wrong Infeasible would silently mis-prune branch-and-bound).
 		return Infeasible, true
 	}
 	if st != Optimal {
 		return 0, false
 	}
-	// Dual feasibility was maintained throughout, so this primal cleanup
-	// normally confirms optimality in zero pivots.
+	if shifted > 0 {
+		s.setPhase(false)
+	}
+	// Without a shift dual feasibility was maintained throughout, so this
+	// primal cleanup normally confirms optimality in zero pivots; after one
+	// it prices the true costs from a primal feasible basis.
 	return s.iterate(), true
 }
 
@@ -1446,9 +1503,12 @@ func (p *Problem) rowEquilibratedClone() (*Problem, []float64) {
 }
 
 // solveSparse orchestrates the sparse solver with a recovery ladder: warm
-// start (when offered and usable) → cold solve → cold solve with a tight
-// refactorization cadence → dense reference solver. Every claimed optimum
-// is audited against the original rows before being returned. A cold solve
+// start (when offered and shape-compatible; runWarm keeps primal feasible,
+// dual feasible, neither-feasible and singular bases warm) → cold solve →
+// cold solve with a tight refactorization cadence → dense reference solver.
+// A compatible warm start that does not return its own audited optimum
+// counts one SolveStats.WarmFallbacks. Every claimed optimum is audited
+// against the original rows before being returned. A cold solve
 // that breaks down numerically long before its pivot budget (singular basis,
 // failed ratio test) additionally retries under the alternate pricing rule,
 // which walks a different path through the degenerate vertices, and then on
@@ -1476,16 +1536,19 @@ func (p *Problem) solveSparse(opts Options) (*Solution, error) {
 	if opts.WarmStart.compatible(p) {
 		s := newSparse(p, opts)
 		st, ok := s.runWarm(opts.WarmStart)
+		ok = ok && st == Optimal && p.CheckFeasible(s.extract(), 1e-6) == nil
+		if !ok {
+			// An unusable basis, a non-optimal terminal status, or an
+			// optimum that fails the audit re-solves cold. In particular a
+			// warm Infeasible is only trusted once phase 1 confirms it.
+			s.stats.WarmFallbacks++
+			s.emit(EventWarmFallback)
+		}
 		totalIters += s.iters
 		totalStats.Add(s.stats)
-		if ok && st == Optimal {
-			if x := s.extract(); p.CheckFeasible(x, 1e-6) == nil {
-				return finish(s, st), nil
-			}
+		if ok {
+			return finish(s, st), nil
 		}
-		// Anything else — unusable basis, non-optimal terminal status, or
-		// an optimum that fails the audit — re-solves cold. In particular
-		// a warm Infeasible is only trusted once phase 1 confirms it.
 	}
 
 	s := newSparse(p, opts)

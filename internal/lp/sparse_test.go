@@ -301,6 +301,9 @@ func TestWarmStartAfterCostChange(t *testing.T) {
 		if math.Abs(warm.Objective-cold.Objective) > 1e-6 {
 			t.Fatalf("trial %d: warm %.9f != cold %.9f", trial, warm.Objective, cold.Objective)
 		}
+		if warm.Stats.WarmFallbacks != 0 {
+			t.Fatalf("trial %d: warm start fell back to a cold solve", trial)
+		}
 		agg.warm += warm.Iterations
 		agg.cold += cold.Iterations
 	}
@@ -308,6 +311,241 @@ func TestWarmStartAfterCostChange(t *testing.T) {
 		t.Fatalf("warm starts did not reduce total iterations: warm=%d cold=%d", agg.warm, agg.cold)
 	}
 	t.Logf("total iterations: warm=%d cold=%d", agg.warm, agg.cold)
+}
+
+// relClose reports whether a and b agree to tol relative to max(1, |b|).
+func relClose(a, b, tol float64) bool {
+	return math.Abs(a-b) <= tol*math.Max(1, math.Abs(b))
+}
+
+// TestWarmStartAfterCostAndRHSChange: moving costs and covering demands in
+// the same re-solve leaves the previous basis neither primal feasible (the
+// rhs moved) nor dual feasible (the costs moved). The warm path must shift
+// costs and stay warm: no cold fallback, the cold optimum to 1e-9, and
+// fewer pivots in total than cold solves.
+func TestWarmStartAfterCostAndRHSChange(t *testing.T) {
+	agg := struct{ warm, cold, neither int }{}
+	for trial := 0; trial < 25; trial++ {
+		seed := uint64(3000 + trial)
+		p := randomCovering(seed)
+		first, err := p.Solve()
+		if err != nil || first.Status != Optimal {
+			t.Fatalf("trial %d: first solve %v %v", trial, first.Status, err)
+		}
+		rng := stats.NewRNG(seed ^ 0xbeef)
+		for j := 0; j < p.NumVars(); j++ {
+			if rng.Bernoulli(0.33) {
+				p.AddObjectiveCoef(j, rng.Range(-0.3, 0.3))
+			}
+		}
+		for r := 0; r < p.NumRows(); r++ {
+			if rng.Bernoulli(0.5) {
+				_, rhs := p.RHS(r)
+				p.SetRHS(r, rhs*rng.Range(0.6, 1.6))
+			}
+		}
+		probe := newSparse(p, Options{})
+		if !probe.installWarm(first.Basis) {
+			t.Fatalf("trial %d: basis did not install", trial)
+		}
+		primalInfeasible := probe.primalInfeasibility() > tolFeas
+		if shifted := probe.shiftCosts(); primalInfeasible && shifted > 0 {
+			agg.neither++
+		}
+		if n := probe.shiftCosts(); n != 0 {
+			t.Fatalf("trial %d: %d columns still dual infeasible after the cost shift", trial, n)
+		}
+		warm, err := p.SolveOpts(Options{WarmStart: first.Basis})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cold, err := p.SolveOpts(Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if warm.Status != Optimal || cold.Status != Optimal {
+			t.Fatalf("trial %d: status warm=%v cold=%v", trial, warm.Status, cold.Status)
+		}
+		if warm.Stats.WarmFallbacks != 0 {
+			t.Fatalf("trial %d: warm start fell back to a cold solve", trial)
+		}
+		if !relClose(warm.Objective, cold.Objective, 1e-9) {
+			t.Fatalf("trial %d: warm %.12f != cold %.12f", trial, warm.Objective, cold.Objective)
+		}
+		agg.warm += warm.Iterations
+		agg.cold += cold.Iterations
+	}
+	if agg.neither < 20 {
+		t.Fatalf("only %d of 25 perturbed bases were neither primal nor dual feasible", agg.neither)
+	}
+	if agg.warm >= agg.cold {
+		t.Fatalf("warm starts did not reduce total iterations: warm=%d cold=%d", agg.warm, agg.cold)
+	}
+	t.Logf("neither feasible: %d of 25; total iterations: warm=%d cold=%d", agg.neither, agg.warm, agg.cold)
+}
+
+// TestWarmStartShiftMarginNoStall locks shiftMargin on a fixture where
+// shifting the dual-infeasible columns to exactly zero reduced cost leaves
+// the dual simplex cycling among them until the pivot limit (57,400
+// pivots), so the warm start fell back to a cold solve.
+func TestWarmStartShiftMarginNoStall(t *testing.T) {
+	const seed = 92165
+	p := randomCovering(seed)
+	first, err := p.Solve()
+	if err != nil || first.Status != Optimal {
+		t.Fatalf("first solve %v %v", first.Status, err)
+	}
+	rng := stats.NewRNG(seed ^ 0xbeef)
+	for j := 0; j < p.NumVars(); j++ {
+		if rng.Bernoulli(0.5) {
+			p.AddObjectiveCoef(j, rng.Range(-1, 1))
+		}
+	}
+	for r := 0; r < p.NumRows(); r++ {
+		if rng.Bernoulli(0.5) {
+			_, rhs := p.RHS(r)
+			p.SetRHS(r, rhs+rng.Range(-1, 1))
+		}
+	}
+	warm, err := p.SolveOpts(Options{WarmStart: first.Basis})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, err := p.SolveOpts(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm.Status != Optimal || cold.Status != Optimal || warm.Stats.WarmFallbacks != 0 {
+		t.Fatalf("status warm=%v cold=%v, %d fallbacks", warm.Status, cold.Status, warm.Stats.WarmFallbacks)
+	}
+	if !relClose(warm.Objective, cold.Objective, 1e-9) || warm.Iterations >= cold.Iterations {
+		t.Fatalf("warm %.12f in %d pivots, cold %.12f in %d", warm.Objective, warm.Iterations, cold.Objective, cold.Iterations)
+	}
+}
+
+// zeroColumn sets every coefficient of structural column j to zero in
+// place, the way departing viewers zero their covering coefficients.
+func zeroColumn(p *Problem, j int) {
+	for r := 0; r < p.NumRows(); r++ {
+		for pos := 0; pos < p.RowLen(r); pos++ {
+			if p.RowCoef(r, pos).Var == j {
+				p.SetRowCoef(r, pos, 0)
+			}
+		}
+	}
+}
+
+// TestWarmStartRepairsSingularBasis: zeroing basic structural columns makes
+// the carried basis singular. The install must swap the dependent columns
+// for row slacks and stay warm — with the carried factorization (whose
+// column replacement meets a zero pivot) and with RefactorOnInstall alike —
+// and reach the cold optimum.
+func TestWarmStartRepairsSingularBasis(t *testing.T) {
+	for _, refactor := range []bool{false, true} {
+		repairs := 0
+		for trial := 0; trial < 20; trial++ {
+			seed := uint64(3100 + trial)
+			p := randomCovering(seed)
+			first, err := p.Solve()
+			if err != nil || first.Status != Optimal {
+				t.Fatalf("trial %d: first solve %v %v", trial, first.Status, err)
+			}
+			zeroed := 0
+			for j := 0; j < p.NumVars() && zeroed < 1+trial%3; j++ {
+				if first.Basis.ColStat[j] == BasisBasic {
+					zeroColumn(p, j)
+					zeroed++
+				}
+			}
+			if zeroed == 0 {
+				t.Fatalf("trial %d: no basic structural column", trial)
+			}
+			warm, err := p.SolveOpts(Options{WarmStart: first.Basis, RefactorOnInstall: refactor})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cold, err := p.SolveOpts(Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if warm.Status != Optimal || cold.Status != Optimal {
+				t.Fatalf("refactor=%v trial %d: status warm=%v cold=%v", refactor, trial, warm.Status, cold.Status)
+			}
+			if warm.Stats.Repairs == 0 || warm.Stats.WarmFallbacks != 0 {
+				t.Fatalf("refactor=%v trial %d: repairs=%d fallbacks=%d, want >0 and 0",
+					refactor, trial, warm.Stats.Repairs, warm.Stats.WarmFallbacks)
+			}
+			if !relClose(warm.Objective, cold.Objective, 1e-9) {
+				t.Fatalf("refactor=%v trial %d: warm %.12f != cold %.12f", refactor, trial, warm.Objective, cold.Objective)
+			}
+			if err := p.CheckFeasible(warm.X, 1e-6); err != nil {
+				t.Fatalf("refactor=%v trial %d: %v", refactor, trial, err)
+			}
+			repairs += warm.Stats.Repairs
+		}
+		t.Logf("refactor=%v: %d columns repaired", refactor, repairs)
+	}
+}
+
+// TestWarmStartPerturbedMatchesDense: on random LPs with every relation,
+// negative coefficients and shifted bounds, a warm start after moving costs
+// and rhs together — and, on a third of them, zeroing some basic columns —
+// must agree with the dense reference solver on status and optimum, and
+// never fall back to a cold solve.
+func TestWarmStartPerturbedMatchesDense(t *testing.T) {
+	optimal := 0
+	for trial := 0; trial < 300; trial++ {
+		seed := uint64(70000 + trial)
+		p := randomCovering(seed)
+		if trial%2 == 0 {
+			p = randomMixed(seed)
+		}
+		first, err := p.Solve()
+		if err != nil || first.Status != Optimal {
+			continue
+		}
+		rng := stats.NewRNG(seed ^ 0xabc)
+		for j := 0; j < p.NumVars(); j++ {
+			if rng.Bernoulli(0.4) {
+				p.AddObjectiveCoef(j, rng.Range(-1, 1))
+			}
+		}
+		for r := 0; r < p.NumRows(); r++ {
+			if rng.Bernoulli(0.4) {
+				_, rhs := p.RHS(r)
+				p.SetRHS(r, rhs+rng.Range(-0.5, 0.5))
+			}
+		}
+		for j := 0; trial%3 == 0 && j < p.NumVars(); j++ {
+			if first.Basis.ColStat[j] == BasisBasic && rng.Bernoulli(0.3) {
+				zeroColumn(p, j)
+			}
+		}
+		warm, err := p.SolveOpts(Options{WarmStart: first.Basis})
+		if err != nil {
+			t.Fatal(err)
+		}
+		dense, err := p.SolveOpts(Options{Dense: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if warm.Status != dense.Status {
+			t.Fatalf("trial %d: status warm=%v dense=%v", trial, warm.Status, dense.Status)
+		}
+		if warm.Status != Optimal {
+			continue
+		}
+		optimal++
+		if warm.Stats.WarmFallbacks != 0 {
+			t.Fatalf("trial %d: warm start fell back to a cold solve", trial)
+		}
+		if !relClose(warm.Objective, dense.Objective, 1e-6) {
+			t.Fatalf("trial %d: warm %.9f != dense %.9f", trial, warm.Objective, dense.Objective)
+		}
+	}
+	if optimal < 100 {
+		t.Fatalf("only %d optimal perturbed fixtures", optimal)
+	}
 }
 
 // TestWarmStartAfterBoundChange mimics a branch-and-bound dive: fix a
@@ -349,6 +587,11 @@ func TestWarmStartAfterBoundChange(t *testing.T) {
 			}
 			if warm.Status == Optimal && math.Abs(warm.Objective-cold.Objective) > 1e-6 {
 				t.Fatalf("trial %d side %v: warm %.9f != cold %.9f", trial, side, warm.Objective, cold.Objective)
+			}
+			// A warm Infeasible is re-verified cold, so only optima must
+			// come from the warm path.
+			if warm.Status == Optimal && warm.Stats.WarmFallbacks != 0 {
+				t.Fatalf("trial %d side %v: warm start fell back to a cold solve", trial, side)
 			}
 			p.SetBounds(branch, 0, 1)
 			checked++

@@ -42,6 +42,8 @@ const (
 	MLPRefactorizations = "overlay_lp_refactorizations_total"
 	MLPFTUpdates        = "overlay_lp_ft_updates_total"
 	MLPDevexResets      = "overlay_lp_devex_resets_total"
+	MLPWarmFallbacks    = "overlay_lp_warm_fallbacks_total"
+	MLPBasisRepairs     = "overlay_lp_basis_repairs_total"
 
 	// Incremental LP rebuild (lpmodel.Patcher).
 	MLPPatchedCells = "overlay_lp_patched_cells_total"
@@ -95,6 +97,8 @@ var canonicalFamilies = []struct {
 	{MLPRefactorizations, KindCounter, "From-scratch basis factorizations."},
 	{MLPFTUpdates, KindCounter, "Warm starts that adopted a persisted factorization (Forrest-Tomlin resume)."},
 	{MLPDevexResets, KindCounter, "Devex reference-framework resets."},
+	{MLPWarmFallbacks, KindCounter, "Warm starts abandoned for a cold re-solve (the solver's warm-to-cold recovery rung)."},
+	{MLPBasisRepairs, KindCounter, "Dependent basic columns a warm-start install swapped for row slacks."},
 	{MLPPatchedCells, KindCounter, "LP matrix/rhs/objective cells rewritten in place by the incremental rebuild."},
 	{MLPRebuilds, KindCounter, "Full LP builds the incremental rebuild fell back to."},
 	{MShardExtractionsSkipped, KindCounter, "Shards that reused their cached sub-instance (empty routed dirty set)."},
