@@ -61,6 +61,16 @@ curl -sf "$BASE/metrics" > daemon-metrics.txt
 .github/scripts/check-metric-families.sh daemon-metrics.txt \
   overlay_epochs_total overlay_stream_slo_availability \
   overlay_lp_ft_updates_total overlay_lp_refactorizations_total
+# The per-epoch families carry values, not just names: every solve so far
+# (epoch 0 and the forced epoch 1) observed the epoch-wall histogram and
+# counted an epoch.
+SOLVES=$(curl -sf "$BASE/status" | jq '.totals.solves')
+test "$SOLVES" -eq 2
+awk -v n="$SOLVES" '
+  $1 == "overlay_epoch_wall_seconds_count" { wall = $2 }
+  $1 == "overlay_epochs_total" { epochs = $2 }
+  END { exit (wall == n && epochs == n) ? 0 : 1 }
+' daemon-metrics.txt
 
 kill -TERM "$OD"
 wait "$OD"

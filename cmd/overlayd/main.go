@@ -21,7 +21,7 @@
 //	POST /deltas      ingest one netmodel.Delta or a JSON array
 //	GET  /placement   ?sink=S[&stream=K] — which reflectors feed the sink
 //	GET  /design      the deployed design
-//	GET  /status      control-plane state + last solve summary
+//	GET  /status      control-plane state + last epoch report
 //	POST /solve       force a re-optimization now
 //	POST /snapshot    persist state to the -snapshot path
 //	GET  /scenario    ingest history as a replayable scenario (overlaylive -replay)
@@ -55,18 +55,6 @@ import (
 	"repro/internal/netmodel"
 )
 
-func parsePricing(s string) (lp.Pricing, error) {
-	switch s {
-	case "devex":
-		return lp.DevexPricing, nil
-	case "dantzig":
-		return lp.DantzigPricing, nil
-	case "partial":
-		return lp.PartialPricing, nil
-	}
-	return 0, fmt.Errorf("unknown pricing %q (want devex|dantzig|partial)", s)
-}
-
 func main() {
 	var (
 		listen     = flag.String("listen", ":8080", "serve the HTTP API on this address")
@@ -79,7 +67,7 @@ func main() {
 		shards     = flag.Int("shards", 0, "≥2: sharded per-epoch solves with per-shard warm state")
 		levels     = flag.Int("shard-levels", 0, "2: hierarchical dual-price exchange coordination")
 		aggr       = flag.Bool("aggregate", false, "fold viewers into weighted super-sinks before every solve")
-		pricing    = flag.String("pricing", "devex", "simplex pricing rule: devex|dantzig|partial")
+		pricing    = flag.String("pricing", "devex", "simplex pricing rule: devex|dantzig")
 		refEv      = flag.Int("refactor-every", 0, "basis refactorization cadence in pivots (0 = auto)")
 		interval   = flag.Duration("interval", 0, "re-optimization cadence (0 = solve only under pressure or POST /solve)")
 		pressure   = flag.Int("pressure", 64, "queued delta edits that force an immediate solve (negative disables)")
@@ -117,7 +105,7 @@ func main() {
 	if (*snapEvery > 0 || *resume) && *snapPath == "" {
 		usage("-resume/-snapshot-every need -snapshot")
 	}
-	pr, err := parsePricing(*pricing)
+	pr, err := lp.ParsePricing(*pricing)
 	if err != nil {
 		fatal(err)
 	}

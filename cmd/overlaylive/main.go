@@ -59,19 +59,6 @@ import (
 	"repro/internal/stats"
 )
 
-// parsePricing maps the -pricing flag to the solver's pricing rules.
-func parsePricing(s string) (lp.Pricing, error) {
-	switch s {
-	case "devex":
-		return lp.DevexPricing, nil
-	case "dantzig":
-		return lp.DantzigPricing, nil
-	case "partial":
-		return lp.PartialPricing, nil
-	}
-	return 0, fmt.Errorf("unknown pricing %q (want devex|dantzig|partial)", s)
-}
-
 func main() {
 	var (
 		scenario   = flag.String("scenario", "flashcrowd", "scenario: "+strings.Join(live.Names(), "|"))
@@ -91,7 +78,7 @@ func main() {
 		replay     = flag.String("replay", "", "run a scenario recorded with -record instead of building one (-scenario/-epochs/-seed ignored)")
 		sloWindow  = flag.Int("slowindow", 8, "availability SLO sliding window, in epochs")
 		sloTarget  = flag.Float64("slotarget", 0.5, "fraction of active sinks that must meet their threshold for an epoch to count as available (raise toward 1 with -repair-style solvers)")
-		pricing    = flag.String("pricing", "devex", "simplex pricing rule: devex|dantzig|partial")
+		pricing    = flag.String("pricing", "devex", "simplex pricing rule: devex|dantzig")
 		refEv      = flag.Int("refactor-every", 0, "basis refactorization cadence in pivots (0 = auto: 16+2√rows)")
 		listen     = flag.String("listen", "", "serve live telemetry on this address during the run: /metrics, /healthz, /slo, /debug/vars, /debug/pprof")
 		tracePath  = flag.String("trace", "", "write the hierarchical solve trace (epoch → stage → shard → simplex events) as JSONL to this file")
@@ -124,7 +111,7 @@ func main() {
 	if *listen == "" && (*pace > 0 || *hold > 0) {
 		usage("-pace/-hold only make sense with -listen (they exist to keep the telemetry endpoint scrapeable)")
 	}
-	pr, err := parsePricing(*pricing)
+	pr, err := lp.ParsePricing(*pricing)
 	if err != nil {
 		fatal(err)
 	}
@@ -255,25 +242,11 @@ func main() {
 					Epoch: er.Epoch, Epochs: sc.Epochs,
 					AuditOK: er.AuditOK, SLOOk: er.SLOOk,
 				})
-				regions := make([]obs.RegionSLO, 0, len(er.Regions))
-				for _, ra := range er.Regions {
-					regions = append(regions, obs.RegionSLO{
-						Region: ra.Region, Active: ra.Active, Met: ra.Met,
-						Frac: ra.Frac, WindowFrac: ra.WindowFrac,
-					})
-				}
-				streams := make([]obs.StreamSLO, 0, len(er.Streams))
-				for _, sa := range er.Streams {
-					streams = append(streams, obs.StreamSLO{
-						Stream: sa.Stream, Active: sa.Active, Met: sa.Met,
-						Frac: sa.Frac, WindowFrac: sa.WindowFrac,
-					})
-				}
 				server.SetSLO(obs.SLOStatus{
 					Window: *sloWindow, Target: *sloTarget,
 					Ok: er.SLOOk, WindowFrac: er.SLOWindowFrac,
 					Breaches: breaches, MinWindowFrac: minWin,
-					Regions: regions, Streams: streams,
+					Regions: er.Regions, Streams: er.Streams,
 				})
 			}
 			if *pace > 0 {

@@ -5,7 +5,7 @@
 //
 //	overlaysolve -in instance.json [-o design.json] [-seed 1] [-c 64]
 //	             [-greedy] [-exact] [-lp-only] [-shards 8] [-shard-levels 2]
-//	             [-json report.json] [-pricing devex|dantzig|partial]
+//	             [-json report.json] [-pricing devex|dantzig]
 //	             [-refactor-every N]
 //
 // -greedy and -exact run the baseline / exact IP solver instead of the
@@ -34,19 +34,6 @@ import (
 	"repro/internal/obs"
 )
 
-// parsePricing maps the -pricing flag to the solver's pricing rules.
-func parsePricing(s string) (lp.Pricing, error) {
-	switch s {
-	case "devex":
-		return lp.DevexPricing, nil
-	case "dantzig":
-		return lp.DantzigPricing, nil
-	case "partial":
-		return lp.PartialPricing, nil
-	}
-	return 0, fmt.Errorf("unknown pricing %q (want devex|dantzig|partial)", s)
-}
-
 func main() {
 	var (
 		inPath  = flag.String("in", "", "instance JSON file (required)")
@@ -65,12 +52,12 @@ func main() {
 		aggColo = flag.Int("agg-colo", 0, "≥2: group aggregates by cost-anchor COLO of this many reflectors instead of per reflector (caps the fold at R/N labels; needs -aggregate)")
 		jsonOut = flag.String("json", "", "write a machine-readable solve report (stages, audit, shard counters) here")
 		stages  = flag.Bool("stages", false, "print the per-stage pipeline instrumentation (lp-build/lp-patch/lp-solve/... wall and run counts)")
-		pricing = flag.String("pricing", "devex", "simplex pricing rule: devex|dantzig|partial")
+		pricing = flag.String("pricing", "devex", "simplex pricing rule: devex|dantzig")
 		refEv   = flag.Int("refactor-every", 0, "basis refactorization cadence in pivots (0 = auto: 16+2√rows)")
 		trace   = flag.String("trace", "", "write the hierarchical solve trace (stages, shards, simplex events) as JSONL to this file")
 	)
 	flag.Parse()
-	pr, err := parsePricing(*pricing)
+	pr, err := lp.ParsePricing(*pricing)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "overlaysolve: %v\n", err)
 		os.Exit(2)

@@ -94,8 +94,6 @@ type Options struct {
 	// keeps coordination converging as reflector counts reach the
 	// hundreds. Ignored unless Shards ≥ 2.
 	ShardLevels int
-	// ShardWorkers bounds concurrent per-shard solves (0 = GOMAXPROCS).
-	ShardWorkers int
 	// ShardState warm-starts a sharded solve from a previous same-shaped
 	// solve: the partition is reused (so per-shard LP shapes match), the
 	// capacity split is rescaled instead of recomputed, and each shard's

@@ -37,10 +37,9 @@ func solveSharded(in *netmodel.Instance, opts Options) (*Result, error) {
 		k = v
 	}
 	sopts := shard.Options{
-		Shards:  k,
-		Workers: opts.ShardWorkers,
-		Rounds:  opts.ShardRounds,
-		Levels:  opts.ShardLevels,
+		Shards: k,
+		Rounds: opts.ShardRounds,
+		Levels: opts.ShardLevels,
 	}
 	hierarchical := opts.ShardLevels >= 2
 

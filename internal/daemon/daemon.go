@@ -6,10 +6,18 @@
 // pressure threshold), re-provisioning the overlay exactly the way §1.3's
 // monitoring loop prescribes.
 //
+// A solve is one step of the live engine (live.Engine), the same epoch
+// step overlaylive runs: the queued deltas are applied through it, it
+// re-solves, certifies, tracks the SLO and feeds the per-epoch metric
+// families, and the daemon publishes the epoch report it returns. So
+// /status's last report and POST /solve's response are live.EpochReports,
+// and a replay of the exported event log through live.Run reproduces them.
+//
 // The state split is the whole design:
 //
-//   - WRITE state (instance, session, delta queue, event log, SLO tracker)
-//     lives behind one mutex and is touched only by ingest and the solver;
+//   - WRITE state (the engine with its instance, session and SLO tracker;
+//     the delta queue; the event log) lives behind one mutex and is touched
+//     only by ingest and the solver;
 //   - READ state is an immutable View published by atomic pointer swap
 //     after every solve — placement lookups, /design and /status never
 //     take the lock, so reads keep serving at full speed while a solve
@@ -68,61 +76,27 @@ type Config struct {
 	SnapshotPath  string
 	SnapshotEvery int
 
-	// Obs receives the solver's observability signals; its registry backs
-	// the mounted /metrics endpoint. Nil runs unobserved (the HTTP API
-	// still works, minus /metrics content).
+	// Obs receives the engine's and the solver's observability signals
+	// (one trace span per solve, the per-epoch and solver metric families);
+	// its registry backs the mounted /metrics endpoint. Nil gets a fresh
+	// registry, so /metrics always serves.
 	Obs *obs.Observer
 }
 
 func (c *Config) defaults() {
-	// Fill the solver knobs DefaultOptions would have set, without
-	// clobbering anything the caller chose.
-	if c.Solver.C == 0 {
-		c.Solver.C = 64
-	}
-	if c.Solver.MaxRetries == 0 {
-		c.Solver.MaxRetries = 8
-	}
 	if c.Solver.Seed == 0 {
 		c.Solver.Seed = 1
 	}
 	if c.Pressure == 0 {
 		c.Pressure = 64
 	}
-	if c.SLOWindow <= 0 {
-		c.SLOWindow = 8
-	}
-	if c.SLOTarget <= 0 {
-		c.SLOTarget = 0.5
-	}
 }
 
-// EpochInfo is one solve's summary: the /status payload's last_epoch and
-// POST /solve's response. All fields are deterministic in the ingest
-// history except WallNS.
-type EpochInfo struct {
-	Epoch int `json:"epoch"`
-	// Edits counts the atomic delta edits consumed by this solve.
-	Edits       int     `json:"edits"`
-	TrueCost    float64 `json:"true_cost"`
-	LPCost      float64 `json:"lp_cost"`
-	Pivots      int     `json:"pivots"`
-	ArcChurn    int     `json:"arc_churn"`
-	ViewerChurn float64 `json:"viewer_churn"`
-	// Warm-resume telemetry: FTUpdates counts warm starts that adopted a
-	// persisted factorization this epoch, Refactorizations from-scratch
-	// factorizations — the pair the restart smoke test asserts on.
-	FTUpdates        int     `json:"ft_updates"`
-	Refactorizations int     `json:"refactorizations"`
-	LPPatches        int     `json:"lp_patches"`
-	LPRebuilds       int     `json:"lp_rebuilds"`
-	ActiveSinks      int     `json:"active_sinks"`
-	BuiltReflectors  int     `json:"built_reflectors"`
-	AuditOK          bool    `json:"audit_ok"`
-	SLOOk            bool    `json:"slo_ok"`
-	SLOWindowFrac    float64 `json:"slo_window_frac"`
-	WallNS           int64   `json:"wall_ns"`
-}
+// EpochInfo is one solve's report: the /status payload's last and POST
+// /solve's response. It is the live engine's epoch report; all fields are
+// deterministic in the ingest history except the wall-clock ones (WallNS,
+// StageWallNS).
+type EpochInfo = live.EpochReport
 
 // Totals accumulate across the daemon's lifetime (reset by a restore —
 // they are monitoring state, not control state).
@@ -157,16 +131,15 @@ type View struct {
 type Daemon struct {
 	cfg Config
 	srv *obs.Server
-	reg *obs.Registry
 
 	mu        sync.Mutex
 	in        *netmodel.Instance
 	base      *netmodel.Instance
 	sess      *core.Session
+	eng       *live.Engine
 	queue     []netmodel.Delta
 	qEdits    int
 	events    []live.Event
-	slo       *live.SLOTracker
 	totals    Totals
 	sinceSnap int
 	start     time.Time
@@ -186,8 +159,8 @@ func New(in *netmodel.Instance, cfg Config) (*Daemon, error) {
 		return nil, fmt.Errorf("daemon: %w", err)
 	}
 	cfg.defaults()
-	d := newDaemon(in, cfg)
-	d.sess = core.NewSession(d.cfg.Solver, d.cfg.Stickiness, d.cfg.WarmStart)
+	in = in.Clone()
+	d := newDaemon(in, in.Clone(), core.NewSession(cfg.Solver, cfg.Stickiness, cfg.WarmStart), cfg)
 	if _, err := d.SolveNow(); err != nil {
 		return nil, fmt.Errorf("daemon: initial provisioning: %w", err)
 	}
@@ -205,13 +178,12 @@ func Resume(snap *Snapshot, cfg Config) (*Daemon, error) {
 		return nil, err
 	}
 	cfg.defaults()
-	d := newDaemon(snap.Instance, cfg)
-	d.base = snap.Base.Clone()
-	sess, err := core.RestoreSession(d.in, d.cfg.Solver, d.cfg.Stickiness, d.cfg.WarmStart, snap.Session)
+	in := snap.Instance.Clone()
+	sess, err := core.RestoreSession(in, cfg.Solver, cfg.Stickiness, cfg.WarmStart, snap.Session)
 	if err != nil {
 		return nil, fmt.Errorf("daemon: resume: %w", err)
 	}
-	d.sess = sess
+	d := newDaemon(in, snap.Base.Clone(), sess, cfg)
 	d.events = append(d.events, snap.Events...)
 	for _, del := range snap.Pending {
 		d.queue = append(d.queue, del)
@@ -237,27 +209,29 @@ func Resume(snap *Snapshot, cfg Config) (*Daemon, error) {
 	return d, nil
 }
 
-func newDaemon(in *netmodel.Instance, cfg Config) *Daemon {
+// newDaemon wires a daemon around its engine. in is the live instance the
+// engine mutates and sess the session that solves it; base roots the event
+// log.
+func newDaemon(in, base *netmodel.Instance, sess *core.Session, cfg Config) *Daemon {
 	d := &Daemon{
 		cfg:   cfg,
-		in:    in.Clone(),
-		base:  in.Clone(),
+		in:    in,
+		base:  base,
+		sess:  sess,
 		kick:  make(chan struct{}, 1),
 		start: time.Now(),
 	}
-	d.slo = live.NewSLOTracker(cfg.SLOWindow, cfg.SLOTarget, cfg.SinkRegion, d.in.Commodity)
 	// One registry backs everything: the mounted /metrics endpoint, the
-	// daemon's own epoch/SLO gauges, and the solver stack (the session's
+	// engine's epoch/churn/SLO families, and the solver stack (the session's
 	// observer records pivots, factorization events and patch counters into
 	// the same families live.Run would).
-	d.reg = cfg.Obs.Registry()
-	if d.reg == nil {
-		d.reg = obs.NewRegistry()
-		d.cfg.Obs = &obs.Observer{Reg: d.reg}
+	reg := cfg.Obs.Registry()
+	if reg == nil {
+		reg = obs.NewRegistry()
+		d.cfg.Obs = &obs.Observer{Reg: reg}
 	}
-	obs.Canonical(d.reg)
-	d.cfg.Solver.Obs = d.cfg.Obs
-	d.srv = obs.NewServer(d.reg)
+	d.eng = live.NewEngine(in, sess, cfg.SinkRegion, cfg.SLOWindow, cfg.SLOTarget, d.cfg.Obs)
+	d.srv = obs.NewServer(reg)
 	return d
 }
 
@@ -300,74 +274,44 @@ func (d *Daemon) SolveNow() (EpochInfo, error) {
 	return d.solveLocked()
 }
 
+// solveLocked is one engine step: apply the queue, step, publish.
 func (d *Daemon) solveLocked() (EpochInfo, error) {
-	edits := 0
 	for i := range d.queue {
-		ds, err := d.queue[i].Apply(d.in)
-		if err != nil {
+		if err := d.eng.Apply(d.queue[i]); err != nil {
 			// Cannot happen for a queue validated at ingest (deltas never
 			// resize and validation is state-independent), but a corrupted
 			// snapshot could smuggle one in — fail the solve, keep serving.
 			return EpochInfo{}, fmt.Errorf("daemon: applying queued delta %q: %w", d.queue[i].Note, err)
 		}
-		d.sess.Observe(ds)
-		edits += d.queue[i].Size()
 	}
 	d.queue = d.queue[:0]
 	d.qEdits = 0
 
-	epoch := d.sess.Steps()
-	start := time.Now()
-	res, err := d.sess.Step(d.in)
+	info, res, err := d.eng.Step()
 	if err != nil {
-		return EpochInfo{}, fmt.Errorf("daemon: epoch %d solve: %w", epoch, err)
+		return EpochInfo{}, fmt.Errorf("daemon: %w", err)
 	}
-	verdict := d.slo.Observe(d.in.Threshold, res.Audit.Met)
-
-	info := EpochInfo{
-		Epoch:            epoch,
-		Edits:            edits,
-		TrueCost:         res.Audit.Cost,
-		LPCost:           res.LPCost,
-		Pivots:           res.Timings.LPPivots,
-		ArcChurn:         res.ArcChurn,
-		ViewerChurn:      res.ViewerChurn,
-		FTUpdates:        res.LPStats.FTUpdates,
-		Refactorizations: res.LPStats.Refactorizations,
-		ActiveSinks:      res.Audit.Sinks,
-		AuditOK:          res.AuditOK(),
-		SLOOk:            verdict.Ok,
-		SLOWindowFrac:    verdict.WindowFrac,
-		WallNS:           time.Since(start).Nanoseconds(),
-	}
-	if res.Patch != nil {
-		info.LPPatches = res.Patch.Patches()
-		if res.Patch.Rebuilt {
-			info.LPRebuilds = 1
-		}
-	}
-	if si := res.ShardInfo; si != nil {
-		for _, n := range si.PerShardPatches {
-			info.LPPatches += n
-		}
-		for _, n := range si.PerShardRebuilds {
-			info.LPRebuilds += n
-		}
-	}
-	for _, b := range res.Design.Build {
-		if b {
-			info.BuiltReflectors++
-		}
-	}
+	slo := d.eng.SLO()
 	d.totals.Solves++
-	d.totals.Edits += edits
+	d.totals.Edits += info.Edits
 	d.totals.Pivots += info.Pivots
 	d.totals.FTUpdates += info.FTUpdates
 	d.totals.Refactorizations += info.Refactorizations
-	d.totals.SLOBreaches = d.slo.Breaches()
+	d.totals.SLOBreaches = slo.Breaches()
 
 	d.publishLocked(res.Design, res.Audit, info)
-	d.serveTelemetryLocked(info, verdict)
+	d.srv.SetHealth(obs.HealthStatus{
+		OK: info.AuditOK, Running: true,
+		Scenario: d.base.Name, Policy: policyName(d.cfg),
+		Epoch: info.Epoch, Epochs: info.Epoch + 1,
+		AuditOK: info.AuditOK, SLOOk: info.SLOOk,
+	})
+	d.srv.SetSLO(obs.SLOStatus{
+		Window: slo.Window, Target: slo.Target,
+		Ok: info.SLOOk, WindowFrac: info.SLOWindowFrac,
+		Breaches: slo.Breaches(), MinWindowFrac: slo.MinWindowFrac(),
+		Regions: info.Regions, Streams: info.Streams,
+	})
 
 	if d.cfg.SnapshotPath != "" && d.cfg.SnapshotEvery > 0 {
 		d.sinceSnap++
@@ -392,52 +336,6 @@ func (d *Daemon) publishLocked(design *netmodel.Design, audit netmodel.Audit, in
 		Audit:  audit,
 		Last:   info,
 	})
-}
-
-// serveTelemetryLocked refreshes the mounted obs endpoints after a solve.
-func (d *Daemon) serveTelemetryLocked(info EpochInfo, verdict live.SLOEpoch) {
-	d.srv.SetHealth(obs.HealthStatus{
-		OK: info.AuditOK, Running: true,
-		Scenario: d.base.Name, Policy: policyName(d.cfg),
-		Epoch: info.Epoch, Epochs: info.Epoch + 1,
-		AuditOK: info.AuditOK, SLOOk: info.SLOOk,
-	})
-	regions := make([]obs.RegionSLO, 0, len(verdict.Regions))
-	for _, ra := range verdict.Regions {
-		regions = append(regions, obs.RegionSLO{
-			Region: ra.Region, Active: ra.Active, Met: ra.Met,
-			Frac: ra.Frac, WindowFrac: ra.WindowFrac,
-		})
-	}
-	streams := make([]obs.StreamSLO, 0, len(verdict.Streams))
-	for _, sa := range verdict.Streams {
-		streams = append(streams, obs.StreamSLO{
-			Stream: sa.Stream, Active: sa.Active, Met: sa.Met,
-			Frac: sa.Frac, WindowFrac: sa.WindowFrac,
-		})
-	}
-	d.srv.SetSLO(obs.SLOStatus{
-		Window: d.slo.Window, Target: d.slo.Target,
-		Ok: verdict.Ok, WindowFrac: verdict.WindowFrac,
-		Breaches: d.slo.Breaches(), MinWindowFrac: d.slo.MinWindowFrac(),
-		Regions: regions, Streams: streams,
-	})
-	reg := d.reg
-	reg.Counter(obs.MEpochsTotal).Inc()
-	reg.Gauge(obs.MEpoch).Set(float64(info.Epoch))
-	reg.Gauge(obs.MEpochCost).Set(info.TrueCost)
-	reg.Gauge(obs.MActiveSinks).Set(float64(info.ActiveSinks))
-	reg.Gauge(obs.MBuiltReflectors).Set(float64(info.BuiltReflectors))
-	reg.Gauge(obs.MSLOWindowAvailability).Set(info.SLOWindowFrac)
-	if !info.SLOOk {
-		reg.Counter(obs.MSLOBreaches).Inc()
-	}
-	for _, sa := range verdict.Streams {
-		reg.Gauge(obs.MStreamAvailability, obs.L("stream", fmt.Sprint(sa.Stream))).Set(sa.Frac)
-	}
-	for _, ra := range verdict.Regions {
-		reg.Gauge(obs.MRegionAvailability, obs.L("region", fmt.Sprint(ra.Region))).Set(ra.Frac)
-	}
 }
 
 func policyName(cfg Config) string {
@@ -519,7 +417,7 @@ type Status struct {
 	Policy        string `json:"policy"`
 	Incremental   bool   `json:"incremental"`
 	Totals        Totals `json:"totals"`
-	// Last is the most recent solve's summary (zero Epoch with Solves==0
+	// Last is the most recent solve's epoch report (zero Epoch with Solves==0
 	// only right after a restore, which publishes without solving).
 	Last          EpochInfo `json:"last"`
 	SnapshotPath  string    `json:"snapshot_path,omitempty"`

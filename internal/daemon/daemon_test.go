@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -299,8 +300,8 @@ func TestDaemonPressureSolve(t *testing.T) {
 
 // TestDaemonScenarioReplay is the record/replay contract end to end: the
 // event log a daemon exports, replayed through live.Run with the matching
-// policy, reproduces the daemon's epoch stream bit-for-bit (costs, pivots,
-// churn).
+// policy, reproduces the daemon's epoch reports bit-for-bit in every field
+// but the wall clock.
 func TestDaemonScenarioReplay(t *testing.T) {
 	cfg := testConfig(11)
 	d, err := New(testInstance(t, 11), cfg)
@@ -350,15 +351,64 @@ func TestDaemonScenarioReplay(t *testing.T) {
 	if len(rep.Epochs) != len(infos) {
 		t.Fatalf("replay ran %d epochs, daemon solved %d", len(rep.Epochs), len(infos))
 	}
-	for e, er := range rep.Epochs {
-		if er.TrueCost != infos[e].TrueCost || er.LPCost != infos[e].LPCost {
-			t.Fatalf("epoch %d: replay cost %.17g/%.17g vs daemon %.17g/%.17g",
-				e, er.TrueCost, er.LPCost, infos[e].TrueCost, infos[e].LPCost)
+	for e, got := range rep.Epochs {
+		want := infos[e]
+		got.WallNS, want.WallNS = 0, 0
+		got.StageWallNS, want.StageWallNS = nil, nil
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("epoch %d: replay diverged from the daemon:\nreplay: %+v\ndaemon: %+v", e, got, want)
 		}
-		if er.Pivots != infos[e].Pivots || er.ArcChurn != infos[e].ArcChurn {
-			t.Fatalf("epoch %d: replay pivots/churn %d/%d vs daemon %d/%d",
-				e, er.Pivots, er.ArcChurn, infos[e].Pivots, infos[e].ArcChurn)
+	}
+}
+
+// TestDaemonFeedsEpochFamilies: every solve feeds the per-epoch metric
+// families through the engine, so the registry agrees with the reports the
+// daemon returned — epoch count, epoch-wall histogram, churn sums and the
+// active-viewer gauge.
+func TestDaemonFeedsEpochFamilies(t *testing.T) {
+	const rounds = 5
+	reg := obs.NewRegistry()
+	cfg := testConfig(17)
+	cfg.Obs = &obs.Observer{Reg: reg}
+	d, err := New(testInstance(t, 17), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	infos := []EpochInfo{d.View().Last}
+	for e := 1; e <= rounds; e++ {
+		sink := (e * 5) % d.View().In.NumSinks
+		if _, _, err := d.Ingest([]netmodel.Delta{joinDelta(sink, 0.2+0.05*float64(e%3))}); err != nil {
+			t.Fatal(err)
 		}
+		info, err := d.SolveNow()
+		if err != nil {
+			t.Fatal(err)
+		}
+		infos = append(infos, info)
+	}
+	var viewerChurn float64
+	arcChurn := 0
+	for _, info := range infos {
+		viewerChurn += info.ViewerChurn
+		arcChurn += info.ArcChurn
+	}
+	if viewerChurn == 0 || arcChurn == 0 {
+		t.Fatalf("the rounds moved nothing (viewer churn %g, arc churn %d); the sums check nothing", viewerChurn, arcChurn)
+	}
+	if got := reg.Counter(obs.MEpochsTotal).Value(); got != rounds+1 {
+		t.Fatalf("%s = %g, want %d", obs.MEpochsTotal, got, rounds+1)
+	}
+	if got := reg.Histogram(obs.MEpochWall, nil).Count(); got != rounds+1 {
+		t.Fatalf("%s count = %d, want %d", obs.MEpochWall, got, rounds+1)
+	}
+	if got := reg.Counter(obs.MChurnViewers).Value(); math.Abs(got-viewerChurn) > 1e-9 {
+		t.Fatalf("%s = %g, reports sum to %g", obs.MChurnViewers, got, viewerChurn)
+	}
+	if got := reg.Counter(obs.MChurnArcs).Value(); got != float64(arcChurn) {
+		t.Fatalf("%s = %g, reports sum to %d", obs.MChurnArcs, got, arcChurn)
+	}
+	if got, want := reg.Gauge(obs.MActiveViewers).Value(), infos[rounds].ActiveViewers; got != float64(want) {
+		t.Fatalf("%s = %g, last report says %d", obs.MActiveViewers, got, want)
 	}
 }
 

@@ -19,8 +19,8 @@ import (
 //	POST /deltas      ingest one Delta or a JSON array (strict decode)
 //	GET  /placement   ?sink=S[&stream=K] — which reflectors feed the sink
 //	GET  /design      the deployed design (netmodel JSON)
-//	GET  /status      control-plane state + last solve summary
-//	POST /solve       force a re-optimization now, respond with its summary
+//	GET  /status      control-plane state + last epoch report
+//	POST /solve       force a re-optimization now, respond with its epoch report
 //	POST /snapshot    persist state to the configured snapshot path
 //	GET  /scenario    the ingest history as a replayable live.Scenario
 

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/live"
 	"repro/internal/netmodel"
+	"repro/internal/obs"
 )
 
 // jsonTripSnapshot pushes the snapshot through the real codec, so the test
@@ -157,14 +158,24 @@ func TestDaemonSnapshotRoundTrip(t *testing.T) {
 }
 
 // scrubNondet zeroes the fields legitimately different across a restore:
-// wall time; LPPatches (a restored session's first step re-patches every
-// stickiness-bias cell value-for-value, since the bias memory is
-// deliberately not checkpointed — more cells touched, same values); and
-// SLOWindowFrac (the SLO window is monitoring state and restarts).
+// wall time (WallNS, StageWallNS); LPPatches (a restored session's first
+// step re-patches every stickiness-bias cell value-for-value, since the
+// bias memory is deliberately not checkpointed — more cells touched, same
+// values); and the SLO window fractions, global, per region and per stream
+// (the SLO window is monitoring state and restarts).
 func scrubNondet(i EpochInfo) EpochInfo {
 	i.WallNS = 0
+	i.StageWallNS = nil
 	i.LPPatches = 0
 	i.SLOWindowFrac = 0
+	i.Regions = append([]obs.RegionSLO(nil), i.Regions...)
+	for k := range i.Regions {
+		i.Regions[k].WindowFrac = 0
+	}
+	i.Streams = append([]obs.StreamSLO(nil), i.Streams...)
+	for k := range i.Streams {
+		i.Streams[k].WindowFrac = 0
+	}
 	return i
 }
 

@@ -1,28 +1,12 @@
 package live
 
-// The windowed availability SLO tracker. Run kept this logic inline until
-// the daemon needed the identical bookkeeping over a continuously ingested
-// timeline (no fixed horizon, epochs arriving on a cadence), so it now
-// lives here as an explicit state machine: feed it one epoch's audit
-// verdicts, get back the global trailing-window availability plus the
-// per-region and per-stream breakdowns the /slo endpoint serves.
+import "repro/internal/obs"
 
-// StreamAvail is one stream's availability row of an epoch: how many of the
-// stream's active subscriptions met their exact reliability threshold, and
-// the stream's own trailing-window availability (the region rule applied
-// stream-locally). Where RegionAvail answers "where did the outage land",
-// this answers "which channel is degraded" — the paper's commodities are
-// live streams, and a reflector failure typically takes out one stream's
-// serving arcs across every region at once.
-type StreamAvail struct {
-	Stream int     `json:"stream"`
-	Active int     `json:"active_sinks"`
-	Met    int     `json:"met"`
-	Frac   float64 `json:"frac"`
-	// WindowFrac is the fraction of the trailing SLOWindow epochs in which
-	// this stream alone met the availability target.
-	WindowFrac float64 `json:"window_frac"`
-}
+// The windowed availability SLO tracker, an explicit state machine so that
+// a timeline with no fixed horizon (overlayd's) keeps the same books as a
+// scenario run: the Engine feeds it one epoch's audit verdicts and gets
+// back the global trailing-window availability plus the per-region and
+// per-stream breakdowns the /slo endpoint serves.
 
 // SLOEpoch is one epoch's verdict from the tracker.
 type SLOEpoch struct {
@@ -33,8 +17,8 @@ type SLOEpoch struct {
 	// Regions / Streams are the per-region and per-stream breakdowns
 	// (Regions nil without a region map; Streams nil without a commodity
 	// map).
-	Regions []RegionAvail
-	Streams []StreamAvail
+	Regions []obs.RegionSLO
+	Streams []obs.StreamSLO
 }
 
 // SLOTracker maintains the sliding-window availability SLO of §1.3's
@@ -174,7 +158,7 @@ func (t *SLOTracker) Observe(thresholds []float64, met []bool) SLOEpoch {
 			if active[reg] > 0 {
 				frac = float64(metR[reg]) / float64(active[reg])
 			}
-			out.Regions = append(out.Regions, RegionAvail{
+			out.Regions = append(out.Regions, obs.RegionSLO{
 				Region:     reg,
 				Active:     active[reg],
 				Met:        metR[reg],
@@ -190,7 +174,7 @@ func (t *SLOTracker) Observe(thresholds []float64, met []bool) SLOEpoch {
 			if active[k] > 0 {
 				frac = float64(metS[k]) / float64(active[k])
 			}
-			out.Streams = append(out.Streams, StreamAvail{
+			out.Streams = append(out.Streams, obs.StreamSLO{
 				Stream:     k,
 				Active:     active[k],
 				Met:        metS[k],

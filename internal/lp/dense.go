@@ -7,11 +7,7 @@ package lp
 // evidence both are correct. Tests cross-check every sparse optimum against
 // it; production call sites always take the sparse path.
 
-import (
-	"math"
-
-	"repro/internal/par"
-)
+import "math"
 
 // denseSimplex is the working state: a dense tableau over columns
 // [structural | slack | artificial], all shifted so lower bounds are 0.
@@ -34,7 +30,6 @@ type denseSimplex struct {
 	iters    int
 	maxIters int
 	bland    bool
-	parallel bool
 }
 
 func newDenseSimplex(p *Problem, opts Options) *denseSimplex {
@@ -157,7 +152,6 @@ func newDenseSimplex(p *Problem, opts Options) *denseSimplex {
 	if s.maxIters <= 0 {
 		s.maxIters = 200*(m+s.n) + 2000
 	}
-	s.parallel = !opts.SerialOnly && m*s.n >= 1<<18
 	return s
 }
 
@@ -375,7 +369,7 @@ func (s *denseSimplex) ratioTestAndPivot(j int, dir float64) Status {
 // eliminate performs the Gauss–Jordan pivot on (prow, pcol), updating the
 // tableau and the reduced-cost row. Basic values are NOT touched: a basis
 // swap does not move the current point (the step was already applied by the
-// ratio test). Row elimination is parallelized for large tableaus.
+// ratio test).
 func (s *denseSimplex) eliminate(prow, pcol int) {
 	piv := s.tab[prow][pcol]
 	prowData := s.tab[prow]
@@ -386,26 +380,19 @@ func (s *denseSimplex) eliminate(prow, pcol int) {
 		}
 		prowData[pcol] = 1 // exact
 	}
-	elimRange := func(lo, hi int) {
-		for r := lo; r < hi; r++ {
-			if r == prow {
-				continue
-			}
-			f := s.tab[r][pcol]
-			if f == 0 {
-				continue
-			}
-			trow := s.tab[r]
-			for j := range trow {
-				trow[j] -= f * prowData[j]
-			}
-			trow[pcol] = 0 // exact
+	for r := 0; r < s.m; r++ {
+		if r == prow {
+			continue
 		}
-	}
-	if s.parallel {
-		par.Chunks(s.m, 0, elimRange)
-	} else {
-		elimRange(0, s.m)
+		f := s.tab[r][pcol]
+		if f == 0 {
+			continue
+		}
+		trow := s.tab[r]
+		for j := range trow {
+			trow[j] -= f * prowData[j]
+		}
+		trow[pcol] = 0 // exact
 	}
 	if f := s.zrow[pcol]; f != 0 {
 		for j := range s.zrow {

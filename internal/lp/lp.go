@@ -24,8 +24,8 @@
 //     pivots — the refactorization cadence bounds both eta-file growth and
 //     accumulated floating-point drift.
 //   - Pricing: devex (approximate steepest-edge reference weights, reset at
-//     each refactorization) by default, with Dantzig and rotating partial
-//     pricing selectable via Options and a Bland fallback for anti-cycling.
+//     each refactorization) by default, with Dantzig pricing selectable via
+//     Options and a Bland fallback for anti-cycling.
 //   - Phases: a cold solve runs the classic two phases — artificials are
 //     priced out first, then the true objective — while a warm solve skips
 //     phase 1 entirely: primal phase 2 when the supplied basis is already
@@ -527,20 +527,25 @@ const (
 	// DantzigPricing scans every nonbasic column and enters the one with
 	// the most negative reduced cost (deterministic textbook rule).
 	DantzigPricing
-	// PartialPricing scans rotating blocks of columns and enters the best
-	// candidate of the first block containing one, trading iteration count
-	// for much cheaper pricing on very wide problems.
-	PartialPricing
 )
+
+// ParsePricing maps a rule's command-line name (devex|dantzig) to its
+// Pricing.
+func ParsePricing(s string) (Pricing, error) {
+	switch s {
+	case "devex":
+		return DevexPricing, nil
+	case "dantzig":
+		return DantzigPricing, nil
+	}
+	return 0, fmt.Errorf("unknown pricing %q (want devex|dantzig)", s)
+}
 
 // Options tunes the solver. The zero value selects sensible defaults.
 type Options struct {
 	// MaxIters bounds total pivots across all phases (default
 	// 200*(rows+vars)+2000).
 	MaxIters int
-	// SerialOnly disables goroutine-parallel tableau elimination in the
-	// dense reference solver (no effect on the sparse solver).
-	SerialOnly bool
 	// Dense selects the dense two-phase tableau reference solver instead
 	// of the sparse revised simplex.
 	Dense bool

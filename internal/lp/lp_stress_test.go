@@ -9,47 +9,6 @@ import (
 	"repro/internal/stats"
 )
 
-// TestParallelMatchesSerial: the goroutine-parallel tableau elimination must
-// produce bit-identical pivots to the serial path (it partitions rows, no
-// reductions), hence identical optima.
-func TestParallelMatchesSerial(t *testing.T) {
-	rng := stats.NewRNG(31)
-	nVars, nRows := 160, 140 // big enough to cross the parallel threshold
-	build := func() *Problem {
-		r := stats.NewRNG(77)
-		p := NewProblem(nVars)
-		for j := 0; j < nVars; j++ {
-			p.SetObjectiveCoef(j, r.Range(0.1, 3))
-			p.SetBounds(j, 0, 1)
-		}
-		for i := 0; i < nRows; i++ {
-			coefs := make([]Coef, 0, 12)
-			for c := 0; c < 12; c++ {
-				coefs = append(coefs, Coef{r.Intn(nVars), r.Range(0.1, 1)})
-			}
-			p.AddConstraint(GE, r.Range(0.3, 2), coefs...)
-		}
-		return p
-	}
-	_ = rng
-	pSerial := build()
-	solSerial, err := pSerial.SolveOpts(Options{SerialOnly: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pPar := build()
-	solPar, err := pPar.SolveOpts(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if solSerial.Status != solPar.Status {
-		t.Fatalf("status mismatch: %v vs %v", solSerial.Status, solPar.Status)
-	}
-	if solSerial.Status == Optimal && math.Abs(solSerial.Objective-solPar.Objective) > 1e-7 {
-		t.Fatalf("objective mismatch: %.12f vs %.12f", solSerial.Objective, solPar.Objective)
-	}
-}
-
 // TestCoveringLPStress solves a family of covering LPs sized like the
 // overlay relaxation and validates feasibility plus a weak duality check:
 // scaling any feasible point down must violate some covering row.

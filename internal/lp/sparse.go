@@ -254,12 +254,11 @@ type sparse struct {
 	lower, upper, updates *etaFile
 	refactorEvery         int
 
-	iters      int
-	maxIters   int
-	bland      bool
-	priceStart int       // rotating offset for partial pricing
-	devexW     []float64 // devex reference weights, nil unless DevexPricing
-	stats      SolveStats
+	iters    int
+	maxIters int
+	bland    bool
+	devexW   []float64 // devex reference weights, nil unless DevexPricing
+	stats    SolveStats
 
 	// scratch, sized m
 	colBuf []float64
@@ -774,9 +773,6 @@ func (s *sparse) chooseEntering(y []float64) (int, float64) {
 	if s.devexW != nil {
 		return s.chooseDevex(y)
 	}
-	if s.opts.Pricing == PartialPricing {
-		return s.choosePartial(y)
-	}
 	// Dantzig pricing, inlined per column class for the hot path:
 	// structural columns price against their CSC slice, slacks against a
 	// single row of y; artificials never re-enter.
@@ -907,43 +903,6 @@ func (s *sparse) devexUpdate(enter, r int, alphaQ float64) {
 		lw = 1
 	}
 	w[s.basis[r]] = lw
-}
-
-// choosePartial scans rotating blocks of columns and returns the best
-// candidate of the first block containing one (cheaper pricing per
-// iteration at the cost of possibly more iterations).
-func (s *sparse) choosePartial(y []float64) (int, float64) {
-	block := s.ncols / 16
-	if block < 32 {
-		block = 32
-	}
-	scanned := 0
-	j := s.priceStart % s.ncols
-	for scanned < s.ncols {
-		bestJ, bestDir, bestScore := -1, 0.0, tolCost
-		for b := 0; b < block && scanned < s.ncols; b++ {
-			if s.stat[j] != basic && s.enterable(j) {
-				d := s.reducedCost(j, y)
-				if s.stat[j] == atLower {
-					if v := -d; v > bestScore {
-						bestJ, bestDir, bestScore = j, 1, v
-					}
-				} else if s.stat[j] == atUpper && d > bestScore {
-					bestJ, bestDir, bestScore = j, -1, d
-				}
-			}
-			scanned++
-			j++
-			if j == s.ncols {
-				j = 0
-			}
-		}
-		if bestJ >= 0 {
-			s.priceStart = j
-			return bestJ, bestDir
-		}
-	}
-	return -1, 0
 }
 
 // iterate runs primal simplex pivots until optimal/unbounded/limit.

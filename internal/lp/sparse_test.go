@@ -213,28 +213,6 @@ func TestSparseMatchesDenseRandom(t *testing.T) {
 	}
 }
 
-// TestPartialPricingMatchesDantzig: the pricing rule changes the pivot
-// path, never the optimum.
-func TestPartialPricingMatchesDantzig(t *testing.T) {
-	for trial := 0; trial < 30; trial++ {
-		seed := uint64(7000 + trial)
-		full, err := randomCovering(seed).SolveOpts(Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		part, err := randomCovering(seed).SolveOpts(Options{Pricing: PartialPricing})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if full.Status != part.Status {
-			t.Fatalf("trial %d: status %v vs %v", trial, full.Status, part.Status)
-		}
-		if full.Status == Optimal && math.Abs(full.Objective-part.Objective) > 1e-6 {
-			t.Fatalf("trial %d: %.9f vs %.9f", trial, full.Objective, part.Objective)
-		}
-	}
-}
-
 // TestDevexPricingMatchesDantzig: devex (the default) changes the pivot
 // path, never the optimum — and on the covering family it must not spend
 // more pivots in aggregate than Dantzig's steepest-coefficient rule.

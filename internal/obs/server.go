@@ -29,7 +29,8 @@ type HealthStatus struct {
 	UptimeSeconds float64 `json:"uptime_seconds"`
 }
 
-// RegionSLO is one region's row of the /slo breakdown.
+// RegionSLO is one region's availability row of an epoch: the epoch
+// report's Regions and the /slo breakdown.
 type RegionSLO struct {
 	Region int `json:"region"`
 	// Active/Met count this epoch's active demand units in the region and
@@ -37,13 +38,16 @@ type RegionSLO struct {
 	Active int     `json:"active_sinks"`
 	Met    int     `json:"met"`
 	Frac   float64 `json:"frac"`
-	// WindowFrac is the trailing-window availability of the region alone.
+	// WindowFrac is the fraction of the trailing SLO window's epochs in
+	// which this region alone met the availability target.
 	WindowFrac float64 `json:"window_frac"`
 }
 
-// StreamSLO is one stream's row of the /slo breakdown: the region rule
-// applied stream-locally, answering "which channel is degraded" where
-// RegionSLO answers "where did the outage land".
+// StreamSLO is one stream's availability row of an epoch: the region rule
+// applied stream-locally. Where RegionSLO answers "where did the outage
+// land", this answers "which channel is degraded" — the paper's
+// commodities are live streams, and a reflector failure typically takes
+// out one stream's serving arcs across every region at once.
 type StreamSLO struct {
 	Stream int `json:"stream"`
 	// Active/Met count this epoch's active demand units on the stream and
@@ -51,7 +55,8 @@ type StreamSLO struct {
 	Active int     `json:"active_sinks"`
 	Met    int     `json:"met"`
 	Frac   float64 `json:"frac"`
-	// WindowFrac is the trailing-window availability of the stream alone.
+	// WindowFrac is the fraction of the trailing SLO window's epochs in
+	// which this stream alone met the availability target.
 	WindowFrac float64 `json:"window_frac"`
 }
 

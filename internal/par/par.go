@@ -55,33 +55,3 @@ func Map[T any](n, workers int, fn func(i int) T) []T {
 	})
 	return out
 }
-
-// Chunks splits [0,n) into roughly equal contiguous chunks, one per worker,
-// and runs fn(lo, hi) for each chunk in parallel. Useful when per-item work
-// is tiny and channel traffic would dominate.
-func Chunks(n, workers int, fn func(lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers == 1 {
-		fn(0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		lo := w * n / workers
-		hi := (w + 1) * n / workers
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-}

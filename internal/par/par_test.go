@@ -56,33 +56,6 @@ func TestMapOrder(t *testing.T) {
 	}
 }
 
-func TestChunksPartition(t *testing.T) {
-	const n = 103
-	var hits [n]int32
-	Chunks(n, 7, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			atomic.AddInt32(&hits[i], 1)
-		}
-	})
-	for i, h := range hits {
-		if h != 1 {
-			t.Fatalf("index %d covered %d times", i, h)
-		}
-	}
-}
-
-func TestChunksSmallN(t *testing.T) {
-	var hits [2]int32
-	Chunks(2, 16, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			atomic.AddInt32(&hits[i], 1)
-		}
-	})
-	if hits[0] != 1 || hits[1] != 1 {
-		t.Fatalf("hits = %v", hits)
-	}
-}
-
 // TestForEachStress hammers the pool from many concurrent callers with
 // oversubscribed workers and uneven task sizes — the shape that exposes
 // lost-wakeup, double-dispatch, and off-by-one races under -race.
@@ -140,37 +113,6 @@ func TestMapStressConcurrentCallers(t *testing.T) {
 			for i, v := range out {
 				if v != i*3 {
 					t.Errorf("Map[%d] = %d", i, v)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// TestChunksStress verifies the chunked partition under concurrent callers
-// and adversarial (worker > n, prime n) shapes.
-func TestChunksStress(t *testing.T) {
-	var wg sync.WaitGroup
-	for c := 0; c < 8; c++ {
-		c := c
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			n := 101 + c*13
-			hits := make([]int32, n)
-			Chunks(n, 3+c*5, func(lo, hi int) {
-				if lo < 0 || hi > n || lo > hi {
-					t.Errorf("bad chunk [%d,%d) for n=%d", lo, hi, n)
-					return
-				}
-				for i := lo; i < hi; i++ {
-					atomic.AddInt32(&hits[i], 1)
-				}
-			})
-			for i, h := range hits {
-				if h != 1 {
-					t.Errorf("n=%d: index %d covered %d times", n, i, h)
 					return
 				}
 			}

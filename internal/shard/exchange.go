@@ -47,22 +47,14 @@ import (
 // round must be under 1% of the round's total bid value.
 const exchangeGapTol = 0.01
 
-// superGroups folds k leaf shards into contiguous super-shards. want ≤ 0
-// selects ⌈√k⌉, which balances the two masters: ~√k leaves per super and ~√k
-// supers per exchange.
-func superGroups(k, want int) [][]int {
-	if want <= 0 {
-		want = int(math.Ceil(math.Sqrt(float64(k))))
-	}
-	if want > k {
-		want = k
-	}
-	if want < 1 {
-		want = 1
-	}
-	out := make([][]int, want)
-	for g := 0; g < want; g++ {
-		lo, hi := g*k/want, (g+1)*k/want
+// superGroups folds k leaf shards into ⌈√k⌉ contiguous super-shards, which
+// balances the two masters: ~√k leaves per super and ~√k supers per
+// exchange.
+func superGroups(k int) [][]int {
+	n := max(1, int(math.Ceil(math.Sqrt(float64(k)))))
+	out := make([][]int, n)
+	for g := 0; g < n; g++ {
+		lo, hi := g*k/n, (g+1)*k/n
 		for s := lo; s < hi; s++ {
 			out[g] = append(out[g], s)
 		}
@@ -79,7 +71,7 @@ func superGroups(k, want int) [][]int {
 // lpmodel.ErrInfeasible exactly like the flat pass.
 func (p *Plan) Exchange(solve SolveFunc) (*Outcome, error) {
 	k := p.Shards()
-	supers := superGroups(k, p.opts.SuperShards)
+	supers := superGroups(k)
 	levels := 2
 	if p.opts.Levels < 2 {
 		// Degenerate single-level exchange: one super holding every leaf.
@@ -281,7 +273,7 @@ func (p *Plan) clearCapacity(use [][]float64, contested map[int]bool, supers [][
 				})
 				bidder[s] = true
 			case p.hungry(s) && (price[s] > 0 ||
-				(p.Alloc[s][i] > 1e-9 && use[s][i] >= p.opts.SaturationFrac*p.Alloc[s][i])):
+				(p.Alloc[s][i] > 1e-9 && use[s][i] >= saturationFrac*p.Alloc[s][i])):
 				// A leaf that stayed hungry through a cleared round wasn't
 				// asking for enough: double its claim each such round so
 				// acquisition converges in O(log) rounds instead of creeping

@@ -2,26 +2,26 @@ package shard
 
 import "testing"
 
-// TestSuperGroups pins the super-shard folding invariants: every leaf lands
-// in exactly one contiguous super-shard, group sizes stay balanced to within
-// one leaf, want ≤ 0 selects ⌈√k⌉ groups, and want clamps to [1, k].
+// TestSuperGroups pins the super-shard folding invariants: ⌈√k⌉ groups,
+// every leaf in exactly one contiguous super-shard, and group sizes
+// balanced to within one leaf.
 func TestSuperGroups(t *testing.T) {
 	cases := []struct {
-		k, want, groups int
+		k, groups int
 	}{
-		{1, 0, 1},
-		{4, 0, 2},
-		{9, 0, 3},
-		{10, 0, 4}, // ⌈√10⌉
-		{6, 2, 2},
-		{6, 3, 3},
-		{5, 8, 5},  // want > k clamps to k
-		{7, -3, 3}, // negative want = auto ⌈√7⌉
+		{1, 1},
+		{2, 2},
+		{3, 2},
+		{4, 2},
+		{5, 3},
+		{7, 3},
+		{9, 3},
+		{10, 4},
 	}
 	for _, c := range cases {
-		gs := superGroups(c.k, c.want)
+		gs := superGroups(c.k)
 		if len(gs) != c.groups {
-			t.Errorf("superGroups(%d,%d): got %d groups, want %d", c.k, c.want, len(gs), c.groups)
+			t.Errorf("superGroups(%d): got %d groups, want %d", c.k, len(gs), c.groups)
 			continue
 		}
 		next := 0
@@ -35,16 +35,16 @@ func TestSuperGroups(t *testing.T) {
 			}
 			for _, s := range g {
 				if s != next {
-					t.Fatalf("superGroups(%d,%d): leaf %d out of order (want %d) — groups must be contiguous", c.k, c.want, s, next)
+					t.Fatalf("superGroups(%d): leaf %d out of order (want %d) — groups must be contiguous", c.k, s, next)
 				}
 				next++
 			}
 		}
 		if next != c.k {
-			t.Errorf("superGroups(%d,%d): covered %d leaves, want %d", c.k, c.want, next, c.k)
+			t.Errorf("superGroups(%d): covered %d leaves, want %d", c.k, next, c.k)
 		}
 		if maxSz-minSz > 1 {
-			t.Errorf("superGroups(%d,%d): unbalanced groups: min %d max %d", c.k, c.want, minSz, maxSz)
+			t.Errorf("superGroups(%d): unbalanced groups: min %d max %d", c.k, minSz, maxSz)
 		}
 	}
 }

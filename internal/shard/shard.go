@@ -57,41 +57,33 @@ import (
 	"repro/internal/par"
 )
 
-// Options tunes the sharded solve.
+// Options tunes the sharded solve. Per-shard solves run GOMAXPROCS-wide.
 type Options struct {
 	// Shards is the number of shards k (callers clamp to ≥2 and ≤ |D|).
 	Shards int
-	// Workers bounds concurrent per-shard solves (0 = GOMAXPROCS).
-	Workers int
 	// Rounds caps coordination rounds after the initial solve (default 3).
 	Rounds int
-	// CheapFactor defines a sink's cheap reflector set: every reflector
-	// whose serving cost is within this factor of the sink's cheapest
-	// (default 1.25). Drives both partitioning and capacity affinity.
-	CheapFactor float64
-	// SaturationFrac is the fraction of its allocation a shard must use at
-	// a reflector to be considered capacity-hungry there (default 0.9).
-	SaturationFrac float64
 	// Levels selects the coordination topology: ≤1 is the flat use-based
-	// re-bidding pass (Coordinate), 2 folds the leaf shards into contiguous
-	// super-shards and clears contested capacity with the two-level
-	// dual-price exchange (Exchange). The partition itself is shared — only
-	// the coordination differs.
+	// re-bidding pass (Coordinate), 2 folds the leaf shards into ⌈√k⌉
+	// contiguous super-shards and clears contested capacity with the
+	// two-level dual-price exchange (Exchange). The partition itself is
+	// shared — only the coordination differs.
 	Levels int
-	// SuperShards overrides the number of level-2 super-shards (0 = auto,
-	// ⌈√k⌉ for k leaf shards).
-	SuperShards int
 }
+
+const (
+	// cheapFactor defines a sink's cheap reflector set: every reflector
+	// whose serving cost is within this factor of the sink's cheapest.
+	// Drives both partitioning and capacity affinity.
+	cheapFactor = 1.25
+	// saturationFrac is the fraction of its allocation a shard must use at
+	// a reflector to be considered capacity-hungry there.
+	saturationFrac = 0.9
+)
 
 func (o Options) withDefaults() Options {
 	if o.Rounds <= 0 {
 		o.Rounds = 3
-	}
-	if o.CheapFactor <= 1 {
-		o.CheapFactor = 1.25
-	}
-	if o.SaturationFrac <= 0 || o.SaturationFrac >= 1 {
-		o.SaturationFrac = 0.9
 	}
 	return o
 }
@@ -436,7 +428,6 @@ func (p *Plan) bound() bool {
 func (p *Plan) computeAffinity() {
 	in := p.In
 	_, R, _ := in.Dims()
-	cheap := p.opts.CheapFactor
 	p.aff = make([][]float64, len(p.Sinks))
 	for s, sinks := range p.Sinks {
 		row := make([]float64, R)
@@ -450,7 +441,7 @@ func (p *Plan) computeAffinity() {
 					minC = c
 				}
 			}
-			limit := cheap*minC + 1e-12
+			limit := cheapFactor*minC + 1e-12
 			b := in.UnitLoad(j)
 			for i := 0; i < R; i++ {
 				if in.RefSinkCost[i][j] <= limit {
@@ -667,7 +658,7 @@ func allShards(k int) []int {
 // p.results / p.starved / per-shard bases.
 func (p *Plan) solveShards(idx []int, solve SolveFunc) error {
 	errs := make([]error, len(idx))
-	par.ForEach(len(idx), p.opts.Workers, func(n int) {
+	par.ForEach(len(idx), 0, func(n int) {
 		s := idx[n]
 		warm := (*lp.Basis)(nil)
 		switch {
@@ -908,7 +899,7 @@ func (p *Plan) contested(use [][]float64) (map[int]bool, bool) {
 				continue
 			}
 			a := p.Alloc[s][i]
-			if p.hungry(s) && a > 1e-9 && use[s][i] >= p.opts.SaturationFrac*a {
+			if p.hungry(s) && a > 1e-9 && use[s][i] >= saturationFrac*a {
 				sat = true
 			} else if a-use[s][i] > 0.02*p.In.Fanout[i] {
 				slack = true
@@ -983,7 +974,7 @@ func (p *Plan) rebid(use [][]float64, contested map[int]bool) []int {
 			switch {
 			case p.starved[s]:
 				claims[s] = p.aff[s][i] + (0.2*F+1)*float64(int(1)<<p.starveRounds[s])
-			case p.hungry(s) && use[s][i] >= p.opts.SaturationFrac*p.Alloc[s][i] && p.Alloc[s][i] > 1e-9:
+			case p.hungry(s) && use[s][i] >= saturationFrac*p.Alloc[s][i] && p.Alloc[s][i] > 1e-9:
 				claims[s] = max(p.Alloc[s][i]-use[s][i], 0) + max(use[s][i], 1)
 			default:
 				claims[s] = max(p.Alloc[s][i]-use[s][i], 0)
