@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # End-to-end smoke of the overlayd provisioning daemon: boot it, stream a
-# delta burst at it, check the placement and SLO surfaces, SIGTERM it, and
-# restart from the shutdown snapshot asserting the resume is warm —
+# delta burst at it, check the placement and SLO surfaces, check that a
+# stalled partial request header is cut off, SIGTERM it, and restart from
+# the shutdown snapshot asserting the resume is warm —
 # byte-identical placement responses across the restart, the persisted
 # basis adopted (ft_updates > 0), and fewer refactorizations than the cold
 # boot needed. Finally the ingested event log is exported as a scenario
@@ -71,6 +72,21 @@ awk -v n="$SOLVES" '
   $1 == "overlay_epochs_total" { epochs = $2 }
   END { exit (wall == n && epochs == n) ? 0 : 1 }
 ' daemon-metrics.txt
+
+# A client that sends a partial request header and then stalls must be
+# cut off once the daemon's 5 s header timeout passes, instead of holding a
+# connection and a goroutine forever. The server closes without a reply, so
+# the read ends at EOF; the outer timeout bounds the wait if it never does.
+exec 3<>"/dev/tcp/127.0.0.1/$PORT"
+printf 'GET /healthz HTTP/1.1\r\nHost: 127.0.0.1\r\n' >&3
+STALL_START=$(date +%s)
+if ! timeout 20 cat <&3 > /dev/null; then
+  echo "a connection with a partial header was still open after 20 s" >&2
+  exit 1
+fi
+STALL_SECS=$(($(date +%s) - STALL_START))
+exec 3<&-
+test "$STALL_SECS" -ge 4
 
 kill -TERM "$OD"
 wait "$OD"

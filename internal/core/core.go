@@ -143,6 +143,11 @@ type Options struct {
 	// previous epoch.
 	patcher    *lpmodel.Patcher
 	patchDirty *netmodel.DirtySet
+	// pathState carries the §6.5 path LP across the integralize runs of a
+	// warm Session's monolithic solves: audit attempts and epochs alike
+	// (see stround.State). One-shot solves, cold sessions and per-shard
+	// solves leave it nil and solve every path LP from nothing.
+	pathState *stround.State
 }
 
 // DefaultOptions returns the paper's constants.
@@ -195,8 +200,13 @@ type Result struct {
 	Patch *lpmodel.PatchStats
 	// LPStats totals the solver's factorization events across the solve —
 	// refactorizations, adopted (persisted) factorizations, devex resets.
-	// For sharded solves it sums over shards.
+	// For sharded solves it sums over shards. It counts the main LP only.
 	LPStats lp.SolveStats
+	// PathLP sums the §6.5 path LP's solver work over the solve's audit
+	// attempts: pivots, solver events, and how many calls resumed, remapped
+	// or solved it cold (zero when path rounding did not run, and on the
+	// sharded path, which does not report it).
+	PathLP stround.Totals
 	// ShardInfo summarizes the sharded path (nil for monolithic solves);
 	// ShardState carries the partition, capacity split, and per-shard
 	// bases forward for the next same-shaped solve (core.Session threads
@@ -354,11 +364,12 @@ func attemptStages() []Stage {
 			}
 			ps.gapRes, ps.stRes = nil, nil
 			if ps.usePath {
-				stRes, err := stround.Round(ps.in, ps.rounded.XBar, stround.DefaultOptions(ps.seed^0xabcdef))
+				stRes, err := ps.opts.pathState.Round(ps.in, ps.rounded.XBar, stround.DefaultOptions(ps.seed^0xabcdef))
 				if err != nil {
 					return fmt.Errorf("path rounding: %w", err)
 				}
 				ps.stRes = stRes
+				ps.pathLP.Add(stRes)
 				for i := range stRes.Serve {
 					copyBools(design.Serve[i], stRes.Serve[i])
 				}
@@ -438,6 +449,17 @@ func recordSolve(o *obs.Observer, res *Result) {
 	o.Counter(obs.MLPDevexResets).Add(float64(res.LPStats.DevexResets))
 	o.Counter(obs.MLPWarmFallbacks).Add(float64(res.LPStats.WarmFallbacks))
 	o.Counter(obs.MLPBasisRepairs).Add(float64(res.LPStats.Repairs))
+	pl := res.PathLP
+	o.Counter(obs.MPathLPPivots).Add(float64(pl.Pivots))
+	o.Counter(obs.MPathLPWarmFallbacks).Add(float64(pl.LPStats.WarmFallbacks))
+	for _, c := range []struct {
+		start stround.Start
+		n     int
+	}{{stround.StartResumed, pl.Resumed}, {stround.StartRemapped, pl.Remapped}, {stround.StartCold, pl.Cold}} {
+		if c.n > 0 {
+			o.Counter(obs.MPathLPSolves, obs.L("start", c.start.String())).Add(float64(c.n))
+		}
+	}
 	if p := res.Patch; p != nil {
 		o.Counter(obs.MLPPatchedCells).Add(float64(p.Patches()))
 		if p.Rebuilt {
@@ -515,6 +537,7 @@ func solveMono(in *netmodel.Instance, opts Options) (*Result, error) {
 			RoundInst:    ps.rounded.Instrument(in, frac.Cost),
 			PathRounding: ps.usePath,
 			STResult:     ps.stRes,
+			PathLP:       ps.pathLP,
 			GAPResult:    ps.gapRes,
 			Retries:      attempt,
 			Timings:      res.Timings,
@@ -533,6 +556,7 @@ func solveMono(in *netmodel.Instance, opts Options) (*Result, error) {
 		}
 	}
 	best.Stages = tracker.stats
+	best.PathLP = ps.pathLP
 	return best, nil
 }
 

@@ -62,6 +62,7 @@ type pipelineState struct {
 	design  *netmodel.Design
 	gapRes  *gapflow.Result
 	stRes   *stround.Result
+	pathLP  stround.Totals // summed over attempts
 	usePath bool
 	audit   netmodel.Audit
 

@@ -9,6 +9,7 @@ import (
 	"repro/internal/netmodel"
 	"repro/internal/obs"
 	"repro/internal/shard"
+	"repro/internal/stround"
 )
 
 // Session is the re-solve loop of the §1.3 monitoring cycle: it carries the
@@ -54,6 +55,12 @@ type Session struct {
 	patcher  *lpmodel.Patcher
 	pending  *netmodel.DirtySet
 	lastBias *netmodel.Design
+
+	// pathState carries the §6.5 path LP from one integralize run to the
+	// next (stround.State). Only a warm session keeps one, and only on the
+	// monolithic path, aggregated or not: per-shard path LPs start from
+	// nothing.
+	pathState *stround.State
 
 	// aggState / aggPrior are the aggregation plane (Options.Aggregate):
 	// the persistent viewer→super-sink fold, built lazily on the first
@@ -119,6 +126,7 @@ func (s *Session) Step(in *netmodel.Instance) (*ReoptimizeResult, error) {
 	if s.WarmStart {
 		opts.WarmStart = s.basis
 		opts.ShardState = s.shardState
+		opts.pathState = s.carriedPath()
 	} else {
 		// A cold session must not inherit a caller-supplied basis either:
 		// cold means every epoch's simplex starts from scratch — including
@@ -168,6 +176,18 @@ func (s *Session) Step(in *netmodel.Instance) (*ReoptimizeResult, error) {
 	return res, nil
 }
 
+// carriedPath returns the session's path-LP state, created on first use, or
+// nil on the sharded path.
+func (s *Session) carriedPath() *stround.State {
+	if s.opts.Shards >= 2 {
+		return nil
+	}
+	if s.pathState == nil {
+		s.pathState = &stround.State{}
+	}
+	return s.pathState
+}
+
 // stepAggregated is Step on the aggregation plane (Options.Aggregate): the
 // epoch's accumulated dirty sets are folded through the persistent
 // viewer→super-sink state, the ordinary re-optimization — stickiness bias,
@@ -207,6 +227,7 @@ func (s *Session) stepAggregated(in *netmodel.Instance) (*ReoptimizeResult, erro
 	if s.WarmStart {
 		opts.WarmStart = s.basis
 		opts.ShardState = s.shardState
+		opts.pathState = s.carriedPath()
 	} else {
 		opts.WarmStart = nil
 		opts.ShardState = nil

@@ -32,7 +32,12 @@ import (
 // The sharded solve state (partition, capacity split, per-shard bases) is
 // intentionally not checkpointed: it is a performance cache that the next
 // sharded epoch rebuilds from scratch, so a restored sharded session is
-// design-faithful but pays one cold re-partition.
+// design-faithful but pays one cold re-partition. The carried §6.5 path LP
+// (stround.State) is a performance cache in the same way and is not
+// checkpointed either: a restored session's first path LP solves cold. A
+// cold and a carried path LP reach the same optimum, so the restored
+// timeline still deploys what the uninterrupted one does (the round-trip
+// tests lock it).
 type SessionState struct {
 	Steps    int              `json:"steps"`
 	Prior    *netmodel.Design `json:"prior,omitempty"`

@@ -271,6 +271,18 @@ type RunReport struct {
 	TotalWarmFallbacks      int `json:"total_warm_fallbacks"`
 	TotalExtractionsSkipped int `json:"total_extractions_skipped"`
 	TotalExchangeRounds     int `json:"total_exchange_rounds"`
+	// Path-LP totals across epochs, counted apart from the main LP's
+	// totals above (core.Result.PathLP; zero on the sharded path):
+	// pivots of both stages, calls by how their LP started (resumed in
+	// place, warm through a key map, or from nothing), and warm starts
+	// abandoned for a cold re-solve. EpochReport leaves the per-epoch
+	// numbers out: a restored session's first path LP starts cold, and an
+	// epoch's report must not depend on whether its session was restored.
+	TotalPathPivots        int `json:"total_path_pivots"`
+	TotalPathResumed       int `json:"total_path_resumed"`
+	TotalPathRemapped      int `json:"total_path_remapped"`
+	TotalPathCold          int `json:"total_path_cold"`
+	TotalPathWarmFallbacks int `json:"total_path_warm_fallbacks"`
 	// Availability SLO summary: the window/target the tracker ran with,
 	// the number of epochs missing the target, and the worst trailing-
 	// window availability seen over the timeline.
@@ -376,6 +388,11 @@ func Run(sc *Scenario, cfg Config) (*RunReport, error) {
 		rep.TotalWarmFallbacks += er.WarmFallbacks
 		rep.TotalExtractionsSkipped += er.ExtractionsSkipped
 		rep.TotalExchangeRounds += er.ExchangeRounds
+		rep.TotalPathPivots += res.PathLP.Pivots
+		rep.TotalPathResumed += res.PathLP.Resumed
+		rep.TotalPathRemapped += res.PathLP.Remapped
+		rep.TotalPathCold += res.PathLP.Cold
+		rep.TotalPathWarmFallbacks += res.PathLP.LPStats.WarmFallbacks
 		if !er.AuditOK {
 			rep.AllAuditOK = false
 		}

@@ -11,7 +11,8 @@ import (
 // TestAllScenariosRunClean runs every registered scenario for a short
 // horizon under the warm+sticky policy: no errors, full horizon, every
 // epoch's design passing the paper's audit, and every warm start of the
-// main LP finishing warm (no fallback to a cold solve).
+// main LP and of the §6.5 path LP finishing warm (no fallback to a cold
+// solve).
 func TestAllScenariosRunClean(t *testing.T) {
 	for _, name := range Names() {
 		name := name
@@ -37,7 +38,11 @@ func TestAllScenariosRunClean(t *testing.T) {
 			if rep.TotalWarmFallbacks != 0 {
 				t.Fatalf("%d warm starts fell back to a cold solve", rep.TotalWarmFallbacks)
 			}
-			t.Logf("%s: pivots=%d arcChurn=%d cost=%.1f", name, rep.TotalPivots, rep.TotalArcChurn, rep.TotalTrueCost)
+			if rep.TotalPathWarmFallbacks != 0 {
+				t.Fatalf("%d path-LP warm starts fell back to a cold solve", rep.TotalPathWarmFallbacks)
+			}
+			t.Logf("%s: pivots=%d pathPivots=%d arcChurn=%d cost=%.1f",
+				name, rep.TotalPivots, rep.TotalPathPivots, rep.TotalArcChurn, rep.TotalTrueCost)
 		})
 	}
 }

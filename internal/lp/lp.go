@@ -46,8 +46,10 @@
 // the snapshot are replaced in the file by one product-form eta each. A
 // basis that patches made singular is repaired at install: each dependent
 // column leaves the basis and the slack of its unpivoted row replaces it.
-// Bases of the wrong shape, and warm solves that fail or whose optimum
-// fails the feasibility audit, degrade to a cold solve (counted in
+// A basis of a related problem whose columns and rows were dropped, added
+// or reordered carries over through Basis.Remap and its index maps. Bases of
+// the wrong shape, and warm solves that fail or whose optimum fails the
+// feasibility audit, degrade to a cold solve (counted in
 // SolveStats.WarmFallbacks), so warm starting is always safe to attempt.
 //
 // The previous dense two-phase tableau solver is retained behind
@@ -351,21 +353,74 @@ const (
 	BasisBasic
 )
 
-// AppendSlackRow returns b extended to the same problem with one more
-// constraint row appended: every existing column keeps its status and the
-// new row's slack is basic. When the point b describes satisfies the new
-// row, the extended basis is as primal feasible as b, so the grown LP can
-// start from it in phase 2. The copy carries no Fact (the handle factorizes
-// the smaller basis). A nil or malformed b returns nil, which solves cold.
-func (b *Basis) AppendSlackRow() *Basis {
+// Remap carries b over to a related problem through index maps: structural
+// column j of the new problem is column colMap[j] of b's problem and row r
+// is row rowMap[r], where -1 marks a column or row b's problem did not have.
+// Mapped columns, slacks and artificials keep their status. A new column
+// starts at its lower bound and a new row's slack is basic, so a new row
+// the point already satisfies leaves the basis as primal feasible as b.
+// Dropped basic columns and dropped rows with nonbasic slacks unbalance the
+// basic count; Remap restores one basic column per row by demoting basic
+// artificials, then structurals from the last column down, or by promoting
+// nonbasic slacks from the first row up. A basis that this leaves singular
+// is repaired at install, and one that is infeasible starts on the dual
+// simplex (see Options.WarmStart). The result carries no Fact: it describes
+// a different Problem, so the install refactorizes. A nil or malformed b,
+// or a map entry out of range, returns nil, which solves cold.
+func (b *Basis) Remap(colMap, rowMap []int) *Basis {
 	if b == nil || len(b.ColStat) != b.NumVars+2*b.NumRows {
 		return nil
 	}
 	n, m := b.NumVars, b.NumRows
-	out := &Basis{NumVars: n, NumRows: m + 1, ColStat: make([]int8, n+2*(m+1))}
-	copy(out.ColStat, b.ColStat[:n+m])              // structurals, slacks
-	out.ColStat[n+m] = BasisBasic                   // the new row's slack
-	copy(out.ColStat[n+m+1:], b.ColStat[n+m:n+2*m]) // artificials
+	n2, m2 := len(colMap), len(rowMap)
+	out := &Basis{NumVars: n2, NumRows: m2, ColStat: make([]int8, n2+2*m2)}
+	basic := 0
+	for j, old := range colMap {
+		if old >= n {
+			return nil
+		}
+		if old >= 0 {
+			out.ColStat[j] = b.ColStat[old]
+		}
+		if out.ColStat[j] == BasisBasic {
+			basic++
+		}
+	}
+	for r, old := range rowMap {
+		switch {
+		case old >= m:
+			return nil
+		case old >= 0:
+			out.ColStat[n2+r] = b.ColStat[n+old]
+			out.ColStat[n2+m2+r] = b.ColStat[n+m+old]
+		default:
+			out.ColStat[n2+r] = BasisBasic
+		}
+		if out.ColStat[n2+r] == BasisBasic {
+			basic++
+		}
+		if out.ColStat[n2+m2+r] == BasisBasic {
+			basic++
+		}
+	}
+	for j := len(out.ColStat) - 1; j >= n2+m2 && basic > m2; j-- {
+		if out.ColStat[j] == BasisBasic {
+			out.ColStat[j] = BasisAtLower
+			basic--
+		}
+	}
+	for j := n2 - 1; j >= 0 && basic > m2; j-- {
+		if out.ColStat[j] == BasisBasic {
+			out.ColStat[j] = BasisAtLower
+			basic--
+		}
+	}
+	for r := 0; r < m2 && basic < m2; r++ {
+		if out.ColStat[n2+r] != BasisBasic {
+			out.ColStat[n2+r] = BasisBasic
+			basic++
+		}
+	}
 	return out
 }
 

@@ -567,8 +567,12 @@ func (s *sparse) factor(repair bool) bool {
 		buckets[b] = buckets[b][:0]
 	}
 	bucketOf := func(k int32) int32 {
-		if cnt[k] == 0 {
+		switch {
+		case cnt[k] == 0:
 			return int32(m + 1)
+		case cnt[k] > int32(m):
+			// Only duplicate (row, var) entries count past m.
+			return int32(m)
 		}
 		return cnt[k]
 	}

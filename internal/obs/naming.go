@@ -45,6 +45,12 @@ const (
 	MLPWarmFallbacks    = "overlay_lp_warm_fallbacks_total"
 	MLPBasisRepairs     = "overlay_lp_basis_repairs_total"
 
+	// The §6.5 path LP (internal/stround), counted apart from the main LP
+	// above. Path-LP solves carry a start label: resumed, remapped or cold.
+	MPathLPPivots        = "overlay_path_lp_pivots_total"
+	MPathLPSolves        = "overlay_path_lp_solves_total"
+	MPathLPWarmFallbacks = "overlay_path_lp_warm_fallbacks_total"
+
 	// Incremental LP rebuild (lpmodel.Patcher).
 	MLPPatchedCells = "overlay_lp_patched_cells_total"
 	MLPRebuilds     = "overlay_lp_rebuilds_total"
@@ -99,6 +105,9 @@ var canonicalFamilies = []struct {
 	{MLPDevexResets, KindCounter, "Devex reference-framework resets."},
 	{MLPWarmFallbacks, KindCounter, "Warm starts abandoned for a cold re-solve (the solver's warm-to-cold recovery rung)."},
 	{MLPBasisRepairs, KindCounter, "Dependent basic columns a warm-start install swapped for row slacks."},
+	{MPathLPPivots, KindCounter, "Simplex pivots of the §6.5 path LP, both stages (monolithic solves)."},
+	{MPathLPSolves, KindCounter, "Path-LP calls by how they started: resumed in place, remapped through a key map, or cold."},
+	{MPathLPWarmFallbacks, KindCounter, "Path-LP warm starts abandoned for a cold re-solve."},
 	{MLPPatchedCells, KindCounter, "LP matrix/rhs/objective cells rewritten in place by the incremental rebuild."},
 	{MLPRebuilds, KindCounter, "Full LP builds the incremental rebuild fell back to."},
 	{MShardExtractionsSkipped, KindCounter, "Shards that reused their cached sub-instance (empty routed dirty set)."},
@@ -128,7 +137,7 @@ func Canonical(r *Registry) {
 		// Instantiate unlabeled families at zero; labeled families
 		// (stage, region) materialize with their first labeled series.
 		switch f.Name {
-		case MStageWall, MStageRuns, MRegionAvailability, MStreamAvailability:
+		case MStageWall, MStageRuns, MRegionAvailability, MStreamAvailability, MPathLPSolves:
 		default:
 			switch f.Kind {
 			case KindCounter:

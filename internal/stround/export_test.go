@@ -7,56 +7,100 @@ import (
 	"repro/internal/lp"
 )
 
-// SetStage2Probe installs f as the stage-2 probe (see stage2Probe) and
-// returns the function that removes it again.
-func SetStage2Probe(f func(p2 *lp.Problem, sol1, sol2 *lp.Solution)) (restore func()) {
-	prev := stage2Probe
-	stage2Probe = f
-	return func() { stage2Probe = prev }
+// SetProbe installs f as the path-LP probe (see probe) and returns the
+// function that removes it again.
+func SetProbe(f func(stage int, start Start, p *lp.Problem, sol *lp.Solution, fresh *lp.Problem)) (restore func()) {
+	prev := probe
+	probe = f
+	return func() { probe = prev }
 }
 
-// Stage2Checker is a stage-2 probe that compares every warm stage-2 solve
-// against a cold solve of the same problem: the objectives must agree to a
-// relative 1e-9. It counts the calls that had a stage-1 basis to start
-// from and the pivots both arms spent, so Check can require that warm
-// starts happened and paid for themselves.
-type Stage2Checker struct {
-	T                      *testing.T
-	Calls, FromBasis       int
-	WarmPivots, ColdPivots int
+// PathChecker is a probe that checks every path-LP solve Round makes. The
+// Problem as solved must equal a fresh build of the same stage LP entry by
+// entry (a resumed call solves the previous call's Problem, patched), and
+// its objective must equal a cold solve of that build to a relative 1e-9.
+// It counts the calls by how they started, and the pivots the solves spent
+// against the pivots the cold solves spent.
+type PathChecker struct {
+	T                         *testing.T
+	Calls                     map[Start]int
+	CarriedPivots, ColdPivots int
 }
 
-// Probe is the probe function to install with SetStage2Probe.
-func (c *Stage2Checker) Probe(p2 *lp.Problem, sol1, sol2 *lp.Solution) {
+// Probe is the probe function to install with SetProbe.
+func (c *PathChecker) Probe(stage int, start Start, p *lp.Problem, sol *lp.Solution, fresh *lp.Problem) {
 	c.T.Helper()
-	cold, err := p2.Solve()
+	requireSameProblem(c.T, p, fresh)
+	cold, err := fresh.Solve()
 	if err != nil {
 		c.T.Fatal(err)
 	}
-	if sol2.Status != lp.Optimal || cold.Status != lp.Optimal {
-		c.T.Fatalf("stage 2: warm %v, cold %v", sol2.Status, cold.Status)
+	if sol.Status != lp.Optimal || cold.Status != lp.Optimal {
+		c.T.Fatalf("stage %d (%v): carried %v, cold %v", stage, start, sol.Status, cold.Status)
 	}
-	if math.Abs(sol2.Objective-cold.Objective) > 1e-9*(1+math.Abs(cold.Objective)) {
-		c.T.Fatalf("stage 2: warm objective %.17g != cold %.17g", sol2.Objective, cold.Objective)
+	if math.Abs(sol.Objective-cold.Objective) > 1e-9*(1+math.Abs(cold.Objective)) {
+		c.T.Fatalf("stage %d (%v): objective %.17g != cold %.17g", stage, start, sol.Objective, cold.Objective)
 	}
-	c.Calls++
-	if sol1.Basis != nil {
-		c.FromBasis++
+	if c.Calls == nil {
+		c.Calls = make(map[Start]int)
 	}
-	c.WarmPivots += sol2.Iterations
+	if stage == 1 {
+		c.Calls[start]++
+	}
+	c.CarriedPivots += sol.Iterations
 	c.ColdPivots += cold.Iterations
 }
 
-// Check fails the test unless a warm stage 2 ran and the warm starts spent
-// fewer pivots than cold solves of the same LPs.
-func (c *Stage2Checker) Check(what string) {
+// Check logs the tally and fails the test unless the solves spent fewer
+// pivots than cold solves of the same LPs, and, when wantResumed is set,
+// some call resumed its carried LP.
+func (c *PathChecker) Check(what string, wantResumed bool) {
 	c.T.Helper()
-	c.T.Logf("%s: %d stage-2 solves, %d from a stage-1 basis; pivots warm %d vs cold %d",
-		what, c.Calls, c.FromBasis, c.WarmPivots, c.ColdPivots)
-	if c.FromBasis == 0 {
-		c.T.Fatalf("%s: no stage-2 solve started from a stage-1 basis", what)
+	c.T.Logf("%s: path-LP calls resumed %d, remapped %d, cold %d; pivots %d vs %d cold",
+		what, c.Calls[StartResumed], c.Calls[StartRemapped], c.Calls[StartCold], c.CarriedPivots, c.ColdPivots)
+	if wantResumed && c.Calls[StartResumed] == 0 {
+		c.T.Fatalf("%s: no path-LP call resumed its carried LP", what)
 	}
-	if c.WarmPivots >= c.ColdPivots {
-		c.T.Fatalf("%s: warm stage 2 spent %d pivots, cold %d", what, c.WarmPivots, c.ColdPivots)
+	if c.CarriedPivots >= c.ColdPivots {
+		c.T.Fatalf("%s: path LPs spent %d pivots, cold solves %d", what, c.CarriedPivots, c.ColdPivots)
+	}
+}
+
+// requireSameProblem fails the test unless got and want agree exactly on
+// shape, bounds, objective, and every row's relation, right-hand side and
+// coefficient list.
+func requireSameProblem(t *testing.T, got, want *lp.Problem) {
+	t.Helper()
+	if got.NumVars() != want.NumVars() || got.NumRows() != want.NumRows() {
+		t.Fatalf("shape %dx%d, fresh build %dx%d", got.NumRows(), got.NumVars(), want.NumRows(), want.NumVars())
+	}
+	for j := 0; j < want.NumVars(); j++ {
+		glo, ghi := got.Bounds(j)
+		wlo, whi := want.Bounds(j)
+		if glo != wlo || ghi != whi {
+			t.Fatalf("var %d: bounds [%g,%g], fresh build [%g,%g]", j, glo, ghi, wlo, whi)
+		}
+		if g, w := got.ObjectiveCoef(j), want.ObjectiveCoef(j); g != w {
+			t.Fatalf("var %d: objective %.17g, fresh build %.17g", j, g, w)
+		}
+	}
+	for r := 0; r < want.NumRows(); r++ {
+		grel, grhs := got.RHS(r)
+		wrel, wrhs := want.RHS(r)
+		if grel != wrel || grhs != wrhs {
+			t.Fatalf("row %d: %v %.17g, fresh build %v %.17g", r, grel, grhs, wrel, wrhs)
+		}
+		gc, wc := got.RowCoefs(r), want.RowCoefs(r)
+		if len(gc) != len(wc) {
+			t.Fatalf("row %d: %d coefficients, fresh build %d", r, len(gc), len(wc))
+		}
+		for i := range wc {
+			if gc[i] != wc[i] {
+				t.Fatalf("row %d coefficient %d: %+v, fresh build %+v", r, i, gc[i], wc[i])
+			}
+		}
+	}
+	if err := got.CheckCSCSync(); err != nil {
+		t.Fatal(err)
 	}
 }

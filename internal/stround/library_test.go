@@ -7,24 +7,34 @@ import (
 	"repro/internal/stround"
 )
 
-// TestStage2WarmMatchesColdLibrary replays every scenario of the live
-// library with engine defaults and checks each path-rounding call it makes:
-// stage 2, warm from stage 1's basis, must reach the objective a cold solve
-// of the same stage-2 LP reaches (relative 1e-9), and every scenario must
-// have run a warm stage 2.
-func TestStage2WarmMatchesColdLibrary(t *testing.T) {
+// TestPathLPCarriedMatchesColdLibrary replays every scenario of the live
+// library with engine defaults and checks each path-LP solve it makes:
+// stage 1 and stage 2, resumed, remapped or cold, must reach the objective
+// a cold solve of the same LP reaches (relative 1e-9), and a resumed call's
+// patched Problem must equal a fresh build. Every scenario but diurnal,
+// whose join and leave waves move x̄'s support every epoch, must resume
+// some calls, and across the library the carried solves must spend fewer
+// pivots than cold ones.
+func TestPathLPCarriedMatchesColdLibrary(t *testing.T) {
+	total := &stround.PathChecker{T: t, Calls: make(map[stround.Start]int)}
 	for _, name := range live.Names() {
-		sc, err := live.Make(name, 7, 12)
+		sc, err := live.Make(name, 7, 24)
 		if err != nil {
 			t.Fatal(err)
 		}
-		c := &stround.Stage2Checker{T: t}
-		restore := stround.SetStage2Probe(c.Probe)
+		c := &stround.PathChecker{T: t}
+		restore := stround.SetProbe(c.Probe)
 		_, err = live.Run(sc, live.Config{Policy: live.WarmStickyPolicy()})
 		restore()
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		c.Check(name)
+		c.Check(name, name != "diurnal")
+		for start, n := range c.Calls {
+			total.Calls[start] += n
+		}
+		total.CarriedPivots += c.CarriedPivots
+		total.ColdPivots += c.ColdPivots
 	}
+	total.Check("library", true)
 }

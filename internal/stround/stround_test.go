@@ -129,46 +129,64 @@ func TestWeightGuaranteeEndToEnd(t *testing.T) {
 	}
 }
 
-// TestStage2WarmMatchesCold: on random clustered instances, stage 2 warm
-// from stage 1's basis reaches the cold stage-2 optimum.
-func TestStage2WarmMatchesCold(t *testing.T) {
-	c := &Stage2Checker{T: t}
-	defer SetStage2Probe(c.Probe)()
+// TestPathLPCarriedMatchesCold: on random clustered instances, a State
+// carried from call to call — resumed while x̄ and the instance repeat,
+// patched when a fanout moves, remapped when x̄ or the instance changes —
+// reaches the cold optimum of every stage in fewer pivots than cold solves.
+func TestPathLPCarriedMatchesCold(t *testing.T) {
+	c := &PathChecker{T: t}
+	defer SetProbe(c.Probe)()
+	st := &State{}
 	for seed := uint64(1); seed <= 12; seed++ {
 		cc := gen.DefaultClustered(1+int(seed%2), 2+int(seed%3), 2+int(seed%2), 3+int(seed%4))
 		in := gen.Clustered(cc, 100+seed)
-		if _, err := Round(in, roundedXBar(t, in, seed), DefaultOptions(seed)); err != nil {
-			t.Fatal(err)
+		xbar := roundedXBar(t, in, seed)
+		for call := uint64(0); call < 4; call++ {
+			switch call {
+			case 2:
+				in.Fanout[0] *= 0.8
+			case 3:
+				xbar = roundedXBar(t, in, seed+100)
+			}
+			if _, err := st.Round(in, xbar, DefaultOptions(seed+call)); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	c.Check("random instances")
+	c.Check("random instances", true)
+	if c.Calls[StartRemapped] == 0 {
+		t.Fatal("no call remapped its carried LP")
+	}
 }
 
 // TestStage2ColdWithoutStage1Basis: a stage 1 that returns no basis — the
-// solver's row-equilibrated rescue path — leaves stage 2 to solve cold,
-// exactly as a plain cold solve of the stage-2 LP would.
+// solver's row-equilibrated rescue path, simulated here by a probe that
+// strips it — leaves stage 2 to solve cold, exactly as a plain cold solve
+// of the stage-2 LP would.
 func TestStage2ColdWithoutStage1Basis(t *testing.T) {
-	var p2 *lp.Problem
-	var sol1 *lp.Solution
-	restore := SetStage2Probe(func(p *lp.Problem, s1, _ *lp.Solution) { p2, sol1 = p, s1 })
+	var got, cold *lp.Solution
+	restore := SetProbe(func(stage int, _ Start, _ *lp.Problem, sol *lp.Solution, fresh *lp.Problem) {
+		if stage == 1 {
+			if sol.Basis == nil {
+				t.Fatal("stage 1 returned no basis to strip")
+			}
+			sol.Basis = nil
+			return
+		}
+		var err error
+		if cold, err = fresh.Solve(); err != nil {
+			t.Fatal(err)
+		}
+		got = sol
+	})
 	in := gen.Clustered(gen.DefaultClustered(2, 2, 3, 4), 7)
 	_, err := Round(in, roundedXBar(t, in, 3), DefaultOptions(5))
 	restore()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p2 == nil || sol1.Basis == nil {
-		t.Fatal("stage 2 did not run from a stage-1 basis")
-	}
-	rescued := *sol1
-	rescued.Basis = nil
-	got, err := solveStage2(p2, &rescued)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold, err := p2.Solve()
-	if err != nil {
-		t.Fatal(err)
+	if got == nil {
+		t.Fatal("stage 2 did not run")
 	}
 	if got.Status != lp.Optimal || got.Objective != cold.Objective ||
 		got.Iterations != cold.Iterations || got.Stats != cold.Stats {
