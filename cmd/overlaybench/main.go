@@ -823,31 +823,20 @@ type shardRow struct {
 	CostRatio    float64 `json:"cost_ratio,omitempty"`
 }
 
-// reflectorRow is one |R| size of the reflector-axis sweep: the same
-// capacity-constrained instance coordinated flat (proportional re-bidding)
-// and hierarchically (two-level dual-price exchange), side by side.
+// reflectorRow is one |R| size of the reflector-axis sweep: a
+// capacity-constrained instance whose shards contend for fanout, solved
+// with the flat re-bidding coordination and audited after repair.
 type reflectorRow struct {
-	Reflectors int `json:"reflectors"`
-	Sinks      int `json:"sinks"`
-	Shards     int `json:"shards"`
-	Fanout     int `json:"fanout"`
-	// The flat coordination arm.
-	FlatWallNS   int64   `json:"flat_wall_ns"`
-	FlatRounds   int     `json:"flat_rounds"`
-	FlatResolves int     `json:"flat_resolves"`
-	FlatCost     float64 `json:"flat_cost"`
-	FlatAuditOK  bool    `json:"flat_audit_ok"`
-	// The hierarchical exchange arm.
-	HierWallNS          int64   `json:"hier_wall_ns"`
-	ExchangeRounds      int     `json:"exchange_rounds"`
-	ExchangeGap         float64 `json:"exchange_gap"`
-	ContestedReflectors int     `json:"contested_reflectors"`
-	HierResolves        int     `json:"hier_resolves"`
-	HierCost            float64 `json:"hier_cost"`
-	HierAuditOK         bool    `json:"hier_audit_ok"`
-	// CostRatio = hier / flat; RoundRatio = exchange / flat rounds.
-	CostRatio  float64 `json:"cost_ratio"`
-	RoundRatio float64 `json:"round_ratio,omitempty"`
+	Reflectors int     `json:"reflectors"`
+	Sinks      int     `json:"sinks"`
+	Shards     int     `json:"shards"`
+	Fanout     int     `json:"fanout"`
+	WallNS     int64   `json:"wall_ns"`
+	Rounds     int     `json:"rounds"`
+	Resolves   int     `json:"resolves"`
+	Pivots     int     `json:"pivots"`
+	Cost       float64 `json:"cost"`
+	AuditOK    bool    `json:"audit_ok"`
 }
 
 // shardBench is the BENCH_shard.json schema.
@@ -857,7 +846,7 @@ type shardBench struct {
 	Rows         []shardRow `json:"rows"`
 	// ReflectorRows is the reflector-axis sweep: fixed sink population,
 	// |R| grown 50 → 500 with total fanout capacity held near-constant
-	// (scarce), flat coordination vs the hierarchical dual-price exchange.
+	// (scarce), so coordination has contested reflectors to resolve.
 	ReflectorRows []reflectorRow `json:"reflector_rows"`
 	Generated     string         `json:"generated"`
 }
@@ -921,15 +910,9 @@ func shardSweep(outPath string, deadline time.Duration, quick bool) error {
 		}
 
 		instPath := filepath.Join(tmp, fmt.Sprintf("inst-%d.json", in.NumSinks))
-		f, err := os.Create(instPath)
-		if err != nil {
+		if err := in.SaveFile(instPath); err != nil {
 			return err
 		}
-		if err := in.WriteJSON(f); err != nil {
-			f.Close()
-			return err
-		}
-		f.Close()
 
 		ctx, cancel := context.WithTimeout(context.Background(), deadline)
 		outBytes, err := exec.CommandContext(ctx, self, "-mono-probe", instPath).Output()
@@ -991,11 +974,10 @@ func shardSweep(outPath string, deadline time.Duration, quick bool) error {
 
 // reflectorSweep grows the reflector axis 50 → 500 over a fixed sink
 // population with total fanout capacity held near-constant (≈2.5 service
-// slots per sink — scarce enough that shards contend), and coordinates each
-// instance both ways: flat proportional re-bidding vs the two-level
-// dual-price exchange. The sweep is where the exchange's claim lives: as
-// |R| grows, contested reflectors multiply, and the price-priority clearing
-// should hold its round count (and cost) at or below the flat pass's.
+// slots per sink — scarce enough that shards contend). As |R| grows the
+// contested reflectors multiply and every shard LP widens, so the rows track
+// how coordination rounds, re-solves and wall scale with the reflector
+// count.
 func reflectorSweep(quick bool) ([]reflectorRow, error) {
 	const regions, isps = 10, 5
 	rpcs := []int{1, 2, 4, 10} // |R| = 50, 100, 200, 500
@@ -1022,53 +1004,32 @@ func reflectorSweep(quick bool) ([]reflectorRow, error) {
 		opts.Shards = 8
 		opts.ShardRounds = 8
 		start := time.Now()
-		flat, err := core.Solve(in, opts)
+		res, err := core.Solve(in, opts)
 		if err != nil {
-			return nil, fmt.Errorf("flat R=%d: %w", R, err)
+			return nil, fmt.Errorf("R=%d: %w", R, err)
 		}
-		flatWall := time.Since(start)
+		wall := time.Since(start)
 
-		opts.ShardLevels = 2
-		start = time.Now()
-		hier, err := core.Solve(in, opts)
-		if err != nil {
-			return nil, fmt.Errorf("hier R=%d: %w", R, err)
-		}
-		hierWall := time.Since(start)
+		// At the engineered 2.5x scarcity the rounded design can leave sinks
+		// below quarter weight; running the §7 repair pass INSIDE the solve
+		// (opts.RepairCoverage) would heal each shard before the
+		// coordination loop ever sees starvation and zero out the very
+		// rounds the sweep measures, so repair the final merged design here
+		// instead and audit what would actually deploy.
+		core.RepairCoverage(in, res.Design, 4)
+		a := netmodel.AuditDesign(in, res.Design)
 
-		// At the engineered 2.5x scarcity the rounded designs can leave
-		// sinks below quarter weight in either arm; running the §7 repair
-		// pass INSIDE the solve (opts.RepairCoverage) would heal each shard
-		// before the coordination loop ever sees starvation and zero out the
-		// very rounds the sweep measures, so repair the final merged designs
-		// here instead and audit what would actually deploy.
-		core.RepairCoverage(in, flat.Design, 4)
-		core.RepairCoverage(in, hier.Design, 4)
-		fa := netmodel.AuditDesign(in, flat.Design)
-		ha := netmodel.AuditDesign(in, hier.Design)
-
-		fi, hi := flat.ShardInfo, hier.ShardInfo
+		si := res.ShardInfo
 		row := reflectorRow{
 			Reflectors: in.NumReflectors, Sinks: in.NumSinks,
-			Shards: fi.Shards, Fanout: cc.Fanout,
-			FlatWallNS: flatWall.Nanoseconds(), FlatRounds: fi.Rounds,
-			FlatResolves: fi.Resolves, FlatCost: fa.Cost,
-			FlatAuditOK: fa.StructureOK && core.MeetsGuarantee(fa, flat.PathRounding),
-			HierWallNS:  hierWall.Nanoseconds(), ExchangeRounds: hi.ExchangeRounds,
-			ExchangeGap: hi.ExchangeGap, ContestedReflectors: hi.ContestedReflectors,
-			HierResolves: hi.Resolves, HierCost: ha.Cost,
-			HierAuditOK: ha.StructureOK && core.MeetsGuarantee(ha, hier.PathRounding),
+			Shards: si.Shards, Fanout: cc.Fanout,
+			WallNS: wall.Nanoseconds(), Rounds: si.Rounds,
+			Resolves: si.Resolves, Pivots: res.Timings.LPPivots, Cost: a.Cost,
+			AuditOK: a.StructureOK && core.MeetsGuarantee(a, res.PathRounding),
 		}
-		if fa.Cost > 0 {
-			row.CostRatio = ha.Cost / fa.Cost
-		}
-		if fi.Rounds > 0 {
-			row.RoundRatio = float64(hi.ExchangeRounds) / float64(fi.Rounds)
-		}
-		fmt.Printf("R=%d D=%d F=%d: flat %d rounds %v cost %.1f | exchange %d rounds (gap %.4f, %d contested) %v cost %.1f (%.3fx)\n",
-			R, in.NumSinks, cc.Fanout, row.FlatRounds, flatWall.Round(time.Millisecond), row.FlatCost,
-			row.ExchangeRounds, row.ExchangeGap, row.ContestedReflectors,
-			hierWall.Round(time.Millisecond), row.HierCost, row.CostRatio)
+		fmt.Printf("R=%d D=%d F=%d: %d rounds, %d re-solves, %d pivots, %v, cost %.1f\n",
+			R, in.NumSinks, cc.Fanout, row.Rounds, row.Resolves, row.Pivots,
+			wall.Round(time.Millisecond), row.Cost)
 		rows = append(rows, row)
 	}
 	return rows, nil

@@ -65,11 +65,10 @@ func main() {
 		warm       = flag.Bool("warm", true, "warm-start each solve from the previous basis")
 		incr       = flag.Bool("incremental", true, "patch the LP in place from each epoch's deltas instead of rebuilding it")
 		shards     = flag.Int("shards", 0, "≥2: sharded per-epoch solves with per-shard warm state")
-		levels     = flag.Int("shard-levels", 0, "2: hierarchical dual-price exchange coordination")
 		aggr       = flag.Bool("aggregate", false, "fold viewers into weighted super-sinks before every solve")
 		pricing    = flag.String("pricing", "devex", "simplex pricing rule: devex|dantzig")
 		refEv      = flag.Int("refactor-every", 0, "basis refactorization cadence in pivots (0 = auto)")
-		interval   = flag.Duration("interval", 0, "re-optimization cadence (0 = solve only under pressure or POST /solve)")
+		interval   = flag.Duration("interval", 0, "re-optimization cadence, timed from the end of each solve (0 = solve only under pressure or POST /solve)")
 		pressure   = flag.Int("pressure", 64, "queued delta edits that force an immediate solve (negative disables)")
 		snapPath   = flag.String("snapshot", "", "snapshot file: written on SIGTERM, POST /snapshot and every -snapshot-every solves")
 		snapEvery  = flag.Int("snapshot-every", 0, "additionally snapshot after every n-th solve (0 = shutdown/POST only)")
@@ -86,12 +85,6 @@ func main() {
 	}
 	if *shards < 0 {
 		usage("-shards must be ≥ 0, got %d", *shards)
-	}
-	if *levels < 0 || *levels > 2 {
-		usage("-shard-levels must be 0/1 (flat) or 2 (hierarchical), got %d", *levels)
-	}
-	if *levels >= 2 && *shards < 2 {
-		usage("-shard-levels 2 requires -shards ≥ 2")
 	}
 	if *refEv < 0 {
 		usage("-refactor-every must be ≥ 0, got %d", *refEv)
@@ -123,7 +116,6 @@ func main() {
 	cfg.Solver.Seed = *seed
 	cfg.Solver.IncrementalLP = *incr
 	cfg.Solver.Shards = *shards
-	cfg.Solver.ShardLevels = *levels
 	cfg.Solver.Pricing = pr
 	cfg.Solver.RefactorEvery = *refEv
 	if *aggr {

@@ -67,7 +67,6 @@ func main() {
 		policy     = flag.String("policy", "both", "re-provisioning policy: cold|warm|both")
 		stickiness = flag.Float64("stickiness", 0.4, "deployed-design cost discount for the warm policy, in [0,1)")
 		shards     = flag.Int("shards", 0, "≥2: sharded per-epoch solves with per-shard warm state (internal/shard)")
-		levels     = flag.Int("shard-levels", 0, "2: hierarchical dual-price exchange coordination (super-shards over the cost-anchor leaves)")
 		aggr       = flag.Bool("aggregate", false, "fold viewers into weighted super-sinks before every epoch's LP (internal/agg)")
 		simPkts    = flag.Int("sim", 0, "packets per simulated epoch (0 = no packet sim)")
 		simEvery   = flag.Int("simevery", 1, "simulate every n-th epoch")
@@ -95,12 +94,6 @@ func main() {
 	}
 	if *shards < 0 {
 		usage("-shards must be ≥ 0, got %d", *shards)
-	}
-	if *levels < 0 || *levels > 2 {
-		usage("-shard-levels must be 0/1 (flat) or 2 (hierarchical), got %d", *levels)
-	}
-	if *levels >= 2 && *shards < 2 {
-		usage("-shard-levels 2 requires -shards ≥ 2")
 	}
 	if *refEv < 0 {
 		usage("-refactor-every must be ≥ 0, got %d", *refEv)
@@ -139,7 +132,9 @@ func main() {
 			f.Close()
 			fatal(err)
 		}
-		f.Close()
+		if err := f.Close(); err != nil {
+			fatal(err)
+		}
 		fmt.Printf("recorded scenario %s (%d events over %d epochs) to %s\n",
 			sc.Name, len(sc.Events), sc.Epochs, *record)
 	}
@@ -163,7 +158,6 @@ func main() {
 		SLOWindow:     *sloWindow, SLOTarget: *sloTarget,
 	}
 	cfg.Solver.Shards = *shards
-	cfg.Solver.ShardLevels = *levels
 	cfg.Solver.Pricing = pr
 	cfg.Solver.RefactorEvery = *refEv
 	if *aggr {

@@ -4,7 +4,7 @@
 // Usage:
 //
 //	overlaysolve -in instance.json [-o design.json] [-seed 1] [-c 64]
-//	             [-greedy] [-exact] [-lp-only] [-shards 8] [-shard-levels 2]
+//	             [-greedy] [-exact] [-lp-only] [-shards 8]
 //	             [-json report.json] [-pricing devex|dantzig]
 //	             [-refactor-every N]
 //
@@ -47,7 +47,6 @@ func main() {
 		prior   = flag.String("prior", "", "prior design JSON for churn-aware re-solve (§1.3)")
 		sticky  = flag.Float64("stickiness", 0.5, "cost discount on prior arcs during re-solve, in [0,1)")
 		shards  = flag.Int("shards", 0, "≥2: solve one LP per commodity-region shard in parallel (internal/shard)")
-		levels  = flag.Int("shard-levels", 0, "2: fold shards into super-shards and clear capacity with the hierarchical dual-price exchange")
 		aggr    = flag.Bool("aggregate", false, "fold viewers into weighted super-sinks before the LP and disaggregate after (internal/agg)")
 		aggColo = flag.Int("agg-colo", 0, "≥2: group aggregates by cost-anchor COLO of this many reflectors instead of per reflector (caps the fold at R/N labels; needs -aggregate)")
 		jsonOut = flag.String("json", "", "write a machine-readable solve report (stages, audit, shard counters) here")
@@ -73,14 +72,6 @@ func main() {
 	}
 	if *shards < 0 {
 		fmt.Fprintf(os.Stderr, "overlaysolve: -shards %d is negative (want 0, or ≥ 2 to shard)\n", *shards)
-		os.Exit(2)
-	}
-	if *levels < 0 || *levels > 2 {
-		fmt.Fprintf(os.Stderr, "overlaysolve: -shard-levels %d out of range (want 0/1 = flat coordination, 2 = hierarchical exchange)\n", *levels)
-		os.Exit(2)
-	}
-	if *levels >= 2 && *shards < 2 {
-		fmt.Fprintln(os.Stderr, "overlaysolve: -shard-levels 2 requires -shards ≥ 2")
 		os.Exit(2)
 	}
 	if *refEv < 0 {
@@ -138,7 +129,6 @@ func main() {
 		opts.LPOnly = *lpOnly
 		opts.RepairCoverage = *repair
 		opts.Shards = *shards
-		opts.ShardLevels = *levels
 		if *aggr {
 			opts.Aggregate = &agg.Config{}
 			if *aggColo >= 2 {
@@ -150,14 +140,14 @@ func main() {
 		// A trace-only observer: spans for every pipeline stage, per-shard
 		// solve, and simplex event, with no metrics registry attached.
 		var tracer *obs.Tracer
+		var traceFile *os.File
 		if *trace != "" {
-			tf, terr := os.Create(*trace)
-			if terr != nil {
-				fmt.Fprintf(os.Stderr, "overlaysolve: %v\n", terr)
+			traceFile, err = os.Create(*trace)
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "overlaysolve: %v\n", err)
 				os.Exit(1)
 			}
-			defer tf.Close()
-			tracer = obs.NewTracer(tf)
+			tracer = obs.NewTracer(traceFile)
 			opts.Obs = &obs.Observer{Tr: tracer}
 		}
 		var res *core.Result
@@ -194,15 +184,15 @@ func main() {
 				fmt.Fprintf(os.Stderr, "overlaysolve: trace: %v\n", terr)
 				os.Exit(1)
 			}
+			if terr := traceFile.Close(); terr != nil {
+				fmt.Fprintf(os.Stderr, "overlaysolve: trace: %v\n", terr)
+				os.Exit(1)
+			}
 			fmt.Printf("wrote solve trace to %s\n", *trace)
 		}
 		if si := res.ShardInfo; si != nil {
 			fmt.Printf("sharded solve: %d shards, %d coordination rounds, %d re-solves, %d builds consolidated\n",
 				si.Shards, si.Rounds, si.Resolves, si.ConsolidatedBuilds)
-			if si.Levels >= 2 {
-				fmt.Printf("hierarchical exchange: %d levels, %d clearing rounds, %d contested reflectors, final gap %.4f\n",
-					si.Levels, si.ExchangeRounds, si.ContestedReflectors, si.ExchangeGap)
-			}
 			fmt.Printf("shard LPs: Σcost %.4f, Σ%d vars, Σ%d rows, Σ%d pivots, %v\n",
 				res.LPCost, res.Timings.TotalVars, res.Timings.TotalRows, res.Timings.LPPivots, res.Timings.LP.Round(time.Microsecond))
 		} else {
@@ -235,18 +225,26 @@ func main() {
 		fmt.Printf("wrote solve report to %s\n", *jsonOut)
 	}
 	if *outPath != "" {
-		f, err := os.Create(*outPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "overlaysolve: %v\n", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		if err := netmodel.WriteDesignJSON(f, design); err != nil {
+		if err := writeDesign(*outPath, design); err != nil {
 			fmt.Fprintf(os.Stderr, "overlaysolve: %v\n", err)
 			os.Exit(1)
 		}
 		fmt.Printf("wrote design to %s\n", *outPath)
 	}
+}
+
+// writeDesign writes the design to path as JSON; a failed Close fails the
+// write.
+func writeDesign(path string, d *netmodel.Design) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	if err := netmodel.WriteDesignJSON(f, d); err != nil {
+		return err
+	}
+	return f.Close()
 }
 
 // solveReport is the -json schema: instance identity, audit verdict,
@@ -267,14 +265,10 @@ type solveReport struct {
 		WallNS int64  `json:"wall_ns"`
 		Runs   int    `json:"runs"`
 	} `json:"stages"`
-	ShardRounds         int     `json:"shard_rounds"`
-	ShardResolves       int     `json:"shard_resolves"`
-	ConsolidatedBuilds  int     `json:"consolidated_builds"`
-	Fallback            bool    `json:"fallback"`
-	ShardLevels         int     `json:"shard_levels,omitempty"`
-	ExchangeRounds      int     `json:"shard_exchange_rounds,omitempty"`
-	ContestedReflectors int     `json:"shard_contested_reflectors,omitempty"`
-	ExchangeGap         float64 `json:"shard_exchange_gap,omitempty"`
+	ShardRounds        int  `json:"shard_rounds"`
+	ShardResolves      int  `json:"shard_resolves"`
+	ConsolidatedBuilds int  `json:"consolidated_builds"`
+	Fallback           bool `json:"fallback"`
 }
 
 func writeReport(path string, in *netmodel.Instance, res *core.Result, audit netmodel.Audit) error {
@@ -293,10 +287,6 @@ func writeReport(path string, in *netmodel.Instance, res *core.Result, audit net
 		rep.ShardResolves = si.Resolves
 		rep.ConsolidatedBuilds = si.ConsolidatedBuilds
 		rep.Fallback = si.Fallback
-		rep.ShardLevels = si.Levels
-		rep.ExchangeRounds = si.ExchangeRounds
-		rep.ContestedReflectors = si.ContestedReflectors
-		rep.ExchangeGap = si.ExchangeGap
 	}
 	for _, s := range res.Stages {
 		rep.Stages = append(rep.Stages, struct {

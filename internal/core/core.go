@@ -59,11 +59,6 @@ type Options struct {
 	// simplex iterations when re-solving after churn. Invalid bases
 	// degrade to a cold solve.
 	WarmStart *lp.Basis
-	// LPFixedShape builds the LP with one covering row per sink even for
-	// zero-demand sinks, pinning the LP shape to the instance dimensions
-	// so warm bases survive sink join/leave churn (see lpmodel.Options.
-	// FixedShape). The live engine sets this; static solves don't need it.
-	LPFixedShape bool
 	// Pricing selects the simplex entering rule (default lp.DevexPricing)
 	// and RefactorEvery overrides the basis refactorization cadence (0 =
 	// solver default) — both forwarded to every LP solve, per-shard ones
@@ -85,15 +80,6 @@ type Options struct {
 	// ShardRounds caps the coordination rounds of a sharded solve
 	// (default 3).
 	ShardRounds int
-	// ShardLevels selects the shard-coordination topology: ≤ 1 keeps the
-	// flat use-based re-bidding (shard-coordinate stage), 2 folds the
-	// leaves into super-shards and clears contested reflector capacity with
-	// the hierarchical dual-price exchange (shard-exchange stage) — leaf
-	// solves quote the shadow prices of their capacity rows and a master
-	// pass per level moves slack to the highest-value bids, which is what
-	// keeps coordination converging as reflector counts reach the
-	// hundreds. Ignored unless Shards ≥ 2.
-	ShardLevels int
 	// ShardState warm-starts a sharded solve from a previous same-shaped
 	// solve: the partition is reused (so per-shard LP shapes match), the
 	// capacity split is rescaled instead of recomputed, and each shard's
@@ -132,11 +118,13 @@ type Options struct {
 	// coefficients a churn delta touched, replacing the per-epoch lp-build
 	// stage with a delta-sized lp-patch stage. Requires the Session's
 	// delta flow: callers must report instance mutations through
-	// Session.Observe (the live engine does). Implies LPFixedShape. A
-	// plain one-shot Solve ignores it — there is no previous epoch to
-	// patch from.
+	// Session.Observe (the live engine does). A plain one-shot Solve
+	// ignores it — there is no previous epoch to patch from.
 	IncrementalLP bool
 
+	// fixedShape pins the LP shape to the instance dimensions (see
+	// lpmodel.Options.FixedShape); NewSession sets it.
+	fixedShape bool
 	// patcher and patchDirty are the per-Step plumbing of IncrementalLP,
 	// set by Session (monolithic path) or by solveSharded (per-shard): the
 	// persistent patch state and the dirty set accumulated since the
@@ -247,16 +235,6 @@ type ShardInfo struct {
 	// PerShardStats breaks Result.LPStats down by shard (nil when the
 	// shard path didn't run).
 	PerShardStats []lp.SolveStats
-	// Levels is the coordination topology that ran (1 = flat re-bidding,
-	// 2 = hierarchical price exchange). Under the exchange, ExchangeRounds
-	// counts price-clearing rounds (the Rounds analogue),
-	// ContestedReflectors the distinct reflectors whose capacity it
-	// cleared, and ExchangeGap the final relative bid/ask gap (0 = every
-	// bid cleared; convergence declares below 1%).
-	Levels              int
-	ExchangeRounds      int
-	ContestedReflectors int
-	ExchangeGap         float64
 	// Fallback reports that coordination could not feed every shard (a
 	// shard's LP stayed infeasible at the round cap) and the result came
 	// from a monolithic fallback solve instead.
@@ -278,7 +256,7 @@ func (r *Result) WarmStartBasis() *lp.Basis {
 func lpOptions(in *netmodel.Instance, opts Options) lpmodel.Options {
 	lpOpts := lpmodel.DefaultOptions(in)
 	lpOpts.CuttingPlane = !opts.DisableCuttingPlane
-	lpOpts.FixedShape = opts.LPFixedShape
+	lpOpts.FixedShape = opts.fixedShape
 	lpOpts.Pricing = opts.Pricing
 	lpOpts.RefactorEvery = opts.RefactorEvery
 	lpOpts.RefactorOnInstall = opts.RefactorOnInstall
@@ -470,11 +448,6 @@ func recordSolve(o *obs.Observer, res *Result) {
 		o.Counter(obs.MShardRebidRounds).Add(float64(si.Rounds))
 		o.Counter(obs.MShardResolves).Add(float64(si.Resolves))
 		o.Counter(obs.MShardExtractionsSkipped).Add(float64(si.ExtractionsSkipped))
-		if si.Levels >= 2 {
-			o.Counter(obs.MShardExchangeRounds).Add(float64(si.ExchangeRounds))
-			o.Counter(obs.MShardContestedRefs).Add(float64(si.ContestedReflectors))
-			o.Gauge(obs.MShardExchangeGap).Set(si.ExchangeGap)
-		}
 		if si.Fallback {
 			o.Counter(obs.MShardFallbacks).Inc()
 		}

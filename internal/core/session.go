@@ -17,8 +17,11 @@ import (
 // Step is an incremental re-optimization instead of a cold solve. The live
 // engine drives one Session per policy across a scenario timeline.
 //
-// A Session always solves with a fixed-shape LP (Options.LPFixedShape), so
-// the carried basis stays warm-start compatible while sinks join and leave.
+// A Session always solves with a fixed-shape LP: one covering row per sink,
+// zero-demand sinks included, so the LP shape follows the instance
+// dimensions (lpmodel.Options.FixedShape) and the carried basis stays
+// warm-start compatible while sinks join and leave. One-shot solves build
+// rows for demanding sinks only.
 //
 // With Options.IncrementalLP the Session additionally carries the BUILT LP
 // across epochs: a persistent lpmodel.Patcher (or one per shard, inside the
@@ -74,7 +77,7 @@ type Session struct {
 
 // NewSession returns a fresh session; the first Step is a cold solve.
 func NewSession(opts Options, stickiness float64, warmStart bool) *Session {
-	opts.LPFixedShape = true
+	opts.fixedShape = true
 	s := &Session{Stickiness: stickiness, WarmStart: warmStart, opts: opts}
 	if opts.IncrementalLP && opts.Shards < 2 {
 		s.patcher = lpmodel.NewPatcher()

@@ -39,9 +39,7 @@ func solveSharded(in *netmodel.Instance, opts Options) (*Result, error) {
 	sopts := shard.Options{
 		Shards: k,
 		Rounds: opts.ShardRounds,
-		Levels: opts.ShardLevels,
 	}
-	hierarchical := opts.ShardLevels >= 2
 
 	// localDirty is filled by the shard-partition stage: the epoch's global
 	// dirty set routed through the stable sink partition, so a churn event
@@ -91,7 +89,7 @@ func solveSharded(in *netmodel.Instance, opts Options) (*Result, error) {
 				patchNS += st.Wall.Nanoseconds()
 			}
 		}
-		sr := &shard.SolveResult{
+		return &shard.SolveResult{
 			BuildWallNS: buildNS,
 			PatchWallNS: patchNS,
 			Design:      res.Design,
@@ -105,20 +103,7 @@ func solveSharded(in *netmodel.Instance, opts Options) (*Result, error) {
 			Basis:       res.WarmStartBasis(),
 			LPStats:     res.LPStats,
 			Patch:       res.Patch,
-		}
-		if frac := res.Frac; frac != nil && frac.CapDuals != nil {
-			// The shard's capacity bid: the marginal objective value of one
-			// more unit of fanout at each reflector, |dual|·ẑ_i (the dual
-			// prices the row's rhs; an extra fanout unit scales with the
-			// fractional build level). Zero where the row is slack.
-			sr.CapPrice = make([]float64, len(frac.CapDuals))
-			for i, y := range frac.CapDuals {
-				if v := -y * frac.Z[i]; v > 0 {
-					sr.CapPrice[i] = v
-				}
-			}
-		}
-		return sr, nil
+		}, nil
 	}
 
 	ps = &pipelineState{in: in, opts: opts}
@@ -145,11 +130,7 @@ func solveSharded(in *netmodel.Instance, opts Options) (*Result, error) {
 			return ps.plan.SolveAll(solveFn)
 		}},
 		{Name: "shard-coordinate", Run: func(ps *pipelineState) error {
-			coordinate := ps.plan.Coordinate
-			if hierarchical {
-				coordinate = ps.plan.Exchange
-			}
-			out, err := coordinate(solveFn)
+			out, err := ps.plan.Coordinate(solveFn)
 			if err != nil {
 				return err
 			}
@@ -162,12 +143,6 @@ func solveSharded(in *netmodel.Instance, opts Options) (*Result, error) {
 			return nil
 		}},
 	}
-	if hierarchical {
-		// The exchange is a different coordination algorithm, so it runs —
-		// and reports — under its own stage name; the flat stage list stays
-		// byte-identical for existing consumers.
-		stages[2].Name = "shard-exchange"
-	}
 	if err := tracker.runAll(stages, ps); err != nil {
 		if errors.Is(err, lpmodel.ErrInfeasible) {
 			res, ferr := solveMono(in, opts)
@@ -175,9 +150,6 @@ func solveSharded(in *netmodel.Instance, opts Options) (*Result, error) {
 				return nil, ferr
 			}
 			res.ShardInfo = &ShardInfo{Shards: k, Fallback: true}
-			if hierarchical {
-				res.ShardInfo.Levels = 2
-			}
 			return res, nil
 		}
 		return nil, fmt.Errorf("core: %w", err)
@@ -192,7 +164,7 @@ func solveSharded(in *netmodel.Instance, opts Options) (*Result, error) {
 		PathRounding: usePathRounding(in, opts),
 		Retries:      out.Retries,
 		Timings: Timings{
-			LP:        tracker.wallOf("shard-solve") + tracker.wallOf(stages[2].Name),
+			LP:        tracker.wallOf("shard-solve") + tracker.wallOf("shard-coordinate"),
 			LPPivots:  out.Pivots,
 			TotalVars: out.Vars,
 			TotalRows: out.Rows,
@@ -200,21 +172,17 @@ func solveSharded(in *netmodel.Instance, opts Options) (*Result, error) {
 		Stages:  tracker.stats,
 		LPStats: out.LPStats,
 		ShardInfo: &ShardInfo{
-			Shards:              ps.plan.Shards(),
-			Rounds:              out.Rounds,
-			Resolves:            out.Resolves,
-			ConsolidatedBuilds:  out.ConsolidatedBuilds,
-			PerShardPivots:      out.PerShardPivots,
-			PerShardPatches:     out.PerShardPatches,
-			PerShardRebuilds:    out.PerShardRebuilds,
-			LPBuildNS:           out.LPBuildNS,
-			LPPatchNS:           out.LPPatchNS,
-			ExtractionsSkipped:  out.ExtractionsSkipped,
-			PerShardStats:       out.PerShardStats,
-			Levels:              out.Levels,
-			ExchangeRounds:      out.ExchangeRounds,
-			ContestedReflectors: out.ContestedReflectors,
-			ExchangeGap:         out.ExchangeGap,
+			Shards:             ps.plan.Shards(),
+			Rounds:             out.Rounds,
+			Resolves:           out.Resolves,
+			ConsolidatedBuilds: out.ConsolidatedBuilds,
+			PerShardPivots:     out.PerShardPivots,
+			PerShardPatches:    out.PerShardPatches,
+			PerShardRebuilds:   out.PerShardRebuilds,
+			LPBuildNS:          out.LPBuildNS,
+			LPPatchNS:          out.LPPatchNS,
+			ExtractionsSkipped: out.ExtractionsSkipped,
+			PerShardStats:      out.PerShardStats,
 		},
 		ShardState: out.State,
 	}

@@ -3,11 +3,16 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"os"
 	"testing"
 	"time"
 
+	"repro/internal/agg"
 	"repro/internal/gen"
+	"repro/internal/lpmodel"
+	"repro/internal/netmodel"
+	"repro/internal/obs"
 )
 
 // TestShardsOneGoldenEquivalence locks the pipeline refactor down: setting
@@ -77,6 +82,146 @@ func TestShardedStageStructure(t *testing.T) {
 	}
 	if res.ShardState == nil || len(res.ShardState.Bases) != 3 {
 		t.Fatal("sharded solve must return per-shard warm state")
+	}
+}
+
+// TestShardedFallbackToMonolithic covers solveSharded's fallback branch: at
+// fanout 1 no capacity split can feed every shard, so coordination gives up
+// with lpmodel.ErrInfeasible and the solve falls back to the monolithic
+// pipeline, which proves the instance itself infeasible. Both calls must
+// report an error wrapping lpmodel.ErrInfeasible, and the registry must show
+// that the sharded call ran the coordination stage and then the monolithic
+// lp-solve (per-shard lp-solves never feed it). The same instance at fanout
+// 5 solves on the sharded path without falling back.
+func TestShardedFallbackToMonolithic(t *testing.T) {
+	in := gen.Clustered(gen.DefaultClustered(2, 3, 2, 6), 9)
+	for i := range in.Fanout {
+		in.Fanout[i] = 1
+	}
+	if _, err := Solve(in, DefaultOptions(4)); !errors.Is(err, lpmodel.ErrInfeasible) {
+		t.Fatalf("monolithic solve at fanout 1: err = %v, want lpmodel.ErrInfeasible", err)
+	}
+	reg := obs.NewRegistry()
+	opts := DefaultOptions(4)
+	opts.Shards = 3
+	opts.Obs = &obs.Observer{Reg: reg}
+	if _, err := Solve(in, opts); !errors.Is(err, lpmodel.ErrInfeasible) {
+		t.Fatalf("sharded solve at fanout 1: err = %v, want lpmodel.ErrInfeasible", err)
+	}
+	runs := func(stage string) float64 { return reg.Counter(obs.MStageRuns, obs.L("stage", stage)).Value() }
+	if got := runs("shard-coordinate"); got != 1 {
+		t.Fatalf("shard-coordinate ran %v times, want 1", got)
+	}
+	if got := runs("lp-solve"); got != 1 {
+		t.Fatalf("monolithic fallback lp-solve ran %v times, want 1", got)
+	}
+
+	for i := range in.Fanout {
+		in.Fanout[i] = 5
+	}
+	opts.Obs = nil
+	res, err := Solve(in, opts)
+	if err != nil {
+		t.Fatalf("sharded solve at fanout 5: %v", err)
+	}
+	if res.ShardInfo == nil || res.ShardInfo.Fallback {
+		t.Fatalf("sharded solve at fanout 5 fell back: %+v", res.ShardInfo)
+	}
+}
+
+// TestShardedChurnDirtiesOneShard is the churn-stability contract of the
+// cost-anchor partition: a single-sink delta routed through an incremental
+// session, right after the first epoch, patches exactly the one shard
+// owning that sink.
+func TestShardedChurnDirtiesOneShard(t *testing.T) {
+	cc := gen.DefaultClustered(2, 3, 3, 8)
+	cc.Fanout = int(1.5*float64(cc.Fanout) + 0.5) // headroom: no coordination rounds
+	in := gen.Clustered(cc, 7)
+
+	opts := DefaultOptions(7)
+	opts.Shards = 3
+	opts.IncrementalLP = true
+	sess := NewSession(opts, 0, true)
+
+	res, err := sess.Step(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	si := res.ShardInfo
+	if si == nil || si.Shards != 3 {
+		t.Fatalf("expected a 3-shard solve, got %+v", si)
+	}
+	state := res.ShardState
+	if state == nil || len(state.Sinks) != 3 {
+		t.Fatal("no shard state carried")
+	}
+
+	// Touch one sink of shard 1 only.
+	target := state.Sinks[1][0]
+	d := netmodel.Delta{Note: "single-sink retarget",
+		SetThreshold: []netmodel.SinkValue{{Sink: target, Value: 0.9}}}
+	ds, err := d.Apply(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess.Observe(ds)
+	res, err = sess.Step(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	si = res.ShardInfo
+	t.Logf("patches per shard after single-sink delta: %v (rounds=%d)", si.PerShardPatches, si.Rounds)
+	if si.PerShardPatches[1] == 0 {
+		t.Fatal("dirty shard reported zero patches")
+	}
+	for s := range si.PerShardPatches {
+		if s == 1 {
+			continue
+		}
+		if si.PerShardPatches[s] != 0 || si.PerShardRebuilds[s] != 0 {
+			t.Fatalf("untouched shard %d was patched (%d cells, %d rebuilds)",
+				s, si.PerShardPatches[s], si.PerShardRebuilds[s])
+		}
+	}
+	// All three shards reuse their cached sub-instance: the clean two have
+	// nothing routed to them, and the dirty one's delta is value-patched in
+	// place rather than re-extracted.
+	if si.ExtractionsSkipped < 2 {
+		t.Fatalf("clean shards should skip extraction: got %d skips", si.ExtractionsSkipped)
+	}
+}
+
+// TestShardedAggregationSandwich composes both scaling layers: viewer
+// aggregation folds the sink axis, the fold is partitioned into shards whose
+// capacity the coordination pass reconciles, and the full stage sandwich is
+// visible in Result.Stages, with the disaggregated design passing the audit
+// on the true instance.
+func TestShardedAggregationSandwich(t *testing.T) {
+	in := gen.Clustered(gen.DefaultClustered(2, 3, 3, 8), 5)
+	opts := DefaultOptions(11)
+	opts.Shards = 3
+	opts.Aggregate = &agg.Config{}
+	res, err := Solve(in, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"aggregate", "shard-partition", "shard-solve", "shard-coordinate", "audit", "disaggregate"}
+	if len(res.Stages) != len(want) {
+		t.Fatalf("got %d stages %v, want %v", len(res.Stages), res.Stages, want)
+	}
+	for i, name := range want {
+		if res.Stages[i].Name != name {
+			t.Fatalf("stage %d = %q, want %q", i, res.Stages[i].Name, name)
+		}
+	}
+	if res.ShardInfo == nil || res.ShardInfo.Shards != 3 {
+		t.Fatalf("ShardInfo = %+v, want 3 shards", res.ShardInfo)
+	}
+	if !res.Audit.StructureOK {
+		t.Fatal("composed design violates structure constraints on the true instance")
+	}
+	if !MeetsGuarantee(res.Audit, res.PathRounding) {
+		t.Fatalf("composed design misses the paper guarantee: %v", res.Audit)
 	}
 }
 
@@ -194,5 +339,55 @@ func TestShardAcceptance2000(t *testing.T) {
 		}
 	case <-time.After(2 * shardWall):
 		t.Logf("monolithic still running after 2x the sharded wall (%v) — ≥2x speedup proven", 2*shardWall)
+	}
+}
+
+// TestShardedAggAcceptance100k is the composed-scale acceptance: a
+// 10^5-viewer, 200-reflector epoch through aggregation + 8-way sharding must
+// land under 30 s of wall with the full stage sandwich visible. Gated with
+// the other heavy sharded acceptance run:
+//
+//	OVERLAY_SHARD_ACCEPTANCE=1 go test ./internal/core/ -run TestShardedAggAcceptance100k -timeout 10m
+func TestShardedAggAcceptance100k(t *testing.T) {
+	if os.Getenv("OVERLAY_SHARD_ACCEPTANCE") == "" {
+		t.Skip("set OVERLAY_SHARD_ACCEPTANCE=1 to run the 10^5-viewer composed acceptance")
+	}
+	cfg := gen.DefaultClustered(2, 10, 5, 10_000) // 10 regions × 10^4 viewers
+	cfg.ReflectorsPerColo = 4                     // 10·5·4 = 200 reflectors
+	in := gen.Clustered(cfg, 7)
+	in.Color = nil
+	in.NumColors = 0
+	if in.NumViewers() != 100_000 || in.NumReflectors != 200 {
+		t.Fatalf("workload shape drifted: %d viewers, %d reflectors", in.NumViewers(), in.NumReflectors)
+	}
+
+	opts := DefaultOptions(7)
+	// Colo-granular grouping: per-reflector anchors would inflate the fold
+	// to ~350 groups at R=200 and put minutes back into the shard LPs — the
+	// whole reason agg.ColoGroups exists (and overlaysolve's -agg-colo).
+	opts.Aggregate = &agg.Config{GroupOf: agg.ColoGroups(in, 4)}
+	opts.Shards = 8
+	start := time.Now()
+	res, err := Solve(in, opts)
+	wall := time.Since(start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"aggregate", "shard-partition", "shard-solve", "shard-coordinate", "audit", "disaggregate"}
+	if len(res.Stages) != len(want) {
+		t.Fatalf("got stages %v, want %v", res.Stages, want)
+	}
+	for i, name := range want {
+		if res.Stages[i].Name != name {
+			t.Fatalf("stage %d = %q, want %q", i, res.Stages[i].Name, name)
+		}
+	}
+	t.Logf("10^5-viewer 200-reflector composed epoch: %v wall, cost %.1f, auditOK=%v, coordination rounds=%d",
+		wall, res.Audit.Cost, res.AuditOK(), res.ShardInfo.Rounds)
+	if !res.AuditOK() {
+		t.Fatal("composed design failed the audit on the true instance")
+	}
+	if wall > 30*time.Second {
+		t.Fatalf("composed epoch took %v, budget 30s", wall)
 	}
 }

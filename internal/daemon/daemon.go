@@ -55,9 +55,10 @@ type Config struct {
 	Stickiness float64
 	WarmStart  bool
 
-	// SolveInterval is the re-optimization cadence; 0 disables the timer
-	// (solves then happen only under pressure, via POST /solve, or not at
-	// all — tests drive the loop manually).
+	// SolveInterval is the re-optimization cadence, timed from the end of
+	// each solve (see Run); 0 disables the timer (solves then happen only
+	// under pressure, via POST /solve, or not at all — tests drive the loop
+	// manually).
 	SolveInterval time.Duration
 	// Pressure forces an immediate solve once this many atomic delta edits
 	// are queued; 0 means 64. Negative disables pressure solves.
@@ -349,10 +350,19 @@ func policyName(cfg Config) string {
 // (Config.SolveInterval) and the pressure trigger both funnel into
 // SolveNow. On shutdown a final snapshot is written when a path is
 // configured, so a SIGTERM'd daemon always restarts warm.
+//
+// The cadence is a fixed delay, not a fixed rate: the timer restarts when
+// the loop's solve ends, so a full interval without a loop solve follows
+// every loop solve, and a solve that overruns the interval is not chased
+// by a back-to-back one. The solve schedule then also drifts against
+// clients that send on a period dividing the interval instead of locking
+// in phase with them, which would pin every delta's wait for its epoch
+// to that one phase.
 func (d *Daemon) Run(ctx context.Context) error {
 	var tick <-chan time.Time
+	var t *time.Timer
 	if d.cfg.SolveInterval > 0 {
-		t := time.NewTicker(d.cfg.SolveInterval)
+		t = time.NewTimer(d.cfg.SolveInterval)
 		defer t.Stop()
 		tick = t.C
 	}
@@ -366,13 +376,13 @@ func (d *Daemon) Run(ctx context.Context) error {
 			}
 			return nil
 		case <-d.kick:
-			if _, err := d.SolveNow(); err != nil {
-				return err
-			}
 		case <-tick:
-			if _, err := d.SolveNow(); err != nil {
-				return err
-			}
+		}
+		if _, err := d.SolveNow(); err != nil {
+			return err
+		}
+		if t != nil {
+			t.Reset(d.cfg.SolveInterval)
 		}
 	}
 }

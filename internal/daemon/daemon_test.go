@@ -298,6 +298,53 @@ func TestDaemonPressureSolve(t *testing.T) {
 	}
 }
 
+// TestDaemonCadenceIsFixedDelay: the cadence timer restarts when a solve
+// ends. A solve held off for several intervals (here the test holds the
+// lock) is followed by a full interval, not by a back-to-back catch-up
+// solve for the ticks it missed.
+func TestDaemonCadenceIsFixedDelay(t *testing.T) {
+	const interval = 200 * time.Millisecond
+	cfg := testConfig(3)
+	cfg.SolveInterval = interval
+	d, err := New(testInstance(t, 3), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	d.mu.Lock()
+	go func() { done <- d.Run(ctx) }()
+	time.Sleep(3 * interval)
+	last := d.View().Epoch
+	d.mu.Unlock()
+
+	var seen []time.Time
+	deadline := time.Now().Add(10 * time.Second)
+	for len(seen) < 3 {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d cadence solves in 10s", len(seen))
+		}
+		if e := d.View().Epoch; e > last {
+			if e > last+1 {
+				t.Fatalf("epochs %d..%d published between two polls", last+1, e)
+			}
+			seen = append(seen, time.Now())
+			last = e
+		}
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < len(seen); i++ {
+		if gap := seen[i].Sub(seen[i-1]); gap < interval/2 {
+			t.Fatalf("solves %d and %d published %v apart, want about the %v interval", i, i+1, gap, interval)
+		}
+	}
+}
+
 // TestDaemonScenarioReplay is the record/replay contract end to end: the
 // event log a daemon exports, replayed through live.Run with the matching
 // policy, reproduces the daemon's epoch reports bit-for-bit in every field

@@ -117,8 +117,6 @@ func (e *Engine) Step() (EpochReport, *core.ReoptimizeResult, error) {
 	er.WarmFallbacks = res.LPStats.WarmFallbacks
 	if si := res.ShardInfo; si != nil {
 		er.ExtractionsSkipped = si.ExtractionsSkipped
-		er.ExchangeRounds = si.ExchangeRounds
-		er.ExchangeGap = si.ExchangeGap
 		for _, n := range si.PerShardPatches {
 			er.LPPatches += n
 		}

@@ -220,11 +220,6 @@ type EpochReport struct {
 	DevexResets        int `json:"devex_resets"`
 	WarmFallbacks      int `json:"warm_fallbacks"`
 	ExtractionsSkipped int `json:"extractions_skipped"`
-	// Hierarchical-exchange telemetry (zero unless the epoch ran with
-	// Solver.ShardLevels ≥ 2): dual-price clearing rounds, distinct
-	// reflectors re-cleared, and the final relative bid/ask gap.
-	ExchangeRounds int     `json:"exchange_rounds,omitempty"`
-	ExchangeGap    float64 `json:"exchange_gap,omitempty"`
 	// SLOOk reports whether this epoch met the availability target
 	// (MetDemand ≥ SLOTarget × ActiveSinks); SLOWindowFrac is the fraction
 	// of the trailing SLOWindow epochs (including this one) that did.
@@ -270,7 +265,6 @@ type RunReport struct {
 	TotalDevexResets        int `json:"total_devex_resets"`
 	TotalWarmFallbacks      int `json:"total_warm_fallbacks"`
 	TotalExtractionsSkipped int `json:"total_extractions_skipped"`
-	TotalExchangeRounds     int `json:"total_exchange_rounds"`
 	// Path-LP totals across epochs, counted apart from the main LP's
 	// totals above (core.Result.PathLP; zero on the sharded path):
 	// pivots of both stages, calls by how their LP started (resumed in
@@ -387,7 +381,6 @@ func Run(sc *Scenario, cfg Config) (*RunReport, error) {
 		rep.TotalDevexResets += er.DevexResets
 		rep.TotalWarmFallbacks += er.WarmFallbacks
 		rep.TotalExtractionsSkipped += er.ExtractionsSkipped
-		rep.TotalExchangeRounds += er.ExchangeRounds
 		rep.TotalPathPivots += res.PathLP.Pivots
 		rep.TotalPathResumed += res.PathLP.Resumed
 		rep.TotalPathRemapped += res.PathLP.Remapped

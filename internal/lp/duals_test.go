@@ -228,8 +228,8 @@ func TestFingerprintAdoptionRefusesChangedMatrix(t *testing.T) {
 }
 
 // TestDevexResetOnPatchedAdoption: adopting a factorization over a matrix
-// whose values moved since the snapshot (a nonbasic column patch — the
-// price-exchange master rescaling a capacity row) must declare a fresh devex
+// whose values moved since the snapshot (a nonbasic column patch — a shard's
+// capacity re-split rescaling its capacity row) must declare a fresh devex
 // reference framework. The adoption itself still goes through without a
 // refactorization.
 func TestDevexResetOnPatchedAdoption(t *testing.T) {

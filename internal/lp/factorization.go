@@ -178,7 +178,7 @@ func (s *sparse) adoptFactorization(f *Factorization) bool {
 		s.emit(EventColumnReplacement)
 	}
 	// The matrix VALUES may have moved since the snapshot — nonbasic
-	// coefficient patches (the price-exchange master rescaling contested
+	// coefficient patches (a shard's capacity re-split rescaling its
 	// capacity rows), replaced basic columns, and cross-Problem adoptions all
 	// land here. The devex reference weights describe the pre-patch pricing
 	// geometry; without a reset the re-solve can chase stale steepest-edge

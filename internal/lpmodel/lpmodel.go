@@ -112,8 +112,8 @@ func (m *VarMap) X(i, j int) int { return m.XOff + i*m.D + j }
 // constraint (3). Build emits rows in a fixed order — the S·R rows of (1),
 // the R·D rows of (2), then the R capacity rows — so the index is pure
 // arithmetic and holds for every Options combination (the optional row
-// families all come after). The price-exchange coordination reads shadow
-// prices off exactly these rows.
+// families all come after). FracSolution.CapDuals reads its shadow prices
+// off exactly these rows.
 func (m *VarMap) CapRow(i int) int { return m.S*m.R + m.R*m.D + i }
 
 // NewVarMap lays out variables for an instance.
@@ -328,8 +328,7 @@ type FracSolution struct {
 	// the optimum: the rate of change of the optimal cost per unit of the
 	// row's rhs, ≤ 0 when the capacity binds (relaxing it helps a
 	// minimization) and 0 when it is slack. Nil when the solve produced no
-	// duals (recovery paths that end on the dense reference solver). The
-	// hierarchical shard coordination quotes these as capacity bids.
+	// duals (recovery paths that end on the dense reference solver).
 	CapDuals []float64
 }
 

@@ -60,9 +60,6 @@ const (
 	MShardRebidRounds        = "overlay_shard_rebid_rounds_total"
 	MShardResolves           = "overlay_shard_resolves_total"
 	MShardFallbacks          = "overlay_shard_fallbacks_total"
-	MShardExchangeRounds     = "overlay_shard_exchange_rounds_total"
-	MShardContestedRefs      = "overlay_shard_contested_reflectors_total"
-	MShardExchangeGap        = "overlay_shard_exchange_gap"
 
 	// Session re-optimization (core.Session).
 	MBiasFlips = "overlay_session_bias_flips_total"
@@ -114,9 +111,6 @@ var canonicalFamilies = []struct {
 	{MShardRebidRounds, KindCounter, "Capacity re-bidding coordination rounds."},
 	{MShardResolves, KindCounter, "Shard re-solves triggered by coordination."},
 	{MShardFallbacks, KindCounter, "Sharded solves that fell back to the monolithic pipeline."},
-	{MShardExchangeRounds, KindCounter, "Hierarchical dual-price exchange clearing rounds."},
-	{MShardContestedRefs, KindCounter, "Distinct reflectors whose capacity the exchange re-cleared."},
-	{MShardExchangeGap, KindGauge, "Final relative bid/ask gap of the last hierarchical exchange."},
 	{MBiasFlips, KindCounter, "Stickiness-bias cost cells flipped by deployment changes between epochs."},
 	{MAggGroups, KindGauge, "Aggregates (weighted super-sinks) the LP solves over."},
 	{MAggUnits, KindGauge, "Aggregate demand units — the LP's sink axis under aggregation."},

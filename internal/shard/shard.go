@@ -63,12 +63,6 @@ type Options struct {
 	Shards int
 	// Rounds caps coordination rounds after the initial solve (default 3).
 	Rounds int
-	// Levels selects the coordination topology: ≤1 is the flat use-based
-	// re-bidding pass (Coordinate), 2 folds the leaf shards into ⌈√k⌉
-	// contiguous super-shards and clears contested capacity with the
-	// two-level dual-price exchange (Exchange). The partition itself is
-	// shared — only the coordination differs.
-	Levels int
 }
 
 const (
@@ -169,13 +163,6 @@ type SolveResult struct {
 	// walls (the inner pipeline's model-construction cost, invisible to
 	// the outer shard-solve stage timing otherwise).
 	BuildWallNS, PatchWallNS int64
-	// CapPrice[i] is the shard's quoted price for one more unit of fanout
-	// at reflector i: the magnitude of the capacity row's LP shadow price
-	// times the fractional build level (|dual|·ẑ_i). Zero where capacity is
-	// slack; nil when the solve produced no duals. The price exchange uses
-	// it to rank capacity bids — a missing vector degrades the shard to a
-	// lowest-priority bidder, never an error.
-	CapPrice []float64
 }
 
 // SolveFunc solves one shard: s is the shard index (for seed mixing), sub
@@ -199,7 +186,6 @@ type Plan struct {
 	results      []*SolveResult // latest per-shard results (nil = starved)
 	starved      []bool
 	starveRounds []int           // consecutive rounds a shard has stayed starved
-	hungryRounds []int           // consecutive exchange rounds a shard has stayed hungry
 	settled      []bool          // shard re-solved with more capacity and didn't improve
 	pivots       []int           // cumulative simplex iterations per shard, all rounds
 	warmBases    []*lp.Basis     // per-shard bases from a previous epoch's State
@@ -382,7 +368,6 @@ func Prepare(in *netmodel.Instance, opts Options, state *State) (*Plan, error) {
 	p.results = make([]*SolveResult, k)
 	p.starved = make([]bool, k)
 	p.starveRounds = make([]int, k)
-	p.hungryRounds = make([]int, k)
 	p.settled = make([]bool, k)
 	p.pivots = make([]int, k)
 	p.patched = make([]int, k)
@@ -726,17 +711,6 @@ type Outcome struct {
 	// was never contested); Resolves counts shard re-solves they caused.
 	Rounds   int
 	Resolves int
-	// Levels is the coordination topology that produced this outcome (1 =
-	// flat re-bidding, 2 = hierarchical price exchange); the exchange
-	// additionally reports ExchangeRounds price-clearing rounds (its Rounds
-	// analogue), the number of distinct ContestedReflectors it cleared, and
-	// the final relative bid/ask ExchangeGap — the price-weighted fraction
-	// of capacity demand the last clearing round could not satisfy (0 =
-	// every bid cleared).
-	Levels              int
-	ExchangeRounds      int
-	ContestedReflectors int
-	ExchangeGap         float64
 	// ConsolidatedBuilds counts duplicate reflector builds the post-merge
 	// Consolidate pass evacuated and removed.
 	ConsolidatedBuilds int
@@ -773,7 +747,7 @@ type Outcome struct {
 // which will prove whether the instance itself is infeasible).
 func (p *Plan) Coordinate(solve SolveFunc) (*Outcome, error) {
 	k := p.Shards()
-	out := &Outcome{Levels: 1}
+	out := &Outcome{}
 
 	for round := 1; round <= p.opts.Rounds; round++ {
 		use := p.usage()
@@ -828,8 +802,7 @@ func (p *Plan) Coordinate(solve SolveFunc) (*Outcome, error) {
 }
 
 // finishOutcome merges the per-shard designs and fills the outcome's
-// counters and next-epoch State — the common tail of Coordinate and
-// Exchange, which differ only in how they reconcile contested capacity.
+// counters and next-epoch State.
 func (p *Plan) finishOutcome(out *Outcome) {
 	in := p.In
 	k := p.Shards()
