@@ -17,15 +17,21 @@
 //     re-solves after bound changes reuse it). Every row additionally gets
 //     one logical slack column and one artificial column, both singletons
 //     (±e_r), which are represented implicitly.
-//   - Basis: the basis inverse is kept as a product-form eta file. FTRAN
-//     applies the etas oldest-first to a column, BTRAN newest-first to a
-//     row vector. The file is rebuilt from scratch (Gauss–Jordan with
-//     partial pivoting over the current basis columns) every RefactorEvery
-//     pivots — the refactorization cadence bounds both eta-file growth and
-//     accumulated floating-point drift.
+//   - Basis: the basis inverse is kept in elimination form: the lower and
+//     upper factors of the last refactorization, each a file of eta
+//     matrices, followed by one product-form update eta per pivot since.
+//     FTRAN applies them to a column, BTRAN to a row vector. The
+//     refactorization is a sparse Gaussian elimination over the current
+//     basis columns (greedy triangular column order, partial pivoting
+//     within each column), built with a sparse accumulator so that each
+//     column costs time in proportion to the entries it touches. It runs
+//     every RefactorEvery pivots — the cadence bounds both update-file
+//     growth and accumulated floating-point drift.
 //   - Pricing: devex (approximate steepest-edge reference weights, reset at
 //     each refactorization) by default, with Dantzig pricing selectable via
-//     Options and a Bland fallback for anti-cycling.
+//     Options and a Bland fallback for anti-cycling. The pivot row that the
+//     devex update and the dual ratio test read is built from the row-wise
+//     coefficients of the rows where the BTRAN'd unit vector is nonzero.
 //   - Phases: a cold solve runs the classic two phases — artificials are
 //     priced out first, then the true objective — while a warm solve skips
 //     phase 1 entirely: primal phase 2 when the supplied basis is already
@@ -223,8 +229,10 @@ func (p *Problem) RHS(r int) (Rel, float64) {
 
 // SetRowCoef replaces the value of the pos-th coefficient of row r (the
 // position within the Coef list passed to AddConstraint), updating the
-// cached CSC entry in place when the cache is built. It reports whether the
-// stored value actually changed, so callers can count real patches.
+// cached CSC entry in place when the cache is built. The solver reads both
+// copies (the rows for its pivot rows, the cache for its columns), so every
+// patch writes both. It reports whether the stored value actually changed,
+// so callers can count real patches.
 //
 // If the CSC entry cannot be located unambiguously (the row listed the same
 // variable twice — no overlay model does), the cache is invalidated and

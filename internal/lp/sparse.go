@@ -2,11 +2,12 @@ package lp
 
 // The sparse bounded-variable revised simplex. Columns are stored once in
 // CSC form (structural) or implicitly (slack/artificial singletons); the
-// basis inverse is a product-form eta file rebuilt every refactorEvery
+// basis inverse is an elimination-form eta file rebuilt every refactorEvery
 // pivots. See the package comment for the design overview.
 
 import (
 	"math"
+	"slices"
 )
 
 // cscMatrix holds the structural columns in compressed-sparse-column form.
@@ -267,6 +268,8 @@ type sparse struct {
 	pivBuf []bool
 	rowBuf []int
 
+	alphaBuf []float64 // pivot row over the structural columns, sized n
+
 	// refactorization scratch, reused across refactorizations
 	refCnt     []int32
 	refRowPtr  []int32
@@ -277,6 +280,10 @@ type sparse struct {
 	refLoVals  []float64
 	refUpRows  []int32
 	refUpVals  []float64
+	refEtaOf   []int32 // per row: index of the lower eta pivoted on it, or -1
+	refMark    []bool  // per row: colBuf entry touched by the current column
+	refTouched []int32 // rows touched by the current column
+	refHeap    etaHeap // lower etas the current column still has to reach
 }
 
 func newSparse(p *Problem, opts Options) *sparse {
@@ -301,11 +308,16 @@ func newSparse(p *Problem, opts Options) *sparse {
 		rhsBuf:    make([]float64, m),
 		pivBuf:    make([]bool, m),
 		rowBuf:    make([]int, m),
+		alphaBuf:  make([]float64, p.n),
 
 		refCnt:     make([]int32, m),
 		refRowPtr:  make([]int32, m+2),
 		refBuckets: make([][]int32, m+2),
 		refDone:    make([]bool, m),
+		refEtaOf:   make([]int32, m),
+		refMark:    make([]bool, m),
+		refTouched: make([]int32, 0, m),
+		refHeap:    make(etaHeap, 0, m),
 	}
 	for r, rw := range p.rows {
 		if rw.rel == GE {
@@ -325,10 +337,11 @@ func newSparse(p *Problem, opts Options) *sparse {
 	}
 	s.refactorEvery = opts.RefactorEvery
 	if s.refactorEvery <= 0 {
-		// Balance the per-iteration cost of traversing the (dense-ish)
-		// product-form update etas, ~RefactorEvery·m, against the
-		// amortized ~m²/RefactorEvery refactorization cost: the optimum
-		// grows with √m.
+		// The cadence fixes where every refactorization falls, and with it
+		// every pivot path, so it is kept as it was tuned when a
+		// refactorization cost ~m² against traversing the ~RefactorEvery·m
+		// update file. The sparse elimination made refactorization cheap;
+		// retuning the cadence for it is a measured follow-up.
 		s.refactorEvery = 16 + 2*int(math.Sqrt(float64(m)))
 	}
 	if opts.Pricing == DevexPricing {
@@ -499,9 +512,12 @@ func (s *sparse) colRow(c int) int {
 // triangularization, tracked with a bucket queue): columns that become
 // singletons as rows pivot out are eliminated first, which keeps fill —
 // and therefore both factor files — near nnz(B). Partial pivoting on
-// magnitude within each column's unpivoted rows guards numerics.
-// Reassigns basis rows and recomputes beta; returns false if the basis is
-// numerically singular.
+// magnitude within each column's unpivoted rows guards numerics. Each
+// column costs time in proportion to the entries it touches, up to the
+// logarithm from its eta heap and row sort (see eliminate), so a
+// refactorization costs O(m) plus about the size of its factors, not
+// O(m²). Reassigns basis rows and recomputes beta; returns false if the
+// basis is numerically singular.
 func (s *sparse) refactor() bool { return s.factor(false) }
 
 // factor is refactor's elimination. With repair set (a warm-start install
@@ -585,9 +601,12 @@ func (s *sparse) factor(repair bool) bool {
 	}
 	done := s.refDone
 	pivoted := s.pivBuf
+	d := s.colBuf
 	for r := range pivoted {
 		done[r] = false
 		pivoted[r] = false
+		s.refEtaOf[r] = -1
+		d[r] = 0 // eliminate keeps colBuf zero between columns
 	}
 	loRows, upRows := s.refLoRows, s.refUpRows
 	loVals, upVals := s.refLoVals, s.refUpVals
@@ -617,32 +636,28 @@ func (s *sparse) factor(repair bool) bool {
 		}
 		done[k] = true
 		c := cols[k]
-		d := s.colBuf
-		for i := range d {
-			d[i] = 0
-		}
-		s.scatterColumn(c, d)
-		s.lower.ftranFwd(d)
-		// Split the transformed column: unpivoted rows feed the lower
-		// (elimination) eta, pivoted rows the upper (back-substitution)
-		// eta. The pivot is the largest unpivoted entry.
-		best, bv := -1, 0.0
+		// Split the transformed column, in ascending row order: unpivoted
+		// rows feed the lower (elimination) eta, pivoted rows the upper
+		// (back-substitution) eta. The pivot is the first largest unpivoted
+		// entry. Rows the column never touched hold 0 and would be dropped.
+		best, bv, piv := -1, 0.0, 0.0
 		loRows, loVals = loRows[:0], loVals[:0]
 		upRows, upVals = upRows[:0], upVals[:0]
-		for r := 0; r < m; r++ {
+		for _, r := range s.eliminate(c) {
 			v := d[r]
+			d[r] = 0
 			if v <= etaDrop && v >= -etaDrop {
 				continue
 			}
 			if pivoted[r] {
-				upRows = append(upRows, int32(r))
+				upRows = append(upRows, r)
 				upVals = append(upVals, v)
 				continue
 			}
-			loRows = append(loRows, int32(r))
+			loRows = append(loRows, r)
 			loVals = append(loVals, v)
 			if a := math.Abs(v); a > bv {
-				best, bv = r, a
+				best, bv, piv = int(r), a, v
 			}
 		}
 		if bv < 1e-10 {
@@ -654,7 +669,6 @@ func (s *sparse) factor(repair bool) bool {
 			continue
 		}
 		// Drop the pivot itself from the lower entry list.
-		piv := d[best]
 		for i, r := range loRows {
 			if int(r) == best {
 				last := len(loRows) - 1
@@ -665,6 +679,7 @@ func (s *sparse) factor(repair bool) bool {
 		}
 		if piv != 1 || len(loRows) > 0 {
 			s.lower.pushParts(best, piv, loRows, loVals)
+			s.refEtaOf[best] = int32(s.lower.count() - 1)
 		}
 		if len(upRows) > 0 {
 			// The lower eta scaled the diagonal to 1, so the upper eta's
@@ -712,6 +727,112 @@ func (s *sparse) factor(repair bool) bool {
 	s.emit(EventRefactorization)
 	s.resetDevex()
 	return true
+}
+
+// eliminate scatters basis column c into colBuf (all zero on entry) and
+// applies the lower etas of the factorization in progress to it, returning
+// the rows it touched in ascending order; the caller reads and re-zeroes
+// exactly those rows. It performs the same floating-point operations, in
+// the same order, as zeroing colBuf and running lower.ftranFwd over it, but
+// visits only the etas the column reaches: an eta applies only when the
+// entry of its pivot row is nonzero, and an entry becomes nonzero only in a
+// row the scatter or an earlier eta wrote. refEtaOf maps each such row to
+// its eta, and refHeap pops those etas in ascending file order — the order
+// ftranFwd applies them in. Popping the smallest is safe because each eta's
+// off-pivot rows were unpivoted when it was pushed, so any eta they lead
+// to is newer than the one being applied.
+func (s *sparse) eliminate(c int) []int32 {
+	d, mark, etaOf := s.colBuf, s.refMark, s.refEtaOf
+	touched, h := s.refTouched[:0], s.refHeap[:0]
+	touch := func(r int32) {
+		if !mark[r] {
+			mark[r] = true
+			touched = append(touched, r)
+			if e := etaOf[r]; e >= 0 {
+				h.push(e)
+			}
+		}
+	}
+	if c < s.n {
+		for q := s.csc.colPtr[c]; q < s.csc.colPtr[c+1]; q++ {
+			r := s.csc.rowIdx[q]
+			touch(r)
+			d[r] += s.csc.val[q]
+		}
+	} else {
+		r := int32(s.colRow(c))
+		touch(r)
+		if c < s.n+s.m {
+			d[r] += s.slackSign[r]
+		} else {
+			d[r] += s.artSign[r]
+		}
+	}
+	lo := s.lower
+	for len(h) > 0 {
+		k := h.pop()
+		p := lo.prow[k]
+		t := d[p]
+		if t == 0 {
+			continue
+		}
+		d[p] = lo.pval[k] * t
+		for q := lo.start[k]; q < lo.start[k+1]; q++ {
+			r := lo.idx[q]
+			touch(r)
+			d[r] += lo.val[q] * t
+		}
+	}
+	slices.Sort(touched)
+	for _, r := range touched {
+		mark[r] = false
+	}
+	s.refTouched, s.refHeap = touched, h
+	return touched
+}
+
+// etaHeap is a binary min-heap of eta indices.
+type etaHeap []int32
+
+func (h *etaHeap) push(k int32) {
+	a := append(*h, k)
+	i := len(a) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if a[parent] <= k {
+			break
+		}
+		a[i] = a[parent]
+		i = parent
+	}
+	a[i] = k
+	*h = a
+}
+
+func (h *etaHeap) pop() int32 {
+	a := *h
+	top, last := a[0], a[len(a)-1]
+	a = a[:len(a)-1]
+	if n := len(a); n > 0 {
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if c+1 < n && a[c+1] < a[c] {
+				c++
+			}
+			if last <= a[c] {
+				break
+			}
+			a[i] = a[c]
+			i = c
+		}
+		a[i] = last
+	}
+	*h = a
+	return top
 }
 
 // computeBeta solves B·β = b − N·x_N for the basic values. Only structural
@@ -890,11 +1011,12 @@ func (s *sparse) devexUpdate(enter, r int, alphaQ float64) {
 	}
 	rho[r] = 1
 	s.btran(rho)
+	row := s.pivotRow(rho)
 	for j := 0; j < s.n+s.m; j++ {
 		if s.stat[j] == basic || j == enter {
 			continue
 		}
-		alpha := s.rowDot(j, rho)
+		alpha := s.pivotEntry(j, row, rho)
 		if alpha == 0 {
 			continue
 		}
@@ -1241,6 +1363,7 @@ func (s *sparse) dualIterate() Status {
 		}
 		rho[leave] = 1
 		s.btran(rho)
+		row := s.pivotRow(rho)
 		y := s.btranCostInto(s.rhsBuf)
 		// Entering: minimize |d_j/alpha_j| over admissible columns.
 		// needPos: when the basic value sits above its upper bound it must
@@ -1252,7 +1375,7 @@ func (s *sparse) dualIterate() Status {
 			if s.stat[j] == basic || !s.enterable(j) {
 				continue
 			}
-			alpha := s.rowDot(j, rho)
+			alpha := s.pivotEntry(j, row, rho)
 			if math.Abs(alpha) <= tolPivot {
 				continue
 			}
@@ -1324,22 +1447,39 @@ func (s *sparse) btranCostInto(y []float64) []float64 {
 	return y
 }
 
-// rowDot computes rho·a_j for column j.
-func (s *sparse) rowDot(j int, rho []float64) float64 {
-	v := 0.0
-	switch {
-	case j < s.n:
-		for q := s.csc.colPtr[j]; q < s.csc.colPtr[j+1]; q++ {
-			v += rho[s.csc.rowIdx[q]] * s.csc.val[q]
+// pivotRow returns α_j = ρ·a_j for every structural column j, in the shared
+// alphaBuf. It walks the Problem's row-wise coefficients of the rows where
+// ρ is nonzero, in ascending row order, instead of taking one dot product
+// per column: a pivot row from a sparse ρ touches only those rows. Each α_j
+// still adds its terms in the order of its CSC column (ascending rows, then
+// coefficient order within a row), and a term skipped for ρ_i = 0 only ever
+// adds ±0, so every entry equals the column-wise dot product bit for bit.
+// The rows and the CSC cache hold the same values: every SetRowCoef writes
+// both, or drops the cache when its entry is ambiguous so that it is rebuilt
+// from the rows (CheckCSCSync tests this).
+func (s *sparse) pivotRow(rho []float64) []float64 {
+	alpha := s.alphaBuf
+	clear(alpha)
+	for i, ri := range rho {
+		if ri == 0 {
+			continue
 		}
-	case j < s.n+s.m:
-		r := j - s.n
-		v = rho[r] * s.slackSign[r]
-	default:
-		r := j - s.n - s.m
-		v = rho[r] * s.artSign[r]
+		for _, c := range s.p.rows[i].coefs {
+			alpha[c.Var] += ri * c.Val
+		}
 	}
-	return v
+	return alpha
+}
+
+// pivotEntry returns the pivot-row entry α_j of structural or slack column
+// j, given pivotRow's structural entries and ρ itself (a slack column ±e_r
+// reads ρ_r directly).
+func (s *sparse) pivotEntry(j int, row, rho []float64) float64 {
+	if j < s.n {
+		return row[j]
+	}
+	r := j - s.n
+	return rho[r] * s.slackSign[r]
 }
 
 // runWarm attempts a warm-started solve from b, installed (and repaired if
