@@ -70,7 +70,9 @@ func BenchmarkL5IncrementalRebuild(b *testing.B)   { runExp(b, "L5") }
 // 3x less wall in LP construction (lp-build + lp-patch) than the per-epoch
 // full-rebuild baseline, while agreeing with it on every solver-visible
 // number (the patched LP is bit-identical to a fresh build, so costs,
-// pivots, and churn must match exactly).
+// pivots, and churn must match exactly). The walls compared are sums of
+// per-epoch minimums over 7 interleaved runs per arm, so one stall in one
+// run cannot fail the gate.
 func TestIncrementalRebuildAcceptance(t *testing.T) {
 	sc := live.FlashCrowd(1, 50)
 	// Pin refactorize-on-install in both arms: only the incremental arm keeps
@@ -79,18 +81,29 @@ func TestIncrementalRebuildAcceptance(t *testing.T) {
 	// near-tie pivot choices by ulps and masks what this test locks (the
 	// patched LP being identical to a rebuilt one). Persistence equivalence
 	// has its own locks in internal/lp and internal/live/equiv_test.go.
-	mkCfg := func(noIncr bool) live.Config {
+	run := func(noIncr bool) (*live.RunReport, []int64) {
+		t.Helper()
 		cfg := live.Config{Policy: live.WarmStickyPolicy(), NoIncremental: noIncr}
 		cfg.Solver.RefactorOnInstall = true
-		return cfg
+		rep, err := live.Run(sc, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		walls := make([]int64, len(rep.Epochs))
+		for e, er := range rep.Epochs {
+			walls[e] = er.StageWallNS["lp-build"] + er.StageWallNS["lp-patch"]
+		}
+		return rep, walls
 	}
-	rebuild, err := live.Run(sc, mkCfg(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	incr, err := live.Run(sc, mkCfg(false))
-	if err != nil {
-		t.Fatal(err)
+	rebuild, walls := run(true)
+	rebuildRuns := [][]int64{walls}
+	incr, walls := run(false)
+	incrRuns := [][]int64{walls}
+	for i := 1; i < 7; i++ {
+		_, walls = run(true)
+		rebuildRuns = append(rebuildRuns, walls)
+		_, walls = run(false)
+		incrRuns = append(incrRuns, walls)
 	}
 	if incr.TotalTrueCost != rebuild.TotalTrueCost || incr.TotalPivots != rebuild.TotalPivots ||
 		incr.TotalArcChurn != rebuild.TotalArcChurn || incr.TotalReflectorChurn != rebuild.TotalReflectorChurn {
@@ -101,9 +114,9 @@ func TestIncrementalRebuildAcceptance(t *testing.T) {
 	if incr.TotalLPRebuilds != 1 {
 		t.Fatalf("incremental timeline performed %d full builds, want exactly the epoch-0 one", incr.TotalLPRebuilds)
 	}
-	baseNS, incrNS := rebuild.LPConstructionNS(), incr.LPConstructionNS()
+	baseNS, incrNS := sumNS(perEpochMin(rebuildRuns)), sumNS(perEpochMin(incrRuns))
 	speedup := float64(baseNS) / float64(incrNS)
-	t.Logf("LP construction over 50 epochs: rebuild %v, incremental %v (%.1fx), %d cells patched",
+	t.Logf("LP construction over 50 epochs, per-epoch minimums of 7 runs: rebuild %v, incremental %v (%.1fx), %d cells patched",
 		time.Duration(baseNS), time.Duration(incrNS), speedup, incr.TotalLPPatches)
 	if speedup < 3 {
 		t.Fatalf("incremental LP construction only %.2fx faster than rebuild (want >=3x): %d vs %d ns",

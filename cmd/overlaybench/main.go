@@ -208,14 +208,14 @@ func reportStages(print bool, jsonPath string) error {
 		}
 		fmt.Printf("  %-12s %12s   (LP %d vars × %d rows, %d pivots)\n",
 			"total", wall.Round(time.Microsecond),
-			res.Timings.TotalVars, res.Timings.TotalRows, res.Timings.LPPivots)
+			res.LPVars, res.LPRows, res.LPPivots)
 	}
 	if jsonPath != "" {
 		rep := stageReport{
 			Instance:     instance,
-			LPVars:       res.Timings.TotalVars,
-			LPRows:       res.Timings.TotalRows,
-			LPPivots:     res.Timings.LPPivots,
+			LPVars:       res.LPVars,
+			LPRows:       res.LPRows,
+			LPPivots:     res.LPPivots,
 			TotalWallNS:  wall.Nanoseconds(),
 			GeneratedRFC: time.Now().UTC().Format(time.RFC3339),
 		}
@@ -600,7 +600,7 @@ func aggSweep(outPath string, quick bool, maxViewers int) error {
 		row.AggCost = res.Audit.Cost
 		row.CostPerViewer = res.Audit.Cost / float64(viewers)
 		row.AuditOK = res.AuditOK()
-		row.DevexPivots = res.Timings.LPPivots
+		row.DevexPivots = res.LPPivots
 		row.DevexWallNS = row.AggWallNS
 		row.Groups = int(reg.Gauge(obs.MAggGroups).Value())
 		row.AggUnits = int(reg.Gauge(obs.MAggUnits).Value())
@@ -630,7 +630,7 @@ func aggSweep(outPath string, quick bool, maxViewers int) error {
 			return fmt.Errorf("aggregated dantzig V=%d: %w", viewers, err)
 		}
 		row.DantzigWallNS = time.Since(start).Nanoseconds()
-		row.DantzigPivots = dres.Timings.LPPivots
+		row.DantzigPivots = dres.LPPivots
 
 		// The churn timeline. Membership is fixed at the session's first
 		// Step, so the swap pair is chosen on the pristine instance.
@@ -787,7 +787,7 @@ func runMonoProbe(path string) {
 		out.WallNS = time.Since(start).Nanoseconds()
 		if err == nil {
 			out.Cost = res.Audit.Cost
-			out.Pivots = res.Timings.LPPivots
+			out.Pivots = res.LPPivots
 			out.AuditOK = res.AuditOK()
 		}
 	}
@@ -896,7 +896,7 @@ func shardSweep(outPath string, deadline time.Duration, quick bool) error {
 			Shards:      res.ShardInfo.Shards,
 			ShardWallNS: shardWall.Nanoseconds(),
 			ShardCost:   res.Audit.Cost,
-			ShardPivots: res.Timings.LPPivots,
+			ShardPivots: res.LPPivots,
 			Rounds:      res.ShardInfo.Rounds,
 			AuditOK:     res.AuditOK(),
 			Fallback:    res.ShardInfo.Fallback,
@@ -1024,7 +1024,7 @@ func reflectorSweep(quick bool) ([]reflectorRow, error) {
 			Reflectors: in.NumReflectors, Sinks: in.NumSinks,
 			Shards: si.Shards, Fanout: cc.Fanout,
 			WallNS: wall.Nanoseconds(), Rounds: si.Rounds,
-			Resolves: si.Resolves, Pivots: res.Timings.LPPivots, Cost: a.Cost,
+			Resolves: si.Resolves, Pivots: res.LPPivots, Cost: a.Cost,
 			AuditOK: a.StructureOK && core.MeetsGuarantee(a, res.PathRounding),
 		}
 		fmt.Printf("R=%d D=%d F=%d: %d rounds, %d re-solves, %d pivots, %v, cost %.1f\n",

@@ -5,7 +5,9 @@
 // open-ended timeline — ingested deltas queue, a solver loop consumes them
 // on a cadence (-interval) or as soon as queued churn crosses a pressure
 // threshold (-pressure), and every published design keeps serving placement
-// lookups lock-free while the next solve runs.
+// lookups lock-free while the next solve runs. Every solve warm-starts from
+// the previous epoch's basis and patches the LP in place from the applied
+// deltas.
 //
 // Usage:
 //
@@ -51,7 +53,6 @@ import (
 	"repro/internal/agg"
 	"repro/internal/daemon"
 	"repro/internal/live"
-	"repro/internal/lp"
 	"repro/internal/netmodel"
 )
 
@@ -62,12 +63,8 @@ func main() {
 		scenario   = flag.String("scenario", "", "boot from this scenario's base instance instead of -instance: "+strings.Join(live.Names(), "|"))
 		seed       = flag.Uint64("seed", 1, "solver seed (and -scenario topology seed)")
 		stickiness = flag.Float64("stickiness", 0.4, "deployed-design cost discount, in [0,1); 0 disables stickiness")
-		warm       = flag.Bool("warm", true, "warm-start each solve from the previous basis")
-		incr       = flag.Bool("incremental", true, "patch the LP in place from each epoch's deltas instead of rebuilding it")
 		shards     = flag.Int("shards", 0, "≥2: sharded per-epoch solves with per-shard warm state")
 		aggr       = flag.Bool("aggregate", false, "fold viewers into weighted super-sinks before every solve")
-		pricing    = flag.String("pricing", "devex", "simplex pricing rule: devex|dantzig")
-		refEv      = flag.Int("refactor-every", 0, "basis refactorization cadence in pivots (0 = auto)")
 		interval   = flag.Duration("interval", 0, "re-optimization cadence, timed from the end of each solve (0 = solve only under pressure or POST /solve)")
 		pressure   = flag.Int("pressure", 64, "queued delta edits that force an immediate solve (negative disables)")
 		snapPath   = flag.String("snapshot", "", "snapshot file: written on SIGTERM, POST /snapshot and every -snapshot-every solves")
@@ -86,9 +83,6 @@ func main() {
 	if *shards < 0 {
 		usage("-shards must be ≥ 0, got %d", *shards)
 	}
-	if *refEv < 0 {
-		usage("-refactor-every must be ≥ 0, got %d", *refEv)
-	}
 	if *interval < 0 {
 		usage("-interval must be ≥ 0")
 	}
@@ -98,14 +92,8 @@ func main() {
 	if (*snapEvery > 0 || *resume) && *snapPath == "" {
 		usage("-resume/-snapshot-every need -snapshot")
 	}
-	pr, err := lp.ParsePricing(*pricing)
-	if err != nil {
-		fatal(err)
-	}
-
 	cfg := daemon.Config{
 		Stickiness:    *stickiness,
-		WarmStart:     *warm,
 		SolveInterval: *interval,
 		Pressure:      *pressure,
 		SLOWindow:     *sloWindow,
@@ -114,10 +102,7 @@ func main() {
 		SnapshotEvery: *snapEvery,
 	}
 	cfg.Solver.Seed = *seed
-	cfg.Solver.IncrementalLP = *incr
 	cfg.Solver.Shards = *shards
-	cfg.Solver.Pricing = pr
-	cfg.Solver.RefactorEvery = *refEv
 	if *aggr {
 		cfg.Solver.Aggregate = &agg.Config{}
 	}
@@ -126,6 +111,7 @@ func main() {
 	// instance file or the scenario's base topology (cold start, epoch 0
 	// provisioned before the listener opens).
 	var d *daemon.Daemon
+	var err error
 	switch {
 	case *resume && fileExists(*snapPath):
 		snap, lerr := daemon.LoadSnapshot(*snapPath)

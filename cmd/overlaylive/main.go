@@ -17,14 +17,11 @@
 //	overlaylive -scenario flashcrowd -shards 3           # sharded epochs
 //	overlaylive -scenario backbone -record trace.json    # save the delta schedule
 //	overlaylive -replay trace.json -policy warm          # replay a saved trace
-//	overlaylive -scenario diurnal -incremental=false     # full lp-build every epoch
-//	overlaylive -scenario flashcrowd -pricing dantzig    # solver pricing-rule override
 //	overlaylive -scenario flashcrowd -listen :8080       # live telemetry endpoint
 //	overlaylive -scenario diurnal -trace run.jsonl -flame # hierarchical solve trace
 //
-// Each epoch's LP is normally patched in place from the epoch's deltas (the
-// lp-patch stage; -incremental=false restores the per-epoch rebuild
-// baseline), and a sliding-window availability SLO is tracked next to the
+// Each epoch's LP is patched in place from the epoch's deltas (the lp-patch
+// stage), and a sliding-window availability SLO is tracked next to the
 // audit (-slowindow/-slotarget).
 //
 // -listen starts the internal/obs debug server for the duration of the run:
@@ -54,7 +51,6 @@ import (
 
 	"repro/internal/agg"
 	"repro/internal/live"
-	"repro/internal/lp"
 	"repro/internal/obs"
 	"repro/internal/stats"
 )
@@ -72,13 +68,10 @@ func main() {
 		simEvery   = flag.Int("simevery", 1, "simulate every n-th epoch")
 		jsonPath   = flag.String("json", "", "write the full report as JSON to this file")
 		verbose    = flag.Bool("v", false, "print every epoch (default: only event epochs)")
-		incr       = flag.Bool("incremental", true, "patch the LP in place from each epoch's deltas (lp-patch) instead of rebuilding it")
 		record     = flag.String("record", "", "serialize the scenario (base instance + timed delta schedule) as JSON to this file")
 		replay     = flag.String("replay", "", "run a scenario recorded with -record instead of building one (-scenario/-epochs/-seed ignored)")
 		sloWindow  = flag.Int("slowindow", 8, "availability SLO sliding window, in epochs")
 		sloTarget  = flag.Float64("slotarget", 0.5, "fraction of active sinks that must meet their threshold for an epoch to count as available (raise toward 1 with -repair-style solvers)")
-		pricing    = flag.String("pricing", "devex", "simplex pricing rule: devex|dantzig")
-		refEv      = flag.Int("refactor-every", 0, "basis refactorization cadence in pivots (0 = auto: 16+2√rows)")
 		listen     = flag.String("listen", "", "serve live telemetry on this address during the run: /metrics, /healthz, /slo, /debug/vars, /debug/pprof")
 		tracePath  = flag.String("trace", "", "write the hierarchical solve trace (epoch → stage → shard → simplex events) as JSONL to this file")
 		flame      = flag.Bool("flame", false, "print an aggregated flame summary of the solve trace after the run (implies tracing)")
@@ -95,21 +88,14 @@ func main() {
 	if *shards < 0 {
 		usage("-shards must be ≥ 0, got %d", *shards)
 	}
-	if *refEv < 0 {
-		usage("-refactor-every must be ≥ 0, got %d", *refEv)
-	}
 	if *pace < 0 || *hold < 0 {
 		usage("-pace and -hold must be ≥ 0")
 	}
 	if *listen == "" && (*pace > 0 || *hold > 0) {
 		usage("-pace/-hold only make sense with -listen (they exist to keep the telemetry endpoint scrapeable)")
 	}
-	pr, err := lp.ParsePricing(*pricing)
-	if err != nil {
-		fatal(err)
-	}
-
 	var sc *live.Scenario
+	var err error
 	if *replay != "" {
 		f, ferr := os.Open(*replay)
 		if ferr != nil {
@@ -154,12 +140,9 @@ func main() {
 
 	cfg := live.Config{
 		SimPackets: *simPkts, SimEvery: *simEvery,
-		NoIncremental: !*incr,
-		SLOWindow:     *sloWindow, SLOTarget: *sloTarget,
+		SLOWindow: *sloWindow, SLOTarget: *sloTarget,
 	}
 	cfg.Solver.Shards = *shards
-	cfg.Solver.Pricing = pr
-	cfg.Solver.RefactorEvery = *refEv
 	if *aggr {
 		cfg.Solver.Aggregate = &agg.Config{}
 	}

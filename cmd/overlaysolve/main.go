@@ -5,8 +5,7 @@
 //
 //	overlaysolve -in instance.json [-o design.json] [-seed 1] [-c 64]
 //	             [-greedy] [-exact] [-lp-only] [-shards 8]
-//	             [-json report.json] [-pricing devex|dantzig]
-//	             [-refactor-every N]
+//	             [-json report.json]
 //
 // -greedy and -exact run the baseline / exact IP solver instead of the
 // LP-rounding algorithm (exact is exponential: tiny instances only).
@@ -29,7 +28,6 @@ import (
 	"repro/internal/bnb"
 	"repro/internal/core"
 	"repro/internal/greedy"
-	"repro/internal/lp"
 	"repro/internal/netmodel"
 	"repro/internal/obs"
 )
@@ -51,16 +49,9 @@ func main() {
 		aggColo = flag.Int("agg-colo", 0, "≥2: group aggregates by cost-anchor COLO of this many reflectors instead of per reflector (caps the fold at R/N labels; needs -aggregate)")
 		jsonOut = flag.String("json", "", "write a machine-readable solve report (stages, audit, shard counters) here")
 		stages  = flag.Bool("stages", false, "print the per-stage pipeline instrumentation (lp-build/lp-patch/lp-solve/... wall and run counts)")
-		pricing = flag.String("pricing", "devex", "simplex pricing rule: devex|dantzig")
-		refEv   = flag.Int("refactor-every", 0, "basis refactorization cadence in pivots (0 = auto: 16+2√rows)")
 		trace   = flag.String("trace", "", "write the hierarchical solve trace (stages, shards, simplex events) as JSONL to this file")
 	)
 	flag.Parse()
-	pr, err := lp.ParsePricing(*pricing)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "overlaysolve: %v\n", err)
-		os.Exit(2)
-	}
 	if *inPath == "" {
 		fmt.Fprintln(os.Stderr, "overlaysolve: -in is required")
 		flag.Usage()
@@ -72,10 +63,6 @@ func main() {
 	}
 	if *shards < 0 {
 		fmt.Fprintf(os.Stderr, "overlaysolve: -shards %d is negative (want 0, or ≥ 2 to shard)\n", *shards)
-		os.Exit(2)
-	}
-	if *refEv < 0 {
-		fmt.Fprintf(os.Stderr, "overlaysolve: -refactor-every %d is negative (want 0 = auto, or a pivot cadence)\n", *refEv)
 		os.Exit(2)
 	}
 	if *aggr && (*useG || *useX) {
@@ -135,8 +122,6 @@ func main() {
 				opts.Aggregate.GroupOf = agg.ColoGroups(in, *aggColo)
 			}
 		}
-		opts.Pricing = pr
-		opts.RefactorEvery = *refEv
 		// A trace-only observer: spans for every pipeline stage, per-shard
 		// solve, and simplex event, with no metrics registry attached.
 		var tracer *obs.Tracer
@@ -194,10 +179,12 @@ func main() {
 			fmt.Printf("sharded solve: %d shards, %d coordination rounds, %d re-solves, %d builds consolidated\n",
 				si.Shards, si.Rounds, si.Resolves, si.ConsolidatedBuilds)
 			fmt.Printf("shard LPs: Σcost %.4f, Σ%d vars, Σ%d rows, Σ%d pivots, %v\n",
-				res.LPCost, res.Timings.TotalVars, res.Timings.TotalRows, res.Timings.LPPivots, res.Timings.LP.Round(time.Microsecond))
+				res.LPCost, res.LPVars, res.LPRows, res.LPPivots,
+				res.StageWall("shard-solve", "shard-coordinate").Round(time.Microsecond))
 		} else {
 			fmt.Printf("LP relaxation: cost %.4f, %d vars, %d rows, %d pivots, %v\n",
-				res.LPCost, res.Timings.TotalVars, res.Timings.TotalRows, res.Timings.LPPivots, res.Timings.LP.Round(time.Microsecond))
+				res.LPCost, res.LPVars, res.LPRows, res.LPPivots,
+				res.StageWall("lp-build", "lp-patch", "lp-solve").Round(time.Microsecond))
 		}
 		if *lpOnly {
 			return
@@ -277,7 +264,7 @@ func writeReport(path string, in *netmodel.Instance, res *core.Result, audit net
 		Sinks:    in.NumSinks,
 		Cost:     audit.Cost,
 		LPCost:   res.LPCost,
-		Pivots:   res.Timings.LPPivots,
+		Pivots:   res.LPPivots,
 		Retries:  res.Retries,
 		AuditOK:  res.AuditOK(),
 	}

@@ -165,8 +165,8 @@ func TestSessionAggregatedLPFreeEpoch(t *testing.T) {
 	if n := res1.Patch.Patches(); n != 0 {
 		t.Fatalf("weight-neutral epoch patched %d LP cells, want 0", n)
 	}
-	if res1.Timings.LPPivots != 0 {
-		t.Fatalf("weight-neutral epoch spent %d pivots, want 0", res1.Timings.LPPivots)
+	if res1.LPPivots != 0 {
+		t.Fatalf("weight-neutral epoch spent %d pivots, want 0", res1.LPPivots)
 	}
 	if got := reg.Counter(obs.MAggLPFreeEpochs).Value(); got != 1 {
 		t.Fatalf("%s = %v, want 1", obs.MAggLPFreeEpochs, got)

@@ -16,6 +16,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/agg"
@@ -36,10 +37,6 @@ type Options struct {
 	C float64
 	// Seed drives all randomness.
 	Seed uint64
-	// MaxRetries re-runs the randomized stages when the audited design
-	// misses the paper's end-to-end guarantee (weight ≥ W/4,
-	// fanout ≤ 4F). Default 8.
-	MaxRetries int
 	// ForcePathRounding uses the §6.5 path rounding even without
 	// colors/edge capacities (for ablation experiments).
 	ForcePathRounding bool
@@ -59,15 +56,17 @@ type Options struct {
 	// simplex iterations when re-solving after churn. Invalid bases
 	// degrade to a cold solve.
 	WarmStart *lp.Basis
-	// Pricing selects the simplex entering rule (default lp.DevexPricing)
-	// and RefactorEvery overrides the basis refactorization cadence (0 =
-	// solver default) — both forwarded to every LP solve, per-shard ones
-	// included.
-	Pricing       lp.Pricing
-	RefactorEvery int
+	// Pricing selects the simplex entering rule of every main-LP solve,
+	// per-shard ones included (default lp.DevexPricing). Dantzig is a
+	// reference arm: overlaybench's BENCH_agg and BENCH_incr sweeps,
+	// TestPersistentSolverAcceptance and TestPricingAuditParityAcrossScenarios
+	// compare the default against it.
+	Pricing lp.Pricing
 	// RefactorOnInstall forces every warm-started LP solve to refactorize
-	// its basis at install instead of resuming a persisted factorization
-	// (the pre-persistence behavior; see lp.Options.RefactorOnInstall).
+	// its basis at install instead of resuming a persisted factorization:
+	// the pre-persistence reference arm of overlaybench's BENCH_incr sweep,
+	// the L5 experiment, and the incremental-vs-rebuild and persistence
+	// equivalence tests (see lp.Options.RefactorOnInstall).
 	RefactorOnInstall bool
 	// Shards ≥ 2 partitions the instance into that many commodity-region
 	// shards solved in parallel with a capacity-coordination pass
@@ -140,19 +139,13 @@ type Options struct {
 
 // DefaultOptions returns the paper's constants.
 func DefaultOptions(seed uint64) Options {
-	return Options{C: 64, Seed: seed, MaxRetries: 8}
+	return Options{C: 64, Seed: seed}
 }
 
-// Timings records per-stage wall-clock durations (T7 evidence that the LP
-// solve dominates, §5.1).
-type Timings struct {
-	LP        time.Duration
-	Rounding  time.Duration
-	Integral  time.Duration
-	LPPivots  int
-	TotalVars int
-	TotalRows int
-}
+// maxRetries is how often a monolithic solve re-runs its randomized stages
+// when the audited design misses the paper's end-to-end guarantee
+// (weight ≥ W/4, fanout ≤ 4F).
+const maxRetries = 8
 
 // Result is the outcome of Solve.
 type Result struct {
@@ -176,7 +169,6 @@ type Result struct {
 	// GAPResult is set when the §5 flow rounding ran.
 	GAPResult *gapflow.Result
 	Retries   int
-	Timings   Timings
 	// Stages is the per-stage instrumentation of the solve pipeline
 	// (wall time, allocation counters, run counts), aggregated by stage
 	// name across audit retries.
@@ -190,6 +182,11 @@ type Result struct {
 	// refactorizations, adopted (persisted) factorizations, devex resets.
 	// For sharded solves it sums over shards. It counts the main LP only.
 	LPStats lp.SolveStats
+	// LPPivots counts the main LP's simplex pivots, and LPVars and LPRows
+	// give its size; sharded solves sum all three over shards and
+	// coordination rounds.
+	LPPivots       int
+	LPVars, LPRows int
 	// PathLP sums the §6.5 path LP's solver work over the solve's audit
 	// attempts: pivots, solver events, and how many calls resumed, remapped
 	// or solved it cold (zero when path rounding did not run, and on the
@@ -214,7 +211,7 @@ type ShardInfo struct {
 	Rounds             int
 	Resolves           int
 	ConsolidatedBuilds int
-	// PerShardPivots breaks Timings.LPPivots down by shard.
+	// PerShardPivots breaks LPPivots down by shard.
 	PerShardPivots []int
 	// PerShardPatches counts the LP cells each shard's Patcher rewrote
 	// this epoch and PerShardRebuilds the full builds it fell back to
@@ -257,19 +254,15 @@ func lpOptions(in *netmodel.Instance, opts Options) lpmodel.Options {
 	lpOpts := lpmodel.DefaultOptions(in)
 	lpOpts.CuttingPlane = !opts.DisableCuttingPlane
 	lpOpts.FixedShape = opts.fixedShape
-	lpOpts.Pricing = opts.Pricing
-	lpOpts.RefactorEvery = opts.RefactorEvery
-	lpOpts.RefactorOnInstall = opts.RefactorOnInstall
 	return lpOpts
 }
 
-// solverOptions derives the lp.Options of a solve (the solver-tuning knobs
-// plus the warm-start basis).
+// solverOptions derives the lp.Options of a solve (the warm-start basis and
+// the reference-arm knobs).
 func solverOptions(opts Options) lp.Options {
 	return lp.Options{
 		WarmStart:         opts.WarmStart,
 		Pricing:           opts.Pricing,
-		RefactorEvery:     opts.RefactorEvery,
 		RefactorOnInstall: opts.RefactorOnInstall,
 	}
 }
@@ -377,7 +370,7 @@ func attemptStages() []Stage {
 // Solve runs the full algorithm as a staged pipeline. A monolithic solve
 // (Options.Shards ≤ 1) runs lp-build → lp-solve once, then round →
 // integralize → repair → audit per attempt until the audited design meets
-// the paper's guarantee (or MaxRetries is exhausted, returning the best
+// the paper's guarantee (or maxRetries is exhausted, returning the best
 // attempt). With Options.Shards ≥ 2 the pipeline instead runs
 // shard-partition → shard-solve → shard-coordinate → audit, solving one
 // small LP per commodity-region shard in parallel (see internal/shard).
@@ -389,9 +382,6 @@ func Solve(in *netmodel.Instance, opts Options) (*Result, error) {
 	}
 	if opts.C == 0 {
 		opts.C = 64
-	}
-	if opts.MaxRetries == 0 {
-		opts.MaxRetries = 8
 	}
 	// The sharded path needs at least two nonempty shards to be a
 	// decomposition at all (two real sinks — a viewer's streams are
@@ -421,7 +411,7 @@ func recordSolve(o *obs.Observer, res *Result) {
 		return
 	}
 	o.Counter(obs.MSolvesTotal).Inc()
-	o.Counter(obs.MLPPivots).Add(float64(res.Timings.LPPivots))
+	o.Counter(obs.MLPPivots).Add(float64(res.LPPivots))
 	o.Counter(obs.MLPRefactorizations).Add(float64(res.LPStats.Refactorizations))
 	o.Counter(obs.MLPFTUpdates).Add(float64(res.LPStats.FTUpdates))
 	o.Counter(obs.MLPDevexResets).Add(float64(res.LPStats.DevexResets))
@@ -470,17 +460,14 @@ func solveMono(in *netmodel.Instance, opts Options) (*Result, error) {
 	frac := ps.frac
 
 	res := &Result{
-		Frac:    frac,
-		LPCost:  frac.Cost,
-		Patch:   ps.patch,
-		LPStats: frac.Stats,
-		Timings: Timings{
-			LP:        tracker.wallOf("lp-build") + tracker.wallOf("lp-patch") + tracker.wallOf("lp-solve"),
-			LPPivots:  frac.Iterations,
-			TotalVars: ps.prob.NumVars(),
-			TotalRows: ps.prob.NumRows(),
-		},
-		Stages: tracker.stats,
+		Frac:     frac,
+		LPCost:   frac.Cost,
+		Patch:    ps.patch,
+		LPStats:  frac.Stats,
+		LPPivots: frac.Iterations,
+		LPVars:   ps.prob.NumVars(),
+		LPRows:   ps.prob.NumRows(),
+		Stages:   tracker.stats,
 	}
 	if opts.LPOnly {
 		return res, nil
@@ -490,11 +477,9 @@ func solveMono(in *netmodel.Instance, opts Options) (*Result, error) {
 	tail := attemptStages()
 
 	var best *Result
-	for attempt := 0; attempt <= opts.MaxRetries; attempt++ {
+	for attempt := 0; attempt <= maxRetries; attempt++ {
 		ps.seed = opts.Seed + uint64(attempt)*0x9e3779b97f4a7c15
 
-		roundW := tracker.wallOf("round")
-		integralW := tracker.wallOf("integralize") + tracker.wallOf("repair")
 		if err := tracker.runAll(tail, ps); err != nil {
 			return nil, fmt.Errorf("core: %w", err)
 		}
@@ -506,6 +491,9 @@ func solveMono(in *netmodel.Instance, opts Options) (*Result, error) {
 			LPCost:       frac.Cost,
 			Patch:        ps.patch,
 			LPStats:      frac.Stats,
+			LPPivots:     res.LPPivots,
+			LPVars:       res.LPVars,
+			LPRows:       res.LPRows,
 			RoundedCost:  ps.rounded.Cost,
 			RoundInst:    ps.rounded.Instrument(in, frac.Cost),
 			PathRounding: ps.usePath,
@@ -513,13 +501,8 @@ func solveMono(in *netmodel.Instance, opts Options) (*Result, error) {
 			PathLP:       ps.pathLP,
 			GAPResult:    ps.gapRes,
 			Retries:      attempt,
-			Timings:      res.Timings,
 			Stages:       tracker.stats,
 		}
-		// Timings keeps its historical per-attempt semantics; Stages
-		// aggregates across attempts.
-		cand.Timings.Rounding = tracker.wallOf("round") - roundW
-		cand.Timings.Integral = tracker.wallOf("integralize") + tracker.wallOf("repair") - integralW
 
 		if best == nil || betterResult(cand, best) {
 			best = cand
@@ -531,6 +514,18 @@ func solveMono(in *netmodel.Instance, opts Options) (*Result, error) {
 	best.Stages = tracker.stats
 	best.PathLP = ps.pathLP
 	return best, nil
+}
+
+// StageWall sums the wall time of the named stages across their runs (0 for
+// a stage that never ran).
+func (r *Result) StageWall(names ...string) time.Duration {
+	var total time.Duration
+	for _, st := range r.Stages {
+		if slices.Contains(names, st.Name) {
+			total += st.Wall
+		}
+	}
+	return total
 }
 
 // AuditOK reports whether the result's design passed the full audit: the

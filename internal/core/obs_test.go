@@ -27,8 +27,8 @@ func TestSolveFeedsObserver(t *testing.T) {
 	if got := reg.Counter(obs.MSolvesTotal).Value(); got != 1 {
 		t.Fatalf("solves_total = %v, want 1", got)
 	}
-	if got := reg.Counter(obs.MLPPivots).Value(); got != float64(res.Timings.LPPivots) {
-		t.Fatalf("lp pivots counter %v != result %d", got, res.Timings.LPPivots)
+	if got := reg.Counter(obs.MLPPivots).Value(); got != float64(res.LPPivots) {
+		t.Fatalf("lp pivots counter %v != result %d", got, res.LPPivots)
 	}
 	if got := reg.Counter(obs.MLPRefactorizations).Value(); got != float64(res.LPStats.Refactorizations) {
 		t.Fatalf("refactorizations counter %v != result %d", got, res.LPStats.Refactorizations)
@@ -98,8 +98,15 @@ func TestShardedSolveObserverNoDoubleCount(t *testing.T) {
 	if got := reg.Counter(obs.MStageRuns, obs.L("stage", "shard-solve")).Value(); got != 1 {
 		t.Fatalf("shard-solve stage runs = %v, want 1", got)
 	}
-	if got := reg.Counter(obs.MLPPivots).Value(); got != float64(res.Timings.LPPivots) {
-		t.Fatalf("lp pivots counter %v != aggregated result %d", got, res.Timings.LPPivots)
+	perShard := 0
+	for _, p := range res.ShardInfo.PerShardPivots {
+		perShard += p
+	}
+	if perShard != res.LPPivots {
+		t.Fatalf("per-shard pivots %v sum to %d, result has %d", res.ShardInfo.PerShardPivots, perShard, res.LPPivots)
+	}
+	if got := reg.Counter(obs.MLPPivots).Value(); got != float64(res.LPPivots) {
+		t.Fatalf("lp pivots counter %v != aggregated result %d", got, res.LPPivots)
 	}
 
 	recs, err := obs.ReadTrace(&buf)

@@ -139,12 +139,3 @@ func (t *stageTracker) runAll(stages []Stage, ps *pipelineState) error {
 	}
 	return nil
 }
-
-// wallOf returns the accumulated wall time of a named stage (0 if it never
-// ran).
-func (t *stageTracker) wallOf(name string) time.Duration {
-	if i, ok := t.index[name]; ok {
-		return t.stats[i].Wall
-	}
-	return 0
-}

@@ -91,9 +91,6 @@ func (s *Session) Steps() int { return s.steps }
 // Deployed returns the currently deployed design (nil before the first Step).
 func (s *Session) Deployed() *netmodel.Design { return s.prior }
 
-// Incremental reports whether the session patches its LP in place.
-func (s *Session) Incremental() bool { return s.opts.IncrementalLP }
-
 // SetObserver replaces the observability sink of subsequent Steps. The live
 // engine calls it once per epoch with an observer derived from that epoch's
 // trace span, so the core stage spans nest under the right epoch.

@@ -3,8 +3,9 @@ package core_test
 // Locks for session checkpointing: a session snapshotted mid-timeline
 // (state → JSON, instance → JSON) and restored in a "new process" must
 // continue the epoch sequence bit-identically to the uninterrupted session —
-// same designs, costs, pivots, churn — and its first post-restore warm start
-// must adopt the persisted factorization rather than refactorize cold.
+// same designs, costs, pivots, churn. In an incremental session the first
+// post-restore warm start must adopt the persisted factorization rather than
+// refactorize cold.
 
 import (
 	"bytes"
@@ -130,14 +131,19 @@ func TestSessionSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSessionSnapshotRoundTripNonIncremental: without the Patcher the
-// restored basis rides a donor Problem and adoption goes through the
-// CSC-fingerprint path; the epoch stream must still be bit-identical.
+// TestSessionSnapshotRoundTripNonIncremental: without the Patcher every
+// epoch builds a fresh Problem, which never adopts a factorization another
+// Problem built. The checkpoint restores the column statuses, the first
+// post-restore install refactorizes them, and the epoch stream must still be
+// bit-identical.
 func TestSessionSnapshotRoundTripNonIncremental(t *testing.T) {
 	opts := core.DefaultOptions(11)
 	first := runRoundTrip(t, opts, 7)
-	if first.LPStats.FTUpdates == 0 {
-		t.Fatal("first post-restore epoch did not adopt the persisted factorization (fingerprint path)")
+	if first.LPStats.FTUpdates != 0 {
+		t.Fatalf("first post-restore epoch adopted %d factorizations, want 0", first.LPStats.FTUpdates)
+	}
+	if first.LPStats.Refactorizations == 0 {
+		t.Fatal("first post-restore epoch did not refactorize its restored basis")
 	}
 }
 

@@ -80,26 +80,17 @@ func solveSharded(in *netmodel.Instance, opts Options) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		var buildNS, patchNS int64
-		for _, st := range res.Stages {
-			switch st.Name {
-			case "lp-build":
-				buildNS += st.Wall.Nanoseconds()
-			case "lp-patch":
-				patchNS += st.Wall.Nanoseconds()
-			}
-		}
 		return &shard.SolveResult{
-			BuildWallNS: buildNS,
-			PatchWallNS: patchNS,
+			BuildWallNS: res.StageWall("lp-build").Nanoseconds(),
+			PatchWallNS: res.StageWall("lp-patch").Nanoseconds(),
 			Design:      res.Design,
 			Audit:       res.Audit,
 			LPCost:      res.LPCost,
 			RoundedCost: res.RoundedCost,
-			Pivots:      res.Timings.LPPivots,
+			Pivots:      res.LPPivots,
 			Retries:     res.Retries,
-			Vars:        res.Timings.TotalVars,
-			Rows:        res.Timings.TotalRows,
+			Vars:        res.LPVars,
+			Rows:        res.LPRows,
 			Basis:       res.WarmStartBasis(),
 			LPStats:     res.LPStats,
 			Patch:       res.Patch,
@@ -163,14 +154,11 @@ func solveSharded(in *netmodel.Instance, opts Options) (*Result, error) {
 		RoundedCost:  out.RoundedCost,
 		PathRounding: usePathRounding(in, opts),
 		Retries:      out.Retries,
-		Timings: Timings{
-			LP:        tracker.wallOf("shard-solve") + tracker.wallOf("shard-coordinate"),
-			LPPivots:  out.Pivots,
-			TotalVars: out.Vars,
-			TotalRows: out.Rows,
-		},
-		Stages:  tracker.stats,
-		LPStats: out.LPStats,
+		Stages:       tracker.stats,
+		LPStats:      out.LPStats,
+		LPPivots:     out.Pivots,
+		LPVars:       out.Vars,
+		LPRows:       out.Rows,
 		ShardInfo: &ShardInfo{
 			Shards:             ps.plan.Shards(),
 			Rounds:             out.Rounds,

@@ -310,7 +310,7 @@ func TestShardAcceptance2000(t *testing.T) {
 	}
 	t.Logf("sharded(8) D=%d: wall=%v cost=%.1f pivots=%d rounds=%d",
 		in.NumSinks, shardWall.Round(time.Millisecond), sharded.Audit.Cost,
-		sharded.Timings.LPPivots, sharded.ShardInfo.Rounds)
+		sharded.LPPivots, sharded.ShardInfo.Rounds)
 
 	type monoOut struct {
 		res  *Result

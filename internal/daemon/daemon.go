@@ -49,11 +49,12 @@ import (
 // default; only the instance (passed to New/Resume) is mandatory.
 type Config struct {
 	// Solver configures each epoch's solve (core.DefaultOptions(seed) if
-	// zero-valued); Stickiness/WarmStart select the re-provisioning policy,
-	// exactly as in live.Policy.
+	// zero-valued). Every solve warm-starts from the previous epoch's basis
+	// and patches the LP in place (Solver.IncrementalLP is always set), as
+	// live.Run does; Stickiness is the deployed-design cost discount, as in
+	// live.Policy.
 	Solver     core.Options
 	Stickiness float64
-	WarmStart  bool
 
 	// SolveInterval is the re-optimization cadence, timed from the end of
 	// each solve (see Run); 0 disables the timer (solves then happen only
@@ -88,6 +89,7 @@ func (c *Config) defaults() {
 	if c.Solver.Seed == 0 {
 		c.Solver.Seed = 1
 	}
+	c.Solver.IncrementalLP = true
 	if c.Pressure == 0 {
 		c.Pressure = 64
 	}
@@ -161,7 +163,7 @@ func New(in *netmodel.Instance, cfg Config) (*Daemon, error) {
 	}
 	cfg.defaults()
 	in = in.Clone()
-	d := newDaemon(in, in.Clone(), core.NewSession(cfg.Solver, cfg.Stickiness, cfg.WarmStart), cfg)
+	d := newDaemon(in, in.Clone(), core.NewSession(cfg.Solver, cfg.Stickiness, true), cfg)
 	if _, err := d.SolveNow(); err != nil {
 		return nil, fmt.Errorf("daemon: initial provisioning: %w", err)
 	}
@@ -180,7 +182,7 @@ func Resume(snap *Snapshot, cfg Config) (*Daemon, error) {
 	}
 	cfg.defaults()
 	in := snap.Instance.Clone()
-	sess, err := core.RestoreSession(in, cfg.Solver, cfg.Stickiness, cfg.WarmStart, snap.Session)
+	sess, err := core.RestoreSession(in, cfg.Solver, cfg.Stickiness, true, snap.Session)
 	if err != nil {
 		return nil, fmt.Errorf("daemon: resume: %w", err)
 	}
@@ -340,10 +342,7 @@ func (d *Daemon) publishLocked(design *netmodel.Design, audit netmodel.Audit, in
 }
 
 func policyName(cfg Config) string {
-	if cfg.WarmStart {
-		return fmt.Sprintf("warm+sticky(%.2f)", cfg.Stickiness)
-	}
-	return "cold"
+	return fmt.Sprintf("warm+sticky(%.2f)", cfg.Stickiness)
 }
 
 // Run drives the solver loop until ctx is cancelled: a cadence timer
@@ -425,7 +424,6 @@ type Status struct {
 	PendingEdits  int    `json:"pending_edits"`
 	EventsLogged  int    `json:"events_logged"`
 	Policy        string `json:"policy"`
-	Incremental   bool   `json:"incremental"`
 	Totals        Totals `json:"totals"`
 	// Last is the most recent solve's epoch report (zero Epoch with Solves==0
 	// only right after a restore, which publishes without solving).
@@ -444,7 +442,6 @@ func (d *Daemon) Status() Status {
 		PendingEdits:  d.qEdits,
 		EventsLogged:  len(d.events),
 		Policy:        policyName(d.cfg),
-		Incremental:   d.sess.Incremental(),
 		Totals:        d.totals,
 		SnapshotPath:  d.cfg.SnapshotPath,
 		UptimeSeconds: time.Since(d.start).Seconds(),

@@ -35,12 +35,9 @@ func testInstance(t *testing.T, seed uint64) *netmodel.Instance {
 }
 
 func testConfig(seed uint64) Config {
-	opts := core.DefaultOptions(seed)
-	opts.IncrementalLP = true
 	return Config{
-		Solver:     opts,
+		Solver:     core.DefaultOptions(seed),
 		Stickiness: 0.4,
-		WarmStart:  true,
 		Pressure:   -1, // tests drive solves explicitly unless stated
 	}
 }
@@ -390,7 +387,7 @@ func TestDaemonScenarioReplay(t *testing.T) {
 
 	rep, err := live.Run(sc2, live.Config{
 		Solver: cfg.Solver,
-		Policy: live.Policy{Name: "daemon", Stickiness: cfg.Stickiness, WarmStart: cfg.WarmStart},
+		Policy: live.Policy{Name: "daemon", Stickiness: cfg.Stickiness, WarmStart: true},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -61,8 +61,8 @@ func S1ShardedVsMonolithic(cfg Config) *stats.Table {
 		okStr, _ := auditOf(res)
 		if k == 1 {
 			monoWall, monoCost = wall, res.Audit.Cost
-			t.AddRowf("1 (mono)", wall.Round(time.Millisecond).String(), res.Timings.LPPivots,
-				res.Timings.TotalVars, res.Audit.Cost, "1.000x", "-", okStr)
+			t.AddRowf("1 (mono)", wall.Round(time.Millisecond).String(), res.LPPivots,
+				res.LPVars, res.Audit.Cost, "1.000x", "-", okStr)
 			continue
 		}
 		ratio := res.Audit.Cost / monoCost
@@ -72,8 +72,8 @@ func S1ShardedVsMonolithic(cfg Config) *stats.Table {
 		if ratio > 1.30 {
 			costOK = false
 		}
-		t.AddRowf(k, wall.Round(time.Millisecond).String(), res.Timings.LPPivots,
-			res.Timings.TotalVars, res.Audit.Cost, fmt.Sprintf("%.3fx", ratio),
+		t.AddRowf(k, wall.Round(time.Millisecond).String(), res.LPPivots,
+			res.LPVars, res.Audit.Cost, fmt.Sprintf("%.3fx", ratio),
 			res.ShardInfo.Rounds, okStr)
 	}
 	t.AddRow("8-shard ≥2x?", "", "", "", "", "", "", yes(speedOK))
@@ -165,7 +165,7 @@ func S3CoordinationUnderScarcity(cfg Config) *stats.Table {
 		}
 		t.AddRowf(fmt.Sprintf("%.2f", scale), si.Rounds, si.Resolves, si.ConsolidatedBuilds,
 			fmt.Sprintf("%.3fx%s", res.Audit.Cost/mono.Audit.Cost, fb),
-			res.Timings.LPPivots, okStr)
+			res.LPPivots, okStr)
 	}
 	t.AddNote("fanout scale 1.0 ≈ 3 service slots per sink; 0.5 leaves barely enough for double coverage")
 	t.AddNote("coordination re-allocates slack capacity only (it never displaces live service), so at knife-edge scarcity it falls back to the monolithic solve — the honest safety valve, reported per row")

@@ -83,10 +83,10 @@ func (e *Engine) Step() (EpochReport, *core.ReoptimizeResult, error) {
 	er.WallNS = time.Since(start).Nanoseconds()
 	er.TrueCost = res.Audit.Cost
 	er.LPCost = res.LPCost
-	// Timings.LPPivots equals Frac.Iterations for monolithic epochs and
-	// the all-shards/all-rounds pivot sum for sharded ones (Frac is nil
-	// on the sharded path).
-	er.Pivots = res.Timings.LPPivots
+	// LPPivots equals Frac.Iterations for monolithic epochs and the
+	// all-shards/all-rounds pivot sum for sharded ones (Frac is nil on the
+	// sharded path).
+	er.Pivots = res.LPPivots
 	er.Retries = res.Retries
 	er.ArcChurn = res.ArcChurn
 	er.ReflectorChurn = res.ReflectorChurn

@@ -129,8 +129,9 @@ type Config struct {
 	// lpmodel.Patcher (core.Options.IncrementalLP), so only the LP cells
 	// churn touched are rewritten — the lp-patch stage — instead of
 	// rebuilding the model from scratch each epoch. The patched LP is
-	// bit-identical to a fresh build (golden-tested), so this knob only
-	// exists for baselines and benchmarks.
+	// bit-identical to a fresh build (golden-tested), so this knob is only
+	// the rebuild reference arm: overlaybench's BENCH_incr sweep, the L5
+	// experiment and the incremental-vs-rebuild golden tests set it.
 	NoIncremental bool
 	// Obs, when non-nil, receives the run's observability signals: the
 	// canonical metric families (epoch gauges and counters, churn, SLO,

@@ -13,21 +13,20 @@ import "math"
 //
 // The adoption contract with the in-place patch API: the Problem stamps
 // every structural column a SetRowCoef actually changed with a monotone
-// patch version. A carried factorization is adoptable when it was
-// snapshotted from the SAME Problem (or from one whose matrix fingerprints
-// identically). Adoption installs the carried lower/upper/update files
-// verbatim (a Forrest–Tomlin-style product form: later pivots keep
-// appending update etas to the carried file instead of starting from a
-// fresh refactorization). A patched nonbasic column leaves B untouched. A
-// column that is basic in the file and was patched since the snapshot
-// changed B itself: B′ = B + (a′−a)e_rᵀ at its basis row r, so
-// B′⁻¹ = E⁻¹B⁻¹ with E = I + (B⁻¹a′ − e_r)e_rᵀ — exactly the update a pivot
-// bringing a′ into row r makes. The install FTRANs a′ through the carried
-// factors and appends that eta (a column replacement). It refactorizes only
-// when a replacement pivot falls below tolReplace, when the carried update
-// file plus the replacements would reach the refactorization cadence, or
-// when the handle belongs to a different Problem that does not fingerprint
-// identically.
+// patch version. A carried factorization is adopted only by the Problem
+// that built it (or the one RestoreBasis binds a persisted handle to); any
+// other Problem refactorizes at install, even one with an identical matrix.
+// Adoption installs the carried lower/upper/update files verbatim (a
+// Forrest–Tomlin-style product form: later pivots keep appending update
+// etas to the carried file instead of starting from a fresh
+// refactorization). A patched nonbasic column leaves B untouched. A column
+// that is basic in the file and was patched since the snapshot changed B
+// itself: B′ = B + (a′−a)e_rᵀ at its basis row r, so B′⁻¹ = E⁻¹B⁻¹ with
+// E = I + (B⁻¹a′ − e_r)e_rᵀ — exactly the update a pivot bringing a′ into
+// row r makes. The install FTRANs a′ through the carried factors and
+// appends that eta (a column replacement). It refactorizes only when a
+// replacement pivot falls below tolReplace or when the carried update file
+// plus the replacements would reach the refactorization cadence.
 
 // Factorization is the reusable eta-file basis state of a finished solve:
 // the elimination-form factors (lower/upper from the last refactorization,
@@ -51,7 +50,7 @@ type Factorization struct {
 
 // UpdateEtas returns the number of product-form update etas the handle
 // carries beyond its last refactorization (diagnostic: the drift-bound tests
-// assert the refactorization cadence keeps this below Options.RefactorEvery).
+// assert that the refactorization cadence bounds it).
 func (f *Factorization) UpdateEtas() int {
 	if f == nil {
 		return 0
@@ -75,41 +74,6 @@ func (s *sparse) snapshotFactorization() *Factorization {
 	}
 }
 
-// fingerprint hashes the constraint matrix of p — dimensions, sparsity
-// pattern, relations, and coefficient values (FNV-1a over the row storage;
-// rhs, bounds, and objective are deliberately excluded: they do not enter
-// the basis matrix B). Two Problems with equal fingerprints factorize the
-// same B for the same basic set, which is what lets a rebuilt-but-identical
-// Problem adopt a factorization snapshotted from another (see
-// adoptFactorization). Computed on demand and never cached: solves of a
-// precomputed Problem may run concurrently, and a cache write here would
-// race them.
-func (p *Problem) fingerprint() uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xff
-			h *= prime64
-			v >>= 8
-		}
-	}
-	mix(uint64(p.n))
-	mix(uint64(len(p.rows)))
-	for _, rw := range p.rows {
-		mix(uint64(rw.rel))
-		mix(uint64(len(rw.coefs)))
-		for _, c := range rw.coefs {
-			mix(uint64(c.Var))
-			mix(math.Float64bits(c.Val))
-		}
-	}
-	return h
-}
-
 // tolReplace is the smallest |pivot| a column replacement accepts at
 // install. Below it the patch nearly made B singular at that row, and the
 // eta would amplify the carried file's rounding error, so the install
@@ -118,16 +82,12 @@ func (p *Problem) fingerprint() uint64 {
 const tolReplace = 1e-7
 
 // adoptFactorization installs a carried factorization instead of
-// refactorizing, when it is valid for the current problem state: a basic set
-// agreeing with the statuses installWarm just loaded, and eta files that
-// describe the current basis matrix. Two routes establish that: the SAME
-// Problem (the Patcher path), where every structural column that is basic in
-// the handle and was patched since the snapshot is replaced in the file (see
-// replaceColumn), or a DIFFERENT Problem whose constraint matrix fingerprints
-// identically to the donor's — the rebuilt-but-identical-shape case, where
-// the donor must itself be unpatched since the snapshot so its current
-// fingerprint still describes the matrix the file was built from. On
-// success — the only case counted as an FT update — the basic values are
+// refactorizing, when it is valid for the current problem state: a handle
+// built by this very Problem, a basic set agreeing with the statuses
+// installWarm just loaded, and eta files that describe the current basis
+// matrix once every structural column that is basic in the handle and was
+// patched since the snapshot is replaced in the file (see replaceColumn).
+// On success — the only case counted as an FT update — the basic values are
 // recomputed against the current rhs and bounds. Returns false when the
 // caller must refactorize instead: the handle does not fit, a replacement
 // pivot is below tolReplace, or the carried update file plus the
@@ -135,22 +95,15 @@ const tolReplace = 1e-7
 // allowed to grow without bound across epochs: the etaDrop truncation per
 // eta would otherwise accumulate past the feasibility audit's tolerance).
 func (s *sparse) adoptFactorization(f *Factorization) bool {
-	if f == nil || f.m != s.m || len(f.basis) != s.m || len(f.artSign) != s.m {
+	if f == nil || f.prob != s.p || f.m != s.m || len(f.basis) != s.m || len(f.artSign) != s.m {
 		return false
-	}
-	sameProb := f.prob == s.p
-	if !sameProb {
-		if f.prob == nil || f.prob.patchVer != f.ver || f.prob.n != s.p.n ||
-			f.prob.fingerprint() != s.p.fingerprint() {
-			return false
-		}
 	}
 	replace := 0
 	for _, c := range f.basis {
 		if s.stat[c] != basic {
 			return false
 		}
-		if sameProb && s.p.patchedSince(c, f.ver) {
+		if s.p.patchedSince(c, f.ver) {
 			replace++
 		}
 	}
@@ -179,11 +132,11 @@ func (s *sparse) adoptFactorization(f *Factorization) bool {
 	}
 	// The matrix VALUES may have moved since the snapshot — nonbasic
 	// coefficient patches (a shard's capacity re-split rescaling its
-	// capacity rows), replaced basic columns, and cross-Problem adoptions all
-	// land here. The devex reference weights describe the pre-patch pricing
-	// geometry; without a reset the re-solve can chase stale steepest-edge
-	// estimates into a degenerate stall.
-	if !sameProb || f.ver != s.p.patchVer {
+	// capacity rows) and replaced basic columns both land here. The devex
+	// reference weights describe the pre-patch pricing geometry; without a
+	// reset the re-solve can chase stale steepest-edge estimates into a
+	// degenerate stall.
+	if f.ver != s.p.patchVer {
 		s.resetDevex()
 	}
 	s.computeBeta()

@@ -310,10 +310,10 @@ func sameOptimum(t *testing.T, name string, p *Problem, basis *Basis, got *Solut
 // long chain of patched warm re-solves keeps appending Forrest–Tomlin
 // update etas (pivots and column replacements) to the carried file, and the
 // install-time cadence check must collapse the file by refactorizing before
-// it outgrows RefactorEvery — so the accumulated per-eta truncation error
-// never degrades the feasibility audit. Every epoch's carried handle is
-// checked against the bound and every epoch's point against the feasibility
-// tolerance.
+// it outgrows the refactorization cadence — so the accumulated per-eta
+// truncation error never degrades the feasibility audit. Every epoch's
+// carried handle is checked against the bound and every epoch's point
+// against the feasibility tolerance.
 func TestPersistedFactorizationUpdateEtasBounded(t *testing.T) {
 	for _, v := range patchVariants {
 		t.Run(v.name, func(t *testing.T) {

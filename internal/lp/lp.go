@@ -25,7 +25,7 @@
 //     basis columns (greedy triangular column order, partial pivoting
 //     within each column), built with a sparse accumulator so that each
 //     column costs time in proportion to the entries it touches. It runs
-//     every RefactorEvery pivots — the cadence bounds both update-file
+//     every 16 + 2·√rows pivots — the cadence bounds both update-file
 //     growth and accumulated floating-point drift.
 //   - Pricing: devex (approximate steepest-edge reference weights, reset at
 //     each refactorization) by default, with Dantzig pricing selectable via
@@ -49,11 +49,14 @@
 // and bounds may differ) from that basis instead of from scratch. When the
 // re-solve targets the very same Problem, the install resumes from the
 // carried eta file rather than refactorizing: basic columns patched since
-// the snapshot are replaced in the file by one product-form eta each. A
-// basis that patches made singular is repaired at install: each dependent
-// column leaves the basis and the slack of its unpivoted row replaces it.
-// A basis of a related problem whose columns and rows were dropped, added
-// or reordered carries over through Basis.Remap and its index maps. Bases of
+// the snapshot are replaced in the file by one product-form eta each. The
+// carried factorization is adopted only by the Problem that built it (or
+// the one RestoreBasis binds it to); any other Problem refactorizes at
+// install. A basis that patches made singular is repaired at install: each
+// dependent column leaves the basis and the slack of its unpivoted row
+// replaces it. A basis of a related problem whose columns and rows were
+// dropped, added or reordered carries over through Basis.Remap and its
+// index maps. Bases of
 // the wrong shape, and warm solves that fail or whose optimum fails the
 // feasibility audit, degrade to a cold solve (counted in
 // SolveStats.WarmFallbacks), so warm starting is always safe to attempt.
@@ -347,10 +350,11 @@ type Basis struct {
 	ColStat []int8
 	// Fact, when non-nil, carries the persistent factorization the basis was
 	// snapshotted with. It is an in-memory handle tied to the identity of the
-	// Problem it was built from (never serialized): a warm-start install
-	// adopts it instead of refactorizing when it is still valid — see
-	// Factorization for the adoption contract. A nil Fact simply
-	// refactorizes at install, so hand-built bases keep working.
+	// Problem it was built from: a warm-start install of that Problem adopts
+	// it instead of refactorizing when it is still valid, and any other
+	// Problem refactorizes — see Factorization for the adoption contract. A
+	// nil Fact simply refactorizes at install, so hand-built bases keep
+	// working.
 	Fact *Factorization
 }
 
@@ -592,18 +596,6 @@ const (
 	DantzigPricing
 )
 
-// ParsePricing maps a rule's command-line name (devex|dantzig) to its
-// Pricing.
-func ParsePricing(s string) (Pricing, error) {
-	switch s {
-	case "devex":
-		return DevexPricing, nil
-	case "dantzig":
-		return DantzigPricing, nil
-	}
-	return 0, fmt.Errorf("unknown pricing %q (want devex|dantzig)", s)
-}
-
 // Options tunes the solver. The zero value selects sensible defaults.
 type Options struct {
 	// MaxIters bounds total pivots across all phases (default
@@ -618,16 +610,14 @@ type Options struct {
 	// shifted costs when the basis is not dual feasible either). A singular
 	// basis is repaired at install; a cold start is the last resort.
 	WarmStart *Basis
-	// RefactorEvery rebuilds the product-form basis inverse after this
-	// many pivots (default 16 + 2*sqrt(rows)). Lower values trade time for
-	// numerical robustness.
-	RefactorEvery int
-	// Pricing selects the entering rule (default DevexPricing).
+	// Pricing selects the entering rule (default DevexPricing). Dantzig is
+	// the reference arm of the pricing measurements and parity tests, and
+	// the alternate rule the cold recovery ladder retries under.
 	Pricing Pricing
 	// RefactorOnInstall forces every warm-start install to refactorize from
-	// scratch instead of adopting a carried Basis.Fact — the pre-persistence
-	// behavior, kept as an escape hatch and as the reference arm of the
-	// persistence equivalence tests.
+	// scratch instead of adopting a carried Basis.Fact: the pre-persistence
+	// behavior, kept as the reference arm of the persistence equivalence
+	// tests and measurements.
 	RefactorOnInstall bool
 	// Events, when non-nil, receives solver-internal events (sparse solver
 	// only) as they happen — one call per SolveStats increment. The callback
@@ -636,6 +626,11 @@ type Options struct {
 	// to attach refactorization/FT-adoption/devex-reset/column-replacement
 	// events to trace spans.
 	Events func(Event)
+
+	// refactorEvery rebuilds the product-form basis inverse after this
+	// many pivots (0 = 16 + 2*sqrt(rows)). Only the cold recovery ladder's
+	// tight-cadence retry lowers it, trading time for numerical robustness.
+	refactorEvery int
 }
 
 // numerical tolerances

@@ -8,6 +8,7 @@ package lp
 import (
 	"math"
 	"slices"
+	"sync"
 )
 
 // cscMatrix holds the structural columns in compressed-sparse-column form.
@@ -104,12 +105,13 @@ func newEtaFile() *etaFile {
 	return &etaFile{start: make([]int32, 1, 64)}
 }
 
-func (e *etaFile) reset() {
+func (e *etaFile) reset() *etaFile {
 	e.prow = e.prow[:0]
 	e.pval = e.pval[:0]
 	e.start = e.start[:1]
 	e.idx = e.idx[:0]
 	e.val = e.val[:0]
+	return e
 }
 
 func (e *etaFile) count() int { return len(e.prow) }
@@ -286,38 +288,68 @@ type sparse struct {
 	refHeap    etaHeap // lower etas the current column still has to reach
 }
 
+// workspaces recycles the working arrays of finished solves, so that
+// newSparse starts each array as a fresh one would without allocating it.
+// Per-solve arrays would be half of the live engine's garbage, and every
+// collection that garbage drives is a chance for a stalled mark phase to
+// let the heap, and with it the peak resident set, overshoot.
+var workspaces sync.Pool
+
+// fit returns buf as n zeroed elements, reusing its array when large enough.
+func fit[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	clear(buf[:n])
+	return buf[:n]
+}
+
 func newSparse(p *Problem, opts Options) *sparse {
 	m := len(p.rows)
 	if p.csc == nil {
 		p.csc = buildCSC(p)
 	}
-	s := &sparse{
+	s, _ := workspaces.Get().(*sparse)
+	if s == nil {
+		s = &sparse{}
+	}
+	w := *s // the recycled arrays, while *s is rebuilt below
+	if w.lower == nil {
+		w.lower, w.upper, w.updates = newEtaFile(), newEtaFile(), newEtaFile()
+	}
+	*s = sparse{
 		p: p, opts: opts,
 		m: m, n: p.n, ncols: p.n + 2*m,
 		csc:       p.csc,
-		slackSign: make([]float64, m),
-		artSign:   make([]float64, m),
-		stat:      make([]vstat, p.n+2*m),
-		basis:     make([]int, m),
-		beta:      make([]float64, m),
-		lower:     newEtaFile(),
-		upper:     newEtaFile(),
-		updates:   newEtaFile(),
-		colBuf:    make([]float64, m),
-		yBuf:      make([]float64, m),
-		rhsBuf:    make([]float64, m),
-		pivBuf:    make([]bool, m),
-		rowBuf:    make([]int, m),
-		alphaBuf:  make([]float64, p.n),
+		slackSign: fit(w.slackSign, m),
+		artSign:   fit(w.artSign, m),
+		stat:      fit(w.stat, p.n+2*m),
+		basis:     fit(w.basis, m),
+		beta:      fit(w.beta, m),
+		lower:     w.lower.reset(),
+		upper:     w.upper.reset(),
+		updates:   w.updates.reset(),
+		colBuf:    fit(w.colBuf, m),
+		yBuf:      fit(w.yBuf, m),
+		rhsBuf:    fit(w.rhsBuf, m),
+		pivBuf:    fit(w.pivBuf, m),
+		rowBuf:    fit(w.rowBuf, m),
+		alphaBuf:  fit(w.alphaBuf, p.n),
+		clo:       fit(w.clo, p.n+2*m),
+		chi:       fit(w.chi, p.n+2*m),
+		ccost:     fit(w.ccost, p.n+2*m),
 
-		refCnt:     make([]int32, m),
-		refRowPtr:  make([]int32, m+2),
-		refBuckets: make([][]int32, m+2),
-		refDone:    make([]bool, m),
-		refEtaOf:   make([]int32, m),
-		refMark:    make([]bool, m),
-		refTouched: make([]int32, 0, m),
-		refHeap:    make(etaHeap, 0, m),
+		refCnt:     fit(w.refCnt, m),
+		refRowPtr:  fit(w.refRowPtr, m+2),
+		refBuckets: fit(w.refBuckets, m+2),
+		refDone:    fit(w.refDone, m),
+		refEtaOf:   fit(w.refEtaOf, m),
+		refMark:    fit(w.refMark, m),
+		refTouched: fit(w.refTouched, m)[:0],
+		refHeap:    fit(w.refHeap, m)[:0],
+	}
+	if opts.Pricing == DevexPricing {
+		s.devexW = fit(w.devexW, s.ncols)
 	}
 	for r, rw := range p.rows {
 		if rw.rel == GE {
@@ -327,30 +359,35 @@ func newSparse(p *Problem, opts Options) *sparse {
 		}
 		s.artSign[r] = 1
 	}
-	s.clo = make([]float64, s.ncols)
-	s.chi = make([]float64, s.ncols)
-	s.ccost = make([]float64, s.ncols)
 	s.setPhase(false)
 	s.maxIters = opts.MaxIters
 	if s.maxIters <= 0 {
 		s.maxIters = 200*(m+s.ncols) + 2000
 	}
-	s.refactorEvery = opts.RefactorEvery
+	s.refactorEvery = opts.refactorEvery
 	if s.refactorEvery <= 0 {
 		// The cadence fixes where every refactorization falls, and with it
 		// every pivot path, so it is kept as it was tuned when a
-		// refactorization cost ~m² against traversing the ~RefactorEvery·m
+		// refactorization cost ~m² against traversing the ~refactorEvery·m
 		// update file. The sparse elimination made refactorization cheap;
 		// retuning the cadence for it is a measured follow-up.
 		s.refactorEvery = 16 + 2*int(math.Sqrt(float64(m)))
 	}
-	if opts.Pricing == DevexPricing {
-		s.devexW = make([]float64, s.ncols)
-		for j := range s.devexW {
-			s.devexW[j] = 1
-		}
+	for j := range s.devexW {
+		s.devexW[j] = 1
 	}
 	return s
+}
+
+// release hands s's arrays to the next solve. The caller must not use s
+// afterwards; a Solution copies out everything it keeps except the eta
+// files of a snapshotted factorization, which stay with the snapshot.
+func (s *sparse) release(snapshotted bool) {
+	if snapshotted {
+		s.lower, s.upper, s.updates = nil, nil, nil
+	}
+	s.p, s.csc, s.opts = nil, nil, Options{}
+	workspaces.Put(s)
 }
 
 // resetDevex restores the unit reference framework: every column's weight
@@ -486,14 +523,7 @@ func (s *sparse) reducedCost(j int, y []float64) float64 {
 }
 
 // btranCost returns y = c_B·B⁻¹ in the shared scratch buffer.
-func (s *sparse) btranCost() []float64 {
-	y := s.yBuf
-	for r := 0; r < s.m; r++ {
-		y[r] = s.cost(s.basis[r])
-	}
-	s.btran(y)
-	return y
-}
+func (s *sparse) btranCost() []float64 { return s.btranCostInto(s.yBuf) }
 
 // colRow returns the row of singleton (slack/artificial) column c.
 func (s *sparse) colRow(c int) int {
@@ -1437,8 +1467,8 @@ func (s *sparse) dualIterate() Status {
 	}
 }
 
-// btranCostInto is btranCost writing into the caller's buffer (so the
-// shared yBuf can hold rho concurrently).
+// btranCostInto computes y = c_B·B⁻¹ in the caller's buffer (so the shared
+// yBuf can hold rho concurrently).
 func (s *sparse) btranCostInto(y []float64) []float64 {
 	for r := 0; r < s.m; r++ {
 		y[r] = s.cost(s.basis[r])
@@ -1633,6 +1663,7 @@ func (p *Problem) solveSparse(opts Options) (*Solution, error) {
 			// decomposition layers read back (Solution.DualsFor).
 			sol.Duals = append([]float64(nil), s.btranCost()[:s.m]...)
 		}
+		s.release(st == Optimal)
 		return sol
 	}
 
@@ -1652,6 +1683,7 @@ func (p *Problem) solveSparse(opts Options) (*Solution, error) {
 		if ok {
 			return finish(s, st), nil
 		}
+		s.release(false)
 	}
 
 	s := newSparse(p, opts)
@@ -1663,7 +1695,7 @@ func (p *Problem) solveSparse(opts Options) (*Solution, error) {
 			// Numerical drift: once more with an eagerly refactorized
 			// basis before surrendering to the dense reference solver.
 			tight := opts
-			tight.RefactorEvery = 16
+			tight.refactorEvery = 16
 			s2 := newSparse(p, tight)
 			st2 := s2.runCold()
 			totalIters += s2.iters

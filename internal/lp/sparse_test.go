@@ -6,6 +6,7 @@ package lp
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/stats"
@@ -209,6 +210,69 @@ func TestSparseMatchesDenseRandom(t *testing.T) {
 		}
 		if err := pd.CheckFeasible(sparse.X, 1e-6); err != nil {
 			t.Fatalf("trial %d: sparse point infeasible: %v", trial, err)
+		}
+	}
+}
+
+// TestSolveIndependentOfRecycledWorkspace: a solver starts on the working
+// arrays of an earlier, finished solve, so every solve must come out bit for
+// bit the same whatever ran before it (a larger or smaller LP, other
+// relations, the other pricing rule, a warm start that adopted and extended
+// a carried factorization), and no later solve may write the eta files a
+// snapshotted factorization holds.
+func TestSolveIndependentOfRecycledWorkspace(t *testing.T) {
+	mks := []func(uint64) *Problem{randomCovering, randomMixed}
+	seeds := []uint64{7400, 7401, 7402, 7403}
+	mk := func(k int) *Problem { return mks[k%2](seeds[k]) }
+	solve := func(p *Problem, o Options) *Solution {
+		sol, err := p.SolveOpts(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sol
+	}
+	same := func(a, b []float64) bool {
+		if len(a) != len(b) {
+			return false
+		}
+		for i := range a {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	files := func(b *Basis) []etaFile {
+		if b == nil || b.Fact == nil {
+			return nil
+		}
+		out := make([]etaFile, 3)
+		for i, e := range []*etaFile{b.Fact.lower, b.Fact.upper, b.Fact.updates} {
+			out[i].copyFrom(e)
+		}
+		return out
+	}
+	ref := make([]*Solution, len(seeds))
+	for k := range seeds {
+		ref[k] = solve(mk(k), Options{})
+	}
+	for a := range seeds {
+		for b := range seeds {
+			pa := mk(a)
+			first := solve(pa, Options{Pricing: DantzigPricing})
+			held := files(first.Basis)
+			got, want := solve(mk(b), Options{}), ref[b]
+			if got.Status != want.Status || got.Iterations != want.Iterations || got.Stats != want.Stats ||
+				math.Float64bits(got.Objective) != math.Float64bits(want.Objective) ||
+				!same(got.X, want.X) || !same(got.Duals, want.Duals) {
+				t.Fatalf("problem %d after problem %d: %v %d pivots %.17g, earlier solve %v %d pivots %.17g",
+					b, a, got.Status, got.Iterations, got.Objective, want.Status, want.Iterations, want.Objective)
+			}
+			pa.SetObjectiveCoef(0, pa.obj[0]+0.25)
+			solve(pa, Options{WarmStart: first.Basis})
+			if !reflect.DeepEqual(files(first.Basis), held) {
+				t.Fatalf("solves after problem %d wrote the eta files of its factorization", a)
+			}
 		}
 	}
 }

@@ -66,15 +66,6 @@ type Options struct {
 	// (the live engine's workload). Off by default: static solves skip the
 	// dead rows.
 	FixedShape bool
-	// Pricing selects the simplex entering rule (default lp.DevexPricing);
-	// RefactorEvery overrides the refactorization cadence (0 = solver
-	// default); RefactorOnInstall forces warm starts to refactorize instead
-	// of adopting a persisted factorization. All three pass straight through
-	// to lp.Options — they tune the solver, not the model, so sameModelOpts
-	// ignores them.
-	Pricing           lp.Pricing
-	RefactorEvery     int
-	RefactorOnInstall bool
 }
 
 // DefaultOptions enables every feature present in the instance.
@@ -365,8 +356,8 @@ func SolveBuilt(in *netmodel.Instance, p *lp.Problem, m *VarMap, warm *lp.Basis)
 	return SolveBuiltOpts(in, p, m, lp.Options{WarmStart: warm})
 }
 
-// SolveBuiltOpts is SolveBuilt with explicit solver options (pricing rule,
-// refactorization cadence, warm start).
+// SolveBuiltOpts is SolveBuilt with explicit solver options (warm start,
+// pricing rule, solver event hook).
 func SolveBuiltOpts(in *netmodel.Instance, p *lp.Problem, m *VarMap, sopts lp.Options) (*FracSolution, error) {
 	sol, err := p.SolveOpts(sopts)
 	if err != nil {
@@ -392,20 +383,10 @@ func SolveBuiltOpts(in *netmodel.Instance, p *lp.Problem, m *VarMap, sopts lp.Op
 	return fs, nil
 }
 
-// SolverOptions translates the solver-tuning subset of opts into lp.Options.
-func (o Options) SolverOptions() lp.Options {
-	return lp.Options{
-		WarmStart:         o.WarmStart,
-		Pricing:           o.Pricing,
-		RefactorEvery:     o.RefactorEvery,
-		RefactorOnInstall: o.RefactorOnInstall,
-	}
-}
-
 // SolveLP builds and exactly solves the LP relaxation.
 func SolveLP(in *netmodel.Instance, opts Options) (*FracSolution, error) {
 	p, m := Build(in, opts)
-	return SolveBuiltOpts(in, p, m, opts.SolverOptions())
+	return SolveBuilt(in, p, m, opts.WarmStart)
 }
 
 // Cost evaluates the §2 objective for a structured fractional solution.

@@ -111,7 +111,7 @@ func TestShardedDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 		costs = append(costs, res.Audit.Cost)
-		pivots = append(pivots, res.Timings.LPPivots)
+		pivots = append(pivots, res.LPPivots)
 	}
 	for run := 1; run < 5; run++ {
 		if costs[run] != costs[0] {
