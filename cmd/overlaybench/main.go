@@ -507,6 +507,10 @@ type aggRow struct {
 	DantzigPivots int   `json:"dantzig_pivots"`
 	DevexWallNS   int64 `json:"devex_wall_ns"`
 	DantzigWallNS int64 `json:"dantzig_wall_ns"`
+	// Recoveries counts the cold recovery-ladder rungs the size's one-shot
+	// solves fired (aggregated under both pricing rules, and the flat
+	// reference): each is a solve that failed its first attempt.
+	Recoveries int `json:"recoveries"`
 }
 
 // aggBench is the BENCH_agg.json schema.
@@ -602,6 +606,7 @@ func aggSweep(outPath string, quick bool, maxViewers int) error {
 		row.AuditOK = res.AuditOK()
 		row.DevexPivots = res.LPPivots
 		row.DevexWallNS = row.AggWallNS
+		row.Recoveries = res.LPStats.Recoveries()
 		row.Groups = int(reg.Gauge(obs.MAggGroups).Value())
 		row.AggUnits = int(reg.Gauge(obs.MAggUnits).Value())
 		if viewers == flatRefViewers {
@@ -613,6 +618,7 @@ func aggSweep(outPath string, quick bool, maxViewers int) error {
 			}
 			row.FlatWallNS = time.Since(start).Nanoseconds()
 			row.FlatCost = flat.Audit.Cost
+			row.Recoveries += flat.LPStats.Recoveries()
 			row.CostRatio = row.AggCost / flat.Audit.Cost
 			refCPV = row.CostPerViewer
 		} else if refCPV > 0 {
@@ -631,6 +637,7 @@ func aggSweep(outPath string, quick bool, maxViewers int) error {
 		}
 		row.DantzigWallNS = time.Since(start).Nanoseconds()
 		row.DantzigPivots = dres.LPPivots
+		row.Recoveries += dres.LPStats.Recoveries()
 
 		// The churn timeline. Membership is fixed at the session's first
 		// Step, so the swap pair is chosen on the pristine instance.
@@ -715,9 +722,9 @@ func aggSweep(outPath string, quick bool, maxViewers int) error {
 		} else if row.CostPerViewerVsRef > 0 {
 			fmt.Printf(" | cost/viewer %.3fx of reference", row.CostPerViewerVsRef)
 		}
-		fmt.Printf(" | churn max epoch %v (ok=%v), %d lp-free, %d patches | pivots devex %d vs dantzig %d\n",
+		fmt.Printf(" | churn max epoch %v (ok=%v), %d lp-free, %d patches | pivots devex %d vs dantzig %d, %d recoveries\n",
 			time.Duration(row.MaxEpochWallNS).Round(time.Millisecond), row.EpochWallOK,
-			row.LPFreeEpochs, row.Patches, row.DevexPivots, row.DantzigPivots)
+			row.LPFreeEpochs, row.Patches, row.DevexPivots, row.DantzigPivots, row.Recoveries)
 		bench.Rows = append(bench.Rows, row)
 	}
 	data, err := json.MarshalIndent(bench, "", "  ")

@@ -279,8 +279,8 @@ func lpStages(ps *pipelineState) []Stage {
 		if sp := ps.stageSpan; sp != nil {
 			// Surface the simplex internals on the lp-solve span:
 			// refactorizations, FT adoptions, column replacements, devex
-			// resets, basis repairs, and warm fallbacks land as span events
-			// with their pivot iteration.
+			// resets, basis repairs, warm fallbacks and recovery rungs land
+			// as span events with their pivot iteration.
 			sopts.Events = func(e lp.Event) {
 				sp.Event(e.Kind.String(), obs.A("iteration", e.Iteration))
 			}
@@ -417,6 +417,15 @@ func recordSolve(o *obs.Observer, res *Result) {
 	o.Counter(obs.MLPDevexResets).Add(float64(res.LPStats.DevexResets))
 	o.Counter(obs.MLPWarmFallbacks).Add(float64(res.LPStats.WarmFallbacks))
 	o.Counter(obs.MLPBasisRepairs).Add(float64(res.LPStats.Repairs))
+	for _, c := range []struct {
+		rung string
+		n    int
+	}{
+		{obs.LPRungTightCadence, res.LPStats.TightCadence}, {obs.LPRungDenseFallback, res.LPStats.DenseFallbacks},
+		{obs.LPRungAltPricing, res.LPStats.AltPricing}, {obs.LPRungClone, res.LPStats.Clone},
+	} {
+		o.Counter(obs.MLPRecoveries, obs.L("rung", c.rung)).Add(float64(c.n))
+	}
 	pl := res.PathLP
 	o.Counter(obs.MPathLPPivots).Add(float64(pl.Pivots))
 	o.Counter(obs.MPathLPWarmFallbacks).Add(float64(pl.LPStats.WarmFallbacks))

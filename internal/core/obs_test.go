@@ -63,7 +63,7 @@ func TestSolveFeedsObserver(t *testing.T) {
 		}
 	}
 	st := res.LPStats
-	if want := st.Refactorizations + st.FTUpdates + st.Replacements + st.DevexResets + st.WarmFallbacks + st.Repairs; events != want {
+	if want := st.Refactorizations + st.FTUpdates + st.Replacements + st.DevexResets + st.WarmFallbacks + st.Repairs + st.Recoveries(); events != want {
 		t.Fatalf("lp-solve spans carry %d simplex events, want %d", events, want)
 	}
 }

@@ -13,8 +13,12 @@ import (
 )
 
 // SnapshotFormat is the on-disk schema version. Bump on any incompatible
-// change; Read rejects unknown versions instead of misinterpreting them.
-const SnapshotFormat = 1
+// change; Read rejects every other version instead of misinterpreting it.
+// Format 2 changed no field, only what one means: the persisted eta files
+// factorize the rows as lp.Problem stores them, each divided by its
+// power-of-two scale. A format-1 file holds factors of the unscaled rows,
+// which bound to a scaled Problem would invert a different matrix.
+const SnapshotFormat = 2
 
 // Snapshot is the daemon's full persistent state: everything Resume needs
 // to continue the timeline warm. One JSON document, written atomically.
@@ -50,7 +54,7 @@ func (s *Snapshot) Validate() error {
 		return fmt.Errorf("daemon: nil snapshot")
 	}
 	if s.Format != SnapshotFormat {
-		return fmt.Errorf("daemon: snapshot format %d, want %d", s.Format, SnapshotFormat)
+		return fmt.Errorf("daemon: snapshot format %d, this build reads only format %d", s.Format, SnapshotFormat)
 	}
 	if s.Base == nil || s.Instance == nil {
 		return fmt.Errorf("daemon: snapshot missing base or live instance")

@@ -228,3 +228,30 @@ func TestSnapshotRejectsCorrupt(t *testing.T) {
 		t.Fatal("Resume accepted a nil snapshot")
 	}
 }
+
+// TestSnapshotRejectsFormat1: a format-1 snapshot carries eta files of the
+// unscaled rows, which would invert a different matrix than the scaled
+// Problem a restore rebuilds, so it is refused, naming both formats.
+func TestSnapshotRejectsFormat1(t *testing.T) {
+	d, err := New(testInstance(t, 9), testConfig(9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := d.Snapshot()
+	s.Format = 1
+	raw, err := json.Marshal(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = ReadSnapshot(bytes.NewReader(raw))
+	if err == nil {
+		t.Fatal("format-1 snapshot accepted")
+	}
+	want := fmt.Sprintf("daemon: snapshot format 1, this build reads only format %d", SnapshotFormat)
+	if err.Error() != want {
+		t.Fatalf("error %q, want %q", err, want)
+	}
+	if _, err := Resume(s, testConfig(9)); err == nil {
+		t.Fatal("Resume accepted a format-1 snapshot")
+	}
+}

@@ -10,9 +10,10 @@ import (
 
 // TestAllScenariosRunClean runs every registered scenario for a short
 // horizon under the warm+sticky policy: no errors, full horizon, every
-// epoch's design passing the paper's audit, and every warm start of the
-// main LP and of the §6.5 path LP finishing warm (no fallback to a cold
-// solve).
+// epoch's design passing the paper's audit, every warm start of the main LP
+// and of the §6.5 path LP finishing warm (no fallback to a cold solve),
+// every epoch after the first offered a basis, and no cold recovery rung
+// firing.
 func TestAllScenariosRunClean(t *testing.T) {
 	for _, name := range Names() {
 		name := name
@@ -40,6 +41,14 @@ func TestAllScenariosRunClean(t *testing.T) {
 			}
 			if rep.TotalPathWarmFallbacks != 0 {
 				t.Fatalf("%d path-LP warm starts fell back to a cold solve", rep.TotalPathWarmFallbacks)
+			}
+			if rep.TotalRecoveries != 0 {
+				t.Fatalf("%d cold recovery rungs fired", rep.TotalRecoveries)
+			}
+			for _, er := range rep.Epochs[1:] {
+				if !er.LPWarm {
+					t.Fatalf("epoch %d: main LP offered a basis %v, finished warm %v", er.Epoch, er.LPWarmOffered, er.LPWarm)
+				}
 			}
 			t.Logf("%s: pivots=%d pathPivots=%d arcChurn=%d cost=%.1f",
 				name, rep.TotalPivots, rep.TotalPathPivots, rep.TotalArcChurn, rep.TotalTrueCost)

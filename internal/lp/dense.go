@@ -70,11 +70,13 @@ func newDenseSimplex(p *Problem, opts Options) *denseSimplex {
 		s.stat[j] = atLower
 	}
 
-	// Fill rows: structural coefficients and shifted rhs.
+	// Fill rows: structural coefficients and shifted rhs, read as set
+	// (RowCoefs, RHS), not as the sparse solver stores them scaled, so the
+	// two solvers share no numerics.
 	rhs := make([]float64, m)
-	for r, rw := range p.rows {
-		b := rw.rhs
-		for _, c := range rw.coefs {
+	for r := range p.rows {
+		_, b := p.RHS(r)
+		for _, c := range p.RowCoefs(r) {
 			s.tab[r][c.Var] += c.Val
 			b -= c.Val * s.shift[c.Var]
 		}

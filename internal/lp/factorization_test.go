@@ -182,15 +182,26 @@ func TestPersistedFactorizationSameProblemAdopts(t *testing.T) {
 	}
 }
 
+// keepsScale reports whether setting entry pos of row r to v leaves the
+// row's scale where it is, so that the patch changes that one entry of the
+// stored matrix and nothing else.
+func keepsScale(p *Problem, r, pos int, v float64) bool {
+	coefs := p.RowCoefs(r)
+	coefs[pos].Val = v
+	return rowScale(coefs, 1) == p.rows[r].scale
+}
+
 // TestPersistedFactorizationReplacesPatchedBasicColumn: patching a column
 // that is basic in the carried file changes B itself, so the adoption must
 // replace that column in the file — one product-form eta, no
 // refactorization — and still reach the optimum of a cold solve and of a
 // refactorize-on-install warm solve: the same objective, point and duals.
-// A second patch makes the replacement pivot vanish (the new column lies in
-// the span of the other basic columns), which the install must answer by
-// refactorizing instead of adopting — B′ is singular then, so the solve
-// ends cold — and still match.
+// Both patches keep their row's scale; a patch that moves it re-stores the
+// whole row (TestRescaledRowReplacesItsBasicColumns). A second patch makes
+// the replacement pivot vanish (the new column lies in the span of the
+// other basic columns), which the install must answer by refactorizing
+// instead of adopting — B′ is singular then, so the solve ends cold — and
+// still match.
 func TestPersistedFactorizationReplacesPatchedBasicColumn(t *testing.T) {
 	p := randomCovering(777)
 	p.Precompute()
@@ -217,7 +228,17 @@ func TestPersistedFactorizationReplacesPatchedBasicColumn(t *testing.T) {
 			}
 		}
 	}
-	p.SetRowCoef(rows[0], pos[0], p.RowCoef(rows[0], pos[0]).Val*1.25)
+	patched := -1
+	for i, r := range rows {
+		if keepsScale(p, r, pos[i], p.RowCoef(r, pos[i]).Val*1.25) {
+			patched = i
+			break
+		}
+	}
+	if patched < 0 {
+		t.Fatal("every ×1.25 patch of the target column moves its row's scale")
+	}
+	p.SetRowCoef(rows[patched], pos[patched], p.RowCoef(rows[patched], pos[patched]).Val*1.25)
 	warm, err := p.SolveOpts(Options{WarmStart: first.Basis})
 	if err != nil {
 		t.Fatal(err)
@@ -233,8 +254,9 @@ func TestPersistedFactorizationReplacesPatchedBasicColumn(t *testing.T) {
 	// ρ = row basisRow of the basis inverse. Replacing the column basic in
 	// that row only rescales the row of the inverse (by 1/pivot), so ρ
 	// taken after the first patch is proportional to the carried B's.
-	// Rewriting the target's entry with the largest |ρ_i| so that ρ·a′ = 0
-	// zeroes the pivot the replacement would divide by.
+	// Rewriting one of the target's stored entries so that ρ·a′ = 0 zeroes
+	// the pivot the replacement would divide by. The entry is the one with
+	// the largest |ρ_i| among those whose rewrite keeps the row's scale.
 	s := newSparse(p, Options{})
 	if !s.installWarm(first.Basis) {
 		t.Fatal("could not install the first basis")
@@ -242,22 +264,26 @@ func TestPersistedFactorizationReplacesPatchedBasicColumn(t *testing.T) {
 	rho := make([]float64, p.NumRows())
 	rho[basisRow] = 1
 	s.btran(rho)
-	big := 0
-	for i, r := range rows {
-		if math.Abs(rho[r]) > math.Abs(rho[rows[big]]) {
-			big = i
+	stored := func(i int) float64 { return p.rows[rows[i]].coefs[pos[i]].Val }
+	big, zeroing := -1, 0.0
+	for k, r := range rows {
+		if math.Abs(rho[r]) < 1e-9 || (big >= 0 && math.Abs(rho[r]) <= math.Abs(rho[rows[big]])) {
+			continue
+		}
+		dot := 0.0
+		for i, ri := range rows {
+			if i != k {
+				dot += rho[ri] * stored(i)
+			}
+		}
+		if v := -dot / rho[r] * p.rows[r].scale; keepsScale(p, r, pos[k], v) {
+			big, zeroing = k, v
 		}
 	}
-	if math.Abs(rho[rows[big]]) < 1e-9 {
-		t.Fatal("target column has no entry that reaches its basis row")
+	if big < 0 {
+		t.Fatal("target column has no entry that reaches its basis row and keeps its scale")
 	}
-	dot := 0.0
-	for i, r := range rows {
-		if i != big {
-			dot += rho[r] * p.RowCoef(r, pos[i]).Val
-		}
-	}
-	p.SetRowCoef(rows[big], pos[big], -dot/rho[rows[big]])
+	p.SetRowCoef(rows[big], pos[big], zeroing)
 	zero, err := p.SolveOpts(Options{WarmStart: first.Basis})
 	if err != nil {
 		t.Fatal(err)

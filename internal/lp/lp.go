@@ -17,6 +17,21 @@
 //     re-solves after bound changes reuse it). Every row additionally gets
 //     one logical slack column and one artificial column, both singletons
 //     (±e_r), which are represented implicitly.
+//   - Scaling: the Problem stores each row, coefficients and rhs, divided
+//     by s_r = 2^⌊log2 max_j |a_rj|⌋ (1 for an empty or all-zero row), so
+//     the largest stored entry of every row lies in [1, 2). The aggregate
+//     LPs mix unit loads of O(10^3) with fanout coefficients of O(10);
+//     unscaled, their cold simplex broke down and fell to the recovery
+//     ladder. The factor is a power of two, so scaling and unscaling are
+//     exact, and it is a pure function of the row's current values: a
+//     SetRowCoef marks its row, and Precompute (or the next solve) derives
+//     the marked rows' factors anew, re-storing a row whose factor moved
+//     and stamping its columns as patched. A patched Problem therefore
+//     stores exactly what a fresh one with the same values does. Values
+//     are unscaled in one place each: RowCoef, RowCoefs and RHS return what
+//     was set, CheckFeasible judges the rows as set, and Solution.Duals
+//     price them (y_r = y′_r / s_r). x and the objective do not change
+//     under row scaling. The dense reference solver reads the rows as set.
 //   - Basis: the basis inverse is kept in elimination form: the lower and
 //     upper factors of the last refactorization, each a file of eta
 //     matrices, followed by one product-form update eta per pivot since.
@@ -100,10 +115,35 @@ type Coef struct {
 	Val float64
 }
 
+// row is one constraint as the solver stores it: coefficients and rhs
+// divided by scale, a power of two (see rowScale). marked records a
+// coefficient patch since the last Precompute, after which scale may no
+// longer be the one the row's values call for.
 type row struct {
-	coefs []Coef
-	rel   Rel
-	rhs   float64
+	coefs  []Coef
+	rel    Rel
+	rhs    float64
+	scale  float64
+	marked bool
+}
+
+// rowScale returns the factor a row whose coefficients are coefs·s should be
+// stored divided by: 2^⌊log2 max_j |a_j|⌋, so that the stored row's largest
+// entry lies in [1, 2), or 1 when the row is empty, all zero or not finite.
+// s must be a power of two, as every stored scale is; the result then is one
+// too, and depends only on the row's values, not on s.
+func rowScale(coefs []Coef, s float64) float64 {
+	big := 0.0
+	for _, c := range coefs {
+		if a := math.Abs(c.Val); a > big {
+			big = a
+		}
+	}
+	if big == 0 || math.IsInf(big, 1) {
+		return 1
+	}
+	_, e := math.Frexp(big) // big = f·2^e with f in [1/2, 1)
+	return math.Ldexp(s, e-1)
 }
 
 // Problem accumulates an LP. The zero Problem is not usable; create one
@@ -130,6 +170,10 @@ type Problem struct {
 	// version: they leave the basis matrix B untouched.
 	patchVer uint64
 	colVer   []uint64
+
+	// marked lists the rows SetRowCoef patched since the last Precompute,
+	// whose scale Precompute re-derives.
+	marked []int
 }
 
 // NewProblem returns a problem with numVars structural variables, objective
@@ -182,22 +226,77 @@ func (p *Problem) Bounds(j int) (lo, hi float64) {
 func (p *Problem) AddConstraint(rel Rel, rhs float64, coefs ...Coef) int {
 	cp := make([]Coef, len(coefs))
 	copy(cp, coefs)
-	p.rows = append(p.rows, row{coefs: cp, rel: rel, rhs: rhs})
+	s := rowScale(cp, 1)
+	for i := range cp {
+		cp[i].Val /= s
+	}
+	p.rows = append(p.rows, row{coefs: cp, rel: rel, rhs: rhs / s, scale: s})
 	p.csc = nil
 	return len(p.rows) - 1
 }
 
-// Precompute builds the cached CSC form of the constraint matrix now rather
-// than lazily inside the first solve. A Problem whose cache is built is safe
-// to solve from multiple goroutines concurrently — SolveOpts only reads the
-// rows, bounds, costs, and cache — which is how per-shard re-solves and
-// stress tests share one Problem. Adding a constraint invalidates the cache,
-// so call Precompute again after the last AddConstraint. In-place value
-// patches (SetRowCoef, SetRHS) keep the cache fresh instead of invalidating
-// it — that is what makes delta-sized model updates cheap.
+// Precompute brings the stored matrix up to date now rather than inside the
+// next solve: it re-derives the scale of every row SetRowCoef patched since
+// the last call (see the package comment), and builds the cached CSC form of
+// the constraint matrix. A precomputed Problem is safe to solve from
+// multiple goroutines concurrently — SolveOpts then only reads the rows,
+// bounds, costs, and cache — which is how per-shard re-solves and stress
+// tests share one Problem. Adding a constraint invalidates the cache and a
+// coefficient patch marks its row, so a Problem shared by concurrent solves
+// must be precomputed after its last AddConstraint and its last patch.
+// In-place value patches (SetRowCoef, SetRHS) keep the cache fresh instead
+// of invalidating it — that is what makes delta-sized model updates cheap.
 func (p *Problem) Precompute() {
+	if len(p.marked) > 0 {
+		for _, r := range p.marked {
+			p.rescaleRow(r)
+		}
+		p.marked = p.marked[:0]
+	}
 	if p.csc == nil {
 		p.csc = buildCSC(p)
+	}
+}
+
+// rescaleRow re-derives the scale of row r from its current values. When the
+// scale moves, the row, its rhs and its CSC entries are re-stored under the
+// new one, exactly (the ratio of two powers of two is one), and every
+// structural column of the row is stamped with a new patch version: the
+// row's entries of those columns changed, so a carried factorization must
+// replace the ones that are basic at install.
+func (p *Problem) rescaleRow(r int) {
+	rw := &p.rows[r]
+	rw.marked = false
+	s := rowScale(rw.coefs, rw.scale)
+	if s == rw.scale {
+		return
+	}
+	k := rw.scale / s
+	rw.scale = s
+	rw.rhs *= k
+	p.patchVer++
+	if p.colVer == nil {
+		p.colVer = make([]uint64, p.n)
+	}
+	for i := range rw.coefs {
+		c := &rw.coefs[i]
+		c.Val *= k
+		p.colVer[c.Var] = p.patchVer
+		p.setCSC(c.Var, r, c.Val)
+	}
+}
+
+// setCSC writes the cached CSC entry of (row r, column j), or drops the
+// cache, to be rebuilt from the rows, when the entry is ambiguous (the row
+// listed the same variable twice — no overlay model does).
+func (p *Problem) setCSC(j, r int, v float64) {
+	if p.csc == nil {
+		return
+	}
+	if q := p.csc.find(j, int32(r)); q >= 0 {
+		p.csc.val[q] = v
+	} else {
+		p.csc = nil
 	}
 }
 
@@ -217,31 +316,37 @@ func (p *Problem) Precompute() {
 // it (see Factorization).
 //
 // Patches must not race with concurrent solves of the same Problem (the
-// shared-CSC concurrency guarantee of Precompute covers readers only).
+// shared-CSC concurrency guarantee of Precompute covers readers only), and
+// a Problem shared by concurrent solves must be precomputed after its last
+// patch: a solve re-derives the scales of rows patched since, which writes.
 
 // SetRHS replaces the right-hand side of row r. The constraint matrix and
 // its CSC cache are untouched.
 func (p *Problem) SetRHS(r int, rhs float64) {
-	p.rows[r].rhs = rhs
+	p.rows[r].rhs = rhs / p.rows[r].scale
 }
 
-// RHS returns the relation and right-hand side of row r.
+// RHS returns the relation and right-hand side of row r, bit for bit as set.
 func (p *Problem) RHS(r int) (Rel, float64) {
-	return p.rows[r].rel, p.rows[r].rhs
+	return p.rows[r].rel, p.rows[r].rhs * p.rows[r].scale
 }
 
 // SetRowCoef replaces the value of the pos-th coefficient of row r (the
 // position within the Coef list passed to AddConstraint), updating the
 // cached CSC entry in place when the cache is built. The solver reads both
 // copies (the rows for its pivot rows, the cache for its columns), so every
-// patch writes both. It reports whether the stored value actually changed,
+// patch writes both. The value is stored under the row's current scale, and
+// the row is marked for the next Precompute, which re-derives the scale
+// from the row's new values. It reports whether the value actually changed,
 // so callers can count real patches.
 //
 // If the CSC entry cannot be located unambiguously (the row listed the same
 // variable twice — no overlay model does), the cache is invalidated and
 // rebuilt lazily on the next solve; correctness is preserved either way.
 func (p *Problem) SetRowCoef(r, pos int, v float64) bool {
-	c := &p.rows[r].coefs[pos]
+	rw := &p.rows[r]
+	c := &rw.coefs[pos]
+	v /= rw.scale
 	if c.Val == v {
 		return false
 	}
@@ -251,19 +356,19 @@ func (p *Problem) SetRowCoef(r, pos int, v float64) bool {
 		p.colVer = make([]uint64, p.n)
 	}
 	p.colVer[c.Var] = p.patchVer
-	if p.csc != nil {
-		if q := p.csc.find(c.Var, int32(r)); q >= 0 {
-			p.csc.val[q] = v
-		} else {
-			p.csc = nil
-		}
+	p.setCSC(c.Var, r, v)
+	if !rw.marked {
+		rw.marked = true
+		p.marked = append(p.marked, r)
 	}
 	return true
 }
 
-// RowCoef returns the pos-th coefficient of row r.
+// RowCoef returns the pos-th coefficient of row r, bit for bit as set.
 func (p *Problem) RowCoef(r, pos int) Coef {
-	return p.rows[r].coefs[pos]
+	c := p.rows[r].coefs[pos]
+	c.Val *= p.rows[r].scale
+	return c
 }
 
 // RowLen returns the number of coefficients of row r.
@@ -271,9 +376,13 @@ func (p *Problem) RowLen(r int) int {
 	return len(p.rows[r].coefs)
 }
 
-// RowCoefs returns a copy of row r's coefficient list (test/diagnostic use).
+// RowCoefs returns a copy of row r's coefficient list.
 func (p *Problem) RowCoefs(r int) []Coef {
-	return append([]Coef(nil), p.rows[r].coefs...)
+	out := append([]Coef(nil), p.rows[r].coefs...)
+	for i := range out {
+		out[i].Val *= p.rows[r].scale
+	}
+	return out
 }
 
 // ObjectiveCoef returns the objective coefficient of variable j.
@@ -458,6 +567,9 @@ func (b *Basis) compatible(p *Problem) bool {
 // counters are totals across the recovery ladder (warm attempt + any cold
 // fallback).
 type SolveStats struct {
+	// WarmStarts counts solves that were offered a warm start compatible
+	// with their problem; WarmStarts − WarmFallbacks of them finished warm.
+	WarmStarts int
 	// Refactorizations counts from-scratch basis factorizations.
 	Refactorizations int
 	// FTUpdates counts warm-start installs that adopted a carried
@@ -477,22 +589,43 @@ type SolveStats struct {
 	// Repairs counts dependent basic columns a warm-start install swapped
 	// for row slacks to make a singular carried basis factorizable.
 	Repairs int
+	// The cold recovery ladder, one counter per rung, each counting the
+	// solves that reached it: TightCadence re-solves cold with a tight
+	// refactorization cadence after a cold optimum failed the audit, and
+	// DenseFallbacks hands the solve to the dense tableau when that fails
+	// too; AltPricing re-solves cold under the other pricing rule after a
+	// cold solve broke down numerically, and Clone re-solves a
+	// row-equilibrated clone when that breaks down too.
+	TightCadence   int
+	DenseFallbacks int
+	AltPricing     int
+	Clone          int
 }
 
 // Add accumulates o into s.
 func (s *SolveStats) Add(o SolveStats) {
+	s.WarmStarts += o.WarmStarts
 	s.Refactorizations += o.Refactorizations
 	s.FTUpdates += o.FTUpdates
 	s.Replacements += o.Replacements
 	s.DevexResets += o.DevexResets
 	s.WarmFallbacks += o.WarmFallbacks
 	s.Repairs += o.Repairs
+	s.TightCadence += o.TightCadence
+	s.DenseFallbacks += o.DenseFallbacks
+	s.AltPricing += o.AltPricing
+	s.Clone += o.Clone
+}
+
+// Recoveries returns how many cold recovery rungs fired, over all four.
+func (s SolveStats) Recoveries() int {
+	return s.TightCadence + s.DenseFallbacks + s.AltPricing + s.Clone
 }
 
 // EventKind identifies a solver-internal occurrence surfaced through
-// Options.Events. The kinds mirror the SolveStats counters one-to-one, so an
-// Events subscriber sees each counted event as it happens (with its pivot
-// iteration) instead of only the totals.
+// Options.Events. The kinds mirror the SolveStats counters one-to-one, save
+// WarmStarts, so an Events subscriber sees each counted event as it happens
+// (with its pivot iteration) instead of only the totals.
 type EventKind int
 
 // Solver-internal event kinds.
@@ -514,6 +647,13 @@ const (
 	// EventBasisRepair fires when a warm-start install swaps a dependent
 	// basic column for a row slack.
 	EventBasisRepair
+	// EventTightCadence, EventDenseFallback, EventAltPricing and EventClone
+	// fire when the cold recovery ladder reaches the rung of the same name
+	// (see SolveStats).
+	EventTightCadence
+	EventDenseFallback
+	EventAltPricing
+	EventClone
 )
 
 func (k EventKind) String() string {
@@ -530,6 +670,14 @@ func (k EventKind) String() string {
 		return "warm-fallback"
 	case EventBasisRepair:
 		return "basis-repair"
+	case EventTightCadence:
+		return "tight-cadence"
+	case EventDenseFallback:
+		return "dense-fallback"
+	case EventAltPricing:
+		return "alternate-pricing"
+	case EventClone:
+		return "equilibrated-clone"
 	}
 	return "unknown"
 }
@@ -620,7 +768,8 @@ type Options struct {
 	// tests and measurements.
 	RefactorOnInstall bool
 	// Events, when non-nil, receives solver-internal events (sparse solver
-	// only) as they happen — one call per SolveStats increment. The callback
+	// only) as they happen — one call per SolveStats increment, WarmStarts
+	// aside (see EventKind). The callback
 	// runs on the solving goroutine inside the pivot loop; it must be cheap
 	// and must not call back into the solver. Used by the observability layer
 	// to attach refactorization/FT-adoption/devex-reset/column-replacement
@@ -705,30 +854,29 @@ func (p *Problem) CheckFeasible(x []float64, tol float64) error {
 		}
 	}
 	for r, rw := range p.rows {
-		v := 0.0
+		// Sum and compare on the row as set: scaling the sum of the stored
+		// row by its power-of-two scale gives the unscaled sum bit for bit.
+		v, big := 0.0, 0.0
 		for _, c := range rw.coefs {
 			v += c.Val * x[c.Var]
+			big = max(big, math.Abs(c.Val))
 		}
+		v *= rw.scale
+		rhs := rw.rhs * rw.scale
 		// Scale tolerance with row magnitude for robustness.
-		scale := 1.0
-		for _, c := range rw.coefs {
-			if a := math.Abs(c.Val); a > scale {
-				scale = a
-			}
-		}
-		rtol := tol * scale * float64(1+len(rw.coefs))
+		rtol := tol * max(1, big*rw.scale) * float64(1+len(rw.coefs))
 		switch rw.rel {
 		case LE:
-			if v > rw.rhs+rtol {
-				return fmt.Errorf("lp: row %d: %g > rhs %g", r, v, rw.rhs)
+			if v > rhs+rtol {
+				return fmt.Errorf("lp: row %d: %g > rhs %g", r, v, rhs)
 			}
 		case GE:
-			if v < rw.rhs-rtol {
-				return fmt.Errorf("lp: row %d: %g < rhs %g", r, v, rw.rhs)
+			if v < rhs-rtol {
+				return fmt.Errorf("lp: row %d: %g < rhs %g", r, v, rhs)
 			}
 		case EQ:
-			if math.Abs(v-rw.rhs) > rtol {
-				return fmt.Errorf("lp: row %d: %g != rhs %g", r, v, rw.rhs)
+			if math.Abs(v-rhs) > rtol {
+				return fmt.Errorf("lp: row %d: %g != rhs %g", r, v, rhs)
 			}
 		}
 	}

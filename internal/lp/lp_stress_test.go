@@ -108,13 +108,15 @@ func TestWideBoundsMix(t *testing.T) {
 	}
 }
 
-// TestConcurrentSolvesShareCachedCSC: a Problem whose CSC cache has been
-// built with Precompute must support concurrent SolveOpts calls — the
-// sharded pipeline and branch-and-bound both re-solve shared problems from
-// multiple goroutines. Every solver must land on the identical objective
-// and iteration count, warm-started or cold. Run under -race in CI, this
-// is the data-race check for the shared cache; without Precompute the lazy
-// cache build inside the first solve would be the race.
+// TestConcurrentSolvesShareCachedCSC: a precomputed Problem must support
+// concurrent SolveOpts calls — the sharded pipeline and branch-and-bound
+// both re-solve shared problems from multiple goroutines. Every solver must
+// land on the identical objective and iteration count, warm-started or
+// cold. The Problem is then patched, one patch moving its row's scale, and
+// precomputed again, and the concurrent solves repeat from the pre-patch
+// basis. Run under -race in CI, this is the data-race check for the shared
+// cache and scales; without Precompute the lazy cache build and the
+// rescale of the patched rows inside the first solve would be the race.
 func TestConcurrentSolvesShareCachedCSC(t *testing.T) {
 	rng := stats.NewRNG(59)
 	const nVars, nRows = 120, 100
@@ -131,10 +133,32 @@ func TestConcurrentSolvesShareCachedCSC(t *testing.T) {
 		p.AddConstraint(GE, rng.Range(0.3, 2), coefs...)
 	}
 	p.Precompute()
+	ref := concurrentSolves(t, p, nil)
 
+	for r := 0; r < nRows; r += 7 {
+		p.SetRowCoef(r, 0, p.RowCoef(r, 0).Val*rng.Range(0.8, 1.2))
+	}
+	scale := p.rows[1].scale
+	p.SetRowCoef(1, 0, 5) // every coefficient is below 1: the scale moves
+	p.Precompute()
+	if p.rows[1].scale == scale {
+		t.Fatal("the patch kept row 1's scale")
+	}
+	concurrentSolves(t, p, ref.Basis)
+}
+
+// concurrentSolves solves p once, then from 8 goroutines at once, half of
+// them cold and half warm from basis (the first solve's own basis when nil),
+// and requires every concurrent solve to repeat its cohort's objective and
+// pivots. It returns the first solve.
+func concurrentSolves(t *testing.T, p *Problem, basis *Basis) *Solution {
+	t.Helper()
 	ref, err := p.MustSolve()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if basis == nil {
+		basis = ref.Basis
 	}
 
 	const solvers = 8
@@ -151,7 +175,7 @@ func TestConcurrentSolvesShareCachedCSC(t *testing.T) {
 			defer wg.Done()
 			var warm *Basis
 			if g%2 == 1 {
-				warm = ref.Basis // odd solvers warm-start from the shared basis
+				warm = basis // odd solvers warm-start from the shared basis
 			}
 			sol, err := p.SolveOpts(Options{WarmStart: warm})
 			if err != nil {
@@ -181,4 +205,5 @@ func TestConcurrentSolvesShareCachedCSC(t *testing.T) {
 		t.Fatalf("warm-started solve took %d iterations, cold took %d — warm start bought nothing",
 			results[1].iters, results[0].iters)
 	}
+	return ref
 }

@@ -306,9 +306,7 @@ func fit[T any](buf []T, n int) []T {
 
 func newSparse(p *Problem, opts Options) *sparse {
 	m := len(p.rows)
-	if p.csc == nil {
-		p.csc = buildCSC(p)
-	}
+	p.Precompute()
 	s, _ := workspaces.Get().(*sparse)
 	if s == nil {
 		s = &sparse{}
@@ -1594,18 +1592,16 @@ func (s *sparse) snapshotBasis() *Basis {
 	return b
 }
 
-// rowEquilibratedClone returns a copy of p with every constraint row divided
-// by its largest absolute coefficient. That is the SAME linear program — the
-// variables, bounds, objective, feasible set, and optimal vertices are all
-// untouched, only the rows' numerical representation changes — so a solution
-// of the clone is a solution of p verbatim. What it buys is conditioning:
-// rows that mix O(10^3) aggregate unit loads with O(10) fanout coefficients
-// feed the eta file pivots of wildly different magnitude, and the
-// accumulated error eventually presents as a singular basis or a failed
-// ratio test under EVERY pricing rule. The returned scale vector holds the
-// per-row divisors, which is what maps the clone's duals back: clone row r
-// is row_r/scale_r with rhs_r/scale_r, so the original shadow price is
-// y_clone[r]/scale[r].
+// rowEquilibratedClone returns a copy of p with every stored constraint row
+// divided by its largest absolute coefficient. That is the SAME linear
+// program — the variables, bounds, objective, feasible set, and optimal
+// vertices are all untouched, only the rows' numerical representation
+// changes — so a solution of the clone is a solution of p verbatim. p
+// stores every row with its largest entry in [1, 2) already (rowScale), so
+// the clone moves each row by less than a factor of 2. The returned vector
+// holds the per-row divisors, which is what maps the clone's duals back:
+// clone row r is the stored row r divided by clone[r], so its shadow price
+// against row r as set is y_clone[r] / (clone[r]·scale_r).
 func (p *Problem) rowEquilibratedClone() (*Problem, []float64) {
 	q := &Problem{
 		n:    p.n,
@@ -1630,9 +1626,21 @@ func (p *Problem) rowEquilibratedClone() (*Problem, []float64) {
 		for i, c := range rw.coefs {
 			coefs[i] = Coef{Var: c.Var, Val: c.Val / s}
 		}
-		q.rows[r] = row{coefs: coefs, rel: rw.rel, rhs: rw.rhs / s}
+		q.rows[r] = row{coefs: coefs, rel: rw.rel, rhs: rw.rhs / s, scale: 1}
 	}
 	return q, scale
+}
+
+// duals returns the row shadow prices of the optimum s sits at, against the
+// rows of s's Problem as set. At an optimum the solver is in phase 2, so
+// c_B·B⁻¹ prices the true objective against the stored rows; row r is
+// stored divided by its scale, so its own shadow price is y_r / scale_r.
+func (s *sparse) duals() []float64 {
+	y := append([]float64(nil), s.btranCost()[:s.m]...)
+	for r := range y {
+		y[r] /= s.p.rows[r].scale
+	}
+	return y
 }
 
 // solveSparse orchestrates the sparse solver with a recovery ladder: warm
@@ -1645,23 +1653,42 @@ func (p *Problem) rowEquilibratedClone() (*Problem, []float64) {
 // that breaks down numerically long before its pivot budget (singular basis,
 // failed ratio test) additionally retries under the alternate pricing rule,
 // which walks a different path through the degenerate vertices, and then on
-// a row-equilibrated clone of the problem, which removes the conditioning
-// that caused the breakdown in the first place.
+// a row-equilibrated clone of the problem. Each cold rung that fires counts
+// once in SolveStats (TightCadence, DenseFallbacks, AltPricing, Clone).
 func (p *Problem) solveSparse(opts Options) (*Solution, error) {
 	totalIters := 0
 	var totalStats SolveStats
-	finish := func(s *sparse, st Status) *Solution {
+	rung := func(k EventKind, n *int) {
+		*n++
+		if opts.Events != nil {
+			opts.Events(Event{Kind: k, Iteration: totalIters})
+		}
+	}
+	// audited returns the point of an optimum that passes the feasibility
+	// audit, or nil.
+	audited := func(s *sparse, st Status) []float64 {
+		if st != Optimal {
+			return nil
+		}
+		if x := s.extract(); p.CheckFeasible(x, 1e-6) == nil {
+			return x
+		}
+		return nil
+	}
+	// finish builds the Solution of s's terminal status st; x is the point
+	// already extracted for the audit, or nil.
+	finish := func(s *sparse, st Status, x []float64) *Solution {
 		sol := &Solution{Status: st, Iterations: totalIters, Stats: totalStats}
 		if st == Optimal || st == IterLimit {
-			sol.X = s.extract()
-			sol.Objective = p.objectiveOf(sol.X)
+			if x == nil {
+				x = s.extract()
+			}
+			sol.X = x
+			sol.Objective = p.objectiveOf(x)
 		}
 		if st == Optimal {
 			sol.Basis = s.snapshotBasis()
-			// At an optimum the solver sits in phase 2, so c_B·B⁻¹ prices
-			// the true objective: these are the row shadow prices the
-			// decomposition layers read back (Solution.DualsFor).
-			sol.Duals = append([]float64(nil), s.btranCost()[:s.m]...)
+			sol.Duals = s.duals()
 		}
 		s.release(st == Optimal)
 		return sol
@@ -1669,9 +1696,13 @@ func (p *Problem) solveSparse(opts Options) (*Solution, error) {
 
 	if opts.WarmStart.compatible(p) {
 		s := newSparse(p, opts)
+		s.stats.WarmStarts++
 		st, ok := s.runWarm(opts.WarmStart)
-		ok = ok && st == Optimal && p.CheckFeasible(s.extract(), 1e-6) == nil
-		if !ok {
+		var x []float64
+		if ok {
+			x = audited(s, st)
+		}
+		if x == nil {
 			// An unusable basis, a non-optimal terminal status, or an
 			// optimum that fails the audit re-solves cold. In particular a
 			// warm Infeasible is only trusted once phase 1 confirms it.
@@ -1680,8 +1711,8 @@ func (p *Problem) solveSparse(opts Options) (*Solution, error) {
 		}
 		totalIters += s.iters
 		totalStats.Add(s.stats)
-		if ok {
-			return finish(s, st), nil
+		if x != nil {
+			return finish(s, st, x), nil
 		}
 		s.release(false)
 	}
@@ -1691,35 +1722,38 @@ func (p *Problem) solveSparse(opts Options) (*Solution, error) {
 	totalIters += s.iters
 	totalStats.Add(s.stats)
 	if st == Optimal {
-		if x := s.extract(); p.CheckFeasible(x, 1e-6) != nil {
-			// Numerical drift: once more with an eagerly refactorized
-			// basis before surrendering to the dense reference solver.
-			tight := opts
-			tight.refactorEvery = 16
-			s2 := newSparse(p, tight)
-			st2 := s2.runCold()
-			totalIters += s2.iters
-			totalStats.Add(s2.stats)
-			if st2 == Optimal {
-				if x2 := s2.extract(); p.CheckFeasible(x2, 1e-6) == nil {
-					return finish(s2, st2), nil
-				}
-			}
-			sol, err := p.solveDense(opts)
-			if err == nil {
-				sol.Iterations += totalIters
-			}
-			return sol, err
+		if x := audited(s, st); x != nil {
+			return finish(s, st, x), nil
 		}
+		// Numerical drift: once more with an eagerly refactorized
+		// basis before surrendering to the dense reference solver.
+		rung(EventTightCadence, &totalStats.TightCadence)
+		tight := opts
+		tight.refactorEvery = 16
+		s2 := newSparse(p, tight)
+		st2 := s2.runCold()
+		totalIters += s2.iters
+		totalStats.Add(s2.stats)
+		if x2 := audited(s2, st2); x2 != nil {
+			return finish(s2, st2, x2), nil
+		}
+		rung(EventDenseFallback, &totalStats.DenseFallbacks)
+		sol, err := p.solveDense(opts)
+		if err == nil {
+			sol.Iterations += totalIters
+			sol.Stats = totalStats
+		}
+		return sol, err
 	}
 	if st == IterLimit && s.iters < s.maxIters {
 		// IterLimit with pivots to spare is a numerical breakdown — a basis
 		// that went singular or a ratio test that found no finite step — not
 		// a genuine budget exhaustion. The pricing rule steered the solve
 		// into that corner (devex reference weights concentrate on degenerate
-		// columns; heavily weighted aggregate LPs trip this), so retry cold
-		// under the alternate rule. Eager refactorization alone does NOT
-		// recover these solves — the alternate pivot path is what escapes.
+		// columns), so retry cold under the alternate rule. Eager
+		// refactorization alone does NOT recover these solves — the
+		// alternate pivot path is what escapes.
+		rung(EventAltPricing, &totalStats.AltPricing)
 		alt := opts
 		if opts.Pricing == DantzigPricing {
 			alt.Pricing = DevexPricing
@@ -1730,44 +1764,38 @@ func (p *Problem) solveSparse(opts Options) (*Solution, error) {
 		st2 := s2.runCold()
 		totalIters += s2.iters
 		totalStats.Add(s2.stats)
-		if st2 == Optimal {
-			if x := s2.extract(); p.CheckFeasible(x, 1e-6) == nil {
-				return finish(s2, st2), nil
-			}
+		if x := audited(s2, st2); x != nil {
+			return finish(s2, st2, x), nil
 		}
-		// Both pricing rules broke down: the conditioning of the rows
-		// themselves is the problem (heavily weighted aggregate rows mixing
-		// O(10^3) and O(10) coefficients do this to the eta file). Re-solve a
-		// row-equilibrated clone — the identical LP, renormalized — under
-		// each rule. The clone's x IS a solution of p (row scaling never
-		// touches the variables), audited against p's own rows below. The
-		// basis is NOT carried out: its factorization is of the scaled rows
-		// and must not warm-start the original problem.
+		// Both pricing rules broke down: re-solve a row-equilibrated clone —
+		// the identical LP, renormalized — under each rule. The clone's x IS
+		// a solution of p (row scaling never touches the variables), audited
+		// against p's own rows. The basis is NOT carried out: its
+		// factorization is of the clone's rows and must not warm-start p.
+		rung(EventClone, &totalStats.Clone)
 		for _, o := range []Options{opts, alt} {
 			q, scale := p.rowEquilibratedClone()
 			s3 := newSparse(q, o)
 			st3 := s3.runCold()
 			totalIters += s3.iters
 			totalStats.Add(s3.stats)
-			if st3 == Optimal {
-				if x := s3.extract(); p.CheckFeasible(x, 1e-6) == nil {
-					// The clone's duals price the SCALED rows; undo the
-					// per-row divisor so the caller sees p's shadow prices.
-					duals := append([]float64(nil), s3.btranCost()[:s3.m]...)
-					for r := range duals {
-						duals[r] /= scale[r]
-					}
-					return &Solution{
-						Status:     Optimal,
-						X:          x,
-						Objective:  p.objectiveOf(x),
-						Iterations: totalIters,
-						Stats:      totalStats,
-						Duals:      duals,
-					}, nil
+			if x := audited(s3, st3); x != nil {
+				// The clone's duals price its own rows, stored with scale
+				// 1: divide by the clone's divisor too to price p's rows.
+				duals := s3.duals()
+				for r := range duals {
+					duals[r] /= scale[r] * p.rows[r].scale
 				}
+				return &Solution{
+					Status:     Optimal,
+					X:          x,
+					Objective:  p.objectiveOf(x),
+					Iterations: totalIters,
+					Stats:      totalStats,
+					Duals:      duals,
+				}, nil
 			}
 		}
 	}
-	return finish(s, st), nil
+	return finish(s, st, nil), nil
 }
