@@ -17,7 +17,6 @@ import (
 	"repro/internal/gapflow"
 	"repro/internal/gen"
 	"repro/internal/live"
-	"repro/internal/lp"
 	"repro/internal/lpmodel"
 	"repro/internal/obs"
 	"repro/internal/round"
@@ -146,28 +145,24 @@ func sumNS(walls []int64) int64 {
 }
 
 // TestPersistentSolverAcceptance is the PR 6 acceptance gate on the
-// 50-epoch flash crowd: against the previous solver behavior (Dantzig
-// pricing, refactorize at every warm-start install), the current defaults
-// (devex pricing, persistent basis factorization) must (1) adopt carried
-// factorizations across the warm timeline, (2) perform strictly fewer
-// from-scratch refactorizations, (3) spend no more pivots — and the warm
-// churn re-solves must stay ≥2x cheaper in pivots than cold re-solves of
-// the same timeline under the previous behavior (they are ~14x cheaper;
-// the stack of warm starts + persistence + devex is what buys it). The
-// warm re-solves must also be faster: the lp-solve stage wall of epochs
-// 1..49, where pricing and persistence act, summed over per-epoch minimums
-// of 7 interleaved runs per arm. Path rounding and the audit, which both
-// arms share, take most of the rest of each epoch, so the whole epoch wall
-// would mostly measure them.
+// 50-epoch flash crowd: against the previous solver behavior (refactorize
+// at every warm-start install), the current default (persistent basis
+// factorization) must (1) adopt carried factorizations across the warm
+// timeline and (2) perform strictly fewer from-scratch refactorizations —
+// and the warm churn re-solves must stay ≥2x cheaper in pivots than cold
+// re-solves of the same timeline under the previous behavior (they are
+// ~14x cheaper; warm starts plus persistence are what buy it). The warm
+// re-solves must also be faster: the lp-solve stage wall of epochs 1..49,
+// where persistence acts, summed over per-epoch minimums of 7 interleaved
+// runs per arm. Path rounding and the audit, which both arms share, take
+// most of the rest of each epoch, so the whole epoch wall would mostly
+// measure them.
 func TestPersistentSolverAcceptance(t *testing.T) {
 	sc := live.FlashCrowd(1, 50)
 	mk := func(prev bool, policy live.Policy) *live.RunReport {
 		t.Helper()
 		cfg := live.Config{Policy: policy}
-		if prev {
-			cfg.Solver.Pricing = lp.DantzigPricing
-			cfg.Solver.RefactorOnInstall = true
-		}
+		cfg.Solver.RefactorOnInstall = prev
 		rep, err := live.Run(sc, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -187,10 +182,6 @@ func TestPersistentSolverAcceptance(t *testing.T) {
 	if cur.TotalRefactorizations >= prev.TotalRefactorizations {
 		t.Fatalf("persistence saved no refactorizations: %d vs %d",
 			cur.TotalRefactorizations, prev.TotalRefactorizations)
-	}
-	if cur.TotalPivots > prev.TotalPivots {
-		t.Fatalf("devex + persistence spent more pivots than the previous solver: %d vs %d",
-			cur.TotalPivots, prev.TotalPivots)
 	}
 	if cur.TotalPivots*2 > coldPrev.TotalPivots {
 		t.Fatalf("warm churn re-solves not >=2x cheaper in pivots than previous-solver cold re-solves: %d vs %d",
@@ -244,8 +235,8 @@ const obsOverheadBudgetNS = 18_000
 
 // obsColdBudgetNS bounds what the tap may add to the cold epoch 0, which
 // provisions from scratch (about 4.5 ms) and records the most span events:
-// one per refactorization and devex reset of the cold solve, 8 against 0–2
-// in a warm epoch, so its trace is 1.1 KB against 0.6–0.9 KB. On a 2-core
+// one per refactorization of the cold solve, against 0–2 in a warm epoch,
+// so its trace is the largest. On a 2-core
 // host the cold epoch's minimum over 161 runs still differed between the
 // arms by up to 1.0 ms run alone and 1.7 ms beside other test binaries, so
 // the bound sits above that noise. It catches a tap that adds half a cold
@@ -382,20 +373,6 @@ func BenchmarkStageLPSolve(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := lpmodel.SolveLP(in, lpmodel.DefaultOptions(in)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkStageLPSolveDense solves the same relaxation with the dense
-// tableau reference solver — the baseline the sparse revised simplex is
-// measured against (BENCH_*.json tracks the ratio across PRs).
-func BenchmarkStageLPSolveDense(b *testing.B) {
-	in := gen.Uniform(gen.DefaultUniform(2, 8, 20), 3)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p, _ := lpmodel.Build(in, lpmodel.DefaultOptions(in))
-		if _, err := p.SolveOpts(lp.Options{Dense: true}); err != nil {
 			b.Fatal(err)
 		}
 	}

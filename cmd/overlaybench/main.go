@@ -54,7 +54,6 @@ import (
 	"repro/internal/exp"
 	"repro/internal/gen"
 	"repro/internal/live"
-	"repro/internal/lp"
 	"repro/internal/lpmodel"
 	"repro/internal/netmodel"
 	"repro/internal/obs"
@@ -254,10 +253,9 @@ type incrRow struct {
 	Rebuilds  int  `json:"rebuilds"`
 	Identical bool `json:"identical"`
 	// The epoch-wall row: total wall of the same incremental timeline under
-	// the previous solver behavior (Dantzig pricing, refactorize at every
-	// warm-start install, re-extract every shard sub-instance) against the
-	// current defaults (devex pricing, persistent factorization, cached
-	// sub-instances), with the factorization telemetry of the default run.
+	// the previous solver behavior (refactorize at every warm-start install)
+	// against the current defaults (persistent factorization), with the
+	// factorization telemetry of the default run.
 	PrevSolverWallNS   int64   `json:"prev_solver_epoch_wall_ns"`
 	EpochWallNS        int64   `json:"epoch_wall_ns"`
 	EpochWallSpeedup   float64 `json:"epoch_wall_speedup"`
@@ -300,7 +298,7 @@ func incrSweep(outPath string, quick bool) error {
 		if err != nil {
 			return err
 		}
-		run := func(noIncr, pinInstall, dantzig bool) (*live.RunReport, error) {
+		run := func(noIncr, pinInstall bool) (*live.RunReport, error) {
 			cfg := live.Config{Policy: live.WarmStickyPolicy(), NoIncremental: noIncr}
 			cfg.Solver.Shards = jb.shards
 			// The identical-check arms pin refactorize-on-install: only the
@@ -308,26 +306,19 @@ func incrSweep(outPath string, quick bool) error {
 			// perturb near-tie pivots between the arms for reasons unrelated
 			// to the patched-LP equivalence the column records.
 			cfg.Solver.RefactorOnInstall = pinInstall
-			if dantzig {
-				cfg.Solver.Pricing = lp.DantzigPricing
-			}
 			return live.Run(sc, cfg)
 		}
-		base, err := run(true, true, false)
+		base, err := run(true, true)
 		if err != nil {
 			return fmt.Errorf("%s rebuild: %w", jb.name, err)
 		}
-		incr, err := run(false, true, false)
+		// The pinned incremental run doubles as the previous-solver arm of
+		// the epoch-wall pair, against the current defaults.
+		incr, err := run(false, true)
 		if err != nil {
 			return fmt.Errorf("%s incremental: %w", jb.name, err)
 		}
-		// The epoch-wall pair: the same incremental timeline under the
-		// previous solver behavior vs the current defaults.
-		prev, err := run(false, true, true)
-		if err != nil {
-			return fmt.Errorf("%s prev-solver: %w", jb.name, err)
-		}
-		fast, err := run(false, false, false)
+		fast, err := run(false, false)
 		if err != nil {
 			return fmt.Errorf("%s default-solver: %w", jb.name, err)
 		}
@@ -342,7 +333,7 @@ func incrSweep(outPath string, quick bool) error {
 			Identical: base.TotalTrueCost == incr.TotalTrueCost &&
 				base.TotalPivots == incr.TotalPivots &&
 				base.TotalArcChurn == incr.TotalArcChurn,
-			PrevSolverWallNS:   prev.TotalWallNS,
+			PrevSolverWallNS:   incr.TotalWallNS,
 			EpochWallNS:        fast.TotalWallNS,
 			Refactorizations:   fast.TotalRefactorizations,
 			FTUpdates:          fast.TotalFTUpdates,
@@ -477,11 +468,13 @@ type aggRow struct {
 	// demand units the LP actually solves over (= the LP's sink axis).
 	Groups   int `json:"agg_groups"`
 	AggUnits int `json:"agg_units"`
-	// The one-shot aggregated solve (devex defaults): fold, solve, unfold.
+	// The one-shot aggregated solve: fold, solve, unfold. Pivots counts its
+	// main-LP simplex pivots.
 	AggWallNS     int64   `json:"agg_wall_ns"`
 	AggCost       float64 `json:"agg_cost"`
 	CostPerViewer float64 `json:"agg_cost_per_viewer"`
 	AuditOK       bool    `json:"audit_ok"`
+	Pivots        int     `json:"pivots"`
 	// The trusted unaggregated reference, solved only at sizes where the
 	// |R|·|D| monolithic LP is tractable; CostRatio = agg / flat is the
 	// aggregation overhead the equivalence harness pins at ≤ 1.05.
@@ -501,16 +494,6 @@ type aggRow struct {
 	LPFreeEpochs   int   `json:"lp_free_epochs"`
 	WeightChanges  int   `json:"agg_weight_changes"`
 	Patches        int   `json:"lp_patches"`
-	// The devex-at-scale re-measure (the PR-6 follow-up) on the aggregate
-	// LP: pivots and wall under both pricing rules at this size.
-	DevexPivots   int   `json:"devex_pivots"`
-	DantzigPivots int   `json:"dantzig_pivots"`
-	DevexWallNS   int64 `json:"devex_wall_ns"`
-	DantzigWallNS int64 `json:"dantzig_wall_ns"`
-	// Recoveries counts the cold recovery-ladder rungs the size's one-shot
-	// solves fired (aggregated under both pricing rules, and the flat
-	// reference): each is a solve that failed its first attempt.
-	Recoveries int `json:"recoveries"`
 }
 
 // aggBench is the BENCH_agg.json schema.
@@ -526,8 +509,8 @@ type aggBench struct {
 // LP, so two minutes is generous headroom, not a target. What matters is
 // that the bound holds FLAT as viewers scale — the aggregate LP's size
 // doesn't grow with V (the flat path forfeits outright past ~2000 sinks) —
-// and that the worst case, a repricing epoch that trips the devex-stall
-// recovery (a full extra cold solve), still fits on a contended CI core.
+// and that the worst case, a repricing epoch whose warm start falls back to
+// a full cold solve, still fits on a contended CI core.
 const aggEpochWallBudget = 120 * time.Second
 
 // aggAnchors mirrors internal/agg's default grouping (each viewer labeled by
@@ -558,9 +541,8 @@ func aggAnchors(in *netmodel.Instance) []int {
 // each size folds a clustered footprint into weighted super-sinks, solves
 // one-shot (against the unaggregated reference where that LP is tractable),
 // then drives a short churn timeline through the incremental session —
-// including the weight-neutral swap that must solve LP-free — and re-measures
-// devex vs dantzig pricing on the aggregate LP. maxViewers gates the top
-// sizes: 10^5 is the default sweep, 10^6 the opt-in full footprint.
+// including the weight-neutral swap that must solve LP-free. maxViewers gates
+// the top sizes: 10^5 is the default sweep, 10^6 the opt-in full footprint.
 func aggSweep(outPath string, quick bool, maxViewers int) error {
 	const regions, isps = 10, 5
 	const flatRefViewers = 250 // largest size the monolithic flat LP solves fast
@@ -604,9 +586,7 @@ func aggSweep(outPath string, quick bool, maxViewers int) error {
 		row.AggCost = res.Audit.Cost
 		row.CostPerViewer = res.Audit.Cost / float64(viewers)
 		row.AuditOK = res.AuditOK()
-		row.DevexPivots = res.LPPivots
-		row.DevexWallNS = row.AggWallNS
-		row.Recoveries = res.LPStats.Recoveries()
+		row.Pivots = res.LPPivots
 		row.Groups = int(reg.Gauge(obs.MAggGroups).Value())
 		row.AggUnits = int(reg.Gauge(obs.MAggUnits).Value())
 		if viewers == flatRefViewers {
@@ -618,26 +598,11 @@ func aggSweep(outPath string, quick bool, maxViewers int) error {
 			}
 			row.FlatWallNS = time.Since(start).Nanoseconds()
 			row.FlatCost = flat.Audit.Cost
-			row.Recoveries += flat.LPStats.Recoveries()
 			row.CostRatio = row.AggCost / flat.Audit.Cost
 			refCPV = row.CostPerViewer
 		} else if refCPV > 0 {
 			row.CostPerViewerVsRef = row.CostPerViewer / refCPV
 		}
-
-		// Dantzig re-measure of the same aggregate LP (the PR-6 follow-up:
-		// does devex still pay once aggregation shrinks the sink axis?).
-		dopts := core.DefaultOptions(1)
-		dopts.Aggregate = &agg.Config{}
-		dopts.Pricing = lp.DantzigPricing
-		start = time.Now()
-		dres, err := core.Solve(in.Clone(), dopts)
-		if err != nil {
-			return fmt.Errorf("aggregated dantzig V=%d: %w", viewers, err)
-		}
-		row.DantzigWallNS = time.Since(start).Nanoseconds()
-		row.DantzigPivots = dres.LPPivots
-		row.Recoveries += dres.LPStats.Recoveries()
 
 		// The churn timeline. Membership is fixed at the session's first
 		// Step, so the swap pair is chosen on the pristine instance.
@@ -722,9 +687,9 @@ func aggSweep(outPath string, quick bool, maxViewers int) error {
 		} else if row.CostPerViewerVsRef > 0 {
 			fmt.Printf(" | cost/viewer %.3fx of reference", row.CostPerViewerVsRef)
 		}
-		fmt.Printf(" | churn max epoch %v (ok=%v), %d lp-free, %d patches | pivots devex %d vs dantzig %d, %d recoveries\n",
+		fmt.Printf(" | churn max epoch %v (ok=%v), %d lp-free, %d patches | %d pivots\n",
 			time.Duration(row.MaxEpochWallNS).Round(time.Millisecond), row.EpochWallOK,
-			row.LPFreeEpochs, row.Patches, row.DevexPivots, row.DantzigPivots, row.Recoveries)
+			row.LPFreeEpochs, row.Patches, row.Pivots)
 		bench.Rows = append(bench.Rows, row)
 	}
 	data, err := json.MarshalIndent(bench, "", "  ")

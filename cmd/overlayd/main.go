@@ -168,7 +168,9 @@ func main() {
 		ln.Addr(), st.Epoch, st.Policy)
 
 	// The solver loop owns the timeline; its exit (ctx cancel → final
-	// snapshot, or a solve error) tears the listener down.
+	// snapshot, or a failed snapshot) tears the listener down. A failed
+	// solve does not: the loop logs it, keeps serving the last published
+	// view and reports not ok on /healthz until a solve succeeds.
 	runErr := make(chan error, 1)
 	go func() { runErr <- d.Run(ctx) }()
 

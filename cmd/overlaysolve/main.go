@@ -14,7 +14,7 @@
 // path for thousands of sinks. -json writes a machine-readable report
 // (per-stage timings, audit, shard counters) next to the human output;
 // -trace writes the hierarchical solve trace (pipeline stages, per-shard
-// solves, simplex refactorization/adoption/devex events) as JSONL.
+// solves, simplex refactorization/adoption events) as JSONL.
 package main
 
 import (

@@ -84,7 +84,7 @@ func main() {
 
 	// The span tree, aggregated into a flame summary: epoch spans at the
 	// root, core stages beneath, simplex events (refactorizations, FT
-	// adoptions, devex resets) counted per span.
+	// adoptions, column replacements) counted per span.
 	recs, err := obs.ReadTrace(&trace)
 	if err != nil {
 		log.Fatal(err)

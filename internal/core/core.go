@@ -56,12 +56,6 @@ type Options struct {
 	// simplex iterations when re-solving after churn. Invalid bases
 	// degrade to a cold solve.
 	WarmStart *lp.Basis
-	// Pricing selects the simplex entering rule of every main-LP solve,
-	// per-shard ones included (default lp.DevexPricing). Dantzig is a
-	// reference arm: overlaybench's BENCH_agg and BENCH_incr sweeps,
-	// TestPersistentSolverAcceptance and TestPricingAuditParityAcrossScenarios
-	// compare the default against it.
-	Pricing lp.Pricing
 	// RefactorOnInstall forces every warm-started LP solve to refactorize
 	// its basis at install instead of resuming a persisted factorization:
 	// the pre-persistence reference arm of overlaybench's BENCH_incr sweep,
@@ -96,9 +90,9 @@ type Options struct {
 	// per-stage spans and wall/run metrics from the pipeline tracker, LP
 	// factorization events attached to the lp-solve span, per-shard child
 	// spans, and the Result-derived solver counters (pivots,
-	// refactorizations, FT adoptions, devex resets, patch cells, shard
-	// coordination) fed once per top-level Solve. A nil Obs costs one nil
-	// check per site and leaves the solve byte-identical.
+	// refactorizations, FT adoptions, patch cells, shard coordination) fed
+	// once per top-level Solve. A nil Obs costs one nil check per site and
+	// leaves the solve byte-identical.
 	Obs *obs.Observer
 	// Aggregate, when non-nil, folds the instance's viewers into weighted
 	// super-sinks keyed by (group, stream-slot set) before the pipeline
@@ -179,7 +173,7 @@ type Result struct {
 	// rhs / objective cells the lp-patch stage rewrote.
 	Patch *lpmodel.PatchStats
 	// LPStats totals the solver's factorization events across the solve —
-	// refactorizations, adopted (persisted) factorizations, devex resets.
+	// refactorizations, adopted (persisted) factorizations, warm fallbacks.
 	// For sharded solves it sums over shards. It counts the main LP only.
 	LPStats lp.SolveStats
 	// LPPivots counts the main LP's simplex pivots, and LPVars and LPRows
@@ -258,11 +252,10 @@ func lpOptions(in *netmodel.Instance, opts Options) lpmodel.Options {
 }
 
 // solverOptions derives the lp.Options of a solve (the warm-start basis and
-// the reference-arm knobs).
+// the refactorize-on-install reference arm).
 func solverOptions(opts Options) lp.Options {
 	return lp.Options{
 		WarmStart:         opts.WarmStart,
-		Pricing:           opts.Pricing,
 		RefactorOnInstall: opts.RefactorOnInstall,
 	}
 }
@@ -278,9 +271,9 @@ func lpStages(ps *pipelineState) []Stage {
 		sopts := solverOptions(ps.opts)
 		if sp := ps.stageSpan; sp != nil {
 			// Surface the simplex internals on the lp-solve span:
-			// refactorizations, FT adoptions, column replacements, devex
-			// resets, basis repairs, warm fallbacks and recovery rungs land
-			// as span events with their pivot iteration.
+			// refactorizations, FT adoptions, column replacements, basis
+			// repairs and warm fallbacks land as span events with their
+			// pivot iteration.
 			sopts.Events = func(e lp.Event) {
 				sp.Event(e.Kind.String(), obs.A("iteration", e.Iteration))
 			}
@@ -414,18 +407,8 @@ func recordSolve(o *obs.Observer, res *Result) {
 	o.Counter(obs.MLPPivots).Add(float64(res.LPPivots))
 	o.Counter(obs.MLPRefactorizations).Add(float64(res.LPStats.Refactorizations))
 	o.Counter(obs.MLPFTUpdates).Add(float64(res.LPStats.FTUpdates))
-	o.Counter(obs.MLPDevexResets).Add(float64(res.LPStats.DevexResets))
 	o.Counter(obs.MLPWarmFallbacks).Add(float64(res.LPStats.WarmFallbacks))
 	o.Counter(obs.MLPBasisRepairs).Add(float64(res.LPStats.Repairs))
-	for _, c := range []struct {
-		rung string
-		n    int
-	}{
-		{obs.LPRungTightCadence, res.LPStats.TightCadence}, {obs.LPRungDenseFallback, res.LPStats.DenseFallbacks},
-		{obs.LPRungAltPricing, res.LPStats.AltPricing}, {obs.LPRungClone, res.LPStats.Clone},
-	} {
-		o.Counter(obs.MLPRecoveries, obs.L("rung", c.rung)).Add(float64(c.n))
-	}
 	pl := res.PathLP
 	o.Counter(obs.MPathLPPivots).Add(float64(pl.Pivots))
 	o.Counter(obs.MPathLPWarmFallbacks).Add(float64(pl.LPStats.WarmFallbacks))

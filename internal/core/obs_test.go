@@ -33,8 +33,8 @@ func TestSolveFeedsObserver(t *testing.T) {
 	if got := reg.Counter(obs.MLPRefactorizations).Value(); got != float64(res.LPStats.Refactorizations) {
 		t.Fatalf("refactorizations counter %v != result %d", got, res.LPStats.Refactorizations)
 	}
-	if got := reg.Counter(obs.MLPDevexResets).Value(); got != float64(res.LPStats.DevexResets) {
-		t.Fatalf("devex resets counter %v != result %d", got, res.LPStats.DevexResets)
+	if got := reg.Counter(obs.MLPFTUpdates).Value(); got != float64(res.LPStats.FTUpdates) {
+		t.Fatalf("FT updates counter %v != result %d", got, res.LPStats.FTUpdates)
 	}
 	for _, st := range res.Stages {
 		if got := reg.Counter(obs.MStageRuns, obs.L("stage", st.Name)).Value(); int(got) != st.Runs {
@@ -63,7 +63,7 @@ func TestSolveFeedsObserver(t *testing.T) {
 		}
 	}
 	st := res.LPStats
-	if want := st.Refactorizations + st.FTUpdates + st.Replacements + st.DevexResets + st.WarmFallbacks + st.Repairs + st.Recoveries(); events != want {
+	if want := st.Refactorizations + st.FTUpdates + st.Replacements + st.WarmFallbacks + st.Repairs; events != want {
 		t.Fatalf("lp-solve spans carry %d simplex events, want %d", events, want)
 	}
 }

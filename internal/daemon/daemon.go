@@ -34,7 +34,9 @@ package daemon
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"log"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -110,6 +112,9 @@ type Totals struct {
 	FTUpdates        int `json:"ft_updates"`
 	Refactorizations int `json:"refactorizations"`
 	SLOBreaches      int `json:"slo_breaches"`
+	// FailedSolves counts solve steps that failed; the daemon kept serving
+	// its last published view through each (see Run).
+	FailedSolves int `json:"failed_solves"`
 }
 
 // View is the immutable published read state: everything a placement or
@@ -144,6 +149,7 @@ type Daemon struct {
 	qEdits    int
 	events    []live.Event
 	totals    Totals
+	health    obs.HealthStatus // /healthz of the published view (see setHealth)
 	sinceSnap int
 	start     time.Time
 
@@ -199,7 +205,7 @@ func Resume(snap *Snapshot, cfg Config) (*Daemon, error) {
 		// the persisted design. (The full guarantee predicate needs the
 		// rounding variant, which only the next solve knows; structure is
 		// what a re-audit of a deployed design can certify.)
-		d.srv.SetHealth(obs.HealthStatus{
+		d.setHealth(obs.HealthStatus{
 			OK: audit.StructureOK, Running: true,
 			Scenario: d.base.Name, Policy: policyName(d.cfg),
 			Epoch: sess.Steps() - 1, Epochs: sess.Steps(),
@@ -277,22 +283,20 @@ func (d *Daemon) SolveNow() (EpochInfo, error) {
 	return d.solveLocked()
 }
 
-// solveLocked is one engine step: apply the queue, step, publish.
-func (d *Daemon) solveLocked() (EpochInfo, error) {
-	for i := range d.queue {
-		if err := d.eng.Apply(d.queue[i]); err != nil {
-			// Cannot happen for a queue validated at ingest (deltas never
-			// resize and validation is state-independent), but a corrupted
-			// snapshot could smuggle one in — fail the solve, keep serving.
-			return EpochInfo{}, fmt.Errorf("daemon: applying queued delta %q: %w", d.queue[i].Note, err)
-		}
-	}
-	d.queue = d.queue[:0]
-	d.qEdits = 0
+// solveFailure is a failed solve step, which Run survives.
+type solveFailure struct{ error }
 
-	info, res, err := d.eng.Step()
+// solveLocked is one engine step: apply the queue, step, publish. A step
+// that fails publishes nothing: readers keep the last view, the failure is
+// counted, and /healthz reports not ok until a solve succeeds.
+func (d *Daemon) solveLocked() (EpochInfo, error) {
+	info, res, err := d.stepLocked()
 	if err != nil {
-		return EpochInfo{}, fmt.Errorf("daemon: %w", err)
+		d.totals.FailedSolves++
+		h := d.health
+		h.OK = false
+		d.srv.SetHealth(h)
+		return EpochInfo{}, solveFailure{err}
 	}
 	slo := d.eng.SLO()
 	d.totals.Solves++
@@ -303,7 +307,7 @@ func (d *Daemon) solveLocked() (EpochInfo, error) {
 	d.totals.SLOBreaches = slo.Breaches()
 
 	d.publishLocked(res.Design, res.Audit, info)
-	d.srv.SetHealth(obs.HealthStatus{
+	d.setHealth(obs.HealthStatus{
 		OK: info.AuditOK, Running: true,
 		Scenario: d.base.Name, Policy: policyName(d.cfg),
 		Epoch: info.Epoch, Epochs: info.Epoch + 1,
@@ -328,6 +332,32 @@ func (d *Daemon) solveLocked() (EpochInfo, error) {
 	return info, nil
 }
 
+// stepLocked applies the queued deltas to the engine and steps it.
+func (d *Daemon) stepLocked() (EpochInfo, *core.ReoptimizeResult, error) {
+	for i := range d.queue {
+		if err := d.eng.Apply(d.queue[i]); err != nil {
+			// Cannot happen for a queue validated at ingest (deltas never
+			// resize and validation is state-independent), but a corrupted
+			// snapshot could smuggle one in — fail the solve, keep serving.
+			return EpochInfo{}, nil, fmt.Errorf("daemon: applying queued delta %q: %w", d.queue[i].Note, err)
+		}
+	}
+	d.queue = d.queue[:0]
+	d.qEdits = 0
+	info, res, err := d.eng.Step()
+	if err != nil {
+		return EpochInfo{}, nil, fmt.Errorf("daemon: %w", err)
+	}
+	return info, res, nil
+}
+
+// setHealth records h as the /healthz state of the published view and
+// serves it.
+func (d *Daemon) setHealth(h obs.HealthStatus) {
+	d.health = h
+	d.srv.SetHealth(h)
+}
+
 // publishLocked swaps in a fresh immutable view. The design is cloned (the
 // session keeps mutating its copy through stickiness diffs), the instance
 // snapshotted — readers own the view forever.
@@ -349,6 +379,14 @@ func policyName(cfg Config) string {
 // (Config.SolveInterval) and the pressure trigger both funnel into
 // SolveNow. On shutdown a final snapshot is written when a path is
 // configured, so a SIGTERM'd daemon always restarts warm.
+//
+// A failed solve step (an infeasible LP after an accepted delta, or a
+// solver failure) does not end the loop: Run logs it to stderr and waits
+// for the next trigger, while the daemon keeps serving the view it last
+// published, counts the failure in Totals.FailedSolves and reports not ok
+// on /healthz until a solve succeeds. The failed epoch's deltas stay
+// applied, so the next delta can repair the instance. A failed snapshot
+// still ends the loop with its error.
 //
 // The cadence is a fixed delay, not a fixed rate: the timer restarts when
 // the loop's solve ends, so a full interval without a loop solve follows
@@ -378,7 +416,10 @@ func (d *Daemon) Run(ctx context.Context) error {
 		case <-tick:
 		}
 		if _, err := d.SolveNow(); err != nil {
-			return err
+			if !errors.As(err, new(solveFailure)) {
+				return err
+			}
+			log.Printf("overlayd: %v (still serving epoch %d)", err, d.View().Epoch)
 		}
 		if t != nil {
 			t.Reset(d.cfg.SolveInterval)

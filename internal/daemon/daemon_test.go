@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/agg"
 	"repro/internal/core"
 	"repro/internal/live"
 	"repro/internal/netmodel"
@@ -292,6 +293,116 @@ func TestDaemonPressureSolve(t *testing.T) {
 	}
 	if st := d.Status(); st.PendingEdits != 0 || st.Totals.Solves < 2 {
 		t.Fatalf("after pressure solve: %+v", st)
+	}
+}
+
+// TestDaemonSurvivesFailedSolve: a delta the daemon accepts can still make
+// the next solve fail — every reflector's fanout set to 0 leaves the LP
+// infeasible. Run must survive it: /healthz reports not ok while running,
+// /placement keeps answering from the last published epoch, and /status
+// counts the failed solve. Once a second delta restores the fanouts, the
+// next solve publishes epoch 1, equal to the epoch 1 of a daemon that never
+// saw either delta. Flat and aggregated.
+func TestDaemonSurvivesFailedSolve(t *testing.T) {
+	for _, aggregate := range []bool{false, true} {
+		t.Run(fmt.Sprintf("aggregate=%v", aggregate), func(t *testing.T) {
+			in := testInstance(t, 5)
+			cfg := testConfig(5)
+			if aggregate {
+				cfg.Solver.Aggregate = &agg.Config{}
+			}
+			control, err := New(in, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := control.SolveNow(); err != nil {
+				t.Fatal(err)
+			}
+			cfg.Pressure = 1 // every accepted delta triggers a solve in Run
+			d, err := New(in, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv := httptest.NewServer(d.Handler())
+			defer srv.Close()
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			done := make(chan error, 1)
+			go func() { done <- d.Run(ctx) }()
+			status := func() Status {
+				t.Helper()
+				code, body := get(t, srv, "/status")
+				var st Status
+				if code != http.StatusOK || json.Unmarshal(body, &st) != nil {
+					t.Fatalf("/status: %d %s", code, body)
+				}
+				return st
+			}
+			await := func(what string, cond func(Status) bool) Status {
+				t.Helper()
+				for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+					select {
+					case err := <-done:
+						t.Fatalf("Run returned %v while waiting for %s", err, what)
+					default:
+					}
+					if st := status(); cond(st) {
+						return st
+					}
+					if time.Now().After(deadline) {
+						t.Fatalf("timed out waiting for %s", what)
+					}
+				}
+			}
+			ingest := func(del netmodel.Delta) {
+				t.Helper()
+				body, _ := json.Marshal(del)
+				if code, out := post(t, srv, "/deltas", string(body)); code != http.StatusAccepted {
+					t.Fatalf("POST /deltas %q: %d %s", del.Note, code, out)
+				}
+			}
+			_, placed := get(t, srv, "/placement?sink=0")
+
+			down := netmodel.Delta{Note: "every reflector's fanout to 0"}
+			up := netmodel.Delta{Note: "every reflector's fanout restored"}
+			for i, f := range in.Fanout {
+				down.SetFanout = append(down.SetFanout, netmodel.RefValue{Ref: i, Value: 0})
+				up.SetFanout = append(up.SetFanout, netmodel.RefValue{Ref: i, Value: f})
+			}
+			ingest(down)
+			st := await("the failed solve", func(st Status) bool { return st.Totals.FailedSolves > 0 })
+			if st.Totals.FailedSolves != 1 || st.Totals.Solves != 1 || st.Epoch != 0 {
+				t.Fatalf("status after the failed solve: %+v", st.Totals)
+			}
+			code, body := get(t, srv, "/healthz")
+			var h obs.HealthStatus
+			if err := json.Unmarshal(body, &h); err != nil {
+				t.Fatal(err)
+			}
+			if code != http.StatusServiceUnavailable || h.OK || !h.Running {
+				t.Fatalf("/healthz after the failed solve: %d %s", code, body)
+			}
+			if code, body := get(t, srv, "/placement?sink=0"); code != http.StatusOK || !bytes.Equal(body, placed) {
+				t.Fatalf("/placement after the failed solve: %d %s, want epoch 0's %s", code, body, placed)
+			}
+
+			ingest(up)
+			st = await("epoch 1", func(st Status) bool { return st.Epoch == 1 })
+			if st.Totals.FailedSolves != 1 || st.Totals.Solves != 2 {
+				t.Fatalf("status after the repaired solve: %+v", st.Totals)
+			}
+			if code, body := get(t, srv, "/healthz"); code != http.StatusOK {
+				t.Fatalf("/healthz after the repaired solve: %d %s", code, body)
+			}
+			got, want := d.View(), control.View()
+			if !reflect.DeepEqual(got.Design, want.Design) || got.Last.TrueCost != want.Last.TrueCost {
+				t.Fatalf("epoch 1 after the failed solve: cost %.17g, control %.17g", got.Last.TrueCost, want.Last.TrueCost)
+			}
+			cancel()
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

@@ -65,17 +65,8 @@ func L1FlashCrowd(cfg Config) *stats.Table {
 			worst = ratio
 		}
 	}
-	// The ≥3x claim is for full-length timelines; the quick horizon packs
-	// events into nearly every epoch, and devex pricing compresses the cold
-	// baseline it is measured against (cold solves take far fewer pivots than
-	// under Dantzig), so its floor is 1.8x (the 50-epoch acceptance test in
-	// internal/live asserts the 3x claim directly).
-	floor := 3.0
-	if cfg.Quick {
-		floor = 1.8
-	}
-	t.AddRow("speedup ok?", "", "", "", "", "", yes(worst >= floor))
-	t.AddNote("worst pivot ratio cold/warm over %d seeds: %.1fx (claim: ≥%.0fx)", trials, worst, floor)
+	t.AddRow("speedup ok?", "", "", "", "", "", yes(worst >= 3))
+	t.AddNote("worst pivot ratio cold/warm over %d seeds: %.1fx (claim: ≥3x)", trials, worst)
 	return t
 }
 

@@ -113,11 +113,9 @@ func (e *Engine) Step() (EpochReport, *core.ReoptimizeResult, error) {
 	}
 	er.Refactorizations = res.LPStats.Refactorizations
 	er.FTUpdates = res.LPStats.FTUpdates
-	er.DevexResets = res.LPStats.DevexResets
 	er.WarmFallbacks = res.LPStats.WarmFallbacks
 	er.LPWarmOffered = res.LPStats.WarmStarts > 0
 	er.LPWarm = er.LPWarmOffered && er.WarmFallbacks == 0
-	er.Recoveries = res.LPStats.Recoveries()
 	if si := res.ShardInfo; si != nil {
 		er.ExtractionsSkipped = si.ExtractionsSkipped
 		for _, n := range si.PerShardPatches {

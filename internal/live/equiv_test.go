@@ -1,18 +1,13 @@
 package live
 
-// Timeline-level equivalence locks for the persistent basis factorization
-// and the devex pricing default. Both features change the solver's pivot
-// trajectory only — every deployed design, audited cost, and churn number
-// across the whole scenario library must be unchanged. (The incr-vs-rebuild
-// golden tests pin RefactorOnInstall in both arms to isolate the Patcher's
-// model equivalence; these tests are the complementary lock on the
-// persistence path itself.)
+// Timeline-level equivalence locks for the persistent basis factorization.
+// It changes the solver's pivot trajectory only — every deployed design,
+// audited cost, and churn number across the whole scenario library must be
+// unchanged. (The incr-vs-rebuild golden tests pin RefactorOnInstall in
+// both arms to isolate the Patcher's model equivalence; these tests are the
+// complementary lock on the persistence path itself.)
 
-import (
-	"testing"
-
-	"repro/internal/lp"
-)
+import "testing"
 
 // runLibrary runs every registered scenario for a short horizon under the
 // warm+sticky policy with the given solver tweak and returns the reports.
@@ -90,26 +85,5 @@ func TestPersistedFactorizationTimelineEquivalence(t *testing.T) {
 	}
 	if refacPersist >= refacPinned {
 		t.Fatalf("persistence saved no refactorizations: %d vs %d", refacPersist, refacPinned)
-	}
-}
-
-// TestPricingAuditParityAcrossScenarios is the devex≡Dantzig golden lock on
-// the scenario library: the default devex pricing must deploy exactly the
-// designs Dantzig pricing deploys — same costs, same churn, same audit
-// verdicts, every epoch of every scenario — while spending fewer total
-// pivots across the library.
-func TestPricingAuditParityAcrossScenarios(t *testing.T) {
-	devex := runLibrary(t, nil)
-	dantzig := runLibrary(t, func(cfg *Config) { cfg.Solver.Pricing = lp.DantzigPricing })
-	pivDevex, pivDantzig := 0, 0
-	for name, a := range devex {
-		b := dantzig[name]
-		sameDeployments(t, name, a, b)
-		pivDevex += a.TotalPivots
-		pivDantzig += b.TotalPivots
-	}
-	t.Logf("library pivots: devex %d, dantzig %d", pivDevex, pivDantzig)
-	if pivDevex >= pivDantzig {
-		t.Fatalf("devex spent more pivots than Dantzig across the library: %d vs %d", pivDevex, pivDantzig)
 	}
 }

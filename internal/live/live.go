@@ -212,24 +212,21 @@ type EpochReport struct {
 	// Solver factorization telemetry (summed over shards on the sharded
 	// path): Refactorizations counts from-scratch basis factorizations,
 	// FTUpdates warm starts that resumed a persisted factorization instead,
-	// DevexResets devex reference-framework resets, WarmFallbacks warm
-	// starts abandoned for a cold re-solve, and ExtractionsSkipped the
+	// WarmFallbacks warm starts abandoned for a cold re-solve, and
+	// ExtractionsSkipped the
 	// shards that reused their cached sub-instance without extraction
 	// (always 0 on the monolithic path).
 	Refactorizations   int `json:"refactorizations"`
 	FTUpdates          int `json:"ft_updates"`
-	DevexResets        int `json:"devex_resets"`
 	WarmFallbacks      int `json:"warm_fallbacks"`
 	ExtractionsSkipped int `json:"extractions_skipped"`
 	// LPWarmOffered reports whether the main LP (a shard's, on the sharded
 	// path) was offered a basis it could start from, and LPWarm whether it
 	// then finished warm, with no warm fallback. An epoch that solved cold
 	// because it had no basis reads false for both, where WarmFallbacks
-	// alone would read 0. Recoveries counts the rungs of the solver's cold
-	// recovery ladder that fired (lp.SolveStats.Recoveries).
+	// alone would read 0.
 	LPWarmOffered bool `json:"lp_warm_offered"`
 	LPWarm        bool `json:"lp_warm"`
-	Recoveries    int  `json:"recoveries"`
 	// SLOOk reports whether this epoch met the availability target
 	// (MetDemand ≥ SLOTarget × ActiveSinks); SLOWindowFrac is the fraction
 	// of the trailing SLOWindow epochs (including this one) that did.
@@ -272,9 +269,7 @@ type RunReport struct {
 	// Solver factorization totals across epochs.
 	TotalRefactorizations   int `json:"total_refactorizations"`
 	TotalFTUpdates          int `json:"total_ft_updates"`
-	TotalDevexResets        int `json:"total_devex_resets"`
 	TotalWarmFallbacks      int `json:"total_warm_fallbacks"`
-	TotalRecoveries         int `json:"total_recoveries"`
 	TotalExtractionsSkipped int `json:"total_extractions_skipped"`
 	// Path-LP totals across epochs, counted apart from the main LP's
 	// totals above (core.Result.PathLP; zero on the sharded path):
@@ -389,9 +384,7 @@ func Run(sc *Scenario, cfg Config) (*RunReport, error) {
 		rep.TotalLPRebuilds += er.LPRebuilds
 		rep.TotalRefactorizations += er.Refactorizations
 		rep.TotalFTUpdates += er.FTUpdates
-		rep.TotalDevexResets += er.DevexResets
 		rep.TotalWarmFallbacks += er.WarmFallbacks
-		rep.TotalRecoveries += er.Recoveries
 		rep.TotalExtractionsSkipped += er.ExtractionsSkipped
 		rep.TotalPathPivots += res.PathLP.Pivots
 		rep.TotalPathResumed += res.PathLP.Resumed

@@ -12,8 +12,7 @@ import (
 // horizon under the warm+sticky policy: no errors, full horizon, every
 // epoch's design passing the paper's audit, every warm start of the main LP
 // and of the §6.5 path LP finishing warm (no fallback to a cold solve),
-// every epoch after the first offered a basis, and no cold recovery rung
-// firing.
+// and every epoch after the first offered a basis.
 func TestAllScenariosRunClean(t *testing.T) {
 	for _, name := range Names() {
 		name := name
@@ -41,9 +40,6 @@ func TestAllScenariosRunClean(t *testing.T) {
 			}
 			if rep.TotalPathWarmFallbacks != 0 {
 				t.Fatalf("%d path-LP warm starts fell back to a cold solve", rep.TotalPathWarmFallbacks)
-			}
-			if rep.TotalRecoveries != 0 {
-				t.Fatalf("%d cold recovery rungs fired", rep.TotalRecoveries)
 			}
 			for _, er := range rep.Epochs[1:] {
 				if !er.LPWarm {

@@ -1,19 +1,32 @@
 package lp
 
 // The dense two-phase bounded-variable tableau simplex. This was the
-// original solver of the repository and is retained behind Options.Dense as
-// a golden reference implementation: it shares no code with the sparse
-// revised simplex, so agreement between the two on an instance is strong
-// evidence both are correct. Tests cross-check every sparse optimum against
-// it; production call sites always take the sparse path.
+// original solver of the repository and is kept as the tests' golden
+// reference: it shares no code with the sparse revised simplex, so
+// agreement between the two on an instance is strong evidence both are
+// correct. Tests cross-check sparse optima against it (solveDense; the
+// external test package reaches it through export_test.go).
 
 import "math"
+
+// solveDense solves p with the dense reference tableau. Its Solution
+// carries the status, point, objective and pivot count; no basis, duals or
+// factorization stats.
+func solveDense(p *Problem) *Solution {
+	s := newDenseSimplex(p)
+	st := s.run()
+	sol := &Solution{Status: st, Iterations: s.iters}
+	if st == Optimal || st == IterLimit {
+		sol.X = s.extract()
+		sol.Objective = p.objectiveOf(sol.X)
+	}
+	return sol
+}
 
 // denseSimplex is the working state: a dense tableau over columns
 // [structural | slack | artificial], all shifted so lower bounds are 0.
 type denseSimplex struct {
-	p    *Problem
-	opts Options
+	p *Problem
 
 	m, n     int // rows, total columns
 	nStruct  int
@@ -32,9 +45,9 @@ type denseSimplex struct {
 	bland    bool
 }
 
-func newDenseSimplex(p *Problem, opts Options) *denseSimplex {
+func newDenseSimplex(p *Problem) *denseSimplex {
 	m := len(p.rows)
-	s := &denseSimplex{p: p, opts: opts, m: m, nStruct: p.n}
+	s := &denseSimplex{p: p, m: m, nStruct: p.n}
 	s.nSlack = 0
 	for _, r := range p.rows {
 		if r.rel != EQ {
@@ -150,10 +163,7 @@ func newDenseSimplex(p *Problem, opts Options) *denseSimplex {
 	s.cost = s.cost[:s.n]
 	s.zrow = s.zrow[:s.n]
 
-	s.maxIters = opts.MaxIters
-	if s.maxIters <= 0 {
-		s.maxIters = 200*(m+s.n) + 2000
-	}
+	s.maxIters = 200*(m+s.n) + 2000
 	return s
 }
 

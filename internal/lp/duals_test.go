@@ -41,11 +41,7 @@ func TestSolutionDualsKnown(t *testing.T) {
 	if got := sol.DualsFor([]int{99, -1}); got[0] != 0 || got[1] != 0 {
 		t.Fatalf("out-of-range duals %v, want zeros", got)
 	}
-	dense, err := p.SolveOpts(Options{Dense: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dense.DualsFor([]int{r0}) != nil {
+	if dense := solveDense(p); dense.DualsFor([]int{r0}) != nil {
 		t.Fatal("dense reference solver unexpectedly produced duals")
 	}
 	var nilSol *Solution
@@ -190,66 +186,5 @@ func TestCarriedFactorizationRefusedByOtherProblem(t *testing.T) {
 				t.Fatalf("trial %d: dual[%d] = %.17g, cold %.17g", trial, r, warm.Duals[r], cold.Duals[r])
 			}
 		}
-	}
-}
-
-// TestDevexResetOnPatchedAdoption: adopting a factorization over a matrix
-// whose values moved since the snapshot (a nonbasic column patch — a shard's
-// capacity re-split rescaling its capacity row) must declare a fresh devex
-// reference framework. The adoption itself still goes through without a
-// refactorization.
-func TestDevexResetOnPatchedAdoption(t *testing.T) {
-	p := randomCovering(7500)
-	first, err := p.Solve()
-	if err != nil || first.Status != Optimal {
-		t.Fatalf("%v %v", first.Status, err)
-	}
-	// Patch a structural column that is NOT basic (a basic patch would
-	// add a column replacement; this isolates the unchanged-B case).
-	target, row, pos := -1, -1, -1
-	for r := 0; r < p.NumRows() && target < 0; r++ {
-		for k := 0; k < p.RowLen(r); k++ {
-			if j := p.RowCoef(r, k).Var; first.Basis.ColStat[j] != BasisBasic {
-				target, row, pos = j, r, k
-				break
-			}
-		}
-	}
-	if target < 0 {
-		t.Fatal("no nonbasic structural column found")
-	}
-	p.SetRowCoef(row, pos, p.RowCoef(row, pos).Val*1.1)
-	warm, err := p.SolveOpts(Options{WarmStart: first.Basis})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warm.Status != Optimal {
-		t.Fatalf("warm solve after nonbasic patch: %v", warm.Status)
-	}
-	if warm.Stats.FTUpdates == 0 {
-		t.Fatal("nonbasic patch blocked adoption")
-	}
-	if warm.Stats.Refactorizations != 0 {
-		t.Fatalf("nonbasic patch refactorized %d times", warm.Stats.Refactorizations)
-	}
-	if warm.Stats.DevexResets == 0 {
-		t.Fatal("adoption over a patched matrix did not reset the devex reference framework")
-	}
-
-	// Control: an unpatched same-problem re-solve adopts with NO reset.
-	q := randomCovering(7501)
-	base, err := q.Solve()
-	if err != nil || base.Status != Optimal {
-		t.Fatalf("%v %v", base.Status, err)
-	}
-	clean, err := q.SolveOpts(Options{WarmStart: base.Basis})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if clean.Stats.FTUpdates == 0 || clean.Stats.Refactorizations != 0 {
-		t.Fatalf("clean re-solve did not adopt: %+v", clean.Stats)
-	}
-	if clean.Stats.DevexResets != 0 {
-		t.Fatalf("clean adoption reset devex %d times", clean.Stats.DevexResets)
 	}
 }

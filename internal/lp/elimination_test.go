@@ -217,7 +217,6 @@ func (s *sparse) factorDense(repair bool) bool {
 	s.computeBeta()
 	s.stats.Refactorizations++
 	s.emit(EventRefactorization)
-	s.resetDevex()
 	return true
 }
 

@@ -130,15 +130,6 @@ func (s *sparse) adoptFactorization(f *Factorization) bool {
 	for ; replace > 0; replace-- {
 		s.emit(EventColumnReplacement)
 	}
-	// The matrix VALUES may have moved since the snapshot — nonbasic
-	// coefficient patches (a shard's capacity re-split rescaling its
-	// capacity rows) and replaced basic columns both land here. The devex
-	// reference weights describe the pre-patch pricing geometry; without a
-	// reset the re-solve can chase stale steepest-edge estimates into a
-	// degenerate stall.
-	if f.ver != s.p.patchVer {
-		s.resetDevex()
-	}
 	s.computeBeta()
 	return true
 }

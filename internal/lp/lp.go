@@ -20,10 +20,9 @@
 //   - Scaling: the Problem stores each row, coefficients and rhs, divided
 //     by s_r = 2^⌊log2 max_j |a_rj|⌋ (1 for an empty or all-zero row), so
 //     the largest stored entry of every row lies in [1, 2). The aggregate
-//     LPs mix unit loads of O(10^3) with fanout coefficients of O(10);
-//     unscaled, their cold simplex broke down and fell to the recovery
-//     ladder. The factor is a power of two, so scaling and unscaling are
-//     exact, and it is a pure function of the row's current values: a
+//     LPs mix unit loads of O(10^3) with fanout coefficients of O(10). The
+//     factor is a power of two, so scaling and unscaling are exact, and it
+//     is a pure function of the row's current values: a
 //     SetRowCoef marks its row, and Precompute (or the next solve) derives
 //     the marked rows' factors anew, re-storing a row whose factor moved
 //     and stamping its columns as patched. A patched Problem therefore
@@ -31,7 +30,8 @@
 //     are unscaled in one place each: RowCoef, RowCoefs and RHS return what
 //     was set, CheckFeasible judges the rows as set, and Solution.Duals
 //     price them (y_r = y′_r / s_r). x and the objective do not change
-//     under row scaling. The dense reference solver reads the rows as set.
+//     under row scaling. The tests' dense reference solver reads the rows
+//     as set.
 //   - Basis: the basis inverse is kept in elimination form: the lower and
 //     upper factors of the last refactorization, each a file of eta
 //     matrices, followed by one product-form update eta per pivot since.
@@ -42,11 +42,11 @@
 //     column costs time in proportion to the entries it touches. It runs
 //     every 16 + 2·√rows pivots — the cadence bounds both update-file
 //     growth and accumulated floating-point drift.
-//   - Pricing: devex (approximate steepest-edge reference weights, reset at
-//     each refactorization) by default, with Dantzig pricing selectable via
-//     Options and a Bland fallback for anti-cycling. The pivot row that the
-//     devex update and the dual ratio test read is built from the row-wise
-//     coefficients of the rows where the BTRAN'd unit vector is nonzero.
+//   - Pricing: Dantzig's rule (enter the column whose reduced cost most
+//     violates optimality), with a Bland fallback for anti-cycling once a
+//     phase runs long. The pivot row that the dual ratio test reads is built from
+//     the row-wise coefficients of the rows where the BTRAN'd unit vector is
+//     nonzero.
 //   - Phases: a cold solve runs the classic two phases — artificials are
 //     priced out first, then the true objective — while a warm solve skips
 //     phase 1 entirely: primal phase 2 when the supplied basis is already
@@ -76,9 +76,15 @@
 // feasibility audit, degrade to a cold solve (counted in
 // SolveStats.WarmFallbacks), so warm starting is always safe to attempt.
 //
-// The previous dense two-phase tableau solver is retained behind
-// Options.Dense as a golden reference: tests cross-check every sparse
-// optimum against it.
+// # One cold attempt
+//
+// The cold solve runs once. An optimum is audited against the rows as set
+// (CheckFeasible) before it is returned; one that fails the audit is an
+// error, never an Optimal Solution. Infeasible, Unbounded and IterLimit are
+// returned as Solutions with that status.
+//
+// The original dense two-phase tableau solver lives on in dense_test.go as
+// the tests' golden reference: they cross-check sparse optima against it.
 package lp
 
 import (
@@ -564,8 +570,7 @@ func (b *Basis) compatible(p *Problem) bool {
 
 // SolveStats counts the factorization-level events of a solve, surfaced so
 // the re-optimization loop can see where warm starts spend their time. All
-// counters are totals across the recovery ladder (warm attempt + any cold
-// fallback).
+// counters are totals over the warm attempt and any cold fallback.
 type SolveStats struct {
 	// WarmStarts counts solves that were offered a warm start compatible
 	// with their problem; WarmStarts − WarmFallbacks of them finished warm.
@@ -579,9 +584,6 @@ type SolveStats struct {
 	// carried factorization (one product-form eta each) instead of
 	// refactorizing.
 	Replacements int
-	// DevexResets counts devex reference-framework resets (one per
-	// refactorization under devex pricing).
-	DevexResets int
 	// WarmFallbacks counts solves that were offered a compatible warm start
 	// but returned a solution from the cold path (the warm attempt failed,
 	// ended non-optimal, or failed the feasibility audit).
@@ -589,17 +591,6 @@ type SolveStats struct {
 	// Repairs counts dependent basic columns a warm-start install swapped
 	// for row slacks to make a singular carried basis factorizable.
 	Repairs int
-	// The cold recovery ladder, one counter per rung, each counting the
-	// solves that reached it: TightCadence re-solves cold with a tight
-	// refactorization cadence after a cold optimum failed the audit, and
-	// DenseFallbacks hands the solve to the dense tableau when that fails
-	// too; AltPricing re-solves cold under the other pricing rule after a
-	// cold solve broke down numerically, and Clone re-solves a
-	// row-equilibrated clone when that breaks down too.
-	TightCadence   int
-	DenseFallbacks int
-	AltPricing     int
-	Clone          int
 }
 
 // Add accumulates o into s.
@@ -608,18 +599,8 @@ func (s *SolveStats) Add(o SolveStats) {
 	s.Refactorizations += o.Refactorizations
 	s.FTUpdates += o.FTUpdates
 	s.Replacements += o.Replacements
-	s.DevexResets += o.DevexResets
 	s.WarmFallbacks += o.WarmFallbacks
 	s.Repairs += o.Repairs
-	s.TightCadence += o.TightCadence
-	s.DenseFallbacks += o.DenseFallbacks
-	s.AltPricing += o.AltPricing
-	s.Clone += o.Clone
-}
-
-// Recoveries returns how many cold recovery rungs fired, over all four.
-func (s SolveStats) Recoveries() int {
-	return s.TightCadence + s.DenseFallbacks + s.AltPricing + s.Clone
 }
 
 // EventKind identifies a solver-internal occurrence surfaced through
@@ -636,8 +617,6 @@ const (
 	// EventFTAdoption fires when a warm-start install adopts a carried
 	// factorization instead of refactorizing.
 	EventFTAdoption
-	// EventDevexReset fires when the devex reference framework resets.
-	EventDevexReset
 	// EventColumnReplacement fires when an adoption replaces a patched basic
 	// column in the carried factorization.
 	EventColumnReplacement
@@ -647,13 +626,6 @@ const (
 	// EventBasisRepair fires when a warm-start install swaps a dependent
 	// basic column for a row slack.
 	EventBasisRepair
-	// EventTightCadence, EventDenseFallback, EventAltPricing and EventClone
-	// fire when the cold recovery ladder reaches the rung of the same name
-	// (see SolveStats).
-	EventTightCadence
-	EventDenseFallback
-	EventAltPricing
-	EventClone
 )
 
 func (k EventKind) String() string {
@@ -662,22 +634,12 @@ func (k EventKind) String() string {
 		return "refactorization"
 	case EventFTAdoption:
 		return "ft-adoption"
-	case EventDevexReset:
-		return "devex-reset"
 	case EventColumnReplacement:
 		return "column-replacement"
 	case EventWarmFallback:
 		return "warm-fallback"
 	case EventBasisRepair:
 		return "basis-repair"
-	case EventTightCadence:
-		return "tight-cadence"
-	case EventDenseFallback:
-		return "dense-fallback"
-	case EventAltPricing:
-		return "alternate-pricing"
-	case EventClone:
-		return "equilibrated-clone"
 	}
 	return "unknown"
 }
@@ -696,15 +658,14 @@ type Solution struct {
 	X          []float64 // structural variable values
 	Objective  float64
 	Iterations int
-	// Basis is the final simplex basis (sparse solver only; nil from the
-	// dense reference solver). Feed it to Options.WarmStart to accelerate
-	// a re-solve of a same-shaped problem.
+	// Basis is the final simplex basis (nil at non-Optimal statuses). Feed
+	// it to Options.WarmStart to accelerate a re-solve of a same-shaped
+	// problem.
 	Basis *Basis
-	// Stats counts factorization events (sparse solver only).
+	// Stats counts factorization events.
 	Stats SolveStats
-	// Duals holds the row dual values y = c_B·B⁻¹ at the optimum (sparse
-	// solver only; nil from the dense reference solver and at non-Optimal
-	// statuses). Duals[r] is the shadow price of row r's right-hand side:
+	// Duals holds the row dual values y = c_B·B⁻¹ at the optimum (nil at
+	// non-Optimal statuses). Duals[r] is the shadow price of row r's right-hand side:
 	// the rate of change of the optimal objective per unit of rhs_r. Under
 	// this minimization convention a binding ≤ row has Duals[r] ≤ 0 and a
 	// binding ≥ row has Duals[r] ≥ 0; nonbinding rows price at 0.
@@ -712,8 +673,8 @@ type Solution struct {
 }
 
 // DualsFor gathers the dual values of the given rows (see Solution.Duals).
-// It returns nil when the solve produced no duals — non-Optimal status, or
-// the dense reference solver — so callers can fall back gracefully.
+// It returns nil when the solve produced no duals (a non-Optimal status),
+// so callers can fall back gracefully.
 // Out-of-range row indices read as 0.
 func (sol *Solution) DualsFor(rows []int) []float64 {
 	if sol == nil || sol.Duals == nil {
@@ -728,58 +689,31 @@ func (sol *Solution) DualsFor(rows []int) []float64 {
 	return out
 }
 
-// Pricing selects the entering-variable rule of the sparse solver.
-type Pricing int
-
-const (
-	// DevexPricing (the default) prices with approximate steepest-edge
-	// reference weights (Harris's devex): each nonbasic column scores
-	// d_j²/w_j, weights update after every pivot from the pivot row, and the
-	// reference framework resets at each refactorization. Typically several-
-	// fold fewer pivots than Dantzig on larger LPs for one extra BTRAN per
-	// pivot.
-	DevexPricing Pricing = iota
-	// DantzigPricing scans every nonbasic column and enters the one with
-	// the most negative reduced cost (deterministic textbook rule).
-	DantzigPricing
-)
-
 // Options tunes the solver. The zero value selects sensible defaults.
 type Options struct {
-	// MaxIters bounds total pivots across all phases (default
-	// 200*(rows+vars)+2000).
-	MaxIters int
-	// Dense selects the dense two-phase tableau reference solver instead
-	// of the sparse revised simplex.
-	Dense bool
 	// WarmStart, when non-nil and shape-compatible with the problem,
-	// starts the sparse solver from this basis: primal phase 2 directly if
-	// the basis is primal feasible, the dual simplex otherwise (under
-	// shifted costs when the basis is not dual feasible either). A singular
-	// basis is repaired at install; a cold start is the last resort.
+	// starts the solver from this basis: primal phase 2 directly if the
+	// basis is primal feasible, the dual simplex otherwise (under shifted
+	// costs when the basis is not dual feasible either). A singular basis
+	// is repaired at install; a cold start is the last resort.
 	WarmStart *Basis
-	// Pricing selects the entering rule (default DevexPricing). Dantzig is
-	// the reference arm of the pricing measurements and parity tests, and
-	// the alternate rule the cold recovery ladder retries under.
-	Pricing Pricing
 	// RefactorOnInstall forces every warm-start install to refactorize from
 	// scratch instead of adopting a carried Basis.Fact: the pre-persistence
 	// behavior, kept as the reference arm of the persistence equivalence
 	// tests and measurements.
 	RefactorOnInstall bool
-	// Events, when non-nil, receives solver-internal events (sparse solver
-	// only) as they happen — one call per SolveStats increment, WarmStarts
-	// aside (see EventKind). The callback
-	// runs on the solving goroutine inside the pivot loop; it must be cheap
-	// and must not call back into the solver. Used by the observability layer
-	// to attach refactorization/FT-adoption/devex-reset/column-replacement
-	// events to trace spans.
+	// Events, when non-nil, receives solver-internal events as they happen —
+	// one call per SolveStats increment, WarmStarts aside (see EventKind).
+	// The callback runs on the solving goroutine inside the pivot loop; it
+	// must be cheap and must not call back into the solver. Used by the
+	// observability layer to attach refactorization/FT-adoption/
+	// column-replacement events to trace spans.
 	Events func(Event)
 
-	// refactorEvery rebuilds the product-form basis inverse after this
-	// many pivots (0 = 16 + 2*sqrt(rows)). Only the cold recovery ladder's
-	// tight-cadence retry lowers it, trading time for numerical robustness.
-	refactorEvery int
+	// maxIters bounds the pivots of each attempt, over all its phases
+	// (default 200*(rows+columns)+2000, where columns counts a slack and an
+	// artificial per row). Only tests lower it.
+	maxIters int
 }
 
 // numerical tolerances
@@ -815,21 +749,7 @@ func (p *Problem) SolveOpts(opts Options) (*Solution, error) {
 			return nil, fmt.Errorf("lp: variable %d has empty bound range [%g,%g]", j, p.lo[j], p.hi[j])
 		}
 	}
-	if opts.Dense {
-		return p.solveDense(opts)
-	}
 	return p.solveSparse(opts)
-}
-
-func (p *Problem) solveDense(opts Options) (*Solution, error) {
-	s := newDenseSimplex(p, opts)
-	st := s.run()
-	sol := &Solution{Status: st, Iterations: s.iters}
-	if st == Optimal || st == IterLimit {
-		sol.X = s.extract()
-		sol.Objective = p.objectiveOf(sol.X)
-	}
-	return sol, nil
 }
 
 // objectiveOf evaluates c·x.

@@ -2,6 +2,7 @@ package lp
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/stats"
@@ -426,7 +427,7 @@ func TestIterationLimit(t *testing.T) {
 	p.SetBounds(0, 0, 1)
 	p.SetBounds(1, 0, 1)
 	p.AddConstraint(LE, 1.5, Coef{0, 1}, Coef{1, 1})
-	sol, err := p.SolveOpts(Options{MaxIters: 1})
+	sol, err := p.SolveOpts(Options{maxIters: 1})
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
@@ -437,11 +438,9 @@ func TestIterationLimit(t *testing.T) {
 	}
 }
 
-// TestIterationLimitNoRetry locks the recovery-ladder guard: IterLimit from
-// a genuinely exhausted pivot budget must be returned as-is, without the
-// alternate-pricing re-solve (that rung is for numerical breakdowns that
-// stop LONG before the budget — re-burning the whole budget on a second
-// pricing rule would double every deliberately budget-capped solve).
+// TestIterationLimitNoRetry: IterLimit from an exhausted pivot budget must
+// be returned as-is, without a second attempt — re-burning the whole budget
+// on a re-solve would double every deliberately budget-capped solve.
 func TestIterationLimitNoRetry(t *testing.T) {
 	const n = 12
 	p := NewProblem(n)
@@ -458,7 +457,7 @@ func TestIterationLimitNoRetry(t *testing.T) {
 		t.Fatalf("want a multi-pivot optimal baseline, got %v after %d iters", full.Status, full.Iterations)
 	}
 	const budget = 2
-	sol, err := p.SolveOpts(Options{MaxIters: budget})
+	sol, err := p.SolveOpts(Options{maxIters: budget})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -470,45 +469,33 @@ func TestIterationLimitNoRetry(t *testing.T) {
 	}
 }
 
-// TestRowEquilibratedCloneSameLP locks the exactness of the last recovery
-// rung: dividing each row by its largest coefficient is the SAME linear
-// program, so the clone's optimum must satisfy the original rows and reach
-// the original objective. The badly scaled rows here mirror the aggregate
-// LPs that need the rung (O(10^3) unit loads against O(10) fanouts).
-func TestRowEquilibratedCloneSameLP(t *testing.T) {
-	rng := stats.NewRNG(17)
-	p := NewProblem(8)
-	for j := 0; j < 8; j++ {
-		p.SetObjectiveCoef(j, rng.Range(1, 3))
-		p.SetBounds(j, 0, 50)
+// TestColdOptimumFailingAuditIsAnError: the cold attempt is the last one, so
+// an optimum that fails the feasibility audit must come back as an error
+// wrapping the audit's verdict, with no Solution — never as Optimal. The
+// audit judges the rows while the simplex reads the CSC cache, so
+// corrupting one cached entry makes the solver's optimum violate the row
+// it was built from. A warm start that refactorizes the corrupted matrix
+// fails the same audit and falls back to the same cold attempt.
+func TestColdOptimumFailingAuditIsAnError(t *testing.T) {
+	p := NewProblem(2)
+	p.SetObjectiveCoef(0, 1)
+	p.SetObjectiveCoef(1, 3)
+	p.SetBounds(0, 0, 10)
+	p.SetBounds(1, 0, 10)
+	p.AddConstraint(GE, 1, Coef{0, 1}, Coef{1, 1})
+	good, err := p.Solve()
+	if err != nil || good.Status != Optimal || math.Abs(good.X[0]-1) > 1e-12 {
+		t.Fatalf("uncorrupted solve: %v %v", good, err)
 	}
-	for r := 0; r < 6; r++ {
-		coefs := make([]Coef, 0, 4)
-		for j := r % 3; j < 8; j += 3 {
-			scale := 1.0
-			if j%2 == 0 {
-				scale = 1745 // an aggregate-sized unit load
-			}
-			coefs = append(coefs, Coef{j, scale * rng.Range(0.5, 2)})
+	p.csc.val[0] = 2 // entry (row 0, column 0): the simplex now sees 2·x0 + x1 ≥ 1
+	for _, opts := range []Options{{}, {WarmStart: good.Basis, RefactorOnInstall: true}} {
+		sol, err := p.SolveOpts(opts)
+		if sol != nil {
+			t.Fatalf("warm=%v: got a %v Solution at x=%v, want none", opts.WarmStart != nil, sol.Status, sol.X)
 		}
-		p.AddConstraint(GE, 1745*rng.Range(1, 4), coefs...)
-	}
-	want, err := p.Solve()
-	if err != nil || want.Status != Optimal {
-		t.Fatalf("original solve: %v / %v", err, want)
-	}
-	q, _ := p.rowEquilibratedClone()
-	got, err := q.Solve()
-	if err != nil || got.Status != Optimal {
-		t.Fatalf("clone solve: %v / %v", err, got)
-	}
-	if math.Abs(got.Objective-want.Objective) > 1e-6*(1+math.Abs(want.Objective)) {
-		t.Fatalf("clone optimum %g != original %g", got.Objective, want.Objective)
-	}
-	// The clone's solution vector is a solution of the ORIGINAL problem —
-	// row scaling never touches the variables.
-	if err := p.CheckFeasible(got.X, 1e-6); err != nil {
-		t.Fatalf("clone optimum infeasible for the original rows: %v", err)
+		if err == nil || !strings.Contains(err.Error(), "feasibility audit") || !strings.Contains(err.Error(), "lp: row 0: 0.5 < rhs 1") {
+			t.Fatalf("warm=%v: error %v, want the audit's verdict on row 0", opts.WarmStart != nil, err)
+		}
 	}
 }
 

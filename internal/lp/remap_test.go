@@ -135,10 +135,7 @@ func TestRemapMatchesDense(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dense, err := q.SolveOpts(Options{Dense: true})
-		if err != nil {
-			t.Fatal(err)
-		}
+		dense := solveDense(q)
 		if warm.Status != dense.Status {
 			t.Fatalf("trial %d: remapped warm start %v, dense %v", trial, warm.Status, dense.Status)
 		}

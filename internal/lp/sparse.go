@@ -6,6 +6,7 @@ package lp
 // pivots. See the package comment for the design overview.
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"sync"
@@ -260,7 +261,6 @@ type sparse struct {
 	iters    int
 	maxIters int
 	bland    bool
-	devexW   []float64 // devex reference weights, nil unless DevexPricing
 	stats    SolveStats
 
 	// scratch, sized m
@@ -346,9 +346,6 @@ func newSparse(p *Problem, opts Options) *sparse {
 		refTouched: fit(w.refTouched, m)[:0],
 		refHeap:    fit(w.refHeap, m)[:0],
 	}
-	if opts.Pricing == DevexPricing {
-		s.devexW = fit(w.devexW, s.ncols)
-	}
 	for r, rw := range p.rows {
 		if rw.rel == GE {
 			s.slackSign[r] = -1
@@ -358,22 +355,16 @@ func newSparse(p *Problem, opts Options) *sparse {
 		s.artSign[r] = 1
 	}
 	s.setPhase(false)
-	s.maxIters = opts.MaxIters
+	s.maxIters = opts.maxIters
 	if s.maxIters <= 0 {
 		s.maxIters = 200*(m+s.ncols) + 2000
 	}
-	s.refactorEvery = opts.refactorEvery
-	if s.refactorEvery <= 0 {
-		// The cadence fixes where every refactorization falls, and with it
-		// every pivot path, so it is kept as it was tuned when a
-		// refactorization cost ~m² against traversing the ~refactorEvery·m
-		// update file. The sparse elimination made refactorization cheap;
-		// retuning the cadence for it is a measured follow-up.
-		s.refactorEvery = 16 + 2*int(math.Sqrt(float64(m)))
-	}
-	for j := range s.devexW {
-		s.devexW[j] = 1
-	}
+	// The cadence fixes where every refactorization falls, and with it every
+	// pivot path, so it is kept as it was tuned when a refactorization cost
+	// ~m² against traversing the ~refactorEvery·m update file. The sparse
+	// elimination made refactorization cheap; retuning the cadence for it is
+	// a measured follow-up.
+	s.refactorEvery = 16 + 2*int(math.Sqrt(float64(m)))
 	return s
 }
 
@@ -386,22 +377,6 @@ func (s *sparse) release(snapshotted bool) {
 	}
 	s.p, s.csc, s.opts = nil, nil, Options{}
 	workspaces.Put(s)
-}
-
-// resetDevex restores the unit reference framework: every column's weight
-// becomes 1, declaring the CURRENT nonbasic set the reference frame the
-// weights approximate steepest-edge norms against. Called after every
-// refactorization — the weights are only meaningful relative to a basis
-// trajectory, and a rebuilt factorization starts a new one.
-func (s *sparse) resetDevex() {
-	if s.devexW == nil {
-		return
-	}
-	for j := range s.devexW {
-		s.devexW[j] = 1
-	}
-	s.stats.DevexResets++
-	s.emit(EventDevexReset)
 }
 
 // emit forwards a solver-internal event to the Options.Events subscriber,
@@ -554,7 +529,7 @@ func (s *sparse) refactor() bool { return s.factor(false) }
 // basis at its lower bound (always finite), and the slack of each row left
 // unpivoted takes its place. Mid-solve refactorizations never repair: a
 // basis the solver's own pivots made singular is numerical breakdown, which
-// the caller's recovery ladder handles.
+// ends the attempt (IterLimit with pivots to spare).
 func (s *sparse) factor(repair bool) bool {
 	s.lower.reset()
 	s.upper.reset()
@@ -753,7 +728,6 @@ func (s *sparse) factor(repair bool) bool {
 	s.computeBeta()
 	s.stats.Refactorizations++
 	s.emit(EventRefactorization)
-	s.resetDevex()
 	return true
 }
 
@@ -904,9 +878,10 @@ func (s *sparse) enterable(j int) bool {
 	return hi > lo
 }
 
-// chooseEntering prices the nonbasic columns and returns the entering
-// column with its direction (+1 rising from lower, −1 falling from upper),
-// or (−1, 0) at optimality.
+// chooseEntering prices the nonbasic columns by Dantzig's rule, or by
+// Bland's first-improving rule once the phase has run long, and returns the
+// entering column with its direction (+1 rising from lower, −1 falling from
+// upper), or (−1, 0) at optimality.
 func (s *sparse) chooseEntering(y []float64) (int, float64) {
 	if s.bland {
 		for j := 0; j < s.ncols; j++ {
@@ -922,9 +897,6 @@ func (s *sparse) chooseEntering(y []float64) (int, float64) {
 			}
 		}
 		return -1, 0
-	}
-	if s.devexW != nil {
-		return s.chooseDevex(y)
 	}
 	// Dantzig pricing, inlined per column class for the hot path:
 	// structural columns price against their CSC slice, slacks against a
@@ -965,100 +937,6 @@ func (s *sparse) chooseEntering(y []float64) (int, float64) {
 	return bestJ, bestDir
 }
 
-// chooseDevex prices with devex reference weights: among columns whose
-// reduced cost violates optimality by more than tolCost, enter the one
-// maximizing d_j²/w_j, where w_j approximates the steepest-edge norm of the
-// column relative to the reference framework of the last reset. Dantzig's
-// most-negative-d rule ignores how far a unit step along the column actually
-// moves the solution, which costs it several-fold more pivots on larger
-// LPs; dividing by the reference weight restores that scale at one extra
-// BTRAN per pivot (devexUpdate).
-func (s *sparse) chooseDevex(y []float64) (int, float64) {
-	w := s.devexW
-	bestJ, bestDir, bestScore := -1, 0.0, 0.0
-	for j := 0; j < s.n; j++ {
-		st := s.stat[j]
-		if st == basic || s.chi[j] <= s.clo[j] {
-			continue
-		}
-		c := s.ccost[j]
-		for q := s.csc.colPtr[j]; q < s.csc.colPtr[j+1]; q++ {
-			c -= y[s.csc.rowIdx[q]] * s.csc.val[q]
-		}
-		if st == atLower {
-			if -c > tolCost {
-				if sc := c * c / w[j]; sc > bestScore {
-					bestJ, bestDir, bestScore = j, 1, sc
-				}
-			}
-		} else if c > tolCost {
-			if sc := c * c / w[j]; sc > bestScore {
-				bestJ, bestDir, bestScore = j, -1, sc
-			}
-		}
-	}
-	for r := 0; r < s.m; r++ {
-		j := s.n + r
-		st := s.stat[j]
-		if st == basic || s.chi[j] <= 0 {
-			continue
-		}
-		c := -y[r] * s.slackSign[r] // slack cost is 0 in both phases
-		if st == atLower {
-			if -c > tolCost {
-				if sc := c * c / w[j]; sc > bestScore {
-					bestJ, bestDir, bestScore = j, 1, sc
-				}
-			}
-		} else if c > tolCost {
-			if sc := c * c / w[j]; sc > bestScore {
-				bestJ, bestDir, bestScore = j, -1, sc
-			}
-		}
-	}
-	return bestJ, bestDir
-}
-
-// devexUpdate refreshes the reference weights after choosing the pivot
-// (entering column `enter`, leaving row r, pivot element alphaQ = d[r]),
-// before the basis change: w_j ← max(w_j, (α_j/α_q)²·w_q) for every
-// nonbasic column, and the leaving variable re-enters the nonbasic set with
-// w ← max(w_q/α_q², 1). α_j is the pivot-row entry of column j, computed
-// from one BTRAN of e_r against the pre-pivot factorization. Artificials
-// are skipped: they never re-enter, so their weights are never read.
-func (s *sparse) devexUpdate(enter, r int, alphaQ float64) {
-	w := s.devexW
-	wq := w[enter]
-	if wq < 1 {
-		wq = 1
-	}
-	ratio := wq / (alphaQ * alphaQ)
-	rho := s.yBuf // y is dead after chooseEntering; safe to overwrite
-	for i := range rho {
-		rho[i] = 0
-	}
-	rho[r] = 1
-	s.btran(rho)
-	row := s.pivotRow(rho)
-	for j := 0; j < s.n+s.m; j++ {
-		if s.stat[j] == basic || j == enter {
-			continue
-		}
-		alpha := s.pivotEntry(j, row, rho)
-		if alpha == 0 {
-			continue
-		}
-		if nw := alpha * alpha * ratio; nw > w[j] {
-			w[j] = nw
-		}
-	}
-	lw := ratio
-	if lw < 1 {
-		lw = 1
-	}
-	w[s.basis[r]] = lw
-}
-
 // iterate runs primal simplex pivots until optimal/unbounded/limit.
 func (s *sparse) iterate() Status {
 	blandAfter := 20*(s.m+s.ncols) + 1000
@@ -1071,7 +949,7 @@ func (s *sparse) iterate() Status {
 			return IterLimit
 		}
 		if !s.maybeRefactor() {
-			return IterLimit // singular basis: caller escalates
+			return IterLimit // singular basis: numerical breakdown
 		}
 		y := s.btranCost()
 		j, dir := s.chooseEntering(y)
@@ -1148,9 +1026,6 @@ func (s *sparse) ratioTestAndPivot(j int, dir float64, d []float64) Status {
 			s.stat[j] = atLower
 		}
 		return 0
-	}
-	if s.devexW != nil {
-		s.devexUpdate(j, leaveRow, d[leaveRow])
 	}
 	leaving := s.basis[leaveRow]
 	if leaveToUpper {
@@ -1592,45 +1467,6 @@ func (s *sparse) snapshotBasis() *Basis {
 	return b
 }
 
-// rowEquilibratedClone returns a copy of p with every stored constraint row
-// divided by its largest absolute coefficient. That is the SAME linear
-// program — the variables, bounds, objective, feasible set, and optimal
-// vertices are all untouched, only the rows' numerical representation
-// changes — so a solution of the clone is a solution of p verbatim. p
-// stores every row with its largest entry in [1, 2) already (rowScale), so
-// the clone moves each row by less than a factor of 2. The returned vector
-// holds the per-row divisors, which is what maps the clone's duals back:
-// clone row r is the stored row r divided by clone[r], so its shadow price
-// against row r as set is y_clone[r] / (clone[r]·scale_r).
-func (p *Problem) rowEquilibratedClone() (*Problem, []float64) {
-	q := &Problem{
-		n:    p.n,
-		obj:  append([]float64(nil), p.obj...),
-		lo:   append([]float64(nil), p.lo...),
-		hi:   append([]float64(nil), p.hi...),
-		rows: make([]row, len(p.rows)),
-	}
-	scale := make([]float64, len(p.rows))
-	for r, rw := range p.rows {
-		s := 0.0
-		for _, c := range rw.coefs {
-			if a := math.Abs(c.Val); a > s {
-				s = a
-			}
-		}
-		if s == 0 {
-			s = 1
-		}
-		scale[r] = s
-		coefs := make([]Coef, len(rw.coefs))
-		for i, c := range rw.coefs {
-			coefs[i] = Coef{Var: c.Var, Val: c.Val / s}
-		}
-		q.rows[r] = row{coefs: coefs, rel: rw.rel, rhs: rw.rhs / s, scale: 1}
-	}
-	return q, scale
-}
-
 // duals returns the row shadow prices of the optimum s sits at, against the
 // rows of s's Problem as set. At an optimum the solver is in phase 2, so
 // c_B·B⁻¹ prices the true objective against the stored rows; row r is
@@ -1643,37 +1479,25 @@ func (s *sparse) duals() []float64 {
 	return y
 }
 
-// solveSparse orchestrates the sparse solver with a recovery ladder: warm
-// start (when offered and shape-compatible; runWarm keeps primal feasible,
-// dual feasible, neither-feasible and singular bases warm) → cold solve →
-// cold solve with a tight refactorization cadence → dense reference solver.
-// A compatible warm start that does not return its own audited optimum
-// counts one SolveStats.WarmFallbacks. Every claimed optimum is audited
-// against the original rows before being returned. A cold solve
-// that breaks down numerically long before its pivot budget (singular basis,
-// failed ratio test) additionally retries under the alternate pricing rule,
-// which walks a different path through the degenerate vertices, and then on
-// a row-equilibrated clone of the problem. Each cold rung that fires counts
-// once in SolveStats (TightCadence, DenseFallbacks, AltPricing, Clone).
+// solveSparse runs the sparse solver: a warm attempt when a shape-compatible
+// basis is offered (runWarm keeps primal feasible, dual feasible,
+// neither-feasible and singular bases warm), then at most one cold attempt.
+// Every optimum is audited against the rows as set before it is returned. A
+// warm attempt that does not end in its own audited optimum counts one
+// SolveStats.WarmFallbacks and re-solves cold. A cold optimum that fails the
+// audit is an error with a nil Solution; a cold Infeasible, Unbounded or
+// IterLimit is returned as a Solution with that status.
 func (p *Problem) solveSparse(opts Options) (*Solution, error) {
 	totalIters := 0
 	var totalStats SolveStats
-	rung := func(k EventKind, n *int) {
-		*n++
-		if opts.Events != nil {
-			opts.Events(Event{Kind: k, Iteration: totalIters})
+	// audit returns the point of s's optimum, or the feasibility audit's
+	// verdict against it.
+	audit := func(s *sparse) ([]float64, error) {
+		x := s.extract()
+		if err := p.CheckFeasible(x, 1e-6); err != nil {
+			return nil, err
 		}
-	}
-	// audited returns the point of an optimum that passes the feasibility
-	// audit, or nil.
-	audited := func(s *sparse, st Status) []float64 {
-		if st != Optimal {
-			return nil
-		}
-		if x := s.extract(); p.CheckFeasible(x, 1e-6) == nil {
-			return x
-		}
-		return nil
+		return x, nil
 	}
 	// finish builds the Solution of s's terminal status st; x is the point
 	// already extracted for the audit, or nil.
@@ -1699,8 +1523,8 @@ func (p *Problem) solveSparse(opts Options) (*Solution, error) {
 		s.stats.WarmStarts++
 		st, ok := s.runWarm(opts.WarmStart)
 		var x []float64
-		if ok {
-			x = audited(s, st)
+		if ok && st == Optimal {
+			x, _ = audit(s)
 		}
 		if x == nil {
 			// An unusable basis, a non-optimal terminal status, or an
@@ -1721,81 +1545,13 @@ func (p *Problem) solveSparse(opts Options) (*Solution, error) {
 	st := s.runCold()
 	totalIters += s.iters
 	totalStats.Add(s.stats)
-	if st == Optimal {
-		if x := audited(s, st); x != nil {
-			return finish(s, st, x), nil
-		}
-		// Numerical drift: once more with an eagerly refactorized
-		// basis before surrendering to the dense reference solver.
-		rung(EventTightCadence, &totalStats.TightCadence)
-		tight := opts
-		tight.refactorEvery = 16
-		s2 := newSparse(p, tight)
-		st2 := s2.runCold()
-		totalIters += s2.iters
-		totalStats.Add(s2.stats)
-		if x2 := audited(s2, st2); x2 != nil {
-			return finish(s2, st2, x2), nil
-		}
-		rung(EventDenseFallback, &totalStats.DenseFallbacks)
-		sol, err := p.solveDense(opts)
-		if err == nil {
-			sol.Iterations += totalIters
-			sol.Stats = totalStats
-		}
-		return sol, err
+	if st != Optimal {
+		return finish(s, st, nil), nil
 	}
-	if st == IterLimit && s.iters < s.maxIters {
-		// IterLimit with pivots to spare is a numerical breakdown — a basis
-		// that went singular or a ratio test that found no finite step — not
-		// a genuine budget exhaustion. The pricing rule steered the solve
-		// into that corner (devex reference weights concentrate on degenerate
-		// columns), so retry cold under the alternate rule. Eager
-		// refactorization alone does NOT recover these solves — the
-		// alternate pivot path is what escapes.
-		rung(EventAltPricing, &totalStats.AltPricing)
-		alt := opts
-		if opts.Pricing == DantzigPricing {
-			alt.Pricing = DevexPricing
-		} else {
-			alt.Pricing = DantzigPricing
-		}
-		s2 := newSparse(p, alt)
-		st2 := s2.runCold()
-		totalIters += s2.iters
-		totalStats.Add(s2.stats)
-		if x := audited(s2, st2); x != nil {
-			return finish(s2, st2, x), nil
-		}
-		// Both pricing rules broke down: re-solve a row-equilibrated clone —
-		// the identical LP, renormalized — under each rule. The clone's x IS
-		// a solution of p (row scaling never touches the variables), audited
-		// against p's own rows. The basis is NOT carried out: its
-		// factorization is of the clone's rows and must not warm-start p.
-		rung(EventClone, &totalStats.Clone)
-		for _, o := range []Options{opts, alt} {
-			q, scale := p.rowEquilibratedClone()
-			s3 := newSparse(q, o)
-			st3 := s3.runCold()
-			totalIters += s3.iters
-			totalStats.Add(s3.stats)
-			if x := audited(s3, st3); x != nil {
-				// The clone's duals price its own rows, stored with scale
-				// 1: divide by the clone's divisor too to price p's rows.
-				duals := s3.duals()
-				for r := range duals {
-					duals[r] /= scale[r] * p.rows[r].scale
-				}
-				return &Solution{
-					Status:     Optimal,
-					X:          x,
-					Objective:  p.objectiveOf(x),
-					Iterations: totalIters,
-					Stats:      totalStats,
-					Duals:      duals,
-				}, nil
-			}
-		}
+	x, err := audit(s)
+	if err != nil {
+		s.release(false)
+		return nil, fmt.Errorf("lp: cold optimum after %d pivots failed the feasibility audit: %w", totalIters, err)
 	}
-	return finish(s, st, nil), nil
+	return finish(s, st, x), nil
 }

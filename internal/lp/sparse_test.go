@@ -107,10 +107,7 @@ func TestSparseMatchesDenseOnFixtures(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: sparse: %v", f.name, err)
 		}
-		dense, err := f.mk().SolveOpts(Options{Dense: true})
-		if err != nil {
-			t.Fatalf("%s: dense: %v", f.name, err)
-		}
+		dense := solveDense(f.mk())
 		if sparse.Status != Optimal || dense.Status != Optimal {
 			t.Fatalf("%s: status sparse=%v dense=%v", f.name, sparse.Status, dense.Status)
 		}
@@ -195,10 +192,7 @@ func TestSparseMatchesDenseRandom(t *testing.T) {
 			t.Fatalf("trial %d: sparse: %v", trial, err)
 		}
 		pd := mk(seed)
-		dense, err := pd.SolveOpts(Options{Dense: true})
-		if err != nil {
-			t.Fatalf("trial %d: dense: %v", trial, err)
-		}
+		dense := solveDense(pd)
 		if sparse.Status != dense.Status {
 			t.Fatalf("trial %d: status sparse=%v dense=%v", trial, sparse.Status, dense.Status)
 		}
@@ -217,9 +211,9 @@ func TestSparseMatchesDenseRandom(t *testing.T) {
 // TestSolveIndependentOfRecycledWorkspace: a solver starts on the working
 // arrays of an earlier, finished solve, so every solve must come out bit for
 // bit the same whatever ran before it (a larger or smaller LP, other
-// relations, the other pricing rule, a warm start that adopted and extended
-// a carried factorization), and no later solve may write the eta files a
-// snapshotted factorization holds.
+// relations, a warm start that adopted and extended a carried
+// factorization), and no later solve may write the eta files a snapshotted
+// factorization holds.
 func TestSolveIndependentOfRecycledWorkspace(t *testing.T) {
 	mks := []func(uint64) *Problem{randomCovering, randomMixed}
 	seeds := []uint64{7400, 7401, 7402, 7403}
@@ -259,7 +253,7 @@ func TestSolveIndependentOfRecycledWorkspace(t *testing.T) {
 	for a := range seeds {
 		for b := range seeds {
 			pa := mk(a)
-			first := solve(pa, Options{Pricing: DantzigPricing})
+			first := solve(pa, Options{})
 			held := files(first.Basis)
 			got, want := solve(mk(b), Options{}), ref[b]
 			if got.Status != want.Status || got.Iterations != want.Iterations || got.Stats != want.Stats ||
@@ -274,36 +268,6 @@ func TestSolveIndependentOfRecycledWorkspace(t *testing.T) {
 				t.Fatalf("solves after problem %d wrote the eta files of its factorization", a)
 			}
 		}
-	}
-}
-
-// TestDevexPricingMatchesDantzig: devex (the default) changes the pivot
-// path, never the optimum — and on the covering family it must not spend
-// more pivots in aggregate than Dantzig's steepest-coefficient rule.
-func TestDevexPricingMatchesDantzig(t *testing.T) {
-	agg := struct{ devex, dantzig int }{}
-	for trial := 0; trial < 30; trial++ {
-		seed := uint64(7000 + trial)
-		dv, err := randomCovering(seed).SolveOpts(Options{Pricing: DevexPricing})
-		if err != nil {
-			t.Fatal(err)
-		}
-		dz, err := randomCovering(seed).SolveOpts(Options{Pricing: DantzigPricing})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if dv.Status != dz.Status {
-			t.Fatalf("trial %d: status %v vs %v", trial, dv.Status, dz.Status)
-		}
-		if dv.Status == Optimal && math.Abs(dv.Objective-dz.Objective) > 1e-6 {
-			t.Fatalf("trial %d: %.9f vs %.9f", trial, dv.Objective, dz.Objective)
-		}
-		agg.devex += dv.Iterations
-		agg.dantzig += dz.Iterations
-	}
-	t.Logf("total pivots: devex=%d dantzig=%d", agg.devex, agg.dantzig)
-	if agg.devex > agg.dantzig {
-		t.Fatalf("devex spent more pivots than Dantzig: %d vs %d", agg.devex, agg.dantzig)
 	}
 }
 
@@ -567,10 +531,7 @@ func TestWarmStartPerturbedMatchesDense(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dense, err := p.SolveOpts(Options{Dense: true})
-		if err != nil {
-			t.Fatal(err)
-		}
+		dense := solveDense(p)
 		if warm.Status != dense.Status {
 			t.Fatalf("trial %d: status warm=%v dense=%v", trial, warm.Status, dense.Status)
 		}
@@ -693,15 +654,16 @@ func TestWarmStartSameProblemFewIterations(t *testing.T) {
 // covering-LP family (see BenchmarkStageLPSolve in the repository root for
 // the overlay-relaxation comparison).
 func BenchmarkLPSparseVsDense(b *testing.B) {
-	bench := func(b *testing.B, opts Options) {
-		b.ResetTimer()
+	b.Run("sparse", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			p := randomCovering(uint64(i % 8))
-			if _, err := p.SolveOpts(opts); err != nil {
+			if _, err := randomCovering(uint64(i % 8)).Solve(); err != nil {
 				b.Fatal(err)
 			}
 		}
-	}
-	b.Run("sparse", func(b *testing.B) { bench(b, Options{}) })
-	b.Run("dense", func(b *testing.B) { bench(b, Options{Dense: true}) })
+	})
+	b.Run("dense", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			solveDense(randomCovering(uint64(i % 8)))
+		}
+	})
 }

@@ -1,84 +1,16 @@
 package lpmodel
 
-// Golden tests for the sparse revised simplex on the actual overlay
-// relaxations: every instance family must reproduce the dense reference
-// solver's optimum within 1e-6, and warm-started re-solves must agree with
-// cold ones.
+// Warm-start tests on the actual overlay relaxations: warm-started
+// re-solves must agree with cold ones. The sparse-versus-dense golden test
+// on these relaxations lives in internal/lp (overlay_test.go), beside the
+// dense reference solver.
 
 import (
 	"math"
 	"testing"
 
 	"repro/internal/gen"
-	"repro/internal/lp"
-	"repro/internal/netmodel"
 )
-
-// overlayFixtures returns the instance set the golden comparisons run on:
-// uniform shapes across sizes, a clustered instance with §6.4 colors, and
-// a bandwidth-heterogeneous one.
-func overlayFixtures() []*netmodel.Instance {
-	return []*netmodel.Instance{
-		gen.Uniform(gen.DefaultUniform(1, 4, 8), 11),
-		gen.Uniform(gen.DefaultUniform(2, 6, 12), 12),
-		gen.Uniform(gen.DefaultUniform(2, 8, 20), 3), // the T7 benchmark instance
-		gen.Uniform(gen.DefaultUniform(3, 10, 28), 13),
-		gen.Clustered(gen.DefaultClustered(2, 2, 2, 4), 5),
-	}
-}
-
-func TestSparseMatchesDenseOnOverlayLPs(t *testing.T) {
-	for fi, in := range overlayFixtures() {
-		opts := DefaultOptions(in)
-		p, _ := Build(in, opts)
-		sparse, err := p.Solve()
-		if err != nil {
-			t.Fatalf("fixture %d: sparse: %v", fi, err)
-		}
-		pd, _ := Build(in, opts)
-		dense, err := pd.SolveOpts(lp.Options{Dense: true})
-		if err != nil {
-			t.Fatalf("fixture %d: dense: %v", fi, err)
-		}
-		if sparse.Status != lp.Optimal || dense.Status != lp.Optimal {
-			t.Fatalf("fixture %d: status sparse=%v dense=%v", fi, sparse.Status, dense.Status)
-		}
-		if math.Abs(sparse.Objective-dense.Objective) > 1e-6 {
-			t.Fatalf("fixture %d: sparse %.9f != dense %.9f", fi, sparse.Objective, dense.Objective)
-		}
-		if err := p.CheckFeasible(sparse.X, 1e-6); err != nil {
-			t.Fatalf("fixture %d: sparse point infeasible: %v", fi, err)
-		}
-	}
-}
-
-// TestDevexMatchesDantzigOnOverlayLPs: on the actual overlay relaxations
-// the default devex pricing must reach the same optimum as Dantzig pricing
-// to solver tolerance (the pivot paths differ, so the last few ulps may).
-func TestDevexMatchesDantzigOnOverlayLPs(t *testing.T) {
-	for fi, in := range overlayFixtures() {
-		opts := DefaultOptions(in)
-		pv, _ := Build(in, opts)
-		dv, err := pv.SolveOpts(lp.Options{Pricing: lp.DevexPricing})
-		if err != nil {
-			t.Fatalf("fixture %d: devex: %v", fi, err)
-		}
-		pz, _ := Build(in, opts)
-		dz, err := pz.SolveOpts(lp.Options{Pricing: lp.DantzigPricing})
-		if err != nil {
-			t.Fatalf("fixture %d: dantzig: %v", fi, err)
-		}
-		if dv.Status != lp.Optimal || dz.Status != lp.Optimal {
-			t.Fatalf("fixture %d: status devex=%v dantzig=%v", fi, dv.Status, dz.Status)
-		}
-		if math.Abs(dv.Objective-dz.Objective) > 1e-9*(1+math.Abs(dz.Objective)) {
-			t.Fatalf("fixture %d: devex %.17g != dantzig %.17g", fi, dv.Objective, dz.Objective)
-		}
-		if err := pv.CheckFeasible(dv.X, 1e-6); err != nil {
-			t.Fatalf("fixture %d: devex point infeasible: %v", fi, err)
-		}
-	}
-}
 
 // TestWarmStartAcrossRebuiltModel: a basis captured from one SolveLP call
 // must warm-start a freshly built model of the same instance (the shape is
@@ -142,23 +74,6 @@ func TestWarmStartAfterCostScaling(t *testing.T) {
 		t.Fatalf("warm start did not reduce pivots: warm=%d cold=%d", warmB.Iterations, coldB.Iterations)
 	}
 	t.Logf("cost-scaled re-solve: warm=%d cold=%d pivots", warmB.Iterations, coldB.Iterations)
-}
-
-// BenchmarkOverlayLPSparseVsDense compares the solvers on the §2
-// relaxation of the T7 benchmark instance (the acceptance workload).
-func BenchmarkOverlayLPSparseVsDense(b *testing.B) {
-	in := gen.Uniform(gen.DefaultUniform(2, 8, 20), 3)
-	bench := func(b *testing.B, o lp.Options) {
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			p, _ := Build(in, DefaultOptions(in))
-			if _, err := p.SolveOpts(o); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.Run("sparse", func(b *testing.B) { bench(b, lp.Options{}) })
-	b.Run("dense", func(b *testing.B) { bench(b, lp.Options{Dense: true}) })
 }
 
 // BenchmarkOverlayLPWarmVsCold measures the warm-start payoff on a

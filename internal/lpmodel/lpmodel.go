@@ -313,13 +313,12 @@ type FracSolution struct {
 	// accelerate a re-solve of a same-shaped model.
 	Basis *lp.Basis
 	// Stats counts solver factorization events (refactorizations, adopted
-	// factorizations, devex resets) for the epoch telemetry.
+	// factorizations, warm fallbacks) for the epoch telemetry.
 	Stats lp.SolveStats
 	// CapDuals[i] is the shadow price of reflector i's capacity row (3) at
 	// the optimum: the rate of change of the optimal cost per unit of the
 	// row's rhs, ≤ 0 when the capacity binds (relaxing it helps a
-	// minimization) and 0 when it is slack. Nil when the solve produced no
-	// duals (recovery paths that end on the dense reference solver).
+	// minimization) and 0 when it is slack.
 	CapDuals []float64
 }
 
@@ -357,7 +356,7 @@ func SolveBuilt(in *netmodel.Instance, p *lp.Problem, m *VarMap, warm *lp.Basis)
 }
 
 // SolveBuiltOpts is SolveBuilt with explicit solver options (warm start,
-// pricing rule, solver event hook).
+// refactorize-on-install, solver event hook).
 func SolveBuiltOpts(in *netmodel.Instance, p *lp.Problem, m *VarMap, sopts lp.Options) (*FracSolution, error) {
 	sol, err := p.SolveOpts(sopts)
 	if err != nil {
@@ -373,13 +372,11 @@ func SolveBuiltOpts(in *netmodel.Instance, p *lp.Problem, m *VarMap, sopts lp.Op
 	fs := Unpack(in, m, sol.X, sol.Objective, sol.Iterations)
 	fs.Basis = sol.Basis
 	fs.Stats = sol.Stats
-	if sol.Duals != nil {
-		rows := make([]int, m.R)
-		for i := range rows {
-			rows[i] = m.CapRow(i)
-		}
-		fs.CapDuals = sol.DualsFor(rows)
+	rows := make([]int, m.R)
+	for i := range rows {
+		rows[i] = m.CapRow(i)
 	}
+	fs.CapDuals = sol.DualsFor(rows)
 	return fs, nil
 }
 

@@ -44,8 +44,6 @@ const (
 	MLPDevexResets      = "overlay_lp_devex_resets_total"
 	MLPWarmFallbacks    = "overlay_lp_warm_fallbacks_total"
 	MLPBasisRepairs     = "overlay_lp_basis_repairs_total"
-	// The cold recovery ladder, labeled by rung (the LPRung* values).
-	MLPRecoveries = "overlay_lp_recoveries_total"
 
 	// The §6.5 path LP (internal/stround), counted apart from the main LP
 	// above. Path-LP solves carry a start label: resumed, remapped or cold.
@@ -71,15 +69,6 @@ const (
 	MAggUnits         = "overlay_agg_units"
 	MAggLPFreeEpochs  = "overlay_agg_lp_free_epochs_total"
 	MAggWeightChanges = "overlay_agg_weight_changes_total"
-)
-
-// The rung label values of MLPRecoveries, one per rung of internal/lp's cold
-// recovery ladder (lp.SolveStats), named as the lp.EventKind of each rung.
-const (
-	LPRungTightCadence  = "tight-cadence"
-	LPRungDenseFallback = "dense-fallback"
-	LPRungAltPricing    = "alternate-pricing"
-	LPRungClone         = "equilibrated-clone"
 )
 
 // canonicalFamilies drives both Canonical and the README reference table.
@@ -110,10 +99,9 @@ var canonicalFamilies = []struct {
 	{MLPPivots, KindCounter, "Simplex pivots (all shards, all coordination rounds)."},
 	{MLPRefactorizations, KindCounter, "From-scratch basis factorizations."},
 	{MLPFTUpdates, KindCounter, "Warm starts that adopted a persisted factorization (Forrest-Tomlin resume)."},
-	{MLPDevexResets, KindCounter, "Devex reference-framework resets."},
-	{MLPWarmFallbacks, KindCounter, "Warm starts abandoned for a cold re-solve (the solver's warm-to-cold recovery rung)."},
+	{MLPDevexResets, KindCounter, "Devex reference-framework resets; always 0, as the solver prices by Dantzig's rule."},
+	{MLPWarmFallbacks, KindCounter, "Warm starts abandoned for the solver's one cold attempt."},
 	{MLPBasisRepairs, KindCounter, "Dependent basic columns a warm-start install swapped for row slacks."},
-	{MLPRecoveries, KindCounter, "Solves that reached a rung of the cold recovery ladder, labeled by rung: tight-cadence, dense-fallback, alternate-pricing, equilibrated-clone."},
 	{MPathLPPivots, KindCounter, "Simplex pivots of the §6.5 path LP, both stages (monolithic solves)."},
 	{MPathLPSolves, KindCounter, "Path-LP calls by how they started: resumed in place, remapped through a key map, or cold."},
 	{MPathLPWarmFallbacks, KindCounter, "Path-LP warm starts abandoned for a cold re-solve."},
@@ -144,12 +132,6 @@ func Canonical(r *Registry) {
 		// (stage, region) materialize with their first labeled series.
 		switch f.Name {
 		case MStageWall, MStageRuns, MRegionAvailability, MStreamAvailability, MPathLPSolves:
-		case MLPRecoveries:
-			// Every rung's series exists at zero, so the family scrapes
-			// while nothing fires.
-			for _, rung := range []string{LPRungTightCadence, LPRungDenseFallback, LPRungAltPricing, LPRungClone} {
-				r.Counter(f.Name, L("rung", rung))
-			}
 		default:
 			switch f.Kind {
 			case KindCounter:

@@ -154,7 +154,7 @@ type SolveResult struct {
 	Vars, Rows  int
 	Basis       *lp.Basis
 	// LPStats counts the shard solve's factorization events
-	// (refactorizations, adopted factorizations, devex resets).
+	// (refactorizations, adopted factorizations, warm fallbacks).
 	LPStats lp.SolveStats
 	// Patch reports what the shard's incremental LP rebuild did (nil when
 	// the shard solved without a Patcher).

@@ -485,8 +485,9 @@ func (st *State) solve(in *netmodel.Instance, m *pathLP) (sol2 *lp.Solution, run
 	// 1's optimum, which that optimum satisfies with the row's slack basic.
 	// Unless a carried stage-2 basis resumes it, stage 2 therefore starts
 	// from stage 1's basis and factorization on the same Problem, in primal
-	// phase 2. A stage 1 that returned no basis (the solver's
-	// row-equilibrated rescue returns none) leaves stage 2 to solve cold.
+	// phase 2. An optimal stage 1 always carries a basis; one without
+	// (TestStage2ColdWithoutStage1Basis strips it) leaves stage 2 to solve
+	// cold.
 	m.stage2(in, p, coverage)
 	if warm2 == nil {
 		warm2 = sol1.Basis

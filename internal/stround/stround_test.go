@@ -159,10 +159,9 @@ func TestPathLPCarriedMatchesCold(t *testing.T) {
 	}
 }
 
-// TestStage2ColdWithoutStage1Basis: a stage 1 that returns no basis — the
-// solver's row-equilibrated rescue path, simulated here by a probe that
-// strips it — leaves stage 2 to solve cold, exactly as a plain cold solve
-// of the stage-2 LP would.
+// TestStage2ColdWithoutStage1Basis: a stage 1 that returns no basis —
+// simulated here by a probe that strips it — leaves stage 2 to solve cold,
+// exactly as a plain cold solve of the stage-2 LP would.
 func TestStage2ColdWithoutStage1Basis(t *testing.T) {
 	var got, cold *lp.Solution
 	restore := SetProbe(func(stage int, _ Start, _ *lp.Problem, sol *lp.Solution, fresh *lp.Problem) {
