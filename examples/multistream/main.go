@@ -61,11 +61,11 @@ func main() {
 			break
 		}
 	}
-	viewers, streams := netmodel.ViewerChurn(in, res.Design, moved)
-	sv, _ := netmodel.ViewerChurn(split, res.Design, moved)
+	native := netmodel.DesignChurn(in, res.Design, moved)
+	copySplit := netmodel.DesignChurn(split, res.Design, moved)
 	fmt.Printf("\n=== one-stream switch on a 2-stream sink ===\n")
 	fmt.Printf("stream switches: %d | native viewer churn: %.2f | copy-split would report: %.2f\n",
-		streams, viewers, sv)
+		native.Streams, native.Viewers, copySplit.Viewers)
 
 	// A short popularity-wave timeline with the live engine: stream
 	// subscribe/unsubscribe churn rides the incremental LP patch path.

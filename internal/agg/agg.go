@@ -36,7 +36,7 @@
 // therefore emits nothing, and the epoch solves LP-free: no build, no
 // patch, no pivot. Disaggregate maps the solved aggregate design back to
 // real viewers, sticky to the previous deployment so epoch-to-epoch churn
-// stays fractional (netmodel.ViewerChurn semantics).
+// stays fractional (netmodel.Churn semantics).
 package agg
 
 import (
@@ -72,6 +72,10 @@ type State struct {
 	unitOf      []int   // unitOf[j] = aggregate unit of true demand unit j
 	memberUnits [][]int // memberUnits[au] = true demand units behind au
 	scale       []float64
+	// costSum[i][au] is the sum of the member arc costs at (i, au), in
+	// member order, so a weight flip rescales a unit's costs without
+	// summing its members again.
+	costSum [][]float64
 }
 
 // Groups returns the number of aggregates (super-sinks).
@@ -191,12 +195,14 @@ func buildFromMembers(in *netmodel.Instance, members [][]int) (*State, error) {
 	}
 	st.Agg = a
 	st.scale = make([]float64, dA)
+	st.costSum = zeroMatrix(R, dA)
 	for au := 0; au < dA; au++ {
 		st.refreshDemand(in, au)
 		st.scale[au] = math.Max(a.UnitWeight[au], 1)
 		for i := 0; i < R; i++ {
 			st.refreshLoss(in, i, au)
-			st.refreshCost(in, i, au)
+			st.sumCost(in, i, au)
+			st.refreshCost(i, au)
 			if a.EdgeCap != nil {
 				u := math.Inf(1)
 				for _, j := range st.memberUnits[au] {
@@ -288,19 +294,24 @@ func (st *State) refreshLoss(in *netmodel.Instance, i, au int) bool {
 	return changed
 }
 
-// refreshCost recomputes the representative serving cost at (i, au):
-// scale(au) times the mean member arc cost, where scale = max(weight, 1).
-// Scaling by the active count makes the LP objective price serving the
-// aggregate like serving all its members; the max(·,1) floor keeps an
-// all-inactive unit's columns positively priced (no free degenerate arcs)
-// and — deliberately — makes the common 0↔1 weight flip cost-neutral.
-func (st *State) refreshCost(in *netmodel.Instance, i, au int) bool {
-	mus := st.memberUnits[au]
+// sumCost re-sums the member arc costs at (i, au) into the cache.
+func (st *State) sumCost(in *netmodel.Instance, i, au int) {
 	sum := 0.0
-	for _, j := range mus {
+	for _, j := range st.memberUnits[au] {
 		sum += in.RefSinkCost[i][j]
 	}
-	c := st.scale[au] * sum / float64(len(mus))
+	st.costSum[i][au] = sum
+}
+
+// refreshCost recomputes the representative serving cost at (i, au) from
+// the cached member sum: scale(au) times the mean member arc cost, where
+// scale = max(weight, 1). Scaling by the active count makes the LP
+// objective price serving the aggregate like serving all its members; the
+// max(·,1) floor keeps an all-inactive unit's columns positively priced (no
+// free degenerate arcs) and — deliberately — makes the common 0↔1 weight
+// flip cost-neutral.
+func (st *State) refreshCost(i, au int) bool {
+	c := st.scale[au] * st.costSum[i][au] / float64(len(st.memberUnits[au]))
 	changed := st.Agg.RefSinkCost[i][au] != c
 	st.Agg.RefSinkCost[i][au] = c
 	return changed
@@ -337,14 +348,20 @@ func (st *State) Sync(in *netmodel.Instance, dirty *netmodel.DirtySet) *netmodel
 	out.SrcRefCost = append(out.SrcRefCost, dirty.SrcRefCost...)
 	out.SrcRefLoss = append(out.SrcRefLoss, dirty.SrcRefLoss...)
 
-	// Demand churn: re-summarize each touched unit once.
-	touched := map[int]bool{}
-	for _, j := range dirty.SinkDemand {
-		touched[st.unitOf[j]] = true
+	// Repriced member arcs: re-sum their units' cached member costs first,
+	// so the rescaling below reads current sums.
+	for _, arc := range dirty.RefSinkCost {
+		st.sumCost(in, arc.A, st.unitOf[arc.B])
 	}
-	aus := make([]int, 0, len(touched))
-	for au := range touched {
-		aus = append(aus, au)
+
+	// Demand churn: re-summarize each touched unit once, in unit order.
+	touched := make([]bool, len(st.memberUnits))
+	var aus []int
+	for _, j := range dirty.SinkDemand {
+		if au := st.unitOf[j]; !touched[au] {
+			touched[au] = true
+			aus = append(aus, au)
+		}
 	}
 	sort.Ints(aus)
 	for _, au := range aus {
@@ -357,7 +374,7 @@ func (st *State) Sync(in *netmodel.Instance, dirty *netmodel.DirtySet) *netmodel
 			if s := math.Max(a.UnitWeight[au], 1); s != st.scale[au] {
 				st.scale[au] = s
 				for i := 0; i < R; i++ {
-					if st.refreshCost(in, i, au) {
+					if st.refreshCost(i, au) {
 						out.RefSinkCost = append(out.RefSinkCost, netmodel.Arc{A: i, B: au})
 					}
 				}
@@ -368,7 +385,7 @@ func (st *State) Sync(in *netmodel.Instance, dirty *netmodel.DirtySet) *netmodel
 	// Arc-level churn on the aggregated sink plane.
 	for _, arc := range dirty.RefSinkCost {
 		au := st.unitOf[arc.B]
-		if st.refreshCost(in, arc.A, au) {
+		if st.refreshCost(arc.A, au) {
 			out.RefSinkCost = append(out.RefSinkCost, netmodel.Arc{A: arc.A, B: au})
 		}
 	}
@@ -384,21 +401,35 @@ func (st *State) Sync(in *netmodel.Instance, dirty *netmodel.DirtySet) *netmodel
 // Disaggregate maps a solved aggregate design back to the true instance:
 // every active member subscription is served from its aggregate unit's
 // serving reflectors — previous-epoch arcs first (stickiness), then by
-// descending capped weight — accumulating until the member's FULL weight
-// demand is met or the candidates run out. Because the representative's
-// demand dominates each member's while each member's path weights dominate
-// the representative's, a reflector set that covered the aggregate covers
-// every member; and because at most weight-many members share each serving
-// arc, the true fanout use never exceeds what the aggregate LP reserved.
+// descending capped weight, ties to the lower index — accumulating until the
+// member's FULL weight demand is met or the candidates run out. Because the
+// representative's demand dominates each member's while each member's path
+// weights dominate the representative's, a reflector set that covered the
+// aggregate covers every member; and because at most weight-many members
+// share each serving arc, the true fanout use never exceeds what the
+// aggregate LP reserved. Serving an arc also marks its stream ingested and
+// its reflector built (Design.Normalize's closure, applied as it goes).
 // prev may be nil (first epoch).
+//
+// A member's demand costs a logarithm only when its threshold differs from
+// the previous member's, and each candidate the accumulation weighs costs
+// one: a previous arc is always weighed, a new one only when the previous
+// arcs fall short of the demand.
 func (st *State) Disaggregate(in *netmodel.Instance, aggDesign *netmodel.Design, prev *netmodel.Design) *netmodel.Design {
 	_, R, _ := in.Dims()
 	d := netmodel.NewDesign(in)
 	copy(d.Build, aggDesign.Build)
 	for k := range d.Ingest {
 		copy(d.Ingest[k], aggDesign.Ingest[k])
+		for i, y := range d.Ingest[k] {
+			if y {
+				d.Build[i] = true
+			}
+		}
 	}
-	var cand, ord []int
+	var cand []int
+	var ord []weighed
+	lastPhi, need := math.NaN(), 0.0
 	for au, mus := range st.memberUnits {
 		cand = cand[:0]
 		for i := 0; i < R; i++ {
@@ -410,39 +441,61 @@ func (st *State) Disaggregate(in *netmodel.Instance, aggDesign *netmodel.Design,
 			continue
 		}
 		for _, j := range mus {
-			if in.Threshold[j] <= 0 {
+			phi := in.Threshold[j]
+			if phi <= 0 {
 				continue
 			}
-			ord = append(ord[:0], cand...)
-			sort.SliceStable(ord, func(x, y int) bool {
-				a, b := ord[x], ord[y]
-				pa := prev != nil && prev.Serve[a][j]
-				pb := prev != nil && prev.Serve[b][j]
-				if pa != pb {
-					return pa
-				}
-				wa, wb := in.CappedWeight(a, j), in.CappedWeight(b, j)
-				if wa != wb {
-					return wa > wb
-				}
-				return a < b
-			})
-			need := in.Demand(j)
+			if phi != lastPhi {
+				lastPhi, need = phi, in.Demand(j)
+			}
+			// Previous arcs first, then the rest: within each group the
+			// order is weight descending, index ascending.
 			got := 0.0
-			for _, i := range ord {
+			for _, sticky := range [2]bool{true, false} {
 				if got >= need-1e-12 {
 					break
 				}
-				if !in.ArcAllowed(i, j) {
-					continue
+				ord = ord[:0]
+				for _, i := range cand {
+					if in.ArcAllowed(i, j) && (prev != nil && prev.Serve[i][j]) == sticky {
+						ord = insertWeighed(ord, weighed{i, in.CappedWeightFor(i, j, need)})
+					}
 				}
-				d.Serve[i][j] = true
-				got += in.CappedWeight(i, j)
+				for _, c := range ord {
+					if got >= need-1e-12 {
+						break
+					}
+					d.Serve[c.i][j] = true
+					d.Ingest[in.Commodity[j]][c.i] = true
+					d.Build[c.i] = true
+					got += c.w
+				}
 			}
 		}
 	}
-	d.Normalize(in)
 	return d
+}
+
+// weighed is a disaggregation candidate: reflector i and its capped weight
+// toward the member being served.
+type weighed struct {
+	i int
+	w float64
+}
+
+// insertWeighed inserts c into ord, which is sorted by weight descending and
+// index ascending, keeping that order. Candidate lists hold a unit's few
+// serving reflectors, so insertion beats a general sort and allocates
+// nothing once ord has grown.
+func insertWeighed(ord []weighed, c weighed) []weighed {
+	ord = append(ord, c)
+	x := len(ord) - 1
+	for x > 0 && (c.w > ord[x-1].w || c.w == ord[x-1].w && c.i < ord[x-1].i) {
+		ord[x] = ord[x-1]
+		x--
+	}
+	ord[x] = c
+	return ord
 }
 
 func zeroMatrix(rows, cols int) [][]float64 {

@@ -140,7 +140,10 @@ func sameAggInstance(t *testing.T, what string, a, b *netmodel.Instance) {
 // TestSyncMatchesRebuild is the incremental-fold property lock: after any
 // sequence of deltas, the Sync-maintained aggregate instance must equal a
 // fresh Build over the mutated true instance cell-exactly, and the emitted
-// dirty set must cover every aggregate cell that changed.
+// dirty set must cover every aggregate cell that changed. Its last rounds
+// reprice a member arc and flip the same unit's weight in one epoch, then
+// flip the weight alone, so a cached member-cost sum read before the
+// reprice lands, or never refreshed by it, fails.
 func TestSyncMatchesRebuild(t *testing.T) {
 	in := clustered(t, 2, 17)
 	// Pin the grouping: auto anchor groups are a function of costs, so a
@@ -158,33 +161,8 @@ func TestSyncMatchesRebuild(t *testing.T) {
 			thr = v
 		}
 	}
-	for round := 0; round < 12; round++ {
-		d := netmodel.Delta{Note: fmt.Sprintf("round %d", round)}
-		for j := 0; j < in.NumSinks; j++ {
-			if rng.Bernoulli(0.15) {
-				v := 0.0
-				if rng.Bernoulli(0.6) {
-					v = thr * rng.Range(0.95, 1.0)
-				}
-				d.SetThreshold = append(d.SetThreshold, netmodel.SinkValue{Sink: j, Value: v})
-			}
-		}
-		for i := 0; i < in.NumReflectors; i++ {
-			if rng.Bernoulli(0.1) {
-				d.ScaleReflectorCost = append(d.ScaleReflectorCost,
-					netmodel.RefValue{Ref: i, Value: rng.Range(0.9, 1.1)})
-			}
-			for j := 0; j < in.NumSinks; j++ {
-				if rng.Bernoulli(0.05) {
-					d.ScaleRefSinkCost = append(d.ScaleRefSinkCost,
-						netmodel.ArcValue{A: i, B: j, Value: rng.Range(0.8, 1.2)})
-				}
-				if rng.Bernoulli(0.05) {
-					d.SetRefSinkLoss = append(d.SetRefSinkLoss,
-						netmodel.ArcValue{A: i, B: j, Value: rng.Range(0.005, 0.4)})
-				}
-			}
-		}
+	step := func(round int, d netmodel.Delta) *netmodel.DirtySet {
+		t.Helper()
 		ds, err := d.Apply(in)
 		if err != nil {
 			t.Fatal(err)
@@ -233,7 +211,64 @@ func TestSyncMatchesRebuild(t *testing.T) {
 				}
 			}
 		}
+		return out
 	}
+	for round := 0; round < 12; round++ {
+		d := netmodel.Delta{Note: fmt.Sprintf("round %d", round)}
+		for j := 0; j < in.NumSinks; j++ {
+			if rng.Bernoulli(0.15) {
+				v := 0.0
+				if rng.Bernoulli(0.6) {
+					v = thr * rng.Range(0.95, 1.0)
+				}
+				d.SetThreshold = append(d.SetThreshold, netmodel.SinkValue{Sink: j, Value: v})
+			}
+		}
+		for i := 0; i < in.NumReflectors; i++ {
+			if rng.Bernoulli(0.1) {
+				d.ScaleReflectorCost = append(d.ScaleReflectorCost,
+					netmodel.RefValue{Ref: i, Value: rng.Range(0.9, 1.1)})
+			}
+			for j := 0; j < in.NumSinks; j++ {
+				if rng.Bernoulli(0.05) {
+					d.ScaleRefSinkCost = append(d.ScaleRefSinkCost,
+						netmodel.ArcValue{A: i, B: j, Value: rng.Range(0.8, 1.2)})
+				}
+				if rng.Bernoulli(0.05) {
+					d.SetRefSinkLoss = append(d.SetRefSinkLoss,
+						netmodel.ArcValue{A: i, B: j, Value: rng.Range(0.005, 0.4)})
+				}
+			}
+		}
+		step(round, d)
+	}
+
+	// A unit with at least three members, all active, so that each of the
+	// two leaves below moves its weight scale.
+	au := -1
+	for u := 0; u < st.Units() && au < 0; u++ {
+		if len(st.MemberUnits(u)) >= 3 {
+			au = u
+		}
+	}
+	if au < 0 {
+		t.Fatal("no aggregate unit has three members")
+	}
+	mus := st.MemberUnits(au)
+	var join netmodel.Delta
+	for _, j := range mus {
+		join.SetThreshold = append(join.SetThreshold, netmodel.SinkValue{Sink: j, Value: thr})
+	}
+	step(12, join)
+	const i = 1
+	out := step(13, netmodel.Delta{
+		SetThreshold:     []netmodel.SinkValue{{Sink: mus[0], Value: 0}},
+		ScaleRefSinkCost: []netmodel.ArcValue{{A: i, B: mus[1], Value: 1.7}},
+	})
+	if len(out.SinkWeight) != 1 || out.SinkWeight[0] != au {
+		t.Fatalf("round 13: weight dirt %v, want unit %d", out.SinkWeight, au)
+	}
+	step(14, netmodel.Delta{SetThreshold: []netmodel.SinkValue{{Sink: mus[2], Value: 0}}})
 }
 
 // TestSyncWeightNeutralSwapIsClean locks the LP-free mechanism at the fold

@@ -142,3 +142,50 @@ func TestStateRestoreRejects(t *testing.T) {
 		t.Fatal("nil state exported non-nil")
 	}
 }
+
+// TestRestoreThenSyncMatchesBuild: a restored State must carry the member
+// cost sums of the instance it was restored against, so the Syncs after a
+// restore — weight flips that rescale from the cached sums, and member-arc
+// reprices — still reproduce a fresh Build cell-exactly.
+func TestRestoreThenSyncMatchesBuild(t *testing.T) {
+	in := clustered(t, 2, 33)
+	cfg := Config{GroupOf: anchorGroups(in)}
+	st, err := Build(in, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := stats.NewRNG(7)
+	for round := 0; round < 6; round++ {
+		d := netmodel.Delta{}
+		for j := 0; j < in.NumSinks; j++ {
+			if rng.Bernoulli(0.3) {
+				v := 0.0
+				if rng.Bernoulli(0.6) {
+					v = rng.Range(0.5, 0.95)
+				}
+				d.SetThreshold = append(d.SetThreshold, netmodel.SinkValue{Sink: j, Value: v})
+			}
+			if rng.Bernoulli(0.1) {
+				d.ScaleRefSinkCost = append(d.ScaleRefSinkCost,
+					netmodel.ArcValue{A: rng.Intn(in.NumReflectors), B: j, Value: rng.Range(0.5, 1.5)})
+			}
+		}
+		dirty, err := d.Apply(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if round == 2 {
+			// Restore mid-timeline, as a daemon resuming from a snapshot.
+			if st, err = Restore(in, jsonTrip(t, st.Export())); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		st.Sync(in, dirty)
+		fresh, err := Build(in, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameAggInstance(t, "restore then sync", st.Agg, fresh.Agg)
+	}
+}

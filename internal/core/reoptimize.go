@@ -17,10 +17,16 @@ type ReoptimizeResult struct {
 	// StreamChurn counts demand units (subscriptions) whose serving
 	// reflector set changed; ViewerChurn weights those switches by the
 	// real sink behind them — a 3-stream sink re-pulling one stream adds
-	// 1/3, not 1 (netmodel.ViewerChurn). On single-stream instances
+	// 1/3, not 1 (netmodel.Churn). On single-stream instances
 	// ViewerChurn is the number of sinks whose service moved.
 	StreamChurn int
 	ViewerChurn float64
+}
+
+// setChurn reports c as the result's churn against the prior deployment.
+func (r *ReoptimizeResult) setChurn(c netmodel.Churn) {
+	r.ArcChurn, r.ReflectorChurn = c.Arcs, c.Reflectors
+	r.StreamChurn, r.ViewerChurn = c.Streams, c.Viewers
 }
 
 // Reoptimize runs the solver on an updated instance (new measured losses or
@@ -77,17 +83,7 @@ func Reoptimize(in *netmodel.Instance, prior *netmodel.Design, stickiness float6
 	out.Audit = netmodel.AuditDesign(in, res.Design)
 	out.LPCost = res.LPCost // LP bound of the biased problem; informational
 	if prior != nil {
-		for i := range prior.Serve {
-			if prior.Build[i] != res.Design.Build[i] {
-				out.ReflectorChurn++
-			}
-			for j := range prior.Serve[i] {
-				if prior.Serve[i][j] != res.Design.Serve[i][j] {
-					out.ArcChurn++
-				}
-			}
-		}
-		out.ViewerChurn, out.StreamChurn = netmodel.ViewerChurn(in, prior, res.Design)
+		out.setChurn(netmodel.DesignChurn(in, prior, res.Design))
 	}
 	return out, nil
 }

@@ -272,22 +272,11 @@ func (s *Session) stepAggregated(in *netmodel.Instance) (*ReoptimizeResult, erro
 
 	// Churn against the previous TRUE deployment (the aggregate plane's
 	// churn numbers from Reoptimize describe super-sinks, not viewers).
-	res.ArcChurn, res.ReflectorChurn = 0, 0
+	var churn netmodel.Churn
 	if s.prior != nil {
-		for i := range s.prior.Serve {
-			if s.prior.Build[i] != res.Design.Build[i] {
-				res.ReflectorChurn++
-			}
-			for j := range s.prior.Serve[i] {
-				if s.prior.Serve[i][j] != res.Design.Serve[i][j] {
-					res.ArcChurn++
-				}
-			}
-		}
-		res.ViewerChurn, res.StreamChurn = netmodel.ViewerChurn(in, s.prior, res.Design)
-	} else {
-		res.ViewerChurn, res.StreamChurn = 0, 0
+		churn = netmodel.DesignChurn(in, s.prior, res.Design)
 	}
+	res.setChurn(churn)
 
 	stages := make([]StageStats, 0, len(res.Stages)+2)
 	stages = append(stages, tracker.stats[0])

@@ -65,12 +65,6 @@ func (e *Engine) Apply(d netmodel.Delta) error {
 func (e *Engine) Step() (EpochReport, *core.ReoptimizeResult, error) {
 	er := EpochReport{Epoch: e.sess.Steps(), Events: e.events, Edits: e.edits}
 	e.events, e.edits = nil, 0
-	for _, phi := range e.in.Threshold {
-		if phi > 0 {
-			er.ActiveSinks++
-		}
-	}
-	er.ActiveViewers = e.in.ActiveViewers()
 	eo, esp := e.obs.StartSpan("epoch",
 		obs.A("epoch", er.Epoch), obs.A("events", len(er.Events)), obs.A("edits", er.Edits))
 	e.sess.SetObserver(eo)
@@ -81,6 +75,9 @@ func (e *Engine) Step() (EpochReport, *core.ReoptimizeResult, error) {
 		return EpochReport{}, nil, fmt.Errorf("live: epoch %d solve: %w", er.Epoch, err)
 	}
 	er.WallNS = time.Since(start).Nanoseconds()
+	// The audit ran on this instance, so its counts are the epoch's.
+	er.ActiveSinks = res.Audit.Sinks
+	er.ActiveViewers = res.Audit.Viewers
 	er.TrueCost = res.Audit.Cost
 	er.LPCost = res.LPCost
 	// LPPivots equals Frac.Iterations for monolithic epochs and the

@@ -186,41 +186,99 @@ type Audit struct {
 	Met []bool
 }
 
-// AuditDesign audits d against in.
+// AuditDesign audits d against in. It makes one row-major pass over
+// d.Serve: each sink's capped weight and failure product accumulate in
+// reflector order, and each reflector's fanout use and the serve cost in
+// sink order. Those are the orders SinkWeight, SinkFailureProb, FanoutUse
+// and Cost add in, so every float the audit reports equals theirs bit for
+// bit. Each served arc of an active sink costs one logarithm, and a sink's
+// demand one more only when its threshold differs from the previous active
+// sink's.
 func AuditDesign(in *Instance, d *Design) Audit {
 	S, R, D := in.Dims()
-	a := Audit{Cost: d.Cost(in), WeightFactor: math.Inf(1), WorstSink: -1, WorstReflector: -1, StructureOK: true}
-	// Structure.
+	a := Audit{WeightFactor: math.Inf(1), WorstSink: -1, WorstReflector: -1, StructureOK: true}
+	// Per active sink: demand, accumulated capped weight, failure product.
+	buf := make([]float64, 3*D)
+	dem, got, fail := buf[:D], buf[D:2*D], buf[2*D:]
+	lastPhi, lastDem := math.NaN(), 0.0
+	for j, phi := range in.Threshold {
+		if phi <= 0 {
+			continue
+		}
+		if phi != lastPhi {
+			lastPhi, lastDem = phi, in.Demand(j)
+		}
+		dem[j], fail[j] = lastDem, 1
+	}
+
+	cost := 0.0
+	for i, b := range d.Build {
+		if b {
+			cost += in.ReflectorCost[i]
+		}
+	}
+	for k, row := range d.Ingest {
+		for i, y := range row {
+			if !y {
+				continue
+			}
+			cost += in.SrcRefCost[k][i]
+			if !d.Build[i] {
+				a.StructureOK = false
+			}
+		}
+	}
 	for i := 0; i < R; i++ {
-		for j := 0; j < D; j++ {
-			if d.Serve[i][j] && !d.Ingest[in.Commodity[j]][i] {
+		use := 0.0
+		for j, x := range d.Serve[i][:D] {
+			if !x {
+				continue
+			}
+			cost += in.RefSinkCost[i][j]
+			use += in.UnitLoad(j)
+			if !d.Ingest[in.Commodity[j]][i] {
 				a.StructureOK = false
 			}
-		}
-	}
-	for k := 0; k < S; k++ {
-		for i := 0; i < R; i++ {
-			if d.Ingest[k][i] && !d.Build[i] {
-				a.StructureOK = false
+			if in.EdgeCap != nil {
+				if ex := 1 - in.EdgeCap[i][j]; ex > a.EdgeCapExcess {
+					a.EdgeCapExcess = ex
+				}
+			}
+			if in.Threshold[j] > 0 {
+				p := in.PathFailure(i, j)
+				got[j] += capWeight(pathWeight(p), dem[j])
+				fail[j] *= p
 			}
 		}
+		if use == 0 {
+			continue
+		}
+		var f float64
+		if in.Fanout[i] <= 0 {
+			f = math.Inf(1)
+		} else {
+			f = use / in.Fanout[i]
+		}
+		if f > a.FanoutFactor {
+			a.FanoutFactor = f
+			a.WorstReflector = i
+		}
 	}
+	a.Cost = cost
+
 	// Weights and exact reliability (per demand unit, then rolled up to
 	// viewers: a viewer is met only when every active subscription is).
 	met := make([]bool, D)
 	for j := 0; j < D; j++ {
-		dem := in.Demand(j)
 		if in.Threshold[j] <= 0 {
 			continue
 		}
 		a.Sinks++
-		got := d.SinkWeight(in, j)
-		f := got / dem
-		if f < a.WeightFactor {
+		if f := got[j] / dem[j]; f < a.WeightFactor {
 			a.WeightFactor = f
 			a.WorstSink = j
 		}
-		if 1-d.SinkFailureProb(in, j) >= in.Threshold[j]-1e-12 {
+		if 1-fail[j] >= in.Threshold[j]-1e-12 {
 			a.MetDemand++
 			met[j] = true
 		}
@@ -249,27 +307,11 @@ func AuditDesign(in *Instance, d *Design) Audit {
 		}
 		lo = hi
 	}
-	// Fanout.
-	for i := 0; i < R; i++ {
-		use := d.FanoutUse(in, i)
-		if use == 0 {
-			continue
-		}
-		var f float64
-		if in.Fanout[i] <= 0 {
-			f = math.Inf(1)
-		} else {
-			f = use / in.Fanout[i]
-		}
-		if f > a.FanoutFactor {
-			a.FanoutFactor = f
-			a.WorstReflector = i
-		}
-	}
 	// Colors (§6.4).
 	if in.Color != nil {
+		counts := make([]int, in.NumColors)
 		for j := 0; j < D; j++ {
-			counts := make([]int, in.NumColors)
+			clear(counts)
 			for i := 0; i < R; i++ {
 				if d.Serve[i][j] {
 					counts[in.Color[i]]++
@@ -278,18 +320,6 @@ func AuditDesign(in *Instance, d *Design) Audit {
 			for _, c := range counts {
 				if c-1 > a.ColorExcess {
 					a.ColorExcess = c - 1
-				}
-			}
-		}
-	}
-	// Edge capacities (§6.3).
-	if in.EdgeCap != nil {
-		for i := 0; i < R; i++ {
-			for j := 0; j < D; j++ {
-				if d.Serve[i][j] {
-					if ex := 1 - in.EdgeCap[i][j]; ex > a.EdgeCapExcess {
-						a.EdgeCapExcess = ex
-					}
 				}
 			}
 		}

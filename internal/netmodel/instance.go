@@ -245,8 +245,11 @@ func (in *Instance) PathFailure(i, j int) float64 {
 // sink j via reflector i (§2). Probabilities are clamped to
 // [ProbEps, 1-ProbEps] so the weight is finite.
 func (in *Instance) Weight(i, j int) float64 {
-	return -math.Log(clampProb(in.PathFailure(i, j)))
+	return pathWeight(in.PathFailure(i, j))
 }
+
+// pathWeight is the weight of a path that loses a packet with probability p.
+func pathWeight(p float64) float64 { return -math.Log(clampProb(p)) }
 
 // Demand returns W^k_j = -log(1 - Φ^k_j), the weight each sink must
 // accumulate across its chosen reflectors (§2).
@@ -258,9 +261,19 @@ func (in *Instance) Demand(j int) float64 {
 // assumes WLOG w^k_{ij} ≤ W^k_j ("it never helps to have more weight on an
 // edge than the one that a sink demands"); all solvers use the capped weight.
 func (in *Instance) CappedWeight(i, j int) float64 {
-	w := in.Weight(i, j)
-	if d := in.Demand(j); w > d {
-		return d
+	return in.CappedWeightFor(i, j, in.Demand(j))
+}
+
+// CappedWeightFor is CappedWeight(i, j) for a caller that already holds
+// demand = Demand(j), such as one weighing every candidate arc of a sink.
+func (in *Instance) CappedWeightFor(i, j int, demand float64) float64 {
+	return capWeight(in.Weight(i, j), demand)
+}
+
+// capWeight caps a sink's arc weight at its demand.
+func capWeight(w, demand float64) float64 {
+	if w > demand {
+		return demand
 	}
 	return w
 }

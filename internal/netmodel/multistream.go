@@ -162,22 +162,36 @@ func (in *Instance) SplitStreams() *Instance {
 	return out
 }
 
-// ViewerChurn compares two designs on the same instance and reports churn
-// at stream and viewer granularity: streams counts demand units whose
-// serving reflector set changed, and viewers sums, per viewer, the CHANGED
-// FRACTION of its relevant units — a 3-stream sink that re-pulls one stream
-// contributes 1/3, where the copy-split view would have charged a full
-// viewer. A unit is relevant when it is actively subscribed (positive
-// threshold) or its service changed (covers full leaves, whose thresholds
-// are already 0). A nil design serves nothing.
-func ViewerChurn(in *Instance, prev, next *Design) (viewers float64, streams int) {
-	D := in.NumSinks
+// Churn is how far a design moved from the one deployed before it.
+type Churn struct {
+	// Arcs counts serve cells that differ; Reflectors counts reflectors
+	// whose build state flipped.
+	Arcs, Reflectors int
+	// Streams counts demand units whose serving reflector set changed.
+	// Viewers sums, per viewer, the CHANGED FRACTION of its relevant units:
+	// a 3-stream sink that re-pulls one stream contributes 1/3, where the
+	// copy-split view would have charged a full viewer. A unit is relevant
+	// when it is actively subscribed (positive threshold) or its service
+	// changed (covers full leaves, whose thresholds are already 0).
+	Streams int
+	Viewers float64
+}
+
+// DesignChurn compares two designs on the same instance in one row-major
+// pass over their serve matrices. Both must be non-nil; a caller with no
+// previous deployment reports no churn.
+func DesignChurn(in *Instance, prev, next *Design) Churn {
+	_, R, D := in.Dims()
+	var c Churn
 	changed := make([]bool, D)
-	serve := func(d *Design, i, j int) bool { return d != nil && d.Serve[i][j] }
-	nRef := in.NumReflectors
-	for i := 0; i < nRef; i++ {
-		for j := 0; j < D; j++ {
-			if serve(prev, i, j) != serve(next, i, j) {
+	for i := 0; i < R; i++ {
+		if prev.Build[i] != next.Build[i] {
+			c.Reflectors++
+		}
+		p, n := prev.Serve[i][:D], next.Serve[i][:D]
+		for j, x := range p {
+			if x != n[j] {
+				c.Arcs++
 				changed[j] = true
 			}
 		}
@@ -191,18 +205,18 @@ func ViewerChurn(in *Instance, prev, next *Design) (viewers float64, streams int
 		for u := lo; u < j; u++ {
 			if changed[u] {
 				ch++
-				streams++
 			}
 			if changed[u] || in.Threshold[u] > 0 {
 				rel++
 			}
 		}
 		if ch > 0 {
-			viewers += float64(ch) / float64(rel)
+			c.Streams += ch
+			c.Viewers += float64(ch) / float64(rel)
 		}
 		lo = j
 	}
-	return viewers, streams
+	return c
 }
 
 // ActiveViewers counts viewers with at least one active subscription.

@@ -119,27 +119,26 @@ func TestViewerChurnFractional(t *testing.T) {
 	next.Serve[0][2], next.Serve[1][2] = false, true // one stream re-pulled
 	next.Normalize(in)
 
-	viewers, streams := netmodel.ViewerChurn(in, prev, next)
-	if streams != 1 {
-		t.Fatalf("stream churn = %d, want 1", streams)
+	c := netmodel.DesignChurn(in, prev, next)
+	if c.Streams != 1 {
+		t.Fatalf("stream churn = %d, want 1", c.Streams)
 	}
-	if viewers != 1.0/3.0 {
-		t.Fatalf("viewer churn = %g, want 1/3", viewers)
+	if c.Viewers != 1.0/3.0 {
+		t.Fatalf("viewer churn = %g, want 1/3", c.Viewers)
 	}
 	// The copy-split view (grouping forgotten) charges a full viewer.
 	split := in.SplitStreams()
-	sv, _ := netmodel.ViewerChurn(split, prev, next)
-	if sv != 1 {
+	if sv := netmodel.DesignChurn(split, prev, next).Viewers; sv != 1 {
 		t.Fatalf("copy-split viewer churn = %g, want 1", sv)
 	}
 	// A full re-pull of every stream is a whole viewer either way.
-	viewers, streams = netmodel.ViewerChurn(in, prev, serveAll(1))
-	if viewers != 1 || streams != 3 {
-		t.Fatalf("full switch: viewers=%g streams=%d, want 1 and 3", viewers, streams)
+	c = netmodel.DesignChurn(in, prev, serveAll(1))
+	if c.Viewers != 1 || c.Streams != 3 {
+		t.Fatalf("full switch: viewers=%g streams=%d, want 1 and 3", c.Viewers, c.Streams)
 	}
 	// No change, no churn.
-	if v, s := netmodel.ViewerChurn(in, prev, prev.Clone()); v != 0 || s != 0 {
-		t.Fatalf("identical designs churned: viewers=%g streams=%d", v, s)
+	if c := netmodel.DesignChurn(in, prev, prev.Clone()); c != (netmodel.Churn{}) {
+		t.Fatalf("identical designs churned: %+v", c)
 	}
 }
 
