@@ -8,7 +8,6 @@ package overlay
 
 import (
 	"io"
-	"slices"
 	"testing"
 	"time"
 
@@ -21,6 +20,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/round"
 	"repro/internal/sim"
+	"repro/internal/stats"
 )
 
 // runExp benchmarks one experiment in quick mode, reporting the rendered
@@ -65,74 +65,30 @@ func BenchmarkL4BackboneRepricing(b *testing.B)    { runExp(b, "L4") }
 func BenchmarkL5IncrementalRebuild(b *testing.B)   { runExp(b, "L5") }
 
 // TestIncrementalRebuildAcceptance is the incremental-LP-rebuild acceptance
-// gate on the 50-epoch flash crowd: warm+sticky epochs must spend at least
-// 3x less wall in LP construction (lp-build + lp-patch) than the per-epoch
-// full-rebuild baseline, while agreeing with it on every solver-visible
-// number (the patched LP is bit-identical to a fresh build, so costs,
-// pivots, and churn must match exactly). The walls compared are sums of
-// per-epoch minimums over 7 interleaved runs per arm, so one stall in one
-// run cannot fail the gate.
+// gate on the 50-epoch flash crowd: replaying its delta schedule, the
+// Patcher must spend at least 3x less wall than a fresh Build per epoch,
+// while holding the same LP cell for cell after every epoch and rebuilding
+// only at epoch 0 (exp.ReplayPatches). The walls compared are sums of
+// per-epoch minimums over 7 interleaved runs, so one stall in one run
+// cannot fail the gate.
 func TestIncrementalRebuildAcceptance(t *testing.T) {
-	sc := live.FlashCrowd(1, 50)
-	// Pin refactorize-on-install in both arms: only the incremental arm keeps
-	// lp.Problems alive across epochs, so only it can resume persisted
-	// factorizations — letting persistence differ between the arms perturbs
-	// near-tie pivot choices by ulps and masks what this test locks (the
-	// patched LP being identical to a rebuilt one). Persistence equivalence
-	// has its own locks in internal/lp and internal/live/equiv_test.go.
-	run := func(noIncr bool) (*live.RunReport, []int64) {
-		t.Helper()
-		cfg := live.Config{Policy: live.WarmStickyPolicy(), NoIncremental: noIncr}
-		cfg.Solver.RefactorOnInstall = true
-		rep, err := live.Run(sc, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		walls := make([]int64, len(rep.Epochs))
-		for e, er := range rep.Epochs {
-			walls[e] = er.StageWallNS["lp-build"] + er.StageWallNS["lp-patch"]
-		}
-		return rep, walls
+	rp, err := exp.ReplayPatches(live.FlashCrowd(1, 50), exp.ReplayRuns)
+	if err != nil {
+		t.Fatal(err)
 	}
-	rebuild, walls := run(true)
-	rebuildRuns := [][]int64{walls}
-	incr, walls := run(false)
-	incrRuns := [][]int64{walls}
-	for i := 1; i < 7; i++ {
-		_, walls = run(true)
-		rebuildRuns = append(rebuildRuns, walls)
-		_, walls = run(false)
-		incrRuns = append(incrRuns, walls)
+	if !rp.Identical {
+		t.Fatal("a patched LP differed from the fresh build of the same epoch")
 	}
-	if incr.TotalTrueCost != rebuild.TotalTrueCost || incr.TotalPivots != rebuild.TotalPivots ||
-		incr.TotalArcChurn != rebuild.TotalArcChurn || incr.TotalReflectorChurn != rebuild.TotalReflectorChurn {
-		t.Fatalf("incremental run diverged from the rebuild baseline: cost %.17g/%.17g pivots %d/%d churn %d/%d",
-			incr.TotalTrueCost, rebuild.TotalTrueCost, incr.TotalPivots, rebuild.TotalPivots,
-			incr.TotalArcChurn, rebuild.TotalArcChurn)
+	if rp.Rebuilds != 1 {
+		t.Fatalf("the replay performed %d full builds, want exactly the epoch-0 one", rp.Rebuilds)
 	}
-	if incr.TotalLPRebuilds != 1 {
-		t.Fatalf("incremental timeline performed %d full builds, want exactly the epoch-0 one", incr.TotalLPRebuilds)
-	}
-	baseNS, incrNS := sumNS(perEpochMin(rebuildRuns)), sumNS(perEpochMin(incrRuns))
-	speedup := float64(baseNS) / float64(incrNS)
-	t.Logf("LP construction over 50 epochs, per-epoch minimums of 7 runs: rebuild %v, incremental %v (%.1fx), %d cells patched",
-		time.Duration(baseNS), time.Duration(incrNS), speedup, incr.TotalLPPatches)
+	speedup := float64(rp.BuildNS) / float64(rp.PatchNS)
+	t.Logf("LP construction over 50 epochs, per-epoch minimums of %d runs: rebuild %v, patch %v (%.1fx), %d cells patched",
+		exp.ReplayRuns, time.Duration(rp.BuildNS), time.Duration(rp.PatchNS), speedup, rp.Patches)
 	if speedup < 3 {
 		t.Fatalf("incremental LP construction only %.2fx faster than rebuild (want >=3x): %d vs %d ns",
-			speedup, baseNS, incrNS)
+			speedup, rp.BuildNS, rp.PatchNS)
 	}
-}
-
-// perEpochMin takes each epoch's minimum wall across runs, so a GC pause or
-// a scheduler preemption in one run cannot poison a timing comparison.
-func perEpochMin(runs [][]int64) []int64 {
-	mins := slices.Clone(runs[0])
-	for _, walls := range runs[1:] {
-		for e, w := range walls {
-			mins[e] = min(mins[e], w)
-		}
-	}
-	return mins
 }
 
 // sumNS adds up walls in nanoseconds.
@@ -142,85 +98,6 @@ func sumNS(walls []int64) int64 {
 		total += w
 	}
 	return total
-}
-
-// TestPersistentSolverAcceptance is the PR 6 acceptance gate on the
-// 50-epoch flash crowd: against the previous solver behavior (refactorize
-// at every warm-start install), the current default (persistent basis
-// factorization) must (1) adopt carried factorizations across the warm
-// timeline and (2) perform strictly fewer from-scratch refactorizations —
-// and the warm churn re-solves must stay ≥2x cheaper in pivots than cold
-// re-solves of the same timeline under the previous behavior (they are
-// ~14x cheaper; warm starts plus persistence are what buy it). The warm
-// re-solves must also be faster: the lp-solve stage wall of epochs 1..49,
-// where persistence acts, summed over per-epoch minimums of 7 interleaved
-// runs per arm. Path rounding and the audit, which both arms share, take
-// most of the rest of each epoch, so the whole epoch wall would mostly
-// measure them.
-func TestPersistentSolverAcceptance(t *testing.T) {
-	sc := live.FlashCrowd(1, 50)
-	mk := func(prev bool, policy live.Policy) *live.RunReport {
-		t.Helper()
-		cfg := live.Config{Policy: policy}
-		cfg.Solver.RefactorOnInstall = prev
-		rep, err := live.Run(sc, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
-	}
-	cur := mk(false, live.WarmStickyPolicy())
-	prev := mk(true, live.WarmStickyPolicy())
-	coldPrev := mk(true, live.ColdPolicy())
-
-	if cur.TotalFTUpdates == 0 {
-		t.Fatal("no warm start adopted a persisted factorization across the timeline")
-	}
-	if prev.TotalFTUpdates != 0 {
-		t.Fatal("previous-behavior run adopted factorizations")
-	}
-	if cur.TotalRefactorizations >= prev.TotalRefactorizations {
-		t.Fatalf("persistence saved no refactorizations: %d vs %d",
-			cur.TotalRefactorizations, prev.TotalRefactorizations)
-	}
-	if cur.TotalPivots*2 > coldPrev.TotalPivots {
-		t.Fatalf("warm churn re-solves not >=2x cheaper in pivots than previous-solver cold re-solves: %d vs %d",
-			cur.TotalPivots, coldPrev.TotalPivots)
-	}
-	lpSolveWalls := func(prev bool) []int64 {
-		rep := mk(prev, live.WarmStickyPolicy())
-		walls := make([]int64, 0, len(rep.Epochs)-1)
-		for _, er := range rep.Epochs[1:] {
-			walls = append(walls, er.StageWallNS["lp-solve"])
-		}
-		return walls
-	}
-	var curRuns, prevRuns [][]int64
-	for i := 0; i < 7; i++ {
-		curRuns = append(curRuns, lpSolveWalls(false))
-		prevRuns = append(prevRuns, lpSolveWalls(true))
-	}
-	curNS, prevNS := sumNS(perEpochMin(curRuns)), sumNS(perEpochMin(prevRuns))
-	t.Logf("50-epoch flash crowd: pivots %d vs %d (prev) vs %d (prev cold) | refactorizations %d vs %d | FT updates %d | warm lp-solve wall %v vs %v (%.2fx)",
-		cur.TotalPivots, prev.TotalPivots, coldPrev.TotalPivots,
-		cur.TotalRefactorizations, prev.TotalRefactorizations, cur.TotalFTUpdates,
-		time.Duration(curNS), time.Duration(prevNS), float64(prevNS)/float64(curNS))
-	if curNS >= prevNS && !raceEnabled {
-		t.Fatalf("warm lp-solve wall did not drop: %v (current) vs %v (previous solver), epochs 1..49, per-epoch minimums of 7 runs",
-			time.Duration(curNS), time.Duration(prevNS))
-	}
-
-	// The sharded path must additionally skip sub-instance extraction for
-	// every post-build epoch (cached sub-instances patched in place).
-	shCfg := live.Config{Policy: live.WarmStickyPolicy()}
-	shCfg.Solver.Shards = 3
-	sh, err := live.Run(sc, shCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sh.TotalExtractionsSkipped == 0 {
-		t.Fatal("sharded timeline never reused a cached sub-instance")
-	}
 }
 
 // obsOverheadBudgetNS bounds what the observability tap may add to a warm
@@ -248,7 +125,7 @@ const obsColdBudgetNS = 2_500_000
 // canonical metrics registry plus JSONL tracer — must add at most
 // obsOverheadBudgetNS per warm epoch and at most obsColdBudgetNS to the
 // cold epoch over the uninstrumented run. Arms are interleaved 161x and
-// each epoch's wall is the minimum across runs (perEpochMin). The cold
+// each epoch's wall is the minimum across runs (stats.MinAcross). The cold
 // epoch has a bound of its own because its minimum is too noisy for the
 // warm budget: averaged into all 20 epochs it alone moved the reading by
 // up to 51 µs run alone and 86 µs beside other test binaries, while the
@@ -284,7 +161,7 @@ func TestObservabilityOverheadAcceptance(t *testing.T) {
 		off = append(off, runOnce(nil))
 		on = append(on, runOnce(mkObs()))
 	}
-	offMin, onMin := perEpochMin(off), perEpochMin(on)
+	offMin, onMin := stats.MinAcross(off), stats.MinAcross(on)
 	coldNS := onMin[0] - offMin[0]
 	warmNS := (sumNS(onMin[1:]) - sumNS(offMin[1:])) / int64(len(onMin)-1)
 	t.Logf("20-epoch flash crowd, per-epoch-min wall over %d runs: cold epoch off %v, on %v (%v); warm epochs off %v, on %v (%v per epoch)",

@@ -18,8 +18,9 @@
 //
 //	overlaybench -shardjson BENCH_shard.json [-monodeadline 60s]
 //
-// The incremental-LP-rebuild sweep (L5 across the scenario library, plus
-// the 50-epoch flash-crowd acceptance workload) writes BENCH_incr.json:
+// The incremental-LP-rebuild sweep (L5's replay across the scenario library
+// at the 50 epochs of the flash-crowd acceptance workload) writes
+// BENCH_incr.json:
 //
 //	overlaybench -incrjson BENCH_incr.json
 //
@@ -236,32 +237,22 @@ func reportStages(print bool, jsonPath string) error {
 	return nil
 }
 
-// incrRow is one scenario of the BENCH_incr.json sweep.
+// incrRow is one scenario of the BENCH_incr.json sweep (exp.ReplayPatches).
 type incrRow struct {
 	Scenario string `json:"scenario"`
 	Epochs   int    `json:"epochs"`
-	Shards   int    `json:"shards"`
-	// RebuildNS sums the per-epoch lp-build wall of the full-rebuild
-	// baseline; IncrNS sums lp-build + lp-patch of the incremental run.
-	RebuildNS int64   `json:"rebuild_lp_build_ns"`
-	IncrNS    int64   `json:"incr_lp_build_patch_ns"`
+	// RebuildNS sums the per-epoch walls of a fresh lpmodel.Build, PatchNS
+	// those of Patcher.Sync, each epoch the minimum over exp.ReplayRuns
+	// replays.
+	RebuildNS int64   `json:"rebuild_ns"`
+	PatchNS   int64   `json:"patch_ns"`
 	Speedup   float64 `json:"speedup"`
-	// Patches / Rebuilds are the incremental run's totals; Identical
-	// records that both runs agreed on cost, pivots, and churn (the
-	// golden-equivalence property, re-checked here on real timelines).
+	// Patches / Rebuilds are the Patcher's totals; Identical records that
+	// the patched LP equalled the fresh build cell by cell after every
+	// epoch.
 	Patches   int  `json:"patches"`
 	Rebuilds  int  `json:"rebuilds"`
 	Identical bool `json:"identical"`
-	// The epoch-wall row: total wall of the same incremental timeline under
-	// the previous solver behavior (refactorize at every warm-start install)
-	// against the current defaults (persistent factorization), with the
-	// factorization telemetry of the default run.
-	PrevSolverWallNS   int64   `json:"prev_solver_epoch_wall_ns"`
-	EpochWallNS        int64   `json:"epoch_wall_ns"`
-	EpochWallSpeedup   float64 `json:"epoch_wall_speedup"`
-	Refactorizations   int     `json:"refactorizations"`
-	FTUpdates          int     `json:"ft_updates"`
-	ExtractionsSkipped int     `json:"extractions_skipped"`
 }
 
 // incrBench is the BENCH_incr.json schema.
@@ -271,88 +262,42 @@ type incrBench struct {
 	Generated string    `json:"generated"`
 }
 
-// incrSweep measures the incremental LP rebuild against the per-epoch full
-// rebuild on every library scenario (warm+sticky policy), headlined by the
-// 50-epoch flash crowd the bench_test acceptance asserts ≥3x on, plus a
-// sharded flash-crowd row exercising the per-shard patchers.
+// incrSweep measures the incremental LP rebuild against a per-epoch full
+// build on every library scenario's delta schedule, headlined by the
+// 50-epoch flash crowd the bench_test acceptance asserts ≥3x on.
 func incrSweep(outPath string, quick bool) error {
 	epochs := 50
 	if quick {
 		epochs = 16
 	}
 	bench := incrBench{
-		Workload:  "scenario library on gen.Clustered (DefaultTopo), warm+sticky, incremental vs per-epoch rebuild",
+		Workload: fmt.Sprintf("scenario library on gen.Clustered (DefaultTopo), delta schedule replayed through one lpmodel.Patcher vs a fresh lpmodel.Build per epoch, per-epoch minimums of %d runs",
+			exp.ReplayRuns),
 		Generated: time.Now().UTC().Format(time.RFC3339),
 	}
-	type job struct {
-		name   string
-		shards int
-	}
-	jobs := []job{}
 	for _, name := range live.Names() {
-		jobs = append(jobs, job{name, 0})
-	}
-	jobs = append(jobs, job{"flashcrowd", 3})
-	for _, jb := range jobs {
-		sc, err := live.Make(jb.name, 1, epochs)
+		sc, err := live.Make(name, 1, epochs)
 		if err != nil {
 			return err
 		}
-		run := func(noIncr, pinInstall bool) (*live.RunReport, error) {
-			cfg := live.Config{Policy: live.WarmStickyPolicy(), NoIncremental: noIncr}
-			cfg.Solver.Shards = jb.shards
-			// The identical-check arms pin refactorize-on-install: only the
-			// incremental arm keeps lp.Problems alive, so persistence would
-			// perturb near-tie pivots between the arms for reasons unrelated
-			// to the patched-LP equivalence the column records.
-			cfg.Solver.RefactorOnInstall = pinInstall
-			return live.Run(sc, cfg)
-		}
-		base, err := run(true, true)
+		rp, err := exp.ReplayPatches(sc, exp.ReplayRuns)
 		if err != nil {
-			return fmt.Errorf("%s rebuild: %w", jb.name, err)
-		}
-		// The pinned incremental run doubles as the previous-solver arm of
-		// the epoch-wall pair, against the current defaults.
-		incr, err := run(false, true)
-		if err != nil {
-			return fmt.Errorf("%s incremental: %w", jb.name, err)
-		}
-		fast, err := run(false, false)
-		if err != nil {
-			return fmt.Errorf("%s default-solver: %w", jb.name, err)
+			return err
 		}
 		row := incrRow{
-			Scenario:  jb.name,
+			Scenario:  name,
 			Epochs:    epochs,
-			Shards:    jb.shards,
-			RebuildNS: base.LPConstructionNS(),
-			IncrNS:    incr.LPConstructionNS(),
-			Patches:   incr.TotalLPPatches,
-			Rebuilds:  incr.TotalLPRebuilds,
-			Identical: base.TotalTrueCost == incr.TotalTrueCost &&
-				base.TotalPivots == incr.TotalPivots &&
-				base.TotalArcChurn == incr.TotalArcChurn,
-			PrevSolverWallNS:   incr.TotalWallNS,
-			EpochWallNS:        fast.TotalWallNS,
-			Refactorizations:   fast.TotalRefactorizations,
-			FTUpdates:          fast.TotalFTUpdates,
-			ExtractionsSkipped: fast.TotalExtractionsSkipped,
+			RebuildNS: rp.BuildNS,
+			PatchNS:   rp.PatchNS,
+			Speedup:   float64(rp.BuildNS) / float64(rp.PatchNS),
+			Patches:   rp.Patches,
+			Rebuilds:  rp.Rebuilds,
+			Identical: rp.Identical,
 		}
-		row.Speedup = float64(row.RebuildNS) / float64(row.IncrNS)
-		row.EpochWallSpeedup = float64(row.PrevSolverWallNS) / float64(row.EpochWallNS)
-		tag := ""
-		if jb.shards > 0 {
-			tag = fmt.Sprintf(" (shards=%d)", jb.shards)
-		}
-		fmt.Printf("%s%s: rebuild %v vs incr %v (%.1fx), %d patches, %d builds, identical=%v\n",
-			jb.name, tag, time.Duration(row.RebuildNS).Round(time.Microsecond),
-			time.Duration(row.IncrNS).Round(time.Microsecond), row.Speedup,
+		fmt.Printf("%s: rebuild %v vs patch %v (%.1fx), %d patches, %d builds, identical=%v\n",
+			name, time.Duration(row.RebuildNS).Round(time.Microsecond),
+			time.Duration(row.PatchNS).Round(time.Microsecond), row.Speedup,
 			row.Patches, row.Rebuilds, row.Identical)
-		fmt.Printf("%s%s: epoch wall %v (prev solver) vs %v (%.2fx), %d FT updates, %d refactorizations, %d extractions skipped\n",
-			jb.name, tag, time.Duration(row.PrevSolverWallNS).Round(time.Microsecond),
-			time.Duration(row.EpochWallNS).Round(time.Microsecond), row.EpochWallSpeedup,
-			row.FTUpdates, row.Refactorizations, row.ExtractionsSkipped)
 		bench.Rows = append(bench.Rows, row)
 	}
 	data, err := json.MarshalIndent(bench, "", "  ")
@@ -486,14 +431,17 @@ type aggRow struct {
 	// smallest size's, so drift at scale is visible in the artifact.
 	CostPerViewerVsRef float64 `json:"cost_per_viewer_vs_ref,omitempty"`
 	// The churn timeline: drop 1% → rejoin → weight-neutral swap →
-	// repricing, under the incremental session. MaxEpochWallNS is the
-	// slowest epoch; EpochWallOK says it stayed inside the budget.
-	Epochs         int   `json:"epochs"`
-	MaxEpochWallNS int64 `json:"max_epoch_wall_ns"`
-	EpochWallOK    bool  `json:"epoch_wall_ok"`
-	LPFreeEpochs   int   `json:"lp_free_epochs"`
-	WeightChanges  int   `json:"agg_weight_changes"`
-	Patches        int   `json:"lp_patches"`
+	// repricing, under a session. MaxEpochWallNS is the slowest epoch —
+	// always the cold epoch 0 — and MaxChurnEpochWallNS the slowest of the
+	// churn epochs after it; EpochWallOK says every epoch stayed inside the
+	// budget.
+	Epochs              int   `json:"epochs"`
+	MaxEpochWallNS      int64 `json:"max_epoch_wall_ns"`
+	MaxChurnEpochWallNS int64 `json:"max_churn_epoch_wall_ns"`
+	EpochWallOK         bool  `json:"epoch_wall_ok"`
+	LPFreeEpochs        int   `json:"lp_free_epochs"`
+	WeightChanges       int   `json:"agg_weight_changes"`
+	Patches             int   `json:"lp_patches"`
 }
 
 // aggBench is the BENCH_agg.json schema.
@@ -627,7 +575,6 @@ func aggSweep(outPath string, quick bool, maxViewers int) error {
 		sreg := obs.NewRegistry()
 		sopts := core.DefaultOptions(7)
 		sopts.Aggregate = &agg.Config{}
-		sopts.IncrementalLP = true
 		sopts.Obs = &obs.Observer{Reg: sreg}
 		sess := core.NewSession(sopts, 0, true)
 		epoch := func(d *netmodel.Delta) error {
@@ -644,8 +591,9 @@ func aggSweep(outPath string, quick bool, maxViewers int) error {
 				return err
 			}
 			wall := time.Since(start).Nanoseconds()
-			if wall > row.MaxEpochWallNS {
-				row.MaxEpochWallNS = wall
+			row.MaxEpochWallNS = max(row.MaxEpochWallNS, wall)
+			if row.Epochs > 0 {
+				row.MaxChurnEpochWallNS = max(row.MaxChurnEpochWallNS, wall)
 			}
 			if r.Patch != nil {
 				row.Patches += r.Patch.Patches()
@@ -687,8 +635,9 @@ func aggSweep(outPath string, quick bool, maxViewers int) error {
 		} else if row.CostPerViewerVsRef > 0 {
 			fmt.Printf(" | cost/viewer %.3fx of reference", row.CostPerViewerVsRef)
 		}
-		fmt.Printf(" | churn max epoch %v (ok=%v), %d lp-free, %d patches | %d pivots\n",
-			time.Duration(row.MaxEpochWallNS).Round(time.Millisecond), row.EpochWallOK,
+		fmt.Printf(" | max epoch %v, max churn epoch %v (ok=%v), %d lp-free, %d patches | %d pivots\n",
+			time.Duration(row.MaxEpochWallNS).Round(time.Millisecond),
+			time.Duration(row.MaxChurnEpochWallNS).Round(time.Millisecond), row.EpochWallOK,
 			row.LPFreeEpochs, row.Patches, row.Pivots)
 		bench.Rows = append(bench.Rows, row)
 	}

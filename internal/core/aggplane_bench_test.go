@@ -30,7 +30,7 @@ func BenchmarkAggregatePlane(b *testing.B) {
 			wave = append(wave, j)
 		}
 	}
-	sess := NewSession(Options{Seed: 1, IncrementalLP: true, Shards: 4, Aggregate: &agg.Config{}}, 0.4, true)
+	sess := NewSession(Options{Seed: 1, Shards: 4, Aggregate: &agg.Config{}}, 0.4, true)
 	if _, err := sess.Step(in); err != nil {
 		b.Fatal(err)
 	}

@@ -120,7 +120,6 @@ func TestSessionAggregatedLPFreeEpoch(t *testing.T) {
 	in.Threshold[off] = 0
 
 	opts := DefaultOptions(17)
-	opts.IncrementalLP = true
 	opts.Aggregate = &agg.Config{GroupOf: group}
 	reg := obs.NewRegistry()
 	opts.Obs = &obs.Observer{Reg: reg}

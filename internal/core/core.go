@@ -56,12 +56,6 @@ type Options struct {
 	// simplex iterations when re-solving after churn. Invalid bases
 	// degrade to a cold solve.
 	WarmStart *lp.Basis
-	// RefactorOnInstall forces every warm-started LP solve to refactorize
-	// its basis at install instead of resuming a persisted factorization:
-	// the pre-persistence reference arm of overlaybench's BENCH_incr sweep,
-	// the L5 experiment, and the incremental-vs-rebuild and persistence
-	// equivalence tests (see lp.Options.RefactorOnInstall).
-	RefactorOnInstall bool
 	// Shards ≥ 2 partitions the instance into that many commodity-region
 	// shards solved in parallel with a capacity-coordination pass
 	// (internal/shard); the pipeline then runs the shard-partition /
@@ -105,23 +99,27 @@ type Options struct {
 	// across epochs and the delta flow is folded through it, so
 	// weight-neutral churn solves LP-free.
 	Aggregate *agg.Config
-	// IncrementalLP enables the delta-driven incremental LP rebuild inside
-	// a Session: a persistent lpmodel.Patcher (one per shard when Shards ≥
-	// 2) carries the built lp.Problem across epochs and patches only the
-	// coefficients a churn delta touched, replacing the per-epoch lp-build
-	// stage with a delta-sized lp-patch stage. Requires the Session's
-	// delta flow: callers must report instance mutations through
-	// Session.Observe (the live engine does). A plain one-shot Solve
-	// ignores it — there is no previous epoch to patch from.
-	IncrementalLP bool
 
-	// fixedShape pins the LP shape to the instance dimensions (see
-	// lpmodel.Options.FixedShape); NewSession sets it.
-	fixedShape bool
-	// patcher and patchDirty are the per-Step plumbing of IncrementalLP,
-	// set by Session (monolithic path) or by solveSharded (per-shard): the
-	// persistent patch state and the dirty set accumulated since the
-	// previous epoch.
+	// session marks the solves of a Session, which NewSession sets: the LP
+	// shape is pinned to the instance dimensions (lpmodel.Options.FixedShape),
+	// and the sharded path carries one lpmodel.Patcher per shard and routes
+	// the delta flow's dirt to them. A one-shot Solve has no delta flow, so
+	// it builds every LP and extracts every shard afresh.
+	session bool
+	// refactorOnInstall makes every warm-started LP solve refactorize its
+	// basis at install instead of resuming a persisted factorization (see
+	// lp.Options.RefactorOnInstall): the pre-persistence reference arm,
+	// which only tests switch on.
+	refactorOnInstall bool
+	// rebuildLP makes a Session build every LP afresh each Step, extracting
+	// every shard anew, as a one-shot solve does, instead of patching it
+	// from the delta flow: the rebuild reference arm, which only tests
+	// switch on.
+	rebuildLP bool
+	// patcher and patchDirty are the per-Step plumbing of the incremental
+	// LP rebuild, set by Session (monolithic path) or by solveSharded
+	// (per-shard): the persistent patch state and the dirty set accumulated
+	// since the previous epoch.
 	patcher    *lpmodel.Patcher
 	patchDirty *netmodel.DirtySet
 	// pathState carries the §6.5 path LP across the integralize runs of a
@@ -168,9 +166,9 @@ type Result struct {
 	// name across audit retries.
 	Stages []StageStats
 	// Patch reports what the incremental LP rebuild did this solve (nil
-	// unless a Session-carried Patcher ran; see Options.IncrementalLP):
-	// whether the epoch fell back to a full lp-build and how many matrix /
-	// rhs / objective cells the lp-patch stage rewrote.
+	// unless a Session-carried Patcher ran; see Session): whether the epoch
+	// fell back to a full lp-build and how many matrix / rhs / objective
+	// cells the lp-patch stage rewrote.
 	Patch *lpmodel.PatchStats
 	// LPStats totals the solver's factorization events across the solve —
 	// refactorizations, adopted (persisted) factorizations, warm fallbacks.
@@ -208,11 +206,10 @@ type ShardInfo struct {
 	// PerShardPivots breaks LPPivots down by shard.
 	PerShardPivots []int
 	// PerShardPatches counts the LP cells each shard's Patcher rewrote
-	// this epoch and PerShardRebuilds the full builds it fell back to
-	// (both nil unless Options.IncrementalLP). A shard no delta touched
-	// shows 0 in both — the dirty routing by the stable sink partition is
-	// what keeps a one-region churn event from touching the other shards'
-	// LPs.
+	// this epoch and PerShardRebuilds the full builds it fell back to (all
+	// zero outside a Session). A shard no delta touched shows 0 in both —
+	// the dirty routing by the stable sink partition is what keeps a
+	// one-region churn event from touching the other shards' LPs.
 	PerShardPatches  []int
 	PerShardRebuilds []int
 	// LPBuildNS / LPPatchNS sum the per-shard model-construction stage
@@ -247,7 +244,7 @@ func (r *Result) WarmStartBasis() *lp.Basis {
 func lpOptions(in *netmodel.Instance, opts Options) lpmodel.Options {
 	lpOpts := lpmodel.DefaultOptions(in)
 	lpOpts.CuttingPlane = !opts.DisableCuttingPlane
-	lpOpts.FixedShape = opts.fixedShape
+	lpOpts.FixedShape = opts.session
 	return lpOpts
 }
 
@@ -256,7 +253,7 @@ func lpOptions(in *netmodel.Instance, opts Options) lpmodel.Options {
 func solverOptions(opts Options) lp.Options {
 	return lp.Options{
 		WarmStart:         opts.WarmStart,
-		RefactorOnInstall: opts.RefactorOnInstall,
+		RefactorOnInstall: opts.refactorOnInstall,
 	}
 }
 

@@ -52,29 +52,7 @@ func Reoptimize(in *netmodel.Instance, prior *netmodel.Design, stickiness float6
 	if stickiness < 0 || stickiness >= 1 {
 		return nil, fmt.Errorf("core: stickiness %g outside [0,1)", stickiness)
 	}
-	work := in
-	if prior != nil && stickiness > 0 {
-		work = in.Clone()
-		keep := 1 - stickiness
-		for i := range prior.Serve {
-			if prior.Build[i] {
-				work.ReflectorCost[i] *= keep
-			}
-			for j, s := range prior.Serve[i] {
-				if s {
-					work.RefSinkCost[i][j] *= keep
-				}
-			}
-		}
-		for k := range prior.Ingest {
-			for i, y := range prior.Ingest[k] {
-				if y {
-					work.SrcRefCost[k][i] *= keep
-				}
-			}
-		}
-	}
-	res, err := Solve(work, opts)
+	res, err := Solve(biased(in, prior, stickiness), opts)
 	if err != nil {
 		return nil, err
 	}
@@ -86,4 +64,33 @@ func Reoptimize(in *netmodel.Instance, prior *netmodel.Design, stickiness float6
 		out.setChurn(netmodel.DesignChurn(in, prior, res.Design))
 	}
 	return out, nil
+}
+
+// biased returns in with the costs of prior's reflectors, ingests and
+// service arcs discounted by stickiness: a clone, or in itself when there is
+// nothing to discount.
+func biased(in *netmodel.Instance, prior *netmodel.Design, stickiness float64) *netmodel.Instance {
+	if prior == nil || stickiness <= 0 {
+		return in
+	}
+	work := in.Clone()
+	keep := 1 - stickiness
+	for i := range prior.Serve {
+		if prior.Build[i] {
+			work.ReflectorCost[i] *= keep
+		}
+		for j, s := range prior.Serve[i] {
+			if s {
+				work.RefSinkCost[i][j] *= keep
+			}
+		}
+	}
+	for k := range prior.Ingest {
+		for i, y := range prior.Ingest[k] {
+			if y {
+				work.SrcRefCost[k][i] *= keep
+			}
+		}
+	}
+	return work
 }

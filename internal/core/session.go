@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/agg"
 	"repro/internal/lp"
@@ -23,16 +24,16 @@ import (
 // warm-start compatible while sinks join and leave. One-shot solves build
 // rows for demanding sinks only.
 //
-// With Options.IncrementalLP the Session additionally carries the BUILT LP
-// across epochs: a persistent lpmodel.Patcher (or one per shard, inside the
-// shard.State) rewrites only the coefficients churn touched instead of
-// rebuilding the constraint matrix, turning the per-epoch model cost from
-// O(instance) into O(delta). The contract is the delta flow: callers that
-// mutate the instance between Steps must report the dirty sets through
-// Observe — netmodel.Delta.Apply returns them — or the patched LP goes
-// stale. The stickiness bias is handled internally: Step diffs the deployed
-// design against the previous epoch's and feeds the flipped cost cells into
-// the same dirty stream (netmodel.DiffDesigns).
+// A Session also carries the BUILT LP across epochs: a persistent
+// lpmodel.Patcher (or one per shard, inside the shard.State) rewrites only
+// the coefficients churn touched instead of rebuilding the constraint
+// matrix, turning the per-epoch model cost from O(instance) into O(delta).
+// The contract is the delta flow: callers that mutate the instance between
+// Steps must report the dirty sets through Observe — netmodel.Delta.Apply
+// returns them — or the patched LP goes stale. The stickiness bias is
+// handled internally: Step diffs the deployed design against the previous
+// epoch's and feeds the flipped cost cells into the same dirty stream
+// (netmodel.DiffDesigns).
 type Session struct {
 	// Stickiness is the cost discount applied to the deployed design on
 	// every Step (see Reoptimize); must be in [0,1).
@@ -77,9 +78,9 @@ type Session struct {
 
 // NewSession returns a fresh session; the first Step is a cold solve.
 func NewSession(opts Options, stickiness float64, warmStart bool) *Session {
-	opts.fixedShape = true
+	opts.session = true
 	s := &Session{Stickiness: stickiness, WarmStart: warmStart, opts: opts}
-	if opts.IncrementalLP && opts.Shards < 2 {
+	if opts.Shards < 2 && !opts.rebuildLP {
 		s.patcher = lpmodel.NewPatcher()
 	}
 	return s
@@ -98,14 +99,12 @@ func (s *Session) SetObserver(o *obs.Observer) { s.opts.Obs = o }
 
 // Observe records a mutation of the instance the session is tracking, as a
 // dirty set (typically the return of netmodel.Delta.Apply). The accumulated
-// set drives the next Step's lp-patch stage; without IncrementalLP it is a
-// no-op. Observing a superset of the real changes is always safe.
-// Under Options.Aggregate the dirty sets additionally keep the persistent
-// aggregation in sync, so reporting them is required there regardless of
-// IncrementalLP — an unreported mutation would leave the aggregate instance
-// summarizing stale member state.
+// set drives the next Step's lp-patch stage and, under Options.Aggregate,
+// keeps the persistent aggregation in sync: an unreported mutation would
+// leave the patched LP, or the aggregate instance, describing stale state.
+// Observing a superset of the real changes is always safe.
 func (s *Session) Observe(ds *netmodel.DirtySet) {
-	if (!s.opts.IncrementalLP && s.opts.Aggregate == nil) || ds.Empty() {
+	if ds.Empty() {
 		return
 	}
 	if s.pending == nil {
@@ -115,47 +114,117 @@ func (s *Session) Observe(ds *netmodel.DirtySet) {
 }
 
 // Step re-optimizes against the instance's current state — the caller
-// applies the epoch's deltas to in beforehand (reporting them via Observe
-// under IncrementalLP) — and deploys the result. The returned churn counts
-// compare against the previous epoch's design.
+// applies the epoch's deltas to in beforehand and reports them via Observe —
+// and deploys the result. The returned churn counts compare against the
+// previous epoch's design.
+//
+// The re-optimization runs on the session's plane: the instance itself, or
+// under Options.Aggregate the aggregate instance. There an aggregate stage
+// first folds the epoch's dirty sets through the persistent viewer→super-
+// sink state, and a disaggregate stage afterwards maps the solved aggregate
+// design back to real viewers, sticky to the previous TRUE deployment, and
+// audits it on the true instance; the two stage walls bracket the inner
+// pipeline's in Result.Stages.
 func (s *Session) Step(in *netmodel.Instance) (*ReoptimizeResult, error) {
+	dirty := s.pending
+	s.pending = nil
+	plane, prior := in, s.prior
+	var tracker *stageTracker
+	var ps *pipelineState
 	if s.opts.Aggregate != nil {
-		return s.stepAggregated(in)
-	}
-	opts := s.opts
-	if s.WarmStart {
-		opts.WarmStart = s.basis
-		opts.ShardState = s.shardState
-		opts.pathState = s.carriedPath()
-	} else {
-		// A cold session must not inherit a caller-supplied basis either:
-		// cold means every epoch's simplex starts from scratch — including
-		// the sharded path's partition and capacity split.
-		opts.WarmStart = nil
-		opts.ShardState = nil
-	}
-	if opts.IncrementalLP {
-		dirty := s.pending
-		s.pending = nil
-		// The stickiness discount moves with the deployed design: cost
-		// cells enter or leave the discounted set exactly where the new
-		// bias design differs from the previous epoch's. Those flips are
-		// instance changes the delta flow never sees, so they join the
-		// dirty stream here.
-		var bias *netmodel.Design
-		if s.Stickiness > 0 {
-			bias = s.prior
-		}
-		if flips := netmodel.DiffDesigns(s.lastBias, bias); flips != nil {
-			opts.Obs.Counter(obs.MBiasFlips).Add(float64(flips.Size()))
-			if dirty == nil {
-				dirty = &netmodel.DirtySet{}
+		tracker = newStageTracker(s.opts.StageMemStats, s.opts.Obs)
+		ps = &pipelineState{in: in, opts: s.opts}
+		// The stage closure reads pending, not dirty: capturing dirty, which
+		// Step reassigns, would move it to the heap on the flat path too.
+		pending := dirty
+		var aggDirty *netmodel.DirtySet
+		if err := tracker.run(Stage{Name: "aggregate", Run: func(ps *pipelineState) error {
+			if s.aggState != nil {
+				aggDirty = s.aggState.Sync(ps.in, pending)
+				return nil
 			}
-			dirty.Merge(flips)
+			// First epoch: Build summarizes the instance's current state
+			// directly, so dirt accumulated before it is already folded in.
+			st, err := agg.Build(ps.in, *s.opts.Aggregate)
+			if err != nil {
+				return err
+			}
+			s.aggState, aggDirty = st, &netmodel.DirtySet{}
+			return nil
+		}}, ps); err != nil {
+			return nil, fmt.Errorf("core: %w", err)
 		}
-		s.lastBias = bias
-		opts.patcher = s.patcher
-		opts.patchDirty = dirty
+		recordAggShape(s.opts.Obs, s.aggState)
+		if o := s.opts.Obs; o != nil && o.Reg != nil {
+			o.Counter(obs.MAggWeightChanges).Add(float64(len(aggDirty.SinkWeight)))
+		}
+		dirty, plane, prior = aggDirty, s.aggState.Agg, s.aggPrior
+	}
+
+	res, err := s.reoptimize(plane, prior, dirty)
+	if err != nil {
+		return nil, err
+	}
+
+	if tracker != nil {
+		aggDesign := res.Design
+		if err := tracker.run(Stage{Name: "disaggregate", Run: func(ps *pipelineState) error {
+			res.Design = s.aggState.Disaggregate(ps.in, aggDesign, s.prior)
+			res.Audit = netmodel.AuditDesign(ps.in, res.Design)
+			return nil
+		}}, ps); err != nil {
+			return nil, fmt.Errorf("core: %w", err)
+		}
+		// Churn against the previous TRUE deployment (the aggregate plane's
+		// churn numbers from Reoptimize describe super-sinks, not viewers).
+		var churn netmodel.Churn
+		if s.prior != nil {
+			churn = netmodel.DesignChurn(in, s.prior, res.Design)
+		}
+		res.setChurn(churn)
+		res.Stages = slices.Concat(tracker.stats[:1], res.Stages, tracker.stats[1:])
+		s.aggPrior = aggDesign
+	}
+	s.prior = res.Design
+	return res, nil
+}
+
+// reoptimize is the re-optimization every Step runs on its plane, against
+// the plane's previous deployment prior: it sets the warm basis, shard
+// state and path state of a warm session, patches the LP with the epoch's
+// dirt and the stickiness-bias flips, and mixes the per-epoch seed.
+func (s *Session) reoptimize(plane *netmodel.Instance, prior *netmodel.Design, dirty *netmodel.DirtySet) (*ReoptimizeResult, error) {
+	opts := s.opts
+	opts.Aggregate = nil
+	// A cold session must not inherit a caller-supplied basis either: cold
+	// means every epoch's simplex starts from scratch — including the
+	// sharded path's partition and capacity split.
+	opts.WarmStart, opts.ShardState = nil, nil
+	if s.WarmStart {
+		opts.WarmStart, opts.ShardState, opts.pathState = s.basis, s.shardState, s.carriedPath()
+	}
+	// The stickiness discount moves with the deployed design: cost cells
+	// enter or leave the discounted set exactly where the new bias design
+	// differs from the previous epoch's. Those flips are instance changes
+	// the delta flow never sees, so they join the dirty stream here.
+	var bias *netmodel.Design
+	if s.Stickiness > 0 {
+		bias = prior
+	}
+	if flips := netmodel.DiffDesigns(s.lastBias, bias); flips != nil {
+		opts.Obs.Counter(obs.MBiasFlips).Add(float64(flips.Size()))
+		if dirty == nil {
+			dirty = &netmodel.DirtySet{}
+		}
+		dirty.Merge(flips)
+	}
+	s.lastBias = bias
+	opts.patcher = s.patcher
+	opts.patchDirty = dirty
+	if s.opts.Aggregate != nil && s.steps > 0 && dirty.Empty() {
+		if o := s.opts.Obs; o != nil && o.Reg != nil {
+			o.Counter(obs.MAggLPFreeEpochs).Inc()
+		}
 	}
 	// Per-epoch seed decorrelates the randomized rounding across epochs
 	// while keeping the whole timeline a pure function of the base seed.
@@ -165,11 +234,10 @@ func (s *Session) Step(in *netmodel.Instance) (*ReoptimizeResult, error) {
 	// With no prior deployment Reoptimize applies no bias; the stickiness
 	// still gets range-checked there, so an invalid policy fails on the
 	// first step instead of being silently coerced.
-	res, err := Reoptimize(in, s.prior, s.Stickiness, opts)
+	res, err := Reoptimize(plane, prior, s.Stickiness, opts)
 	if err != nil {
 		return nil, err
 	}
-	s.prior = res.Design
 	s.basis = res.WarmStartBasis()
 	s.shardState = res.ShardState
 	s.steps++
@@ -186,108 +254,4 @@ func (s *Session) carriedPath() *stround.State {
 		s.pathState = &stround.State{}
 	}
 	return s.pathState
-}
-
-// stepAggregated is Step on the aggregation plane (Options.Aggregate): the
-// epoch's accumulated dirty sets are folded through the persistent
-// viewer→super-sink state, the ordinary re-optimization — stickiness bias,
-// warm basis, shard state, incremental Patcher — runs entirely over the
-// aggregate instance, and the solved aggregate design is disaggregated back
-// to real viewers, sticky to the previous TRUE deployment. Churn and the
-// audit are reported against the true instance; the aggregate / disaggregate
-// stage walls bracket the inner pipeline's in Result.Stages.
-func (s *Session) stepAggregated(in *netmodel.Instance) (*ReoptimizeResult, error) {
-	tracker := newStageTracker(s.opts.StageMemStats, s.opts.Obs)
-	ps := &pipelineState{in: in, opts: s.opts}
-
-	var aggDirty *netmodel.DirtySet
-	if err := tracker.run(Stage{Name: "aggregate", Run: func(*pipelineState) error {
-		pending := s.pending
-		s.pending = nil
-		if s.aggState == nil {
-			// First epoch: Build summarizes the instance's current state
-			// directly, so dirt accumulated before it is already folded in.
-			st, err := agg.Build(in, *s.opts.Aggregate)
-			if err != nil {
-				return err
-			}
-			s.aggState = st
-			aggDirty = &netmodel.DirtySet{}
-			return nil
-		}
-		aggDirty = s.aggState.Sync(in, pending)
-		return nil
-	}}, ps); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	recordAggShape(s.opts.Obs, s.aggState)
-
-	opts := s.opts
-	opts.Aggregate = nil
-	if s.WarmStart {
-		opts.WarmStart = s.basis
-		opts.ShardState = s.shardState
-		opts.pathState = s.carriedPath()
-	} else {
-		opts.WarmStart = nil
-		opts.ShardState = nil
-	}
-	lpFree := false
-	if opts.IncrementalLP {
-		dirty := aggDirty
-		var bias *netmodel.Design
-		if s.Stickiness > 0 {
-			bias = s.aggPrior
-		}
-		if flips := netmodel.DiffDesigns(s.lastBias, bias); flips != nil {
-			opts.Obs.Counter(obs.MBiasFlips).Add(float64(flips.Size()))
-			dirty.Merge(flips)
-		}
-		s.lastBias = bias
-		opts.patcher = s.patcher
-		opts.patchDirty = dirty
-		lpFree = s.steps > 0 && dirty.Empty()
-	}
-	if o := s.opts.Obs; o != nil && o.Reg != nil {
-		o.Counter(obs.MAggWeightChanges).Add(float64(len(aggDirty.SinkWeight)))
-		if lpFree {
-			o.Counter(obs.MAggLPFreeEpochs).Inc()
-		}
-	}
-	opts.Seed = s.opts.Seed + uint64(s.steps)*0xbf58476d1ce4e5b9
-
-	res, err := Reoptimize(s.aggState.Agg, s.aggPrior, s.Stickiness, opts)
-	if err != nil {
-		return nil, err
-	}
-	aggDesign := res.Design
-
-	if err := tracker.run(Stage{Name: "disaggregate", Run: func(*pipelineState) error {
-		res.Design = s.aggState.Disaggregate(in, aggDesign, s.prior)
-		res.Audit = netmodel.AuditDesign(in, res.Design)
-		return nil
-	}}, ps); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-
-	// Churn against the previous TRUE deployment (the aggregate plane's
-	// churn numbers from Reoptimize describe super-sinks, not viewers).
-	var churn netmodel.Churn
-	if s.prior != nil {
-		churn = netmodel.DesignChurn(in, s.prior, res.Design)
-	}
-	res.setChurn(churn)
-
-	stages := make([]StageStats, 0, len(res.Stages)+2)
-	stages = append(stages, tracker.stats[0])
-	stages = append(stages, res.Stages...)
-	stages = append(stages, tracker.stats[1])
-	res.Stages = stages
-
-	s.prior = res.Design
-	s.aggPrior = aggDesign
-	s.basis = res.WarmStartBasis()
-	s.shardState = res.ShardState
-	s.steps++
-	return res, nil
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/agg"
 	"repro/internal/lp"
@@ -18,16 +17,13 @@ import (
 //   - the deployed design(s) restore verbatim;
 //   - the aggregation plane restores from its membership partition alone
 //     (all summaries are recomputed against the restored instance);
-//   - in an incremental session the LP basis rebinds to the Patcher's
-//     Problem, rebuilt deterministically from the restored instance — the
-//     Patcher's golden-locked contract is that its patched Problem stays
-//     semantically identical to a fresh Build, so a fresh Build IS the
-//     matrix the factorization was taken from, and the first post-restore
-//     warm start adopts it Forrest–Tomlin-style exactly like an
-//     uninterrupted epoch would (lp.SolveStats.FTUpdates fires). A
-//     non-incremental session restores the column statuses only: it builds
-//     a fresh Problem every epoch, so every install, the first
-//     post-restore one included, refactorizes;
+//   - the LP basis rebinds to the Patcher's Problem, rebuilt
+//     deterministically from the restored instance — the Patcher's
+//     golden-locked contract is that its patched Problem stays semantically
+//     identical to a fresh Build, so a fresh Build IS the matrix the
+//     factorization was taken from, and the first post-restore warm start
+//     adopts it Forrest–Tomlin-style exactly like an uninterrupted epoch
+//     would (lp.SolveStats.FTUpdates fires);
 //   - the stickiness bias is deliberately absent: a restored session starts
 //     with no bias history, and the first Step's DiffDesigns(nil, prior)
 //     re-patches exactly the deployed design's discounted cells, restoring
@@ -147,28 +143,16 @@ func RestoreSession(in *netmodel.Instance, opts Options, stickiness float64, war
 		s.prior = st.Prior.Clone()
 	}
 
-	if st.Basis != nil && warmStart && s.opts.Shards < 2 {
-		if s.patcher != nil {
-			// Rebuild the persistent Problem the session will keep patching
-			// and bind the factorization to it, so the next Step's install
-			// adopts it as an uninterrupted epoch would.
-			p, _, _ := s.patcher.Sync(plane, lpOptions(plane, s.opts), nil)
-			b, err := lp.RestoreBasis(p, st.Basis)
-			if err != nil {
-				return nil, err
-			}
-			s.basis = b
-		} else {
-			// A non-incremental session builds a fresh Problem every epoch,
-			// and a factorization is adopted only by the Problem that built
-			// it: restore the column statuses alone. The first install
-			// refactorizes them, as every later epoch's does.
-			s.basis = &lp.Basis{
-				NumVars: st.Basis.NumVars,
-				NumRows: st.Basis.NumRows,
-				ColStat: slices.Clone(st.Basis.ColStat),
-			}
+	if st.Basis != nil && warmStart && s.patcher != nil {
+		// Rebuild the persistent Problem the session will keep patching and
+		// bind the factorization to it, so the next Step's install adopts it
+		// as an uninterrupted epoch would.
+		p, _, _ := s.patcher.Sync(plane, lpOptions(plane, s.opts), nil)
+		b, err := lp.RestoreBasis(p, st.Basis)
+		if err != nil {
+			return nil, err
 		}
+		s.basis = b
 	}
 	// s.lastBias stays nil: see the SessionState contract above.
 	return s, nil

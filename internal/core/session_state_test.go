@@ -3,9 +3,8 @@ package core_test
 // Locks for session checkpointing: a session snapshotted mid-timeline
 // (state → JSON, instance → JSON) and restored in a "new process" must
 // continue the epoch sequence bit-identically to the uninterrupted session —
-// same designs, costs, pivots, churn. In an incremental session the first
-// post-restore warm start must adopt the persisted factorization rather than
-// refactorize cold.
+// same designs, costs, pivots, churn. The first post-restore warm start must
+// adopt the persisted factorization rather than refactorize cold.
 
 import (
 	"bytes"
@@ -116,12 +115,11 @@ func runRoundTrip(t *testing.T, opts core.Options, restartAt int) (firstAfter co
 	return firstAfter
 }
 
-// TestSessionSnapshotRoundTrip: incremental warm sticky session, the daemon
-// default. The first post-restore epoch must resume the persisted basis —
-// FT adoption fires, and the install does not refactorize.
+// TestSessionSnapshotRoundTrip: warm sticky session, the daemon default.
+// The first post-restore epoch must resume the persisted basis — FT
+// adoption fires, and the install does not refactorize.
 func TestSessionSnapshotRoundTrip(t *testing.T) {
 	opts := core.DefaultOptions(11)
-	opts.IncrementalLP = true
 	first := runRoundTrip(t, opts, 7)
 	if first.LPStats.FTUpdates == 0 {
 		t.Fatal("first post-restore epoch did not adopt the persisted factorization")
@@ -131,27 +129,10 @@ func TestSessionSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSessionSnapshotRoundTripNonIncremental: without the Patcher every
-// epoch builds a fresh Problem, which never adopts a factorization another
-// Problem built. The checkpoint restores the column statuses, the first
-// post-restore install refactorizes them, and the epoch stream must still be
-// bit-identical.
-func TestSessionSnapshotRoundTripNonIncremental(t *testing.T) {
-	opts := core.DefaultOptions(11)
-	first := runRoundTrip(t, opts, 7)
-	if first.LPStats.FTUpdates != 0 {
-		t.Fatalf("first post-restore epoch adopted %d factorizations, want 0", first.LPStats.FTUpdates)
-	}
-	if first.LPStats.Refactorizations == 0 {
-		t.Fatal("first post-restore epoch did not refactorize its restored basis")
-	}
-}
-
 // TestSessionSnapshotRoundTripAggregated: the aggregation plane restores
 // from its membership partition and the timeline still replays exactly.
 func TestSessionSnapshotRoundTripAggregated(t *testing.T) {
 	opts := core.DefaultOptions(11)
-	opts.IncrementalLP = true
 	opts.Aggregate = &agg.Config{}
 	runRoundTrip(t, opts, 7)
 }
@@ -162,7 +143,6 @@ func TestRestoreSessionRejects(t *testing.T) {
 	sc := live.FlashCrowd(3, 4)
 	in := sc.Base.Clone()
 	opts := core.DefaultOptions(3)
-	opts.IncrementalLP = true
 	sess := core.NewSession(opts, 0, true)
 	if _, err := sess.Step(in); err != nil {
 		t.Fatal(err)

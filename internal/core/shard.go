@@ -41,12 +41,14 @@ func solveSharded(in *netmodel.Instance, opts Options) (*Result, error) {
 		Rounds: opts.ShardRounds,
 	}
 
-	// localDirty is filled by the shard-partition stage: the epoch's global
-	// dirty set routed through the stable sink partition, so a churn event
-	// confined to one region reaches — and patches — only that region's
-	// shard. It is read by the concurrent per-shard solves after the
-	// partition stage completes (a happens-before established by the
-	// sequential stage pipeline).
+	// localDirty is filled by the shard-partition stage of a Session step:
+	// the epoch's global dirty set routed through the stable sink
+	// partition, so a churn event confined to one region reaches — and
+	// patches — only that region's shard. It is read by the concurrent
+	// per-shard solves after the partition stage completes (a
+	// happens-before established by the sequential stage pipeline). A
+	// one-shot solve leaves it nil: without a delta flow every shard
+	// extracts its sub-instance and builds its LP afresh.
 	var localDirty []*netmodel.DirtySet
 	var ps *pipelineState
 
@@ -67,14 +69,12 @@ func solveSharded(in *netmodel.Instance, opts Options) (*Result, error) {
 		defer sp.End()
 		shOpts.Obs = co
 		shOpts.patcher, shOpts.patchDirty = nil, nil
-		if opts.IncrementalLP {
+		if localDirty != nil {
 			if ps.plan.Patchers[s] == nil {
 				ps.plan.Patchers[s] = lpmodel.NewPatcher()
 			}
 			shOpts.patcher = ps.plan.Patchers[s]
-			if localDirty != nil {
-				shOpts.patchDirty = localDirty[s]
-			}
+			shOpts.patchDirty = localDirty[s]
 		}
 		res, err := solveMono(sub, shOpts)
 		if err != nil {
@@ -106,15 +106,13 @@ func solveSharded(in *netmodel.Instance, opts Options) (*Result, error) {
 			if err != nil {
 				return err
 			}
-			if opts.IncrementalLP {
+			if opts.session && !opts.rebuildLP {
 				// The delta flow guarantees every instance mutation is in
 				// the dirty set, so shards it doesn't route to can reuse
 				// their cached sub-instance without re-extraction.
 				localDirty = routeDirty(opts.patchDirty, plan.Sinks, in.NumSinks)
-				plan.BindSubs(localDirty)
-			} else {
-				plan.BindSubs(nil)
 			}
+			plan.BindSubs(localDirty)
 			return nil
 		}},
 		{Name: "shard-solve", Run: func(ps *pipelineState) error {

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"math"
 	"os"
+	"reflect"
 	"testing"
 	"time"
 
@@ -140,7 +142,6 @@ func TestShardedChurnDirtiesOneShard(t *testing.T) {
 
 	opts := DefaultOptions(7)
 	opts.Shards = 3
-	opts.IncrementalLP = true
 	sess := NewSession(opts, 0, true)
 
 	res, err := sess.Step(in)
@@ -188,6 +189,56 @@ func TestShardedChurnDirtiesOneShard(t *testing.T) {
 	// place rather than re-extracted.
 	if si.ExtractionsSkipped < 2 {
 		t.Fatalf("clean shards should skip extraction: got %d skips", si.ExtractionsSkipped)
+	}
+}
+
+// TestOneShotShardedSolveExtractsFresh: a one-shot sharded Solve has no
+// delta flow, so handed the ShardState of a previous solve of an instance
+// mutated since without report, it must extract every shard's sub-instance
+// and build every shard LP afresh rather than trust the state's caches —
+// and so land where a Solve without the state lands.
+func TestOneShotShardedSolveExtractsFresh(t *testing.T) {
+	cc := gen.DefaultClustered(2, 3, 3, 8)
+	cc.Fanout = int(1.5*float64(cc.Fanout) + 0.5)
+	in := gen.Clustered(cc, 7)
+	opts := DefaultOptions(7)
+	opts.Shards = 3
+	first, err := Solve(in, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Reprice every arc of sinks 0–5, with no session to observe it.
+	var d netmodel.Delta
+	for i := 0; i < in.NumReflectors; i++ {
+		for j := 0; j < 6; j++ {
+			d.ScaleRefSinkCost = append(d.ScaleRefSinkCost, netmodel.ArcValue{A: i, B: j, Value: 3})
+		}
+	}
+	if _, err := d.Apply(in); err != nil {
+		t.Fatal(err)
+	}
+
+	withState := opts
+	withState.ShardState = first.ShardState
+	got, err := Solve(in, withState)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Solve(in, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := got.ShardInfo.ExtractionsSkipped; n != 0 {
+		t.Fatalf("one-shot solve reused %d cached sub-instances", n)
+	}
+	// The state's bases warm-start the shard LPs, which may reach the same
+	// optima along other pivot paths: the costs agree to rounding.
+	if math.Abs(got.LPCost-want.LPCost) > 1e-9*want.LPCost {
+		t.Fatalf("LP cost %.17g with the previous shard state, %.17g without", got.LPCost, want.LPCost)
+	}
+	if !reflect.DeepEqual(got.Design, want.Design) {
+		t.Fatal("the previous shard state changed the deployed design")
 	}
 }
 

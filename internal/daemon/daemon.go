@@ -52,9 +52,8 @@ import (
 type Config struct {
 	// Solver configures each epoch's solve (core.DefaultOptions(seed) if
 	// zero-valued). Every solve warm-starts from the previous epoch's basis
-	// and patches the LP in place (Solver.IncrementalLP is always set), as
-	// live.Run does; Stickiness is the deployed-design cost discount, as in
-	// live.Policy.
+	// and patches the LP in place, as live.Run does; Stickiness is the
+	// deployed-design cost discount, as in live.Policy.
 	Solver     core.Options
 	Stickiness float64
 
@@ -91,7 +90,6 @@ func (c *Config) defaults() {
 	if c.Solver.Seed == 0 {
 		c.Solver.Seed = 1
 	}
-	c.Solver.IncrementalLP = true
 	if c.Pressure == 0 {
 		c.Pressure = 64
 	}

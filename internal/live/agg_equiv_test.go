@@ -12,6 +12,29 @@ import (
 	"repro/internal/agg"
 )
 
+// runLibrary runs every registered scenario for a short horizon under the
+// warm+sticky policy with the given solver tweak and returns the reports.
+func runLibrary(t *testing.T, tweak func(*Config)) map[string]*RunReport {
+	t.Helper()
+	out := make(map[string]*RunReport)
+	for _, name := range Names() {
+		sc, err := Make(name, 7, 12)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := Config{Policy: WarmStickyPolicy()}
+		if tweak != nil {
+			tweak(&cfg)
+		}
+		rep, err := Run(sc, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		out[name] = rep
+	}
+	return out
+}
+
 func TestAggregatedTimelineEquivalence(t *testing.T) {
 	flat := runLibrary(t, nil)
 	folded := runLibrary(t, func(cfg *Config) { cfg.Solver.Aggregate = &agg.Config{} })

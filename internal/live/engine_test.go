@@ -16,7 +16,6 @@ func TestEpochActiveCountsFromAudit(t *testing.T) {
 	check := func(t *testing.T, sc *Scenario, solver core.Options) {
 		t.Helper()
 		solver.Seed = sc.Seed
-		solver.IncrementalLP = true
 		p := WarmStickyPolicy()
 		in := sc.Base.Clone()
 		eng := NewEngine(in, core.NewSession(solver, p.Stickiness, p.WarmStart), sc.SinkRegion, 0, 0, nil)

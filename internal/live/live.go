@@ -124,15 +124,6 @@ type Config struct {
 	// SimEvery simulates only every n-th epoch (default 1 = all) — the
 	// packet sim costs far more than the re-solve at scale.
 	SimEvery int
-	// NoIncremental disables the incremental LP rebuild. By default the
-	// engine routes every epoch's deltas through a persistent
-	// lpmodel.Patcher (core.Options.IncrementalLP), so only the LP cells
-	// churn touched are rewritten — the lp-patch stage — instead of
-	// rebuilding the model from scratch each epoch. The patched LP is
-	// bit-identical to a fresh build (golden-tested), so this knob is only
-	// the rebuild reference arm: overlaybench's BENCH_incr sweep, the L5
-	// experiment and the incremental-vs-rebuild golden tests set it.
-	NoIncremental bool
 	// Obs, when non-nil, receives the run's observability signals: the
 	// canonical metric families (epoch gauges and counters, churn, SLO,
 	// epoch-wall histogram — plus everything the solver stack records
@@ -205,8 +196,7 @@ type EpochReport struct {
 	StageWallNS map[string]int64 `json:"stage_wall_ns,omitempty"`
 	// LPPatches counts the LP cells the incremental rebuild rewrote this
 	// epoch (summed over shards on the sharded path); LPRebuilds counts
-	// full LP builds it fell back to (epoch 0 is always a build). Both 0
-	// when Config.NoIncremental.
+	// full LP builds it fell back to (epoch 0 is always a build).
 	LPPatches  int `json:"lp_patches"`
 	LPRebuilds int `json:"lp_rebuilds"`
 	// Solver factorization telemetry (summed over shards on the sharded
@@ -263,7 +253,7 @@ type RunReport struct {
 	TotalWallNS         int64   `json:"total_wall_ns"`
 	// AllAuditOK reports whether every epoch met the paper's guarantee.
 	AllAuditOK bool `json:"all_audit_ok"`
-	// Incremental LP rebuild totals (zero when Config.NoIncremental).
+	// Incremental LP rebuild totals.
 	TotalLPPatches  int `json:"total_lp_patches"`
 	TotalLPRebuilds int `json:"total_lp_rebuilds"`
 	// Solver factorization totals across epochs.
@@ -314,8 +304,8 @@ func wallQuantiles(ns []float64) WallQuantiles {
 
 // LPConstructionNS sums the run's model-construction wall across epochs:
 // the lp-build stages (full builds) plus the lp-patch stages (in-place
-// delta patches). It is the number the incremental-rebuild benchmarks and
-// the ≥3x acceptance compare between policies.
+// delta patches), which overlaylive prints beside the build and patch
+// counts.
 func (r *RunReport) LPConstructionNS() int64 {
 	var total int64
 	for _, er := range r.Epochs {
@@ -338,7 +328,6 @@ func Run(sc *Scenario, cfg Config) (*RunReport, error) {
 	if cfg.SimEvery <= 0 {
 		cfg.SimEvery = 1
 	}
-	cfg.Solver.IncrementalLP = !cfg.NoIncremental
 	byEpoch := make(map[int][]netmodel.Delta, len(sc.Events))
 	for _, ev := range sc.Events {
 		byEpoch[ev.Epoch] = append(byEpoch[ev.Epoch], ev.Delta)

@@ -65,21 +65,6 @@ func scrubWall(rep *RunReport) {
 	}
 }
 
-// scrubPatches additionally zeroes the incremental-rebuild counters (and the
-// extraction-skip counter, which like the patch counters only fires on the
-// incremental path), so an incremental report can be compared
-// field-for-field against a rebuild one.
-func scrubPatches(rep *RunReport) {
-	rep.TotalLPPatches = 0
-	rep.TotalLPRebuilds = 0
-	rep.TotalExtractionsSkipped = 0
-	for i := range rep.Epochs {
-		rep.Epochs[i].LPPatches = 0
-		rep.Epochs[i].LPRebuilds = 0
-		rep.Epochs[i].ExtractionsSkipped = 0
-	}
-}
-
 // TestFlashCrowd50EpochAcceptance is the L-series acceptance gate: a
 // 50-epoch flash crowd under a fixed seed must (1) run deterministically,
 // (2) pass the audit every epoch under both policies, and (3) cost the

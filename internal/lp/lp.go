@@ -396,6 +396,41 @@ func (p *Problem) ObjectiveCoef(j int) float64 {
 	return p.obj[j]
 }
 
+// Diff compares p with q cell by cell, bit for bit as set: the variable and
+// row counts, every objective coefficient and bound, and every row's
+// relation, right-hand side and coefficients. It returns nil when they agree
+// and otherwise an error naming the first cell that differs. The
+// incremental LP rebuild is checked with it against a fresh build.
+func (p *Problem) Diff(q *Problem) error {
+	if p.n != q.n || len(p.rows) != len(q.rows) {
+		return fmt.Errorf("lp: %d rows × %d vars, want %d × %d", len(p.rows), p.n, len(q.rows), q.n)
+	}
+	for j := 0; j < p.n; j++ {
+		if p.obj[j] != q.obj[j] {
+			return fmt.Errorf("lp: objective[%d] %.17g, want %.17g", j, p.obj[j], q.obj[j])
+		}
+		if p.lo[j] != q.lo[j] || p.hi[j] != q.hi[j] {
+			return fmt.Errorf("lp: bounds[%d] [%g,%g], want [%g,%g]", j, p.lo[j], p.hi[j], q.lo[j], q.hi[j])
+		}
+	}
+	for r := range p.rows {
+		prel, prhs := p.RHS(r)
+		qrel, qrhs := q.RHS(r)
+		if prel != qrel || prhs != qrhs {
+			return fmt.Errorf("lp: row %d rhs %v %.17g, want %v %.17g", r, prel, prhs, qrel, qrhs)
+		}
+		if p.RowLen(r) != q.RowLen(r) {
+			return fmt.Errorf("lp: row %d has %d coefficients, want %d", r, p.RowLen(r), q.RowLen(r))
+		}
+		for pos := range p.rows[r].coefs {
+			if pc, qc := p.RowCoef(r, pos), q.RowCoef(r, pos); pc != qc {
+				return fmt.Errorf("lp: row %d coefficient %d (%d, %.17g), want (%d, %.17g)", r, pos, pc.Var, pc.Val, qc.Var, qc.Val)
+			}
+		}
+	}
+	return nil
+}
+
 // CheckCSCSync verifies that the cached CSC matrix (if built) agrees with
 // the row storage entry by entry — the invariant the in-place patch API
 // maintains. Tests call it after patch sequences; a nil cache trivially

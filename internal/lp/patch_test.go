@@ -155,3 +155,34 @@ func TestSetRHSRepricesWithoutCSCChange(t *testing.T) {
 		t.Fatalf("tightened covering row did not raise the optimum: %g vs %g", after.Objective, before.Objective)
 	}
 }
+
+// TestDiffNamesEveryCellClass: Diff accepts a problem built the same way,
+// including one whose rows were patched to their original values, and
+// reports a change in each cell class — shape, objective, bound, relation,
+// right-hand side and coefficient.
+func TestDiffNamesEveryCellClass(t *testing.T) {
+	base := buildPatchFixture()
+	if err := base.Diff(buildPatchFixture()); err != nil {
+		t.Fatalf("identical builds differ: %v", err)
+	}
+	repatched := buildPatchFixture()
+	repatched.SetRowCoef(1, 0, 8)
+	repatched.SetRowCoef(1, 0, 2)
+	if err := repatched.Diff(base); err != nil {
+		t.Fatalf("a patch back to the built value differs: %v", err)
+	}
+	for name, mutate := range map[string]func(p *Problem){
+		"shape":       func(p *Problem) { p.AddConstraint(GE, 0, Coef{Var: 0, Val: 1}) },
+		"objective":   func(p *Problem) { p.SetObjectiveCoef(2, 3.5) },
+		"bound":       func(p *Problem) { p.SetBounds(1, 0, 1) },
+		"relation":    func(p *Problem) { p.rows[2].rel = GE },
+		"rhs":         func(p *Problem) { p.SetRHS(0, 2) },
+		"coefficient": func(p *Problem) { p.SetRowCoef(2, 1, 0.5) },
+	} {
+		p := buildPatchFixture()
+		mutate(p)
+		if err := p.Diff(base); err == nil {
+			t.Errorf("%s change not reported", name)
+		}
+	}
+}

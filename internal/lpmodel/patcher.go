@@ -76,6 +76,9 @@ type Patcher struct {
 // NewPatcher returns an empty patcher; the first Sync performs a full Build.
 func NewPatcher() *Patcher { return &Patcher{} }
 
+// Problem returns the Problem of the latest Sync (nil before the first).
+func (pt *Patcher) Problem() *lp.Problem { return pt.prob }
+
 // sameModelOpts reports whether the structural model options match (the
 // warm-start basis is solve state, not model shape).
 func sameModelOpts(a, b Options) bool {

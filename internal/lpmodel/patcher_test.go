@@ -21,40 +21,11 @@ import (
 
 // requireProblemsEqual compares two problems cell by cell with exact float
 // equality (patches recompute values through the same expressions Build
-// uses, so they must agree to the bit).
+// uses, so they must agree to the bit) and checks the patched CSC cache.
 func requireProblemsEqual(t *testing.T, got, want *lp.Problem, ctx string) {
 	t.Helper()
-	if got.NumVars() != want.NumVars() {
-		t.Fatalf("%s: vars %d != %d", ctx, got.NumVars(), want.NumVars())
-	}
-	if got.NumRows() != want.NumRows() {
-		t.Fatalf("%s: rows %d != %d", ctx, got.NumRows(), want.NumRows())
-	}
-	for j := 0; j < want.NumVars(); j++ {
-		if got.ObjectiveCoef(j) != want.ObjectiveCoef(j) {
-			t.Fatalf("%s: objective[%d] %.17g != %.17g", ctx, j, got.ObjectiveCoef(j), want.ObjectiveCoef(j))
-		}
-		glo, ghi := got.Bounds(j)
-		wlo, whi := want.Bounds(j)
-		if glo != wlo || ghi != whi {
-			t.Fatalf("%s: bounds[%d] [%g,%g] != [%g,%g]", ctx, j, glo, ghi, wlo, whi)
-		}
-	}
-	for r := 0; r < want.NumRows(); r++ {
-		grel, grhs := got.RHS(r)
-		wrel, wrhs := want.RHS(r)
-		if grel != wrel || grhs != wrhs {
-			t.Fatalf("%s: row %d rhs %v %.17g != %v %.17g", ctx, r, grel, grhs, wrel, wrhs)
-		}
-		if got.RowLen(r) != want.RowLen(r) {
-			t.Fatalf("%s: row %d has %d coefs, want %d", ctx, r, got.RowLen(r), want.RowLen(r))
-		}
-		for q := 0; q < want.RowLen(r); q++ {
-			gc, wc := got.RowCoef(r, q), want.RowCoef(r, q)
-			if gc.Var != wc.Var || gc.Val != wc.Val {
-				t.Fatalf("%s: row %d coef %d: (%d,%.17g) != (%d,%.17g)", ctx, r, q, gc.Var, gc.Val, wc.Var, wc.Val)
-			}
-		}
+	if err := got.Diff(want); err != nil {
+		t.Fatalf("%s: %v", ctx, err)
 	}
 	if err := got.CheckCSCSync(); err != nil {
 		t.Fatalf("%s: patched CSC out of sync: %v", ctx, err)

@@ -89,7 +89,6 @@ func TestOverAskedShardsKeepWarmState(t *testing.T) {
 
 	opts := core.DefaultOptions(7)
 	opts.Shards = G + 25 // far past the viewer population
-	opts.IncrementalLP = true
 	sess := core.NewSession(opts, 0, true)
 
 	res0, err := sess.Step(in)

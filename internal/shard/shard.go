@@ -85,7 +85,7 @@ func (o Options) withDefaults() Options {
 // State is the warm-start currency of the sharded path across live epochs:
 // the partition (so per-shard LP shapes stay identical), the last capacity
 // allocation (so the split adapts instead of restarting from affinity), one
-// simplex basis per shard, and — under the incremental LP rebuild — one
+// simplex basis per shard, and — when a core.Session solves — one
 // lpmodel.Patcher per shard, carrying each shard's built LP so a churn
 // epoch patches only the shards its dirty set routes to. A State from a
 // differently-shaped instance or a different shard count is detected and
@@ -389,8 +389,7 @@ func Prepare(in *netmodel.Instance, opts Options, state *State) (*Plan, error) {
 // rewritten. A shard with dirty[s] == nil reuses its cache untouched beyond
 // the re-point — the zero-copy path — and counts as a skipped extraction.
 // A nil dirty slice means no delta information: every shard extracts fresh
-// (the cache is unusable without the contract). Callers that never call
-// BindSubs get the fresh-extraction behavior lazily from SolveAll.
+// (the cache is unusable without the contract).
 func (p *Plan) BindSubs(dirty []*netmodel.DirtySet) {
 	for s := range p.Subs {
 		if dirty != nil && p.cachedSubs != nil && p.cachedSubs[s] != nil {
@@ -401,11 +400,6 @@ func (p *Plan) BindSubs(dirty []*netmodel.DirtySet) {
 		}
 		p.Subs[s] = extract(p.In, p.Sinks[s], p.Alloc[s], s)
 	}
-}
-
-// bound reports whether BindSubs has run.
-func (p *Plan) bound() bool {
-	return len(p.Subs) == 0 || p.Subs[0] != nil
 }
 
 // computeAffinity fills p.aff: shard s's bandwidth-weighted count of active
@@ -621,13 +615,11 @@ func subFloats(v []float64, idx []int) []float64 {
 	return out
 }
 
-// SolveAll runs the initial parallel solve round: every shard solved
-// concurrently under the plan's worker bound. LP-infeasible shards are
-// recorded as starved for the coordinator; any other error aborts.
+// SolveAll runs the initial parallel solve round, after BindSubs: every
+// shard solved concurrently under the plan's worker bound. LP-infeasible
+// shards are recorded as starved for the coordinator; any other error
+// aborts.
 func (p *Plan) SolveAll(solve SolveFunc) error {
-	if !p.bound() {
-		p.BindSubs(nil)
-	}
 	return p.solveShards(allShards(p.Shards()), solve)
 }
 

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -154,4 +155,17 @@ func MinFloat(xs []float64) float64 {
 		}
 	}
 	return m
+}
+
+// MinAcross returns, index by index, the minimum of runs of equal length —
+// per-epoch walls of repeated runs, for instance, where one GC pause or
+// preemption in one run must not poison the comparison.
+func MinAcross(runs [][]int64) []int64 {
+	mins := slices.Clone(runs[0])
+	for _, run := range runs[1:] {
+		for i, v := range run {
+			mins[i] = min(mins[i], v)
+		}
+	}
+	return mins
 }
