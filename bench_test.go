@@ -16,6 +16,7 @@ import (
 	"repro/internal/gapflow"
 	"repro/internal/gen"
 	"repro/internal/live"
+	"repro/internal/lp"
 	"repro/internal/lpmodel"
 	"repro/internal/obs"
 	"repro/internal/round"
@@ -273,9 +274,8 @@ func BenchmarkStageLPWarmResolve(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		opts := lpmodel.DefaultOptions(churned)
-		opts.WarmStart = base.Basis
-		if _, err := lpmodel.SolveLP(churned, opts); err != nil {
+		p, m := lpmodel.Build(churned, lpmodel.DefaultOptions(churned))
+		if _, err := lpmodel.SolveBuiltOpts(churned, p, m, lp.Options{WarmStart: base.Basis}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -34,9 +34,9 @@ func solveAggregated(in *netmodel.Instance, opts Options) (*Result, error) {
 	var res *Result
 	var err error
 	if inner.Shards >= 2 && st.Agg.NumViewers() >= 2 && !inner.LPOnly {
-		res, err = solveSharded(st.Agg, inner)
+		res, err = solveSharded(st.Agg, inner, nil)
 	} else {
-		res, err = solveMono(st.Agg, inner)
+		res, err = solveMono(st.Agg, inner, nil)
 	}
 	if err != nil {
 		return nil, err

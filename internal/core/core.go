@@ -51,11 +51,6 @@ type Options struct {
 	// capacity admits (colors stay hard, fanout ≤ 4F). The paper's
 	// guarantee is W/4; operators want W — this is the bridge.
 	RepairCoverage bool
-	// WarmStart seeds the LP solve from a basis captured by a previous
-	// solve of a same-shaped instance (Result.WarmStartBasis), cutting
-	// simplex iterations when re-solving after churn. Invalid bases
-	// degrade to a cold solve.
-	WarmStart *lp.Basis
 	// Shards ≥ 2 partitions the instance into that many commodity-region
 	// shards solved in parallel with a capacity-coordination pass
 	// (internal/shard); the pipeline then runs the shard-partition /
@@ -67,11 +62,6 @@ type Options struct {
 	// ShardRounds caps the coordination rounds of a sharded solve
 	// (default 3).
 	ShardRounds int
-	// ShardState warm-starts a sharded solve from a previous same-shaped
-	// solve: the partition is reused (so per-shard LP shapes match), the
-	// capacity split is rescaled instead of recomputed, and each shard's
-	// simplex starts from its prior basis. Incompatible state is ignored.
-	ShardState *shard.State
 	// StageMemStats additionally records per-stage allocation counters in
 	// Result.Stages, read from the runtime/metrics allocation totals
 	// (obs.ReadAllocs — cheap, no stop-the-world). The counters are
@@ -100,12 +90,6 @@ type Options struct {
 	// weight-neutral churn solves LP-free.
 	Aggregate *agg.Config
 
-	// session marks the solves of a Session, which NewSession sets: the LP
-	// shape is pinned to the instance dimensions (lpmodel.Options.FixedShape),
-	// and the sharded path carries one lpmodel.Patcher per shard and routes
-	// the delta flow's dirt to them. A one-shot Solve has no delta flow, so
-	// it builds every LP and extracts every shard afresh.
-	session bool
 	// refactorOnInstall makes every warm-started LP solve refactorize its
 	// basis at install instead of resuming a persisted factorization (see
 	// lp.Options.RefactorOnInstall): the pre-persistence reference arm,
@@ -116,17 +100,36 @@ type Options struct {
 	// from the delta flow: the rebuild reference arm, which only tests
 	// switch on.
 	rebuildLP bool
-	// patcher and patchDirty are the per-Step plumbing of the incremental
-	// LP rebuild, set by Session (monolithic path) or by solveSharded
-	// (per-shard): the persistent patch state and the dirty set accumulated
-	// since the previous epoch.
-	patcher    *lpmodel.Patcher
-	patchDirty *netmodel.DirtySet
-	// pathState carries the §6.5 path LP across the integralize runs of a
-	// warm Session's monolithic solves: audit attempts and epochs alike
-	// (see stround.State). One-shot solves, cold sessions and per-shard
-	// solves leave it nil and solve every path LP from nothing.
-	pathState *stround.State
+}
+
+// carry is the state a Session threads from one solve into the next: what
+// a warm start resumes and what the incremental LP rebuild patches. A
+// Session hands one to each of its solves, and the solve leaves in it what
+// the next one starts from (basis and shards). A one-shot Solve has none, so
+// nothing a session carries can reach it: it builds every LP, extracts every
+// shard and solves every LP cold. Inside a sharded solve each shard's solve
+// gets a carry of its own (see solveSharded).
+type carry struct {
+	// fixedShape pins the LP shape to the instance dimensions
+	// (lpmodel.Options.FixedShape), so the basis and the Patcher stay valid
+	// while sinks join and leave. Every carry of a Session's solve sets it,
+	// per-shard ones included; the per-shard carries of a one-shot sharded
+	// solve, which hold only a coordination round's basis, do not.
+	fixedShape bool
+	// basis warm-starts the main LP (nil: cold).
+	basis *lp.Basis
+	// shards is the sharded path's state: the partition, capacity split,
+	// per-shard bases, Patchers and cached sub-instances (see shard.State).
+	shards *shard.State
+	// patcher and dirty drive the lp-patch stage: the persistent patch state
+	// and the dirty set accumulated since the previous solve (nil patcher:
+	// build the LP afresh).
+	patcher *lpmodel.Patcher
+	dirty   *netmodel.DirtySet
+	// path carries the §6.5 path LP across the integralize runs of the
+	// solve's audit attempts and into the next solve (see stround.State);
+	// nil solves every path LP from nothing.
+	path *stround.State
 }
 
 // DefaultOptions returns the paper's constants.
@@ -181,15 +184,11 @@ type Result struct {
 	LPVars, LPRows int
 	// PathLP sums the §6.5 path LP's solver work over the solve's audit
 	// attempts: pivots, solver events, and how many calls resumed, remapped
-	// or solved it cold (zero when path rounding did not run, and on the
-	// sharded path, which does not report it).
+	// or solved it cold (zero when path rounding did not run). Sharded
+	// solves sum it over shards and coordination rounds.
 	PathLP stround.Totals
-	// ShardInfo summarizes the sharded path (nil for monolithic solves);
-	// ShardState carries the partition, capacity split, and per-shard
-	// bases forward for the next same-shaped solve (core.Session threads
-	// it across live epochs).
-	ShardInfo  *ShardInfo
-	ShardState *shard.State
+	// ShardInfo summarizes the sharded path (nil for monolithic solves).
+	ShardInfo *ShardInfo
 }
 
 // ShardInfo reports how a sharded solve went.
@@ -229,43 +228,31 @@ type ShardInfo struct {
 	Fallback bool
 }
 
-// WarmStartBasis returns the LP basis of this solve for seeding a future
-// re-solve (nil when unavailable).
-func (r *Result) WarmStartBasis() *lp.Basis {
-	if r == nil || r.Frac == nil {
-		return nil
-	}
-	return r.Frac.Basis
-}
-
-// lpOptions derives the model options of a solve from the instance and the
-// pipeline options (one definition shared by the build and patch paths, so
-// the two can never drift apart).
-func lpOptions(in *netmodel.Instance, opts Options) lpmodel.Options {
+// lpOptions derives the model options of a solve from the instance, the
+// pipeline options and whether the LP shape is pinned (carry.fixedShape):
+// one definition shared by the build and patch paths, so the two can never
+// drift apart.
+func lpOptions(in *netmodel.Instance, opts Options, fixedShape bool) lpmodel.Options {
 	lpOpts := lpmodel.DefaultOptions(in)
 	lpOpts.CuttingPlane = !opts.DisableCuttingPlane
-	lpOpts.FixedShape = opts.session
+	lpOpts.FixedShape = fixedShape
 	return lpOpts
 }
 
-// solverOptions derives the lp.Options of a solve (the warm-start basis and
-// the refactorize-on-install reference arm).
-func solverOptions(opts Options) lp.Options {
-	return lp.Options{
-		WarmStart:         opts.WarmStart,
-		RefactorOnInstall: opts.refactorOnInstall,
-	}
+// lpOptions returns the model options of the pipeline's solve.
+func (ps *pipelineState) lpOptions() lpmodel.Options {
+	return lpOptions(ps.in, ps.opts, ps.carry.fixedShape)
 }
 
 // lpStages is the head of the pipeline: model construction and the exact
-// simplex solve. It runs once per Solve. With a Session-carried Patcher the
-// construction step becomes lp-patch — delta-sized in-place updates of the
-// persistent problem — except on epochs where the patcher must fall back to
-// a full build (the first, or a shape/options change), which still report
-// as lp-build.
+// simplex solve, warm-started from the carried basis. It runs once per
+// Solve. With a carried Patcher the construction step becomes lp-patch —
+// delta-sized in-place updates of the persistent problem — except on epochs
+// where the patcher must fall back to a full build (the first, or a
+// shape/options change), which still report as lp-build.
 func lpStages(ps *pipelineState) []Stage {
 	solve := Stage{Name: "lp-solve", Run: func(ps *pipelineState) error {
-		sopts := solverOptions(ps.opts)
+		sopts := lp.Options{WarmStart: ps.carry.basis, RefactorOnInstall: ps.opts.refactorOnInstall}
 		if sp := ps.stageSpan; sp != nil {
 			// Surface the simplex internals on the lp-solve span:
 			// refactorizations, FT adoptions, column replacements, basis
@@ -282,15 +269,15 @@ func lpStages(ps *pipelineState) []Stage {
 		ps.frac = frac
 		return nil
 	}}
-	if pt := ps.opts.patcher; pt != nil {
+	if pt := ps.carry.patcher; pt != nil {
 		name := "lp-patch"
-		if pt.NeedsRebuild(ps.in, lpOptions(ps.in, ps.opts)) {
+		if pt.NeedsRebuild(ps.in, ps.lpOptions()) {
 			name = "lp-build"
 		}
 		return []Stage{
 			{Name: name, Run: func(ps *pipelineState) error {
 				st := lpmodel.PatchStats{}
-				ps.prob, ps.vm, st = pt.Sync(ps.in, lpOptions(ps.in, ps.opts), ps.opts.patchDirty)
+				ps.prob, ps.vm, st = pt.Sync(ps.in, ps.lpOptions(), ps.carry.dirty)
 				ps.patch = &st
 				return nil
 			}},
@@ -299,7 +286,7 @@ func lpStages(ps *pipelineState) []Stage {
 	}
 	return []Stage{
 		{Name: "lp-build", Run: func(ps *pipelineState) error {
-			ps.prob, ps.vm = lpmodel.Build(ps.in, lpOptions(ps.in, ps.opts))
+			ps.prob, ps.vm = lpmodel.Build(ps.in, ps.lpOptions())
 			return nil
 		}},
 		solve,
@@ -325,7 +312,7 @@ func attemptStages() []Stage {
 			}
 			ps.gapRes, ps.stRes = nil, nil
 			if ps.usePath {
-				stRes, err := ps.opts.pathState.Round(ps.in, ps.rounded.XBar, stround.DefaultOptions(ps.seed^0xabcdef))
+				stRes, err := ps.carry.path.Round(ps.in, ps.rounded.XBar, stround.DefaultOptions(ps.seed^0xabcdef))
 				if err != nil {
 					return fmt.Errorf("path rounding: %w", err)
 				}
@@ -367,6 +354,13 @@ func attemptStages() []Stage {
 // Per-stage wall time and allocation counters land in Result.Stages either
 // way.
 func Solve(in *netmodel.Instance, opts Options) (*Result, error) {
+	return solve(in, opts, nil)
+}
+
+// solve is Solve with the carried state of a Session's solve (nil for a
+// one-shot solve). An aggregated solve is always one-shot: a Session folds
+// the aggregate plane itself and solves that plane with its carry.
+func solve(in *netmodel.Instance, opts Options, c *carry) (*Result, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
@@ -382,9 +376,9 @@ func Solve(in *netmodel.Instance, opts Options) (*Result, error) {
 	case opts.Aggregate != nil:
 		res, err = solveAggregated(in, opts)
 	case opts.Shards >= 2 && in.NumViewers() >= 2 && !opts.LPOnly:
-		res, err = solveSharded(in, opts)
+		res, err = solveSharded(in, opts, c)
 	default:
-		res, err = solveMono(in, opts)
+		res, err = solveMono(in, opts, c)
 	}
 	if err == nil {
 		recordSolve(opts.Obs, res)
@@ -439,14 +433,19 @@ func recordSolve(o *obs.Observer, res *Result) {
 	}
 }
 
-// solveMono is the monolithic pipeline (the paper's algorithm as one LP).
-func solveMono(in *netmodel.Instance, opts Options) (*Result, error) {
-	ps := &pipelineState{in: in, opts: opts}
+// solveMono is the monolithic pipeline (the paper's algorithm as one LP). It
+// leaves the LP's final basis in the carry c (nil for a one-shot solve).
+func solveMono(in *netmodel.Instance, opts Options, c *carry) (*Result, error) {
+	if c == nil {
+		c = &carry{}
+	}
+	ps := &pipelineState{in: in, opts: opts, carry: *c}
 	tracker := newStageTracker(opts.StageMemStats, opts.Obs)
 	if err := tracker.runAll(lpStages(ps), ps); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	frac := ps.frac
+	c.basis = frac.Basis
 
 	res := &Result{
 		Frac:     frac,

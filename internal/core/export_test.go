@@ -37,7 +37,7 @@ func (s *Session) CheckPatchers(in *netmodel.Instance) error {
 		if pt == nil || pt.Problem() == nil {
 			return fmt.Errorf("%s: no synced Patcher", what)
 		}
-		want, _ := lpmodel.Build(plane, lpOptions(plane, s.opts))
+		want, _ := lpmodel.Build(plane, lpOptions(plane, s.opts, true))
 		if err := pt.Problem().Diff(want); err != nil {
 			return fmt.Errorf("%s: %w", what, err)
 		}
@@ -46,18 +46,19 @@ func (s *Session) CheckPatchers(in *netmodel.Instance) error {
 		}
 		return nil
 	}
-	if s.patcher != nil {
+	if pt := s.carried.patcher; pt != nil {
 		plane := in
 		if s.aggState != nil {
 			plane = s.aggState.Agg
 		}
-		return check("monolithic", s.patcher, biased(plane, s.lastBias, s.Stickiness))
+		return check("monolithic", pt, biased(plane, s.lastBias, s.stickiness))
 	}
-	if s.shardState == nil {
+	st := s.carried.shards
+	if st == nil {
 		return fmt.Errorf("the session carries neither a Patcher nor shard state")
 	}
-	for k, sub := range s.shardState.Subs {
-		if err := check(fmt.Sprintf("shard %d", k), s.shardState.Patchers[k], sub); err != nil {
+	for k, sub := range st.Subs {
+		if err := check(fmt.Sprintf("shard %d", k), st.Patchers[k], sub); err != nil {
 			return err
 		}
 	}

@@ -2,10 +2,10 @@ package core_test
 
 // Session-level locks for the incremental LP rebuild: every Patcher a
 // session carries must hold exactly the LP a fresh build makes of its plane,
-// a patching session must be indistinguishable — design by design, pivot by
-// pivot — from one that rebuilds the LP every epoch (core.WithRebuildLP),
-// and a sharded session must route an epoch's dirty set to exactly the
-// shards it touches.
+// and a patching session must be indistinguishable — design by design, pivot
+// by pivot — from one that rebuilds the LP every epoch (core.WithRebuildLP).
+// TestShardedChurnDirtiesOneShard (shard_test.go) locks how a sharded
+// session routes an epoch's dirty set to exactly the shards it touches.
 
 import (
 	"reflect"
@@ -13,9 +13,7 @@ import (
 
 	"repro/internal/agg"
 	"repro/internal/core"
-	"repro/internal/gen"
 	"repro/internal/live"
-	"repro/internal/netmodel"
 )
 
 // TestSessionPatchersMatchBuild is the direct lock on the Session's delta
@@ -62,14 +60,14 @@ func TestSessionPatchersMatchBuild(t *testing.T) {
 						if err := sess.CheckPatchers(in); err != nil {
 							t.Fatalf("epoch %d: %v", e, err)
 						}
-						// One Patcher builds at epoch 0 and patches ever
-						// after (a cold sharded session re-partitions, so
-						// its shards build every epoch).
+						// Every carried Patcher — the session's one, or one
+						// per shard under either policy — builds at epoch 0
+						// and patches ever after.
 						want := 0
 						if e == 0 {
-							want = 1
+							want = max(opts.Shards, 1)
 						}
-						if opts.Shards < 2 && er.LPRebuilds != want {
+						if er.LPRebuilds != want {
 							t.Fatalf("epoch %d: %d full LP builds, want %d", e, er.LPRebuilds, want)
 						}
 					}
@@ -243,101 +241,5 @@ func scrubRunPatches(rep *live.RunReport) {
 		rep.Epochs[i].LPPatches = 0
 		rep.Epochs[i].LPRebuilds = 0
 		rep.Epochs[i].ExtractionsSkipped = 0
-	}
-}
-
-// TestShardedIncrementalPatchesOnlyDirtyShards drives a 3-shard incremental
-// session and checks the routing claim: after warm-up, a threshold change
-// on a single sink patches only that sink's shard — the other shards' LPs
-// are untouched (no patches, no rebuilds).
-func TestShardedIncrementalPatchesOnlyDirtyShards(t *testing.T) {
-	cc := gen.DefaultClustered(2, 3, 3, 8)
-	cc.Fanout = int(1.5*float64(cc.Fanout) + 0.5) // headroom: no coordination rounds
-	in := gen.Clustered(cc, 7)
-
-	opts := core.DefaultOptions(7)
-	opts.Shards = 3
-	sess := core.NewSession(opts, 0, true)
-
-	res, err := sess.Step(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	si := res.ShardInfo
-	if si == nil || si.Shards != 3 {
-		t.Fatalf("expected a 3-shard solve, got %+v", si)
-	}
-	for s, reb := range si.PerShardRebuilds {
-		if reb == 0 {
-			t.Fatalf("shard %d: first epoch must build its LP", s)
-		}
-	}
-	state := res.ShardState
-	if state == nil || len(state.Sinks) != 3 {
-		t.Fatal("no shard state carried")
-	}
-
-	// A quiet epoch: no deltas → no shard rebuilds, no patches anywhere —
-	// and with the cached sub-instances in place, no extraction either:
-	// every shard rebinds its cached sub-instance (3 skips of 3 shards),
-	// adopts its persisted factorization, and never refactorizes.
-	res, err = sess.Step(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for s := range res.ShardInfo.PerShardPatches {
-		if res.ShardInfo.PerShardPatches[s] != 0 || res.ShardInfo.PerShardRebuilds[s] != 0 {
-			t.Fatalf("quiet epoch: shard %d reported patches=%d rebuilds=%d",
-				s, res.ShardInfo.PerShardPatches[s], res.ShardInfo.PerShardRebuilds[s])
-		}
-	}
-	if res.ShardInfo.ExtractionsSkipped != 3 {
-		t.Fatalf("quiet epoch extracted sub-instances: %d of 3 skips", res.ShardInfo.ExtractionsSkipped)
-	}
-	for s, st := range res.ShardInfo.PerShardStats {
-		if st.Refactorizations != 0 {
-			t.Fatalf("quiet epoch: shard %d refactorized %d times", s, st.Refactorizations)
-		}
-		if st.FTUpdates == 0 {
-			t.Fatalf("quiet epoch: shard %d did not adopt its persisted factorization", s)
-		}
-	}
-
-	// Touch one sink of shard 1 only.
-	target := state.Sinks[1][0]
-	d := netmodel.Delta{Note: "single-sink retarget",
-		SetThreshold: []netmodel.SinkValue{{Sink: target, Value: 0.9}}}
-	ds, err := d.Apply(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess.Observe(ds)
-	res, err = sess.Step(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	si = res.ShardInfo
-	t.Logf("patches per shard after single-sink delta: %v (rounds=%d)", si.PerShardPatches, si.Rounds)
-	if si.PerShardPatches[1] == 0 {
-		t.Fatal("dirty shard reported zero patches")
-	}
-	for s := range si.PerShardPatches {
-		if s == 1 {
-			continue
-		}
-		if si.PerShardPatches[s] != 0 || si.PerShardRebuilds[s] != 0 {
-			t.Fatalf("untouched shard %d was patched (%d cells, %d rebuilds)",
-				s, si.PerShardPatches[s], si.PerShardRebuilds[s])
-		}
-		// A shard with an empty routed dirty set must not pay any basis
-		// work either: its warm start adopts the persisted factorization.
-		if si.PerShardStats[s].Refactorizations != 0 {
-			t.Fatalf("untouched shard %d refactorized %d times", s, si.PerShardStats[s].Refactorizations)
-		}
-	}
-	// The dirty-sink epoch still extracts nothing: every shard — dirty one
-	// included — patches its cached sub-instance in place.
-	if si.ExtractionsSkipped != 3 {
-		t.Fatalf("delta epoch extracted sub-instances: %d of 3 skips", si.ExtractionsSkipped)
 	}
 }

@@ -43,11 +43,13 @@ type StageStats struct {
 }
 
 // pipelineState is the blackboard the stages read and write. It carries
-// the instance and options in, and accumulates every intermediate product
-// of the §2–§6.5 algorithm until the Result can be assembled.
+// the instance, options and carried state in, and accumulates every
+// intermediate product of the §2–§6.5 algorithm until the Result can be
+// assembled.
 type pipelineState struct {
-	in   *netmodel.Instance
-	opts Options
+	in    *netmodel.Instance
+	opts  Options
+	carry carry
 
 	prob *lp.Problem
 	vm   *lpmodel.VarMap

@@ -36,11 +36,11 @@ func (r *ReoptimizeResult) setChurn(c netmodel.Churn) {
 // they are unless the network has genuinely shifted. stickiness = 0
 // reproduces a cold solve; values around 0.3–0.5 are typical.
 //
-// Because only costs change between the deployed solve and the re-solve,
-// the prior solve's simplex basis stays primal feasible for the new LP:
-// set opts.WarmStart to the prior Result's WarmStartBasis() and the solver
-// skips phase 1 entirely, restarting phase 2 from the near-optimal basis
-// instead of from scratch. Churn re-solves then cost a handful of pivots.
+// Reoptimize itself solves cold. Because only costs change between the
+// deployed solve and the re-solve, the prior solve's simplex basis stays
+// primal feasible for the new LP: a Session, which carries that basis from
+// Step to Step, restarts phase 2 from it instead of from scratch, and churn
+// re-solves then cost a handful of pivots.
 //
 // The returned audit and cost are evaluated against the TRUE (undiscounted)
 // instance — the bias only steers the optimization.
@@ -49,10 +49,16 @@ func (r *ReoptimizeResult) setChurn(c netmodel.Churn) {
 // design (freezing it regardless of how the network moved) and negative
 // values would penalize it, neither of which is a meaningful bias.
 func Reoptimize(in *netmodel.Instance, prior *netmodel.Design, stickiness float64, opts Options) (*ReoptimizeResult, error) {
+	return reoptimize(in, prior, stickiness, opts, nil)
+}
+
+// reoptimize is Reoptimize with the carried state of a Session's solve (nil
+// for a one-shot re-solve).
+func reoptimize(in *netmodel.Instance, prior *netmodel.Design, stickiness float64, opts Options, c *carry) (*ReoptimizeResult, error) {
 	if stickiness < 0 || stickiness >= 1 {
 		return nil, fmt.Errorf("core: stickiness %g outside [0,1)", stickiness)
 	}
-	res, err := Solve(biased(in, prior, stickiness), opts)
+	res, err := solve(biased(in, prior, stickiness), opts, c)
 	if err != nil {
 		return nil, err
 	}

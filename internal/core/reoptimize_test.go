@@ -105,7 +105,7 @@ func TestReoptimizeWarmStartFewerIterations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if base.WarmStartBasis() == nil {
+	if base.Frac.Basis == nil {
 		t.Fatal("solve returned no warm-start basis")
 	}
 	// Churn: jitter a third of the arc costs.
@@ -123,9 +123,7 @@ func TestReoptimizeWarmStartFewerIterations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wopts := opts
-	wopts.WarmStart = base.WarmStartBasis()
-	warm, err := Reoptimize(perturbed, base.Design, 0.5, wopts)
+	warm, err := reoptimize(perturbed, base.Design, 0.5, opts, &carry{basis: base.Frac.Basis})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"slices"
 
 	"repro/internal/agg"
-	"repro/internal/lp"
 	"repro/internal/lpmodel"
 	"repro/internal/netmodel"
 	"repro/internal/obs"
@@ -35,36 +34,30 @@ import (
 // epoch's and feeds the flipped cost cells into the same dirty stream
 // (netmodel.DiffDesigns).
 type Session struct {
-	// Stickiness is the cost discount applied to the deployed design on
+	// stickiness is the cost discount applied to the deployed design on
 	// every Step (see Reoptimize); must be in [0,1).
-	Stickiness float64
-	// WarmStart re-seeds each Step's simplex from the previous Step's
-	// final basis. Off means every epoch solves the LP from scratch.
-	WarmStart bool
+	stickiness float64
+	// warm re-seeds each Step's simplex from the previous Step's final
+	// basis. Off means every epoch solves the LP from scratch.
+	warm bool
 
 	opts  Options
 	prior *netmodel.Design
-	basis *lp.Basis
-	// shardState is the sharded-path analogue of basis: the partition,
-	// capacity split, per-shard bases, and per-shard patchers of the
-	// previous epoch (nil when the session solves monolithically, see
-	// Options.Shards).
-	shardState *shard.State
-	steps      int
+	steps int
 
-	// patcher is the monolithic incremental-rebuild state; pending
-	// accumulates dirty sets reported via Observe since the last Step;
-	// lastBias remembers which design's arcs were discounted in the
+	// carried is the state the session threads from Step to Step: the
+	// basis and shard state the last solve left, the monolithic Patcher
+	// (nil on the sharded path, whose Patchers live in the shard state),
+	// and the §6.5 path LP, which only a warm monolithic session keeps —
+	// per-shard path LPs start from nothing. Its dirt is always nil: each
+	// Step hands its solve a copy with the epoch's dirt.
+	carried carry
+
+	// pending accumulates dirty sets reported via Observe since the last
+	// Step; lastBias remembers which design's arcs were discounted in the
 	// previous Step's LP, so the next Step can patch exactly the flips.
-	patcher  *lpmodel.Patcher
 	pending  *netmodel.DirtySet
 	lastBias *netmodel.Design
-
-	// pathState carries the §6.5 path LP from one integralize run to the
-	// next (stround.State). Only a warm session keeps one, and only on the
-	// monolithic path, aggregated or not: per-shard path LPs start from
-	// nothing.
-	pathState *stround.State
 
 	// aggState / aggPrior are the aggregation plane (Options.Aggregate):
 	// the persistent viewer→super-sink fold, built lazily on the first
@@ -78,10 +71,15 @@ type Session struct {
 
 // NewSession returns a fresh session; the first Step is a cold solve.
 func NewSession(opts Options, stickiness float64, warmStart bool) *Session {
-	opts.session = true
-	s := &Session{Stickiness: stickiness, WarmStart: warmStart, opts: opts}
-	if opts.Shards < 2 && !opts.rebuildLP {
-		s.patcher = lpmodel.NewPatcher()
+	s := &Session{stickiness: stickiness, warm: warmStart, opts: opts}
+	s.carried.fixedShape = true
+	if opts.Shards < 2 {
+		if !opts.rebuildLP {
+			s.carried.patcher = lpmodel.NewPatcher()
+		}
+		if warmStart {
+			s.carried.path = &stround.State{}
+		}
 	}
 	return s
 }
@@ -190,25 +188,19 @@ func (s *Session) Step(in *netmodel.Instance) (*ReoptimizeResult, error) {
 }
 
 // reoptimize is the re-optimization every Step runs on its plane, against
-// the plane's previous deployment prior: it sets the warm basis, shard
-// state and path state of a warm session, patches the LP with the epoch's
-// dirt and the stickiness-bias flips, and mixes the per-epoch seed.
+// the plane's previous deployment prior. It hands the solve a copy of the
+// session's carry with the epoch's dirt and the stickiness-bias flips (a
+// cold session withholds the warm state), mixes the per-epoch seed, and
+// keeps the basis and shard state the solve leaves for the next Step.
 func (s *Session) reoptimize(plane *netmodel.Instance, prior *netmodel.Design, dirty *netmodel.DirtySet) (*ReoptimizeResult, error) {
 	opts := s.opts
 	opts.Aggregate = nil
-	// A cold session must not inherit a caller-supplied basis either: cold
-	// means every epoch's simplex starts from scratch — including the
-	// sharded path's partition and capacity split.
-	opts.WarmStart, opts.ShardState = nil, nil
-	if s.WarmStart {
-		opts.WarmStart, opts.ShardState, opts.pathState = s.basis, s.shardState, s.carriedPath()
-	}
 	// The stickiness discount moves with the deployed design: cost cells
 	// enter or leave the discounted set exactly where the new bias design
 	// differs from the previous epoch's. Those flips are instance changes
 	// the delta flow never sees, so they join the dirty stream here.
 	var bias *netmodel.Design
-	if s.Stickiness > 0 {
+	if s.stickiness > 0 {
 		bias = prior
 	}
 	if flips := netmodel.DiffDesigns(s.lastBias, bias); flips != nil {
@@ -219,8 +211,20 @@ func (s *Session) reoptimize(plane *netmodel.Instance, prior *netmodel.Design, d
 		dirty.Merge(flips)
 	}
 	s.lastBias = bias
-	opts.patcher = s.patcher
-	opts.patchDirty = dirty
+	c := s.carried
+	c.dirty = dirty
+	if !s.warm {
+		// Cold means every epoch's simplex starts from scratch, the sharded
+		// path's capacity split included: a cold session withholds the
+		// basis, the shard bases and the split, which Prepare then
+		// recomputes from affinity. It keeps the LP structure — the
+		// partition, the Patchers and the cached sub-instances — as it keeps
+		// its monolithic Patcher.
+		c.basis = nil
+		if st := c.shards; st != nil {
+			c.shards = &shard.State{S: st.S, R: st.R, D: st.D, Sinks: st.Sinks, Patchers: st.Patchers, Subs: st.Subs}
+		}
+	}
 	if s.opts.Aggregate != nil && s.steps > 0 && dirty.Empty() {
 		if o := s.opts.Obs; o != nil && o.Reg != nil {
 			o.Counter(obs.MAggLPFreeEpochs).Inc()
@@ -234,24 +238,11 @@ func (s *Session) reoptimize(plane *netmodel.Instance, prior *netmodel.Design, d
 	// With no prior deployment Reoptimize applies no bias; the stickiness
 	// still gets range-checked there, so an invalid policy fails on the
 	// first step instead of being silently coerced.
-	res, err := Reoptimize(plane, prior, s.Stickiness, opts)
+	res, err := reoptimize(plane, prior, s.stickiness, opts, &c)
 	if err != nil {
 		return nil, err
 	}
-	s.basis = res.WarmStartBasis()
-	s.shardState = res.ShardState
+	s.carried.basis, s.carried.shards = c.basis, c.shards
 	s.steps++
 	return res, nil
-}
-
-// carriedPath returns the session's path-LP state, created on first use, or
-// nil on the sharded path.
-func (s *Session) carriedPath() *stround.State {
-	if s.opts.Shards >= 2 {
-		return nil
-	}
-	if s.pathState == nil {
-		s.pathState = &stround.State{}
-	}
-	return s.pathState
 }

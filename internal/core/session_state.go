@@ -55,7 +55,7 @@ type SessionState struct {
 func (s *Session) ExportState() *SessionState {
 	st := &SessionState{
 		Steps: s.steps,
-		Basis: s.basis.Export(),
+		Basis: s.carried.basis.Export(),
 		Agg:   s.aggState.Export(),
 	}
 	if s.prior != nil {
@@ -143,16 +143,16 @@ func RestoreSession(in *netmodel.Instance, opts Options, stickiness float64, war
 		s.prior = st.Prior.Clone()
 	}
 
-	if st.Basis != nil && warmStart && s.patcher != nil {
+	if st.Basis != nil && warmStart && s.carried.patcher != nil {
 		// Rebuild the persistent Problem the session will keep patching and
 		// bind the factorization to it, so the next Step's install adopts it
 		// as an uninterrupted epoch would.
-		p, _, _ := s.patcher.Sync(plane, lpOptions(plane, s.opts), nil)
+		p, _, _ := s.carried.patcher.Sync(plane, lpOptions(plane, s.opts, true), nil)
 		b, err := lp.RestoreBasis(p, st.Basis)
 		if err != nil {
 			return nil, err
 		}
-		s.basis = b
+		s.carried.basis = b
 	}
 	// s.lastBias stays nil: see the SessionState contract above.
 	return s, nil

@@ -9,6 +9,7 @@ import (
 	"repro/internal/netmodel"
 	"repro/internal/obs"
 	"repro/internal/shard"
+	"repro/internal/stround"
 )
 
 // shardSeedMix decorrelates per-shard randomized rounding. The constant
@@ -29,34 +30,42 @@ const shardSeedMix = 0x94d049bb133111eb
 // round cap), the solve falls back to the monolithic pipeline — which
 // either proves the instance itself infeasible or produces a design — and
 // marks Result.ShardInfo.Fallback.
-func solveSharded(in *netmodel.Instance, opts Options) (*Result, error) {
-	k := opts.Shards
+//
+// A Session's solve passes its carry c: the shard state to start from, and
+// the epoch's dirt to route to the shards' Patchers. The solve leaves the
+// next epoch's shard state in c (nil after a fallback, whose basis it leaves
+// instead). A one-shot solve passes nil and extracts and builds every shard
+// afresh.
+func solveSharded(in *netmodel.Instance, opts Options, c *carry) (*Result, error) {
 	// Clamp to real sinks: a viewer's streams are shard-atomic, so there
 	// can never be more shards than viewers.
-	if v := in.NumViewers(); k > v {
-		k = v
-	}
-	sopts := shard.Options{
-		Shards: k,
-		Rounds: opts.ShardRounds,
+	k := shard.EffectiveShards(in, opts.Shards)
+	sopts := shard.Options{Shards: k, Rounds: opts.ShardRounds}
+	// The stage closures read what the carry hands the shards from locals,
+	// so the carry itself stays off the heap.
+	session := c != nil
+	var state *shard.State
+	var dirty *netmodel.DirtySet
+	if session {
+		state, dirty = c.shards, c.dirty
 	}
 
 	// localDirty is filled by the shard-partition stage of a Session step:
 	// the epoch's global dirty set routed through the stable sink
 	// partition, so a churn event confined to one region reaches — and
-	// patches — only that region's shard. It is read by the concurrent
-	// per-shard solves after the partition stage completes (a
-	// happens-before established by the sequential stage pipeline). A
-	// one-shot solve leaves it nil: without a delta flow every shard
-	// extracts its sub-instance and builds its LP afresh.
+	// patches — only that region's shard. totals gets one entry per shard
+	// there. Both are read by the concurrent per-shard solves after the
+	// partition stage completes (a happens-before established by the
+	// sequential stage pipeline), and each solve writes only its own shard's
+	// totals. A one-shot solve leaves localDirty nil: without a delta flow
+	// every shard extracts its sub-instance and builds its LP afresh.
 	var localDirty []*netmodel.DirtySet
+	var totals []shardTotals
 	var ps *pipelineState
 
 	solveFn := func(s int, sub *netmodel.Instance, warm *lp.Basis) (*shard.SolveResult, error) {
 		shOpts := opts
 		shOpts.Shards = 0
-		shOpts.ShardState = nil
-		shOpts.WarmStart = warm
 		shOpts.Seed = opts.Seed + (uint64(s)+1)*shardSeedMix
 		// The allocation counters are process-global, so per-shard numbers
 		// gathered while shards co-run would be noise; the outer tracker
@@ -68,49 +77,38 @@ func solveSharded(in *netmodel.Instance, opts Options) (*Result, error) {
 		co, sp := ps.stageObs.TraceOnly().StartSpan("shard", obs.A("shard", s))
 		defer sp.End()
 		shOpts.Obs = co
-		shOpts.patcher, shOpts.patchDirty = nil, nil
+		// The shard's carry: the round's warm basis and, in a Session, the
+		// pinned LP shape and the shard's Patcher with its routed dirt.
+		shc := &carry{fixedShape: session, basis: warm}
 		if localDirty != nil {
 			if ps.plan.Patchers[s] == nil {
 				ps.plan.Patchers[s] = lpmodel.NewPatcher()
 			}
-			shOpts.patcher = ps.plan.Patchers[s]
-			shOpts.patchDirty = localDirty[s]
+			shc.patcher, shc.dirty = ps.plan.Patchers[s], localDirty[s]
 		}
-		res, err := solveMono(sub, shOpts)
+		res, err := solveMono(sub, shOpts, shc)
 		if err != nil {
 			return nil, err
 		}
-		return &shard.SolveResult{
-			BuildWallNS: res.StageWall("lp-build").Nanoseconds(),
-			PatchWallNS: res.StageWall("lp-patch").Nanoseconds(),
-			Design:      res.Design,
-			Audit:       res.Audit,
-			LPCost:      res.LPCost,
-			RoundedCost: res.RoundedCost,
-			Pivots:      res.LPPivots,
-			Retries:     res.Retries,
-			Vars:        res.LPVars,
-			Rows:        res.LPRows,
-			Basis:       res.WarmStartBasis(),
-			LPStats:     res.LPStats,
-			Patch:       res.Patch,
-		}, nil
+		totals[s].add(res)
+		return &shard.SolveResult{Design: res.Design, Audit: res.Audit, LPCost: res.LPCost, Basis: shc.basis}, nil
 	}
 
 	ps = &pipelineState{in: in, opts: opts}
 	tracker := newStageTracker(opts.StageMemStats, opts.Obs)
 	stages := []Stage{
 		{Name: "shard-partition", Run: func(ps *pipelineState) error {
-			plan, err := shard.Prepare(in, sopts, opts.ShardState)
+			plan, err := shard.Prepare(in, sopts, state)
 			ps.plan = plan
 			if err != nil {
 				return err
 			}
-			if opts.session && !opts.rebuildLP {
+			totals = make([]shardTotals, plan.Shards())
+			if session && !opts.rebuildLP {
 				// The delta flow guarantees every instance mutation is in
 				// the dirty set, so shards it doesn't route to can reuse
 				// their cached sub-instance without re-extraction.
-				localDirty = routeDirty(opts.patchDirty, plan.Sinks, in.NumSinks)
+				localDirty = routeDirty(dirty, plan.Sinks, in.NumSinks)
 			}
 			plan.BindSubs(localDirty)
 			return nil
@@ -134,9 +132,12 @@ func solveSharded(in *netmodel.Instance, opts Options) (*Result, error) {
 	}
 	if err := tracker.runAll(stages, ps); err != nil {
 		if errors.Is(err, lpmodel.ErrInfeasible) {
-			res, ferr := solveMono(in, opts)
+			res, ferr := solveMono(in, opts, c)
 			if ferr != nil {
 				return nil, ferr
+			}
+			if c != nil {
+				c.shards = nil
 			}
 			res.ShardInfo = &ShardInfo{Shards: k, Fallback: true}
 			return res, nil
@@ -145,34 +146,77 @@ func solveSharded(in *netmodel.Instance, opts Options) (*Result, error) {
 	}
 
 	out := ps.shardOut
+	if c != nil {
+		c.basis, c.shards = nil, out.State
+	}
+	n := len(totals)
+	si := &ShardInfo{
+		Shards:             n,
+		Rounds:             out.Rounds,
+		Resolves:           out.Resolves,
+		ConsolidatedBuilds: out.ConsolidatedBuilds,
+		PerShardPivots:     make([]int, n),
+		PerShardPatches:    make([]int, n),
+		PerShardRebuilds:   make([]int, n),
+		ExtractionsSkipped: out.ExtractionsSkipped,
+		PerShardStats:      make([]lp.SolveStats, n),
+	}
 	res := &Result{
 		Design:       ps.design,
 		Audit:        ps.audit,
-		LPCost:       out.LPCost,
-		RoundedCost:  out.RoundedCost,
 		PathRounding: usePathRounding(in, opts),
-		Retries:      out.Retries,
 		Stages:       tracker.stats,
-		LPStats:      out.LPStats,
-		LPPivots:     out.Pivots,
-		LPVars:       out.Vars,
-		LPRows:       out.Rows,
-		ShardInfo: &ShardInfo{
-			Shards:             ps.plan.Shards(),
-			Rounds:             out.Rounds,
-			Resolves:           out.Resolves,
-			ConsolidatedBuilds: out.ConsolidatedBuilds,
-			PerShardPivots:     out.PerShardPivots,
-			PerShardPatches:    out.PerShardPatches,
-			PerShardRebuilds:   out.PerShardRebuilds,
-			LPBuildNS:          out.LPBuildNS,
-			LPPatchNS:          out.LPPatchNS,
-			ExtractionsSkipped: out.ExtractionsSkipped,
-			PerShardStats:      out.PerShardStats,
-		},
-		ShardState: out.State,
+		ShardInfo:    si,
+	}
+	// Sum in shard order, so every float total has the same bits run to run.
+	for s, t := range totals {
+		res.LPCost += t.last.LPCost
+		res.RoundedCost += t.last.RoundedCost
+		res.LPVars += t.last.LPVars
+		res.LPRows += t.last.LPRows
+		res.Retries += t.last.Retries
+		res.LPPivots += t.pivots
+		res.LPStats.Add(t.stats)
+		res.PathLP.Merge(t.pathLP)
+		si.PerShardPivots[s] = t.pivots
+		si.PerShardPatches[s] = t.patched
+		si.PerShardRebuilds[s] = t.rebuilds
+		si.PerShardStats[s] = t.stats
+		si.LPBuildNS += t.buildNS
+		si.LPPatchNS += t.patchNS
 	}
 	return res, nil
+}
+
+// shardTotals accumulates one shard's solver work over the coordination
+// rounds of a sharded solve, and keeps its latest successful result — the
+// one the coordinator merged — for the solve's LP cost, rounded cost, LP size
+// and retries.
+type shardTotals struct {
+	last              *Result
+	pivots            int
+	patched, rebuilds int
+	buildNS, patchNS  int64
+	stats             lp.SolveStats
+	pathLP            stround.Totals
+}
+
+// add counts one successful solve of the shard.
+func (t *shardTotals) add(res *Result) {
+	t.last = res
+	t.pivots += res.LPPivots
+	t.stats.Add(res.LPStats)
+	if p := res.Patch; p != nil {
+		t.patched += p.Patches()
+		if p.Rebuilt {
+			t.rebuilds++
+		}
+	}
+	// The shard's lp-build / lp-patch walls: the inner pipeline's model
+	// construction, which the outer shard-solve stage timing subsumes.
+	t.buildNS += res.StageWall("lp-build").Nanoseconds()
+	t.patchNS += res.StageWall("lp-patch").Nanoseconds()
+	t.pathLP.Merge(res.PathLP)
 }
 
 // routeDirty splits an epoch's global dirty set into per-shard sets keyed

@@ -4,9 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"math"
 	"os"
-	"reflect"
 	"testing"
 	"time"
 
@@ -54,14 +52,15 @@ func TestShardsOneGoldenEquivalence(t *testing.T) {
 					k, i, res.Stages[i].Name, res.Stages[i].Runs, base.Stages[i].Name, base.Stages[i].Runs)
 			}
 		}
-		if res.ShardInfo != nil || res.ShardState != nil {
+		if res.ShardInfo != nil {
 			t.Fatalf("Shards=%d must not report shard metadata", k)
 		}
 	}
 }
 
 // TestShardedStageStructure pins the sharded pipeline's stage names — the
-// overlaysolve -json schema and the CI smoke check key off them.
+// overlaysolve -json schema and the CI smoke check key off them — and that a
+// sharded session step carries per-shard warm state forward.
 func TestShardedStageStructure(t *testing.T) {
 	in := gen.Clustered(gen.DefaultClustered(2, 3, 2, 6), 17)
 	opts := DefaultOptions(4)
@@ -82,8 +81,12 @@ func TestShardedStageStructure(t *testing.T) {
 	if res.ShardInfo == nil || res.ShardInfo.Shards != 3 {
 		t.Fatalf("ShardInfo = %+v, want 3 shards", res.ShardInfo)
 	}
-	if res.ShardState == nil || len(res.ShardState.Bases) != 3 {
-		t.Fatal("sharded solve must return per-shard warm state")
+	sess := NewSession(opts, 0, true)
+	if _, err := sess.Step(in); err != nil {
+		t.Fatal(err)
+	}
+	if st := sess.carried.shards; st == nil || len(st.Bases) != 3 {
+		t.Fatal("sharded session step must carry per-shard warm state")
 	}
 }
 
@@ -132,113 +135,189 @@ func TestShardedFallbackToMonolithic(t *testing.T) {
 }
 
 // TestShardedChurnDirtiesOneShard is the churn-stability contract of the
-// cost-anchor partition: a single-sink delta routed through an incremental
-// session, right after the first epoch, patches exactly the one shard
-// owning that sink.
+// cost-anchor partition: in a 3-shard session, a single-sink delta — right
+// after the first epoch, or after a quiet epoch — patches exactly the one
+// shard owning that sink. The other shards' LPs stay untouched (no patches,
+// no rebuilds, no refactorization), and every shard, the dirty one
+// included, reuses its cached sub-instance instead of re-extracting it. The
+// quiet epoch itself patches, rebuilds, extracts and refactorizes nothing.
 func TestShardedChurnDirtiesOneShard(t *testing.T) {
-	cc := gen.DefaultClustered(2, 3, 3, 8)
-	cc.Fanout = int(1.5*float64(cc.Fanout) + 0.5) // headroom: no coordination rounds
-	in := gen.Clustered(cc, 7)
+	for _, tc := range []struct {
+		name  string
+		quiet bool
+	}{
+		{"after-epoch-0", false},
+		{"after-quiet-epoch", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cc := gen.DefaultClustered(2, 3, 3, 8)
+			cc.Fanout = int(1.5*float64(cc.Fanout) + 0.5) // headroom: no coordination rounds
+			in := gen.Clustered(cc, 7)
+			opts := DefaultOptions(7)
+			opts.Shards = 3
+			sess := NewSession(opts, 0, true)
 
-	opts := DefaultOptions(7)
-	opts.Shards = 3
+			res, err := sess.Step(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			si := res.ShardInfo
+			if si == nil || si.Shards != 3 {
+				t.Fatalf("expected a 3-shard solve, got %+v", si)
+			}
+			for s, reb := range si.PerShardRebuilds {
+				if reb == 0 {
+					t.Fatalf("shard %d: first epoch must build its LP", s)
+				}
+			}
+			state := sess.carried.shards
+			if state == nil || len(state.Sinks) != 3 {
+				t.Fatal("no shard state carried")
+			}
+
+			if tc.quiet {
+				// No deltas: every shard rebinds its cached sub-instance (3
+				// skips of 3 shards), adopts its persisted factorization, and
+				// never refactorizes.
+				res, err = sess.Step(in)
+				if err != nil {
+					t.Fatal(err)
+				}
+				si = res.ShardInfo
+				for s := range si.PerShardPatches {
+					if si.PerShardPatches[s] != 0 || si.PerShardRebuilds[s] != 0 {
+						t.Fatalf("quiet epoch: shard %d reported patches=%d rebuilds=%d",
+							s, si.PerShardPatches[s], si.PerShardRebuilds[s])
+					}
+				}
+				if si.ExtractionsSkipped != 3 {
+					t.Fatalf("quiet epoch extracted sub-instances: %d of 3 skips", si.ExtractionsSkipped)
+				}
+				for s, st := range si.PerShardStats {
+					if st.Refactorizations != 0 {
+						t.Fatalf("quiet epoch: shard %d refactorized %d times", s, st.Refactorizations)
+					}
+					if st.FTUpdates == 0 {
+						t.Fatalf("quiet epoch: shard %d did not adopt its persisted factorization", s)
+					}
+				}
+			}
+
+			// Touch one sink of shard 1 only.
+			target := state.Sinks[1][0]
+			d := netmodel.Delta{Note: "single-sink retarget",
+				SetThreshold: []netmodel.SinkValue{{Sink: target, Value: 0.9}}}
+			ds, err := d.Apply(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sess.Observe(ds)
+			res, err = sess.Step(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			si = res.ShardInfo
+			t.Logf("patches per shard after single-sink delta: %v (rounds=%d)", si.PerShardPatches, si.Rounds)
+			if si.PerShardPatches[1] == 0 {
+				t.Fatal("dirty shard reported zero patches")
+			}
+			for s := range si.PerShardPatches {
+				if s == 1 {
+					continue
+				}
+				if si.PerShardPatches[s] != 0 || si.PerShardRebuilds[s] != 0 {
+					t.Fatalf("untouched shard %d was patched (%d cells, %d rebuilds)",
+						s, si.PerShardPatches[s], si.PerShardRebuilds[s])
+				}
+				// A shard with an empty routed dirty set must not pay any
+				// basis work either: its warm start adopts the persisted
+				// factorization.
+				if si.PerShardStats[s].Refactorizations != 0 {
+					t.Fatalf("untouched shard %d refactorized %d times", s, si.PerShardStats[s].Refactorizations)
+				}
+			}
+			// The clean shards have nothing routed to them, and the dirty
+			// one's delta is value-patched in place rather than re-extracted.
+			if si.ExtractionsSkipped != 3 {
+				t.Fatalf("delta epoch extracted sub-instances: %d of 3 skips", si.ExtractionsSkipped)
+			}
+		})
+	}
+}
+
+// TestCoordinationRecoversStarvedShard sabotages a session's shard state
+// between two Steps — shard 0's capacity allocation squeezed to near zero at
+// every reflector, which makes its LP infeasible — and checks the
+// coordination pass re-allocates capacity and completes without falling
+// back to the monolithic path. The sabotage moves capacity between shards
+// and keeps every reflector's total, so Prepare's rescale keeps the starved
+// split.
+func TestCoordinationRecoversStarvedShard(t *testing.T) {
+	in := gen.Clustered(gen.DefaultClustered(2, 3, 2, 6), 9)
+	const k = 3
+	opts := DefaultOptions(3)
+	opts.Shards = k
 	sess := NewSession(opts, 0, true)
 
+	// A healthy step first, to harvest a compatible state to sabotage.
 	res, err := sess.Step(in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	si := res.ShardInfo
-	if si == nil || si.Shards != 3 {
-		t.Fatalf("expected a 3-shard solve, got %+v", si)
+	st := sess.carried.shards
+	if st == nil {
+		t.Fatal("sharded step carried no state")
 	}
-	state := res.ShardState
-	if state == nil || len(state.Sinks) != 3 {
-		t.Fatal("no shard state carried")
+	for i := range st.Alloc[0] {
+		moved := st.Alloc[0][i] * 0.999
+		st.Alloc[0][i] -= moved
+		st.Alloc[1][i] += moved
 	}
 
-	// Touch one sink of shard 1 only.
-	target := state.Sinks[1][0]
-	d := netmodel.Delta{Note: "single-sink retarget",
-		SetThreshold: []netmodel.SinkValue{{Sink: target, Value: 0.9}}}
-	ds, err := d.Apply(in)
+	res2, err := sess.Step(in)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("step with starved shard 0: %v", err)
 	}
-	sess.Observe(ds)
-	res, err = sess.Step(in)
-	if err != nil {
-		t.Fatal(err)
+	if res2.ShardInfo.Fallback {
+		t.Fatal("coordination failed to feed starved shard; fell back to monolithic")
 	}
-	si = res.ShardInfo
-	t.Logf("patches per shard after single-sink delta: %v (rounds=%d)", si.PerShardPatches, si.Rounds)
-	if si.PerShardPatches[1] == 0 {
-		t.Fatal("dirty shard reported zero patches")
+	if res2.ShardInfo.Rounds == 0 {
+		t.Fatal("expected at least one coordination round for the starved shard")
 	}
-	for s := range si.PerShardPatches {
-		if s == 1 {
-			continue
-		}
-		if si.PerShardPatches[s] != 0 || si.PerShardRebuilds[s] != 0 {
-			t.Fatalf("untouched shard %d was patched (%d cells, %d rebuilds)",
-				s, si.PerShardPatches[s], si.PerShardRebuilds[s])
-		}
+	if !res2.Audit.StructureOK || !MeetsGuarantee(res2.Audit, res2.PathRounding) {
+		t.Fatalf("recovered design fails audit: %v", res2.Audit)
 	}
-	// All three shards reuse their cached sub-instance: the clean two have
-	// nothing routed to them, and the dirty one's delta is value-patched in
-	// place rather than re-extracted.
-	if si.ExtractionsSkipped < 2 {
-		t.Fatalf("clean shards should skip extraction: got %d skips", si.ExtractionsSkipped)
-	}
+	t.Logf("starved shard recovered in %d rounds, %d re-solves, cost %.2f (healthy %.2f)",
+		res2.ShardInfo.Rounds, res2.ShardInfo.Resolves, res2.Audit.Cost, res.Audit.Cost)
 }
 
-// TestOneShotShardedSolveExtractsFresh: a one-shot sharded Solve has no
-// delta flow, so handed the ShardState of a previous solve of an instance
-// mutated since without report, it must extract every shard's sub-instance
-// and build every shard LP afresh rather than trust the state's caches —
-// and so land where a Solve without the state lands.
-func TestOneShotShardedSolveExtractsFresh(t *testing.T) {
+// TestShardedSolveReportsPathLP: every shard of a colored instance rounds
+// through the §6.5 path LP, and the sharded Result sums the shards' path-LP
+// work — which the registry's path-LP families then count.
+func TestShardedSolveReportsPathLP(t *testing.T) {
 	cc := gen.DefaultClustered(2, 3, 3, 8)
 	cc.Fanout = int(1.5*float64(cc.Fanout) + 0.5)
 	in := gen.Clustered(cc, 7)
+	reg := obs.NewRegistry()
 	opts := DefaultOptions(7)
 	opts.Shards = 3
-	first, err := Solve(in, opts)
+	opts.Obs = &obs.Observer{Reg: reg}
+	res, err := Solve(in, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Reprice every arc of sinks 0–5, with no session to observe it.
-	var d netmodel.Delta
-	for i := 0; i < in.NumReflectors; i++ {
-		for j := 0; j < 6; j++ {
-			d.ScaleRefSinkCost = append(d.ScaleRefSinkCost, netmodel.ArcValue{A: i, B: j, Value: 3})
-		}
+	if res.ShardInfo == nil || res.ShardInfo.Fallback || !res.PathRounding {
+		t.Fatalf("want a sharded path-rounding solve, got ShardInfo %+v, PathRounding %v", res.ShardInfo, res.PathRounding)
 	}
-	if _, err := d.Apply(in); err != nil {
-		t.Fatal(err)
+	pl := res.PathLP
+	if pl.Cold == 0 || pl.Pivots == 0 {
+		t.Fatalf("sharded solve reported no path LP: %+v", pl)
 	}
-
-	withState := opts
-	withState.ShardState = first.ShardState
-	got, err := Solve(in, withState)
-	if err != nil {
-		t.Fatal(err)
+	if pl.Resumed != 0 || pl.Remapped != 0 {
+		t.Fatalf("per-shard path LPs start cold, got %+v", pl)
 	}
-	want, err := Solve(in, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := got.ShardInfo.ExtractionsSkipped; n != 0 {
-		t.Fatalf("one-shot solve reused %d cached sub-instances", n)
-	}
-	// The state's bases warm-start the shard LPs, which may reach the same
-	// optima along other pivot paths: the costs agree to rounding.
-	if math.Abs(got.LPCost-want.LPCost) > 1e-9*want.LPCost {
-		t.Fatalf("LP cost %.17g with the previous shard state, %.17g without", got.LPCost, want.LPCost)
-	}
-	if !reflect.DeepEqual(got.Design, want.Design) {
-		t.Fatal("the previous shard state changed the deployed design")
+	if got := reg.Counter(obs.MPathLPPivots).Value(); got != float64(pl.Pivots) {
+		t.Fatalf("path-LP pivot counter %v != result %d", got, pl.Pivots)
 	}
 }
 

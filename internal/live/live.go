@@ -262,7 +262,8 @@ type RunReport struct {
 	TotalWarmFallbacks      int `json:"total_warm_fallbacks"`
 	TotalExtractionsSkipped int `json:"total_extractions_skipped"`
 	// Path-LP totals across epochs, counted apart from the main LP's
-	// totals above (core.Result.PathLP; zero on the sharded path):
+	// totals above (core.Result.PathLP, summed over shards on the sharded
+	// path):
 	// pivots of both stages, calls by how their LP started (resumed in
 	// place, warm through a key map, or from nothing), and warm starts
 	// abandoned for a cold re-solve. EpochReport leaves the per-epoch

@@ -10,7 +10,15 @@ import (
 	"testing"
 
 	"repro/internal/gen"
+	"repro/internal/lp"
+	"repro/internal/netmodel"
 )
+
+// solveWarm builds in's relaxation and solves it warm-started from basis.
+func solveWarm(in *netmodel.Instance, opts Options, basis *lp.Basis) (*FracSolution, error) {
+	p, m := Build(in, opts)
+	return SolveBuiltOpts(in, p, m, lp.Options{WarmStart: basis})
+}
 
 // TestWarmStartAcrossRebuiltModel: a basis captured from one SolveLP call
 // must warm-start a freshly built model of the same instance (the shape is
@@ -26,9 +34,7 @@ func TestWarmStartAcrossRebuiltModel(t *testing.T) {
 	if cold.Basis == nil {
 		t.Fatal("SolveLP returned nil basis")
 	}
-	wopts := opts
-	wopts.WarmStart = cold.Basis
-	warm, err := SolveLP(in, wopts)
+	warm, err := solveWarm(in, opts, cold.Basis)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,9 +67,7 @@ func TestWarmStartAfterCostScaling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wopts := opts
-	wopts.WarmStart = base.Basis
-	warmB, err := SolveLP(biased, wopts)
+	warmB, err := solveWarm(biased, opts, base.Basis)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,9 +98,7 @@ func BenchmarkOverlayLPWarmVsCold(b *testing.B) {
 	}
 	b.Run("warm", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			opts := DefaultOptions(biased)
-			opts.WarmStart = base.Basis
-			if _, err := SolveLP(biased, opts); err != nil {
+			if _, err := solveWarm(biased, DefaultOptions(biased), base.Basis); err != nil {
 				b.Fatal(err)
 			}
 		}

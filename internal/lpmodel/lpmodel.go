@@ -30,7 +30,7 @@ import (
 	"repro/internal/netmodel"
 )
 
-// ErrInfeasible is wrapped by SolveBuilt/SolveLP when the LP relaxation has
+// ErrInfeasible is wrapped by SolveBuiltOpts/SolveLP when the LP relaxation has
 // no feasible point. Callers that react to infeasibility structurally — the
 // shard coordination pass grants a starved shard more reflector capacity and
 // re-solves — match it with errors.Is instead of parsing messages.
@@ -51,11 +51,6 @@ type Options struct {
 	// branch-and-bound solver, which adds the integrality by branching
 	// (the LP itself stays continuous).
 	Integral bool
-	// WarmStart seeds the simplex from a basis captured by a previous
-	// solve of a same-shaped model (same instance dimensions — costs may
-	// differ, as in churn re-optimization). Invalid bases degrade to a
-	// cold solve inside the solver.
-	WarmStart *lp.Basis
 	// FixedShape emits the reliability covering row (5) for every sink,
 	// including zero-demand (inactive) ones, whose rows degenerate to the
 	// trivially satisfied 0 ≥ 0 (their coefficients are structural zeros,
@@ -309,8 +304,8 @@ type FracSolution struct {
 	Cost float64
 	// Iterations reports simplex pivots (diagnostic for T7).
 	Iterations int
-	// Basis is the final simplex basis; feed it to Options.WarmStart to
-	// accelerate a re-solve of a same-shaped model.
+	// Basis is the final simplex basis; feed it to lp.Options.WarmStart
+	// (SolveBuiltOpts) to accelerate a re-solve of a same-shaped model.
 	Basis *lp.Basis
 	// Stats counts solver factorization events (refactorizations, adopted
 	// factorizations, warm fallbacks) for the epoch telemetry.
@@ -347,16 +342,11 @@ func Unpack(in *netmodel.Instance, m *VarMap, x []float64, obj float64, iters in
 	return fs
 }
 
-// SolveBuilt exactly solves an already-built relaxation of in (from
-// Build), optionally warm-started, and unpacks the optimum. Callers that
-// need the Problem itself — for row/variable counts or bound mutation —
-// build once and solve here; SolveLP wraps the common build-and-solve.
-func SolveBuilt(in *netmodel.Instance, p *lp.Problem, m *VarMap, warm *lp.Basis) (*FracSolution, error) {
-	return SolveBuiltOpts(in, p, m, lp.Options{WarmStart: warm})
-}
-
-// SolveBuiltOpts is SolveBuilt with explicit solver options (warm start,
-// refactorize-on-install, solver event hook).
+// SolveBuiltOpts exactly solves an already-built relaxation of in (from
+// Build) under the solver options sopts (warm start, refactorize-on-install,
+// solver event hook) and unpacks the optimum. Callers that need the Problem
+// itself — for row/variable counts, bound mutation or a warm re-solve — build
+// once and solve here; SolveLP wraps the common cold build-and-solve.
 func SolveBuiltOpts(in *netmodel.Instance, p *lp.Problem, m *VarMap, sopts lp.Options) (*FracSolution, error) {
 	sol, err := p.SolveOpts(sopts)
 	if err != nil {
@@ -380,10 +370,10 @@ func SolveBuiltOpts(in *netmodel.Instance, p *lp.Problem, m *VarMap, sopts lp.Op
 	return fs, nil
 }
 
-// SolveLP builds and exactly solves the LP relaxation.
+// SolveLP builds and exactly solves the LP relaxation from a cold start.
 func SolveLP(in *netmodel.Instance, opts Options) (*FracSolution, error) {
 	p, m := Build(in, opts)
-	return SolveBuilt(in, p, m, opts.WarmStart)
+	return SolveBuiltOpts(in, p, m, lp.Options{})
 }
 
 // Cost evaluates the §2 objective for a structured fractional solution.

@@ -254,8 +254,8 @@ func TestFixedShapePinsRowsAndOptimum(t *testing.T) {
 	}
 	// And a basis from one fixed-shape solve warm-starts the reactivated
 	// model (same shape) without error.
-	mopts := Options{CuttingPlane: true, FixedShape: true, WarmStart: sFix.Basis}
-	if _, err := SolveLP(all, mopts); err != nil {
+	mopts := Options{CuttingPlane: true, FixedShape: true}
+	if _, err := solveWarm(all, mopts, sFix.Basis); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/live"
+	"repro/internal/lp"
 	"repro/internal/lpmodel"
 	"repro/internal/netmodel"
 )
@@ -59,11 +60,11 @@ func checkNativeEqualsSplit(t *testing.T, in *netmodel.Instance, fixedShape, sol
 	if !solve {
 		return
 	}
-	fn, err := lpmodel.SolveBuilt(in, pn, mn, nil)
+	fn, err := lpmodel.SolveBuiltOpts(in, pn, mn, lp.Options{})
 	if err != nil {
 		t.Fatalf("%s: native solve: %v", ctx, err)
 	}
-	fs, err := lpmodel.SolveBuilt(split, ps, ms, nil)
+	fs, err := lpmodel.SolveBuiltOpts(split, ps, ms, lp.Options{})
 	if err != nil {
 		t.Fatalf("%s: split solve: %v", ctx, err)
 	}

@@ -55,9 +55,8 @@ type Patcher struct {
 	vm   *VarMap
 
 	// Shape and options identity of the current build.
-	s, r, d  int
-	opts     Options
-	haveOpts bool
+	s, r, d int
+	opts    Options
 
 	// Row-layout offsets (Build emits rows in a fixed order; see layout()).
 	base3, base5 int
@@ -79,18 +78,11 @@ func NewPatcher() *Patcher { return &Patcher{} }
 // Problem returns the Problem of the latest Sync (nil before the first).
 func (pt *Patcher) Problem() *lp.Problem { return pt.prob }
 
-// sameModelOpts reports whether the structural model options match (the
-// warm-start basis is solve state, not model shape).
-func sameModelOpts(a, b Options) bool {
-	return a.CuttingPlane == b.CuttingPlane && a.Colors == b.Colors &&
-		a.EdgeCaps == b.EdgeCaps && a.Integral == b.Integral && a.FixedShape == b.FixedShape
-}
-
 // NeedsRebuild reports whether the next Sync with these arguments will fall
 // back to a full Build instead of patching. Callers use it to pick the
 // stage name (lp-build vs lp-patch) before running the stage.
 func (pt *Patcher) NeedsRebuild(in *netmodel.Instance, opts Options) bool {
-	if pt.prob == nil || !pt.haveOpts || !sameModelOpts(pt.opts, opts) {
+	if pt.prob == nil || pt.opts != opts {
 		return true
 	}
 	if !opts.FixedShape {
@@ -126,7 +118,6 @@ func (pt *Patcher) rebuild(in *netmodel.Instance, opts Options) {
 	pt.prob.Precompute()
 	pt.s, pt.r, pt.d = in.Dims()
 	pt.opts = opts
-	pt.haveOpts = true
 	pt.Builds++
 
 	// Row layout mirrors Build's emission order:

@@ -102,7 +102,7 @@ var canonicalFamilies = []struct {
 	{MLPDevexResets, KindCounter, "Devex reference-framework resets; always 0, as the solver prices by Dantzig's rule."},
 	{MLPWarmFallbacks, KindCounter, "Warm starts abandoned for the solver's one cold attempt."},
 	{MLPBasisRepairs, KindCounter, "Dependent basic columns a warm-start install swapped for row slacks."},
-	{MPathLPPivots, KindCounter, "Simplex pivots of the §6.5 path LP, both stages (monolithic solves)."},
+	{MPathLPPivots, KindCounter, "Simplex pivots of the §6.5 path LP, both stages (summed over shards on sharded solves)."},
 	{MPathLPSolves, KindCounter, "Path-LP calls by how they started: resumed in place, remapped through a key map, or cold."},
 	{MPathLPWarmFallbacks, KindCounter, "Path-LP warm starts abandoned for a cold re-solve."},
 	{MLPPatchedCells, KindCounter, "LP matrix/rhs/objective cells rewritten in place by the incremental rebuild."},

@@ -89,7 +89,9 @@ func (o Options) withDefaults() Options {
 // lpmodel.Patcher per shard, carrying each shard's built LP so a churn
 // epoch patches only the shards its dirty set routes to. A State from a
 // differently-shaped instance or a different shard count is detected and
-// ignored.
+// ignored. A State without Alloc or Bases keeps the partition, the Patchers
+// and the cached sub-instances but starts the split from affinity and every
+// shard LP cold: what a cold session hands its solve.
 type State struct {
 	S, R, D  int
 	Sinks    [][]int
@@ -122,9 +124,10 @@ func EffectiveShards(in *netmodel.Instance, k int) int {
 	return k
 }
 
-// compatible reports whether the state can seed a solve of in with k shards.
+// compatible reports whether the state's partition fits a solve of in with
+// k shards.
 func (st *State) compatible(in *netmodel.Instance, k int) bool {
-	if st == nil || len(st.Sinks) != k || len(st.Alloc) != k {
+	if st == nil || len(st.Sinks) != k {
 		return false
 	}
 	S, R, D := in.Dims()
@@ -134,35 +137,34 @@ func (st *State) compatible(in *netmodel.Instance, k int) bool {
 	total := 0
 	for s := range st.Sinks {
 		total += len(st.Sinks[s])
-		if len(st.Alloc[s]) != R {
-			return false
-		}
 	}
 	return total == D
 }
 
-// SolveResult is what the caller's per-shard solver returns: the
-// sub-instance-shaped design plus the counters the coordinator and the
-// merged report need.
+// hasAlloc reports whether the state carries a capacity split: one row of
+// st.R reflector shares per shard.
+func (st *State) hasAlloc() bool {
+	if len(st.Alloc) != len(st.Sinks) {
+		return false
+	}
+	for _, row := range st.Alloc {
+		if len(row) != st.R {
+			return false
+		}
+	}
+	return true
+}
+
+// SolveResult is what the caller's per-shard solver returns: what the
+// coordinator reads of a shard's solve. The design and its audit drive the
+// capacity usage and hunger checks, the LP cost the improvement check, and
+// the basis warm-starts the shard's next re-solve. Solver counters stay with
+// the caller.
 type SolveResult struct {
-	Design      *netmodel.Design
-	Audit       netmodel.Audit
-	LPCost      float64
-	RoundedCost float64
-	Pivots      int
-	Retries     int
-	Vars, Rows  int
-	Basis       *lp.Basis
-	// LPStats counts the shard solve's factorization events
-	// (refactorizations, adopted factorizations, warm fallbacks).
-	LPStats lp.SolveStats
-	// Patch reports what the shard's incremental LP rebuild did (nil when
-	// the shard solved without a Patcher).
-	Patch *lpmodel.PatchStats
-	// BuildWallNS / PatchWallNS are the shard's lp-build / lp-patch stage
-	// walls (the inner pipeline's model-construction cost, invisible to
-	// the outer shard-solve stage timing otherwise).
-	BuildWallNS, PatchWallNS int64
+	Design *netmodel.Design
+	Audit  netmodel.Audit
+	LPCost float64
+	Basis  *lp.Basis
 }
 
 // SolveFunc solves one shard: s is the shard index (for seed mixing), sub
@@ -185,15 +187,9 @@ type Plan struct {
 
 	results      []*SolveResult // latest per-shard results (nil = starved)
 	starved      []bool
-	starveRounds []int           // consecutive rounds a shard has stayed starved
-	settled      []bool          // shard re-solved with more capacity and didn't improve
-	pivots       []int           // cumulative simplex iterations per shard, all rounds
-	warmBases    []*lp.Basis     // per-shard bases from a previous epoch's State
-	patched      []int           // cumulative LP cells patched per shard, all rounds
-	rebuilds     []int           // full LP builds per shard, all rounds
-	buildNS      []int64         // lp-build wall per shard, all rounds
-	patchNS      []int64         // lp-patch wall per shard, all rounds
-	lpStats      []lp.SolveStats // per-shard solver factorization events, all rounds
+	starveRounds []int       // consecutive rounds a shard has stayed starved
+	settled      []bool      // shard re-solved with more capacity and didn't improve
+	warmBases    []*lp.Basis // per-shard bases from a previous epoch's State
 
 	cachedSubs []*netmodel.Instance // previous epoch's sub-instances (nil = none)
 	skips      int                  // shards whose extraction BindSubs skipped
@@ -205,9 +201,6 @@ type Plan struct {
 	// distinct entries from concurrent per-shard solves are safe.
 	Patchers []*lpmodel.Patcher
 }
-
-// traceRounds dumps coordination rounds to stdout (debug builds only).
-const traceRounds = false
 
 // Shards returns the shard count of the plan.
 func (p *Plan) Shards() int { return len(p.Sinks) }
@@ -326,9 +319,9 @@ func partitionViewers(in *netmodel.Instance, k int) [][]int {
 }
 
 // Prepare builds a Plan: partition (reused from state when compatible),
-// affinity, initial capacity allocation (rescaled from state when present,
-// so a learned split survives repricing and adapts to fanout changes), and
-// the per-shard sub-instances.
+// affinity, and initial capacity allocation (rescaled from the state's when
+// it carries one, so a learned split survives repricing and adapts to fanout
+// changes). BindSubs then binds the per-shard sub-instances.
 func Prepare(in *netmodel.Instance, opts Options, state *State) (*Plan, error) {
 	opts = opts.withDefaults()
 	if opts.Shards < 2 {
@@ -359,7 +352,7 @@ func Prepare(in *netmodel.Instance, opts Options, state *State) (*Plan, error) {
 		p.Patchers = make([]*lpmodel.Patcher, k)
 	}
 	p.computeAffinity()
-	if state != nil {
+	if state != nil && state.hasAlloc() {
 		p.Alloc = rescaleAlloc(state.Alloc, in.Fanout, p.aff)
 	} else {
 		p.Alloc = allocFromAffinity(p.aff, in.Fanout)
@@ -369,12 +362,6 @@ func Prepare(in *netmodel.Instance, opts Options, state *State) (*Plan, error) {
 	p.starved = make([]bool, k)
 	p.starveRounds = make([]int, k)
 	p.settled = make([]bool, k)
-	p.pivots = make([]int, k)
-	p.patched = make([]int, k)
-	p.rebuilds = make([]int, k)
-	p.buildNS = make([]int64, k)
-	p.patchNS = make([]int64, k)
-	p.lpStats = make([]lp.SolveStats, k)
 	return p, nil
 }
 
@@ -632,7 +619,7 @@ func allShards(k int) []int {
 }
 
 // solveShards solves the given shard indices in parallel, updating
-// p.results / p.starved / per-shard bases.
+// p.results and p.starved.
 func (p *Plan) solveShards(idx []int, solve SolveFunc) error {
 	errs := make([]error, len(idx))
 	par.ForEach(len(idx), 0, func(n int) {
@@ -649,16 +636,6 @@ func (p *Plan) solveShards(idx []int, solve SolveFunc) error {
 		case err == nil:
 			p.results[s] = res
 			p.starved[s] = false
-			p.pivots[s] += res.Pivots
-			p.lpStats[s].Add(res.LPStats)
-			if res.Patch != nil {
-				p.patched[s] += res.Patch.Patches()
-				if res.Patch.Rebuilt {
-					p.rebuilds[s]++
-				}
-			}
-			p.buildNS[s] += res.BuildWallNS
-			p.patchNS[s] += res.PatchWallNS
 		case errors.Is(err, lpmodel.ErrInfeasible):
 			// Starvation — unless the shard already holds a design from a
 			// previous round. rebid reserves a feasible shard's realized
@@ -682,23 +659,10 @@ func (p *Plan) solveShards(idx []int, solve SolveFunc) error {
 }
 
 // Outcome is the result of the coordination pass: the merged full-shape
-// design, shard-summed counters, and the warm state for the next epoch.
+// design, what coordination did, and the warm state for the next epoch. The
+// shards' solver counters are the caller's: its SolveFunc sees every solve.
 type Outcome struct {
 	Design *netmodel.Design
-	// LPCost is the sum of per-shard LP optima. It bounds the merged
-	// design's cost from below only per shard — merging deduplicates
-	// reflector build costs — so treat it as diagnostic, not as the
-	// monolithic LP bound.
-	LPCost float64
-	// RoundedCost sums the per-shard §3 rounding-stage costs; Vars and
-	// Rows sum the per-shard LP sizes (what the shards solved in place of
-	// one |R|·|D|-variable monolith).
-	RoundedCost float64
-	Vars, Rows  int
-	// Pivots counts simplex iterations across all shards and rounds;
-	// Retries sums per-shard audit re-randomizations.
-	Pivots  int
-	Retries int
 	// Rounds is how many coordination rounds ran (0 = initial allocation
 	// was never contested); Resolves counts shard re-solves they caused.
 	Rounds   int
@@ -706,23 +670,9 @@ type Outcome struct {
 	// ConsolidatedBuilds counts duplicate reflector builds the post-merge
 	// Consolidate pass evacuated and removed.
 	ConsolidatedBuilds int
-	// PerShardPivots breaks Pivots down by shard.
-	PerShardPivots []int
-	// PerShardPatches counts the LP cells each shard's Patcher rewrote
-	// (all rounds of this solve); PerShardRebuilds the full builds. Zeros
-	// for shards the epoch's dirty sets never reached.
-	PerShardPatches  []int
-	PerShardRebuilds []int
-	// LPBuildNS / LPPatchNS sum the per-shard lp-build / lp-patch stage
-	// walls (CPU-style totals across concurrent shards, not elapsed wall).
-	LPBuildNS, LPPatchNS int64
 	// ExtractionsSkipped counts shards whose sub-instance came from the
 	// cache (patched or reused in place) instead of a fresh extraction.
 	ExtractionsSkipped int
-	// LPStats totals solver factorization events across shards and rounds;
-	// PerShardStats breaks them down by shard.
-	LPStats       lp.SolveStats
-	PerShardStats []lp.SolveStats
 	// State seeds the next same-shaped solve.
 	State *State
 }
@@ -744,9 +694,6 @@ func (p *Plan) Coordinate(solve SolveFunc) (*Outcome, error) {
 	for round := 1; round <= p.opts.Rounds; round++ {
 		use := p.usage()
 		contested, anyStarved := p.contested(use)
-		if traceRounds {
-			fmt.Printf("round %d: starved=%v contested=%v alloc0=%.2f\n", round, p.starved, contested, p.Alloc[0])
-		}
 		if !anyStarved && len(contested) == 0 {
 			break
 		}
@@ -794,37 +741,17 @@ func (p *Plan) Coordinate(solve SolveFunc) (*Outcome, error) {
 }
 
 // finishOutcome merges the per-shard designs and fills the outcome's
-// counters and next-epoch State.
+// next-epoch State.
 func (p *Plan) finishOutcome(out *Outcome) {
 	in := p.In
-	k := p.Shards()
 	design := p.Merge()
 	out.ConsolidatedBuilds = Consolidate(in, design)
 	out.Design = design
-	st := &State{Sinks: p.Sinks, Alloc: p.Alloc, Bases: make([]*lp.Basis, k), Patchers: p.Patchers, Subs: p.Subs}
+	out.ExtractionsSkipped = p.skips
+	st := &State{Sinks: p.Sinks, Alloc: p.Alloc, Bases: make([]*lp.Basis, p.Shards()), Patchers: p.Patchers, Subs: p.Subs}
 	st.S, st.R, st.D = in.Dims()
 	for s, r := range p.results {
-		out.LPCost += r.LPCost
-		out.RoundedCost += r.RoundedCost
-		out.Vars += r.Vars
-		out.Rows += r.Rows
-		out.Retries += r.Retries
 		st.Bases[s] = r.Basis
-	}
-	out.PerShardPivots = append([]int(nil), p.pivots...)
-	for _, piv := range out.PerShardPivots {
-		out.Pivots += piv
-	}
-	out.PerShardPatches = append([]int(nil), p.patched...)
-	out.PerShardRebuilds = append([]int(nil), p.rebuilds...)
-	for s := range p.buildNS {
-		out.LPBuildNS += p.buildNS[s]
-		out.LPPatchNS += p.patchNS[s]
-	}
-	out.ExtractionsSkipped = p.skips
-	out.PerShardStats = append([]lp.SolveStats(nil), p.lpStats...)
-	for _, sst := range out.PerShardStats {
-		out.LPStats.Add(sst)
 	}
 	out.State = st
 }

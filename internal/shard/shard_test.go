@@ -220,47 +220,3 @@ func TestPartitionSinks(t *testing.T) {
 		}
 	}
 }
-
-// TestCoordinationRecoversStarvedShard feeds the solve a sabotaged warm
-// state — shard 0's capacity allocation squeezed to near zero at every
-// reflector, which makes its first-round LP infeasible — and checks the
-// coordination pass re-allocates capacity and completes without falling
-// back to the monolithic path.
-func TestCoordinationRecoversStarvedShard(t *testing.T) {
-	in := gen.Clustered(gen.DefaultClustered(2, 3, 2, 6), 9)
-	const k = 3
-	opts := core.DefaultOptions(3)
-	opts.Shards = k
-
-	// A healthy solve first, to harvest a compatible state to sabotage.
-	res, err := core.Solve(in, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := res.ShardState
-	if st == nil {
-		t.Fatal("sharded solve returned no state")
-	}
-	for i := range st.Alloc[0] {
-		moved := st.Alloc[0][i] * 0.999
-		st.Alloc[0][i] -= moved
-		st.Alloc[1][i] += moved
-	}
-
-	opts.ShardState = st
-	res2, err := core.Solve(in, opts)
-	if err != nil {
-		t.Fatalf("solve with starved shard 0: %v", err)
-	}
-	if res2.ShardInfo.Fallback {
-		t.Fatal("coordination failed to feed starved shard; fell back to monolithic")
-	}
-	if res2.ShardInfo.Rounds == 0 {
-		t.Fatal("expected at least one coordination round for the starved shard")
-	}
-	if !res2.Audit.StructureOK || !core.MeetsGuarantee(res2.Audit, res2.PathRounding) {
-		t.Fatalf("recovered design fails audit: %v", res2.Audit)
-	}
-	t.Logf("starved shard recovered in %d rounds, %d re-solves, cost %.2f (healthy %.2f)",
-		res2.ShardInfo.Rounds, res2.ShardInfo.Resolves, res2.Audit.Cost, res.Audit.Cost)
-}

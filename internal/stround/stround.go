@@ -118,7 +118,7 @@ func (s Start) String() string {
 }
 
 // Totals sums the PathLP reports of several Round calls: a solve's audit
-// attempts, or a timeline's epochs.
+// attempts, a sharded solve's shards, or a timeline's epochs.
 type Totals struct {
 	Pivots                  int
 	LPStats                 lp.SolveStats
@@ -140,6 +140,15 @@ func (t *Totals) Add(r *Result) {
 	default:
 		t.Cold++
 	}
+}
+
+// Merge adds the totals o into t.
+func (t *Totals) Merge(o Totals) {
+	t.Pivots += o.Pivots
+	t.LPStats.Add(o.LPStats)
+	t.Resumed += o.Resumed
+	t.Remapped += o.Remapped
+	t.Cold += o.Cold
 }
 
 // State carries the path LP from one Round call to the next, so a

@@ -16,9 +16,10 @@
 // The LP relaxation is solved exactly by a sparse, warm-startable revised
 // simplex (internal/lp): the constraint matrix is held in compressed
 // column form, the basis inverse as an eta file with periodic
-// refactorization, and re-solves of a churned instance (Reoptimize) or of
-// branch-and-bound children (ExactDesign) restart from the previous basis
-// instead of from scratch. Solve itself runs as an instrumented staged
+// refactorization, and the epochs of a live re-solve loop (core.Session,
+// which carries the basis) or branch-and-bound children (ExactDesign)
+// restart from the previous basis instead of from scratch; a one-shot
+// Reoptimize solves cold. Solve itself runs as an instrumented staged
 // pipeline — LP build/solve, rounding, integralization, repair, audit —
 // with per-stage wall time and allocation counters in SolveResult.Stages.
 //
