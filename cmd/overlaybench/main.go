@@ -595,9 +595,7 @@ func aggSweep(outPath string, quick bool, maxViewers int) error {
 			if row.Epochs > 0 {
 				row.MaxChurnEpochWallNS = max(row.MaxChurnEpochWallNS, wall)
 			}
-			if r.Patch != nil {
-				row.Patches += r.Patch.Patches()
-			}
+			row.Patches += r.LPPatches
 			row.Epochs++
 			return nil
 		}

@@ -54,6 +54,7 @@ import (
 	"repro/internal/daemon"
 	"repro/internal/live"
 	"repro/internal/netmodel"
+	"repro/internal/obs"
 )
 
 func main() {
@@ -152,15 +153,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	// A client that trickles its request headers must not hold a
-	// connection and its goroutine forever, so the header read is bounded
-	// in time and size. The body read and the response write stay
-	// unbounded: an ingest can legitimately wait behind a multi-second solve.
-	srv := &http.Server{
-		Handler:           d.Handler(),
-		ReadHeaderTimeout: 5 * time.Second,
-		MaxHeaderBytes:    64 << 10,
-	}
+	srv := obs.HTTPServer(d.Handler())
 	httpErr := make(chan error, 1)
 	go func() { httpErr <- srv.Serve(ln) }()
 	st := d.Status()

@@ -44,7 +44,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"net/http"
 	"os"
 	"strings"
 	"time"
@@ -166,7 +165,7 @@ func main() {
 			fatal(lerr)
 		}
 		go func() {
-			if serr := http.Serve(ln, server.Handler()); serr != nil {
+			if serr := obs.HTTPServer(server.Handler()).Serve(ln); serr != nil {
 				fmt.Fprintf(os.Stderr, "overlaylive: telemetry server: %v\n", serr)
 			}
 		}()

@@ -34,7 +34,7 @@ func BenchmarkAggregatePlane(b *testing.B) {
 	if _, err := sess.Step(in); err != nil {
 		b.Fatal(err)
 	}
-	st, aggDesign, prev := sess.aggState, sess.aggPrior, sess.prior
+	st, aggDesign, prev := sess.agg.fold, sess.agg.prior, sess.prior
 	var leave, join netmodel.Delta
 	for _, j := range wave {
 		leave.SetThreshold = append(leave.SetThreshold, netmodel.SinkValue{Sink: j, Value: 0})

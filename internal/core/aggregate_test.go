@@ -1,6 +1,9 @@
 package core
 
 import (
+	"fmt"
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/agg"
@@ -132,8 +135,8 @@ func TestSessionAggregatedLPFreeEpoch(t *testing.T) {
 	if !res0.AuditOK() {
 		t.Fatalf("epoch 0 misses the guarantee: %+v", res0.Audit)
 	}
-	if res0.Patch == nil || !res0.Patch.Rebuilt {
-		t.Fatalf("epoch 0 must be a full LP build, got %+v", res0.Patch)
+	if res0.LPRebuilds != 1 {
+		t.Fatalf("epoch 0 must be a full LP build, got %d builds and %d patched cells", res0.LPRebuilds, res0.LPPatches)
 	}
 
 	// Weight-neutral swap: the online viewer leaves, the offline one joins
@@ -155,13 +158,13 @@ func TestSessionAggregatedLPFreeEpoch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res1.Patch == nil {
-		t.Fatal("epoch 1 reported no patch stats")
+	if !slices.Contains(StageNames(res1.Result), "lp-patch") {
+		t.Fatalf("epoch 1 ran no lp-patch stage: %v", StageNames(res1.Result))
 	}
-	if res1.Patch.Rebuilt {
+	if res1.LPRebuilds != 0 {
 		t.Fatal("weight-neutral epoch fell back to a full LP build")
 	}
-	if n := res1.Patch.Patches(); n != 0 {
+	if n := res1.LPPatches; n != 0 {
 		t.Fatalf("weight-neutral epoch patched %d LP cells, want 0", n)
 	}
 	if res1.LPPivots != 0 {
@@ -189,27 +192,45 @@ func TestSessionAggregatedLPFreeEpoch(t *testing.T) {
 	}
 }
 
-// TestSessionAggregatedMatchesOneShot locks the persistent Session fold to
-// the one-shot path on a churn-free first epoch: same instance, same seed,
-// same deployed design.
+// TestSessionAggregatedMatchesOneShot locks the Session's use of the
+// aggregation bracket to the one-shot path's on a churn-free first epoch:
+// same instance, same seed, flat and 3-shard. A cold session's first Step
+// folds afresh as a one-shot Solve does, so the two must deploy the same
+// design with the same audit, pivots and stages.
 func TestSessionAggregatedMatchesOneShot(t *testing.T) {
-	in := gen.Clustered(gen.DefaultClustered(2, 2, 2, 6), 23)
-	opts := DefaultOptions(29)
-	opts.Aggregate = &agg.Config{}
+	for _, shards := range []int{0, 3} {
+		for seed := uint64(20); seed < 30; seed++ {
+			t.Run(fmt.Sprintf("shards-%d/seed-%d", shards, seed), func(t *testing.T) {
+				in := gen.Clustered(gen.DefaultClustered(2, 3, 2, 8), seed)
+				opts := DefaultOptions(29)
+				opts.Aggregate = &agg.Config{}
+				opts.Shards = shards
 
-	one, err := Solve(in, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess := NewSession(opts, 0, false)
-	step, err := sess.Step(in.Clone())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if one.Audit.Cost != step.Audit.Cost {
-		t.Fatalf("session epoch 0 cost %.17g != one-shot %.17g", step.Audit.Cost, one.Audit.Cost)
-	}
-	if one.Audit.MetDemand != step.Audit.MetDemand {
-		t.Fatalf("session epoch 0 met %d != one-shot %d", step.Audit.MetDemand, one.Audit.MetDemand)
+				one, err := Solve(in, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sess := NewSession(opts, 0, false)
+				step, err := sess.Step(in.Clone())
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, c := range []struct {
+					what      string
+					got, want any
+				}{
+					{"Design.Serve", step.Design.Serve, one.Design.Serve},
+					{"Design.Build", step.Design.Build, one.Design.Build},
+					{"Design.Ingest", step.Design.Ingest, one.Design.Ingest},
+					{"Audit", step.Audit, one.Audit},
+					{"LPPivots", step.LPPivots, one.LPPivots},
+					{"stages", StageNames(step.Result), StageNames(one)},
+				} {
+					if !reflect.DeepEqual(c.got, c.want) {
+						t.Fatalf("session epoch 0 %s = %v, one-shot %v", c.what, c.got, c.want)
+					}
+				}
+			})
+		}
 	}
 }

@@ -153,35 +153,30 @@ type Result struct {
 	// build costs, so the sum is not a bound on the merged cost).
 	Frac   *lpmodel.FracSolution
 	LPCost float64
-	// RoundedCost is the §3 stage cost; RoundInst its lemma-by-lemma
-	// instrumentation.
-	RoundedCost float64
-	RoundInst   round.Instrumentation
 	// PathRounding reports whether §6.5 replaced the §5 GAP stage.
 	PathRounding bool
 	// STResult is set when path rounding ran.
 	STResult *stround.Result
-	// GAPResult is set when the §5 flow rounding ran.
-	GAPResult *gapflow.Result
-	Retries   int
+	Retries  int
 	// Stages is the per-stage instrumentation of the solve pipeline
 	// (wall time, allocation counters, run counts), aggregated by stage
 	// name across audit retries.
 	Stages []StageStats
-	// Patch reports what the incremental LP rebuild did this solve (nil
-	// unless a Session-carried Patcher ran; see Session): whether the epoch
-	// fell back to a full lp-build and how many matrix / rhs / objective
-	// cells the lp-patch stage rewrote.
-	Patch *lpmodel.PatchStats
 	// LPStats totals the solver's factorization events across the solve —
 	// refactorizations, adopted (persisted) factorizations, warm fallbacks.
 	// For sharded solves it sums over shards. It counts the main LP only.
 	LPStats lp.SolveStats
 	// LPPivots counts the main LP's simplex pivots, and LPVars and LPRows
-	// give its size; sharded solves sum all three over shards and
-	// coordination rounds.
+	// give its size; sharded solves sum the pivots over shards and
+	// coordination rounds, and the size over shards.
 	LPPivots       int
 	LPVars, LPRows int
+	// LPPatches counts the LP cells (matrix, rhs and objective) the
+	// lp-patch stage rewrote, and LPRebuilds the full lp-builds a carried
+	// Patcher fell back to; both are 0 when no Patcher ran (a one-shot
+	// solve builds its LP afresh). Sharded solves sum both over shards and
+	// coordination rounds.
+	LPPatches, LPRebuilds int
 	// PathLP sums the §6.5 path LP's solver work over the solve's audit
 	// attempts: pivots, solver events, and how many calls resumed, remapped
 	// or solved it cold (zero when path rounding did not run). Sharded
@@ -202,13 +197,11 @@ type ShardInfo struct {
 	Rounds             int
 	Resolves           int
 	ConsolidatedBuilds int
-	// PerShardPivots breaks LPPivots down by shard.
-	PerShardPivots []int
-	// PerShardPatches counts the LP cells each shard's Patcher rewrote
-	// this epoch and PerShardRebuilds the full builds it fell back to (all
-	// zero outside a Session). A shard no delta touched shows 0 in both —
-	// the dirty routing by the stable sink partition is what keeps a
-	// one-region churn event from touching the other shards' LPs.
+	// PerShardPatches and PerShardRebuilds break LPPatches and LPRebuilds
+	// down by shard (all zero outside a Session). A shard no delta touched
+	// shows 0 in both — the dirty routing by the stable sink partition is
+	// what keeps a one-region churn event from touching the other shards'
+	// LPs.
 	PerShardPatches  []int
 	PerShardRebuilds []int
 	// LPBuildNS / LPPatchNS sum the per-shard model-construction stage
@@ -276,9 +269,12 @@ func lpStages(ps *pipelineState) []Stage {
 		}
 		return []Stage{
 			{Name: name, Run: func(ps *pipelineState) error {
-				st := lpmodel.PatchStats{}
+				var st lpmodel.PatchStats
 				ps.prob, ps.vm, st = pt.Sync(ps.in, ps.lpOptions(), ps.carry.dirty)
-				ps.patch = &st
+				ps.lpPatches = st.Patches()
+				if st.Rebuilt {
+					ps.lpRebuilds = 1
+				}
 				return nil
 			}},
 			solve,
@@ -310,7 +306,7 @@ func attemptStages() []Stage {
 			for k := range ps.rounded.YBar {
 				copyBools(design.Ingest[k], ps.rounded.YBar[k])
 			}
-			ps.gapRes, ps.stRes = nil, nil
+			ps.stRes = nil
 			if ps.usePath {
 				stRes, err := ps.carry.path.Round(ps.in, ps.rounded.XBar, stround.DefaultOptions(ps.seed^0xabcdef))
 				if err != nil {
@@ -322,9 +318,9 @@ func attemptStages() []Stage {
 					copyBools(design.Serve[i], stRes.Serve[i])
 				}
 			} else {
-				ps.gapRes = gapflow.Round(ps.in, ps.rounded.XBar)
-				for i := range ps.gapRes.Serve {
-					copyBools(design.Serve[i], ps.gapRes.Serve[i])
+				gapRes := gapflow.Round(ps.in, ps.rounded.XBar)
+				for i := range gapRes.Serve {
+					copyBools(design.Serve[i], gapRes.Serve[i])
 				}
 			}
 			design.Normalize(ps.in)
@@ -351,6 +347,8 @@ func attemptStages() []Stage {
 // attempt). With Options.Shards ≥ 2 the pipeline instead runs
 // shard-partition → shard-solve → shard-coordinate → audit, solving one
 // small LP per commodity-region shard in parallel (see internal/shard).
+// With Options.Aggregate either pipeline runs on the aggregate plane,
+// between an aggregate and a disaggregate stage (see aggPlane.solve).
 // Per-stage wall time and allocation counters land in Result.Stages either
 // way.
 func Solve(in *netmodel.Instance, opts Options) (*Result, error) {
@@ -358,8 +356,8 @@ func Solve(in *netmodel.Instance, opts Options) (*Result, error) {
 }
 
 // solve is Solve with the carried state of a Session's solve (nil for a
-// one-shot solve). An aggregated solve is always one-shot: a Session folds
-// the aggregate plane itself and solves that plane with its carry.
+// one-shot solve). An aggregated solve here is always one-shot: a Session
+// runs the aggregation bracket itself and solves the plane with its carry.
 func solve(in *netmodel.Instance, opts Options, c *carry) (*Result, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
@@ -367,23 +365,30 @@ func solve(in *netmodel.Instance, opts Options, c *carry) (*Result, error) {
 	if opts.C == 0 {
 		opts.C = 64
 	}
-	// The sharded path needs at least two nonempty shards to be a
-	// decomposition at all (two real sinks — a viewer's streams are
-	// shard-atomic); LPOnly wants the monolithic fractional optimum.
 	var res *Result
 	var err error
-	switch {
-	case opts.Aggregate != nil:
-		res, err = solveAggregated(in, opts)
-	case opts.Shards >= 2 && in.NumViewers() >= 2 && !opts.LPOnly:
-		res, err = solveSharded(in, opts, c)
-	default:
-		res, err = solveMono(in, opts, c)
+	if opts.Aggregate != nil {
+		res, err = new(aggPlane).solve(in, opts, nil, nil, func(plane *netmodel.Instance, _ *netmodel.Design, _ *netmodel.DirtySet, opts Options) (*Result, error) {
+			return solvePlane(plane, opts, nil)
+		})
+	} else {
+		res, err = solvePlane(in, opts, c)
 	}
 	if err == nil {
 		recordSolve(opts.Obs, res)
 	}
 	return res, err
+}
+
+// solvePlane runs the sharded or the monolithic pipeline on in. The sharded
+// path needs at least two nonempty shards to be a decomposition at all (two
+// real sinks — a viewer's streams are shard-atomic); LPOnly wants the
+// monolithic fractional optimum.
+func solvePlane(in *netmodel.Instance, opts Options, c *carry) (*Result, error) {
+	if opts.Shards >= 2 && in.NumViewers() >= 2 && !opts.LPOnly {
+		return solveSharded(in, opts, c)
+	}
+	return solveMono(in, opts, c)
 }
 
 // recordSolve feeds the Result-derived solver counters into the metrics
@@ -411,24 +416,14 @@ func recordSolve(o *obs.Observer, res *Result) {
 			o.Counter(obs.MPathLPSolves, obs.L("start", c.start.String())).Add(float64(c.n))
 		}
 	}
-	if p := res.Patch; p != nil {
-		o.Counter(obs.MLPPatchedCells).Add(float64(p.Patches()))
-		if p.Rebuilt {
-			o.Counter(obs.MLPRebuilds).Inc()
-		}
-	}
+	o.Counter(obs.MLPPatchedCells).Add(float64(res.LPPatches))
+	o.Counter(obs.MLPRebuilds).Add(float64(res.LPRebuilds))
 	if si := res.ShardInfo; si != nil {
 		o.Counter(obs.MShardRebidRounds).Add(float64(si.Rounds))
 		o.Counter(obs.MShardResolves).Add(float64(si.Resolves))
 		o.Counter(obs.MShardExtractionsSkipped).Add(float64(si.ExtractionsSkipped))
 		if si.Fallback {
 			o.Counter(obs.MShardFallbacks).Inc()
-		}
-		for _, p := range si.PerShardPatches {
-			o.Counter(obs.MLPPatchedCells).Add(float64(p))
-		}
-		for _, r := range si.PerShardRebuilds {
-			o.Counter(obs.MLPRebuilds).Add(float64(r))
 		}
 	}
 }
@@ -448,14 +443,15 @@ func solveMono(in *netmodel.Instance, opts Options, c *carry) (*Result, error) {
 	c.basis = frac.Basis
 
 	res := &Result{
-		Frac:     frac,
-		LPCost:   frac.Cost,
-		Patch:    ps.patch,
-		LPStats:  frac.Stats,
-		LPPivots: frac.Iterations,
-		LPVars:   ps.prob.NumVars(),
-		LPRows:   ps.prob.NumRows(),
-		Stages:   tracker.stats,
+		Frac:       frac,
+		LPCost:     frac.Cost,
+		LPStats:    frac.Stats,
+		LPPivots:   frac.Iterations,
+		LPVars:     ps.prob.NumVars(),
+		LPRows:     ps.prob.NumRows(),
+		LPPatches:  ps.lpPatches,
+		LPRebuilds: ps.lpRebuilds,
+		Stages:     tracker.stats,
 	}
 	if opts.LPOnly {
 		return res, nil
@@ -472,31 +468,17 @@ func solveMono(in *netmodel.Instance, opts Options, c *carry) (*Result, error) {
 			return nil, fmt.Errorf("core: %w", err)
 		}
 
-		cand := &Result{
-			Design:       ps.design,
-			Audit:        ps.audit,
-			Frac:         frac,
-			LPCost:       frac.Cost,
-			Patch:        ps.patch,
-			LPStats:      frac.Stats,
-			LPPivots:     res.LPPivots,
-			LPVars:       res.LPVars,
-			LPRows:       res.LPRows,
-			RoundedCost:  ps.rounded.Cost,
-			RoundInst:    ps.rounded.Instrument(in, frac.Cost),
-			PathRounding: ps.usePath,
-			STResult:     ps.stRes,
-			PathLP:       ps.pathLP,
-			GAPResult:    ps.gapRes,
-			Retries:      attempt,
-			Stages:       tracker.stats,
-		}
+		cand := *res
+		cand.Design, cand.Audit = ps.design, ps.audit
+		cand.PathRounding, cand.STResult, cand.PathLP = ps.usePath, ps.stRes, ps.pathLP
+		cand.Retries = attempt
+		cand.Stages = tracker.stats
 
-		if best == nil || betterResult(cand, best) {
-			best = cand
+		if best == nil || betterResult(&cand, best) {
+			best = &cand
 		}
 		if MeetsGuarantee(ps.audit, ps.usePath) {
-			return cand, nil
+			return &cand, nil
 		}
 	}
 	best.Stages = tracker.stats

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
+	"repro/internal/agg"
 	"repro/internal/gen"
 	"repro/internal/netmodel"
 )
@@ -44,17 +46,36 @@ func TestSolveClusteredWithColors(t *testing.T) {
 	}
 }
 
+// TestLPOnly stops after the LP relaxation: no design, a positive LP cost,
+// and the LP stages alone — behind the aggregate stage when aggregated,
+// where Shards does not change the path (LPOnly wants the monolithic LP).
 func TestLPOnly(t *testing.T) {
-	in := gen.Uniform(gen.DefaultUniform(1, 4, 6), 9)
-	res, err := Solve(in, Options{Seed: 1, LPOnly: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Design != nil {
-		t.Fatal("LPOnly must not produce a design")
-	}
-	if res.LPCost <= 0 {
-		t.Fatalf("LP cost %v, want positive", res.LPCost)
+	clustered := gen.Clustered(gen.DefaultClustered(2, 3, 2, 8), 9)
+	for _, tc := range []struct {
+		name   string
+		in     *netmodel.Instance
+		opts   Options
+		stages []string
+	}{
+		{"flat", gen.Uniform(gen.DefaultUniform(1, 4, 6), 9), Options{Seed: 1, LPOnly: true}, []string{"lp-build", "lp-solve"}},
+		{"aggregate", clustered, Options{Seed: 1, LPOnly: true, Aggregate: &agg.Config{}}, []string{"aggregate", "lp-build", "lp-solve"}},
+		{"aggregate-shards-3", clustered, Options{Seed: 1, LPOnly: true, Aggregate: &agg.Config{}, Shards: 3}, []string{"aggregate", "lp-build", "lp-solve"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := Solve(tc.in, tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Design != nil {
+				t.Fatal("LPOnly must not produce a design")
+			}
+			if res.LPCost <= 0 {
+				t.Fatalf("LP cost %v, want positive", res.LPCost)
+			}
+			if got := StageNames(res); !slices.Equal(got, tc.stages) {
+				t.Fatalf("stages %v, want %v", got, tc.stages)
+			}
+		})
 	}
 }
 

@@ -25,6 +25,15 @@ func WithRebuildLP(opts Options) Options {
 	return opts
 }
 
+// StageNames returns the names of res's pipeline stages in run order.
+func StageNames(res *Result) []string {
+	names := make([]string, len(res.Stages))
+	for i, st := range res.Stages {
+		names[i] = st.Name
+	}
+	return names
+}
+
 // CheckPatchers checks every Patcher the session carries against a fresh
 // lpmodel.Build of the plane it last synced: the Problems must agree cell
 // for cell, and the patched one's CSC cache must be in sync. in is the
@@ -48,8 +57,8 @@ func (s *Session) CheckPatchers(in *netmodel.Instance) error {
 	}
 	if pt := s.carried.patcher; pt != nil {
 		plane := in
-		if s.aggState != nil {
-			plane = s.aggState.Agg
+		if s.agg.fold != nil {
+			plane = s.agg.fold.Agg
 		}
 		return check("monolithic", pt, biased(plane, s.lastBias, s.stickiness))
 	}

@@ -9,20 +9,26 @@ package core_test
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/agg"
 	"repro/internal/core"
 	"repro/internal/live"
+	"repro/internal/netmodel"
+	"repro/internal/obs"
 )
 
 // TestSessionPatchersMatchBuild is the direct lock on the Session's delta
 // flow: after every Step, each Patcher the session carries — the monolithic
 // one, or one per shard — must hold exactly the Problem lpmodel.Build makes
 // of its plane (Session.CheckPatchers). It runs the whole scenario library
-// flat, aggregated and 3-shard, under the cold and the warm+sticky policy,
-// so a dirt class the session fails to route — a deployment's bias flips,
-// a kind of agg.Sync change, a shard's routed cells — shows as a stale cell.
+// flat, aggregated, 3-shard and both, under the cold and the warm+sticky
+// policy, so a dirt class the session fails to route — a deployment's bias
+// flips, a kind of agg.Sync change, a shard's routed cells — shows as a
+// stale cell. Every Step must also report the true instance's audit of its
+// design and the churn against the previous deployment, whichever plane it
+// solved, and feed the registry the LP cells and builds its result reports.
 func TestSessionPatchersMatchBuild(t *testing.T) {
 	modes := []struct {
 		name string
@@ -31,6 +37,7 @@ func TestSessionPatchersMatchBuild(t *testing.T) {
 		{"flat", func(*core.Options) {}},
 		{"aggregate", func(o *core.Options) { o.Aggregate = &agg.Config{} }},
 		{"shards-3", func(o *core.Options) { o.Shards = 3 }},
+		{"aggregate-shards-3", func(o *core.Options) { o.Aggregate, o.Shards = &agg.Config{}, 3 }},
 	}
 	for _, name := range live.Names() {
 		for _, mode := range modes {
@@ -44,7 +51,9 @@ func TestSessionPatchersMatchBuild(t *testing.T) {
 					mode.set(&opts)
 					in := sc.Base.Clone()
 					sess := core.NewSession(opts, pol.Stickiness, pol.WarmStart)
-					eng := live.NewEngine(in, sess, nil, 0, 0, nil)
+					reg := obs.NewRegistry()
+					eng := live.NewEngine(in, sess, nil, 0, 0, &obs.Observer{Reg: reg})
+					patches, rebuilds := 0, 0
 					for e := 0; e < sc.Epochs; e++ {
 						for _, ev := range sc.Events {
 							if ev.Epoch == e {
@@ -53,12 +62,23 @@ func TestSessionPatchersMatchBuild(t *testing.T) {
 								}
 							}
 						}
-						er, _, err := eng.Step()
+						prev := sess.Deployed()
+						er, res, err := eng.Step()
 						if err != nil {
 							t.Fatal(err)
 						}
 						if err := sess.CheckPatchers(in); err != nil {
 							t.Fatalf("epoch %d: %v", e, err)
+						}
+						if want := netmodel.AuditDesign(in, res.Design); !reflect.DeepEqual(res.Audit, want) {
+							t.Fatalf("epoch %d: audit %+v, true instance's %+v", e, res.Audit, want)
+						}
+						var churn netmodel.Churn
+						if prev != nil {
+							churn = netmodel.DesignChurn(in, prev, res.Design)
+						}
+						if got := (netmodel.Churn{Arcs: res.ArcChurn, Reflectors: res.ReflectorChurn, Streams: res.StreamChurn, Viewers: res.ViewerChurn}); got != churn {
+							t.Fatalf("epoch %d: churn %+v, true instance's %+v", e, got, churn)
 						}
 						// Every carried Patcher — the session's one, or one
 						// per shard under either policy — builds at epoch 0
@@ -69,6 +89,20 @@ func TestSessionPatchersMatchBuild(t *testing.T) {
 						}
 						if er.LPRebuilds != want {
 							t.Fatalf("epoch %d: %d full LP builds, want %d", e, er.LPRebuilds, want)
+						}
+						// The registry counts the result's totals, which a sharded
+						// result breaks down by shard.
+						patches, rebuilds = patches+res.LPPatches, rebuilds+res.LPRebuilds
+						if got := reg.Counter(obs.MLPPatchedCells).Value(); got != float64(patches) {
+							t.Fatalf("epoch %d: %s = %v, want %d", e, obs.MLPPatchedCells, got, patches)
+						}
+						if got := reg.Counter(obs.MLPRebuilds).Value(); got != float64(rebuilds) {
+							t.Fatalf("epoch %d: %s = %v, want %d", e, obs.MLPRebuilds, got, rebuilds)
+						}
+						if si := res.ShardInfo; si != nil {
+							if p, r := sum(si.PerShardPatches), sum(si.PerShardRebuilds); p != res.LPPatches || r != res.LPRebuilds {
+								t.Fatalf("epoch %d: shards patched %d cells and rebuilt %d LPs, result says %d and %d", e, p, r, res.LPPatches, res.LPRebuilds)
+							}
 						}
 					}
 				})
@@ -144,17 +178,19 @@ func TestSessionIncrementalMatchesRebuild(t *testing.T) {
 		if !reflect.DeepEqual(resP.Design, resR.Design) {
 			t.Fatalf("epoch %d: deployed designs differ", e)
 		}
-		if resP.Patch == nil {
-			t.Fatalf("epoch %d: incremental session reported no patch stats", e)
+		// A Patcher ran when it built (epoch 0) or patched (the lp-patch
+		// stage); with none, both totals are 0 and the LP is an lp-build.
+		if resP.LPRebuilds == 0 && !slices.Contains(core.StageNames(resP.Result), "lp-patch") {
+			t.Fatalf("epoch %d: incremental session ran no Patcher", e)
 		}
-		if e == 0 && !resP.Patch.Rebuilt {
+		if e == 0 && resP.LPRebuilds != 1 {
 			t.Fatal("first epoch must be a full build")
 		}
-		if e > 0 && resP.Patch.Rebuilt {
+		if e > 0 && resP.LPRebuilds != 0 {
 			t.Fatalf("epoch %d rebuilt instead of patching", e)
 		}
-		if resR.Patch != nil {
-			t.Fatalf("epoch %d: rebuild session unexpectedly reported patch stats", e)
+		if resR.LPPatches != 0 || resR.LPRebuilds != 0 || !slices.Contains(core.StageNames(resR.Result), "lp-build") {
+			t.Fatalf("epoch %d: rebuild session unexpectedly ran a Patcher", e)
 		}
 	}
 }
@@ -217,6 +253,14 @@ func TestIncrementalMatchesRebuildTimeline(t *testing.T) {
 			}
 		})
 	}
+}
+
+func sum(xs []int) int {
+	n := 0
+	for _, x := range xs {
+		n += x
+	}
+	return n
 }
 
 // scrubRunWall zeroes a run report's wall-clock fields, the only ones that

@@ -3,7 +3,6 @@ package core
 import (
 	"time"
 
-	"repro/internal/gapflow"
 	"repro/internal/lp"
 	"repro/internal/lpmodel"
 	"repro/internal/netmodel"
@@ -54,15 +53,15 @@ type pipelineState struct {
 	prob *lp.Problem
 	vm   *lpmodel.VarMap
 	frac *lpmodel.FracSolution
-	// patch reports what the lp-patch/lp-build stage did when a Patcher is
-	// driving model construction (nil on the plain build path).
-	patch *lpmodel.PatchStats
+	// lpPatches and lpRebuilds count what a carried Patcher did in the
+	// lp-patch/lp-build stage: the LP cells it rewrote, and 1 when it fell
+	// back to a full build (both 0 on the plain build path).
+	lpPatches, lpRebuilds int
 
 	// per-attempt products
 	seed    uint64
 	rounded *round.Rounded
 	design  *netmodel.Design
-	gapRes  *gapflow.Result
 	stRes   *stround.Result
 	pathLP  stround.Totals // summed over attempts
 	usePath bool

@@ -23,10 +23,16 @@ type ReoptimizeResult struct {
 	ViewerChurn float64
 }
 
-// setChurn reports c as the result's churn against the prior deployment.
-func (r *ReoptimizeResult) setChurn(c netmodel.Churn) {
-	r.ArcChurn, r.ReflectorChurn = c.Arcs, c.Reflectors
-	r.StreamChurn, r.ViewerChurn = c.Streams, c.Viewers
+// reoptimized wraps res, a re-solve deployed after prior (nil: none), with
+// its churn against prior counted on the true instance in.
+func reoptimized(in *netmodel.Instance, prior *netmodel.Design, res *Result) *ReoptimizeResult {
+	out := &ReoptimizeResult{Result: res}
+	if prior != nil {
+		c := netmodel.DesignChurn(in, prior, res.Design)
+		out.ArcChurn, out.ReflectorChurn = c.Arcs, c.Reflectors
+		out.StreamChurn, out.ViewerChurn = c.Streams, c.Viewers
+	}
+	return out
 }
 
 // Reoptimize runs the solver on an updated instance (new measured losses or
@@ -49,27 +55,24 @@ func (r *ReoptimizeResult) setChurn(c netmodel.Churn) {
 // design (freezing it regardless of how the network moved) and negative
 // values would penalize it, neither of which is a meaningful bias.
 func Reoptimize(in *netmodel.Instance, prior *netmodel.Design, stickiness float64, opts Options) (*ReoptimizeResult, error) {
-	return reoptimize(in, prior, stickiness, opts, nil)
-}
-
-// reoptimize is Reoptimize with the carried state of a Session's solve (nil
-// for a one-shot re-solve).
-func reoptimize(in *netmodel.Instance, prior *netmodel.Design, stickiness float64, opts Options, c *carry) (*ReoptimizeResult, error) {
-	if stickiness < 0 || stickiness >= 1 {
-		return nil, fmt.Errorf("core: stickiness %g outside [0,1)", stickiness)
-	}
-	res, err := solve(biased(in, prior, stickiness), opts, c)
+	res, err := reoptimize(in, prior, stickiness, opts, nil)
 	if err != nil {
 		return nil, err
 	}
-	out := &ReoptimizeResult{Result: res}
 	// Re-audit against the true instance (costs were biased).
-	out.Audit = netmodel.AuditDesign(in, res.Design)
-	out.LPCost = res.LPCost // LP bound of the biased problem; informational
-	if prior != nil {
-		out.setChurn(netmodel.DesignChurn(in, prior, res.Design))
+	res.Audit = netmodel.AuditDesign(in, res.Design)
+	return reoptimized(in, prior, res), nil
+}
+
+// reoptimize range-checks stickiness, biases in toward prior and solves it,
+// with the carried state of a Session's solve (nil for a one-shot re-solve).
+// The result's audit is of the biased instance, and its LP cost the biased
+// LP's bound: the callers re-audit the design on the true instance.
+func reoptimize(in *netmodel.Instance, prior *netmodel.Design, stickiness float64, opts Options, c *carry) (*Result, error) {
+	if stickiness < 0 || stickiness >= 1 {
+		return nil, fmt.Errorf("core: stickiness %g outside [0,1)", stickiness)
 	}
-	return out, nil
+	return solve(biased(in, prior, stickiness), opts, c)
 }
 
 // biased returns in with the costs of prior's reflectors, ingests and

@@ -1,10 +1,6 @@
 package core
 
 import (
-	"fmt"
-	"slices"
-
-	"repro/internal/agg"
 	"repro/internal/lpmodel"
 	"repro/internal/netmodel"
 	"repro/internal/obs"
@@ -59,14 +55,11 @@ type Session struct {
 	pending  *netmodel.DirtySet
 	lastBias *netmodel.Design
 
-	// aggState / aggPrior are the aggregation plane (Options.Aggregate):
-	// the persistent viewer→super-sink fold, built lazily on the first
-	// Step, and the previously deployed AGGREGATE design — the plane the
-	// stickiness bias, the warm basis, the shard state and the Patcher all
-	// live on. s.prior stays the TRUE design: churn and the deployed view
-	// are always reported against real viewers.
-	aggState *agg.State
-	aggPrior *netmodel.Design
+	// agg is the aggregation plane (Options.Aggregate): the persistent
+	// viewer→super-sink fold, built on the first Step, and the previously
+	// deployed AGGREGATE design. s.prior stays the TRUE design: churn and
+	// the deployed view are always reported against real viewers.
+	agg aggPlane
 }
 
 // NewSession returns a fresh session; the first Step is a cold solve.
@@ -113,88 +106,47 @@ func (s *Session) Observe(ds *netmodel.DirtySet) {
 
 // Step re-optimizes against the instance's current state — the caller
 // applies the epoch's deltas to in beforehand and reports them via Observe —
-// and deploys the result. The returned churn counts compare against the
-// previous epoch's design.
+// and deploys the result. The returned audit is of the true instance, and
+// the churn counts compare against the previous epoch's design.
 //
 // The re-optimization runs on the session's plane: the instance itself, or
-// under Options.Aggregate the aggregate instance. There an aggregate stage
-// first folds the epoch's dirty sets through the persistent viewer→super-
-// sink state, and a disaggregate stage afterwards maps the solved aggregate
-// design back to real viewers, sticky to the previous TRUE deployment, and
-// audits it on the true instance; the two stage walls bracket the inner
-// pipeline's in Result.Stages.
+// under Options.Aggregate the aggregate instance, inside the aggregation
+// bracket every aggregated solve runs (aggPlane.solve). Its aggregate stage
+// folds the epoch's dirty sets through the persistent viewer→super-sink
+// state, and its disaggregate stage maps the solved aggregate design back to
+// real viewers, sticky to the previous TRUE deployment, and audits it.
 func (s *Session) Step(in *netmodel.Instance) (*ReoptimizeResult, error) {
 	dirty := s.pending
 	s.pending = nil
-	plane, prior := in, s.prior
-	var tracker *stageTracker
-	var ps *pipelineState
+	var res *Result
+	var err error
 	if s.opts.Aggregate != nil {
-		tracker = newStageTracker(s.opts.StageMemStats, s.opts.Obs)
-		ps = &pipelineState{in: in, opts: s.opts}
-		// The stage closure reads pending, not dirty: capturing dirty, which
-		// Step reassigns, would move it to the heap on the flat path too.
-		pending := dirty
-		var aggDirty *netmodel.DirtySet
-		if err := tracker.run(Stage{Name: "aggregate", Run: func(ps *pipelineState) error {
-			if s.aggState != nil {
-				aggDirty = s.aggState.Sync(ps.in, pending)
-				return nil
-			}
-			// First epoch: Build summarizes the instance's current state
-			// directly, so dirt accumulated before it is already folded in.
-			st, err := agg.Build(ps.in, *s.opts.Aggregate)
-			if err != nil {
-				return err
-			}
-			s.aggState, aggDirty = st, &netmodel.DirtySet{}
-			return nil
-		}}, ps); err != nil {
-			return nil, fmt.Errorf("core: %w", err)
+		res, err = s.agg.solve(in, s.opts, dirty, s.prior, s.reoptimize)
+	} else {
+		res, err = s.reoptimize(in, s.prior, dirty, s.opts)
+		if err == nil {
+			// Re-audit against the true instance (costs were biased).
+			res.Audit = netmodel.AuditDesign(in, res.Design)
 		}
-		recordAggShape(s.opts.Obs, s.aggState)
-		if o := s.opts.Obs; o != nil && o.Reg != nil {
-			o.Counter(obs.MAggWeightChanges).Add(float64(len(aggDirty.SinkWeight)))
-		}
-		dirty, plane, prior = aggDirty, s.aggState.Agg, s.aggPrior
 	}
-
-	res, err := s.reoptimize(plane, prior, dirty)
 	if err != nil {
 		return nil, err
 	}
-
-	if tracker != nil {
-		aggDesign := res.Design
-		if err := tracker.run(Stage{Name: "disaggregate", Run: func(ps *pipelineState) error {
-			res.Design = s.aggState.Disaggregate(ps.in, aggDesign, s.prior)
-			res.Audit = netmodel.AuditDesign(ps.in, res.Design)
-			return nil
-		}}, ps); err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-		// Churn against the previous TRUE deployment (the aggregate plane's
-		// churn numbers from Reoptimize describe super-sinks, not viewers).
-		var churn netmodel.Churn
-		if s.prior != nil {
-			churn = netmodel.DesignChurn(in, s.prior, res.Design)
-		}
-		res.setChurn(churn)
-		res.Stages = slices.Concat(tracker.stats[:1], res.Stages, tracker.stats[1:])
-		s.aggPrior = aggDesign
-	}
+	out := reoptimized(in, s.prior, res)
 	s.prior = res.Design
-	return res, nil
+	return out, nil
 }
 
 // reoptimize is the re-optimization every Step runs on its plane, against
 // the plane's previous deployment prior. It hands the solve a copy of the
 // session's carry with the epoch's dirt and the stickiness-bias flips (a
 // cold session withholds the warm state), mixes the per-epoch seed, and
-// keeps the basis and shard state the solve leaves for the next Step.
-func (s *Session) reoptimize(plane *netmodel.Instance, prior *netmodel.Design, dirty *netmodel.DirtySet) (*ReoptimizeResult, error) {
-	opts := s.opts
-	opts.Aggregate = nil
+// keeps the basis and shard state the solve leaves for the next Step. opts
+// is the session's, with Aggregate cleared on the aggregate plane.
+func (s *Session) reoptimize(plane *netmodel.Instance, prior *netmodel.Design, dirty *netmodel.DirtySet, opts Options) (*Result, error) {
+	if s.opts.Aggregate != nil {
+		opts.Obs.Counter(obs.MAggWeightChanges).Add(float64(len(dirty.SinkWeight)))
+	}
 	// The stickiness discount moves with the deployed design: cost cells
 	// enter or leave the discounted set exactly where the new bias design
 	// differs from the previous epoch's. Those flips are instance changes
@@ -226,16 +178,14 @@ func (s *Session) reoptimize(plane *netmodel.Instance, prior *netmodel.Design, d
 		}
 	}
 	if s.opts.Aggregate != nil && s.steps > 0 && dirty.Empty() {
-		if o := s.opts.Obs; o != nil && o.Reg != nil {
-			o.Counter(obs.MAggLPFreeEpochs).Inc()
-		}
+		opts.Obs.Counter(obs.MAggLPFreeEpochs).Inc()
 	}
 	// Per-epoch seed decorrelates the randomized rounding across epochs
 	// while keeping the whole timeline a pure function of the base seed.
 	// The mixing constant deliberately differs from Solve's per-retry
 	// increment so (epoch, attempt) pairs never replay each other's seeds.
 	opts.Seed = s.opts.Seed + uint64(s.steps)*0xbf58476d1ce4e5b9
-	// With no prior deployment Reoptimize applies no bias; the stickiness
+	// With no prior deployment reoptimize applies no bias; the stickiness
 	// still gets range-checked there, so an invalid policy fails on the
 	// first step instead of being silently coerced.
 	res, err := reoptimize(plane, prior, s.stickiness, opts, &c)

@@ -56,13 +56,13 @@ func (s *Session) ExportState() *SessionState {
 	st := &SessionState{
 		Steps: s.steps,
 		Basis: s.carried.basis.Export(),
-		Agg:   s.aggState.Export(),
+		Agg:   s.agg.fold.Export(),
 	}
 	if s.prior != nil {
 		st.Prior = s.prior.Clone()
 	}
-	if s.aggPrior != nil {
-		st.AggPrior = s.aggPrior.Clone()
+	if s.agg.prior != nil {
+		st.AggPrior = s.agg.prior.Clone()
 	}
 	return st
 }
@@ -123,13 +123,13 @@ func RestoreSession(in *netmodel.Instance, opts Options, stickiness float64, war
 			if err != nil {
 				return nil, fmt.Errorf("core: restore: %w", err)
 			}
-			s.aggState = ast
+			s.agg.fold = ast
 			plane = ast.Agg
 			if st.AggPrior != nil {
 				if err := checkDesignShape("aggregate", ast.Agg, st.AggPrior); err != nil {
 					return nil, err
 				}
-				s.aggPrior = st.AggPrior.Clone()
+				s.agg.prior = st.AggPrior.Clone()
 			}
 		}
 	} else if st.Agg != nil || st.AggPrior != nil {

@@ -10,6 +10,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/agg"
@@ -124,7 +125,7 @@ func TestSessionSnapshotRoundTrip(t *testing.T) {
 	if first.LPStats.FTUpdates == 0 {
 		t.Fatal("first post-restore epoch did not adopt the persisted factorization")
 	}
-	if first.Patch == nil || first.Patch.Rebuilt {
+	if first.LPRebuilds != 0 || !slices.Contains(core.StageNames(first.Result), "lp-patch") {
 		t.Fatal("first post-restore epoch rebuilt its LP instead of patching the restored one")
 	}
 }

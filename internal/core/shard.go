@@ -155,7 +155,6 @@ func solveSharded(in *netmodel.Instance, opts Options, c *carry) (*Result, error
 		Rounds:             out.Rounds,
 		Resolves:           out.Resolves,
 		ConsolidatedBuilds: out.ConsolidatedBuilds,
-		PerShardPivots:     make([]int, n),
 		PerShardPatches:    make([]int, n),
 		PerShardRebuilds:   make([]int, n),
 		ExtractionsSkipped: out.ExtractionsSkipped,
@@ -171,14 +170,14 @@ func solveSharded(in *netmodel.Instance, opts Options, c *carry) (*Result, error
 	// Sum in shard order, so every float total has the same bits run to run.
 	for s, t := range totals {
 		res.LPCost += t.last.LPCost
-		res.RoundedCost += t.last.RoundedCost
 		res.LPVars += t.last.LPVars
 		res.LPRows += t.last.LPRows
 		res.Retries += t.last.Retries
 		res.LPPivots += t.pivots
+		res.LPPatches += t.patched
+		res.LPRebuilds += t.rebuilds
 		res.LPStats.Add(t.stats)
 		res.PathLP.Merge(t.pathLP)
-		si.PerShardPivots[s] = t.pivots
 		si.PerShardPatches[s] = t.patched
 		si.PerShardRebuilds[s] = t.rebuilds
 		si.PerShardStats[s] = t.stats
@@ -190,8 +189,7 @@ func solveSharded(in *netmodel.Instance, opts Options, c *carry) (*Result, error
 
 // shardTotals accumulates one shard's solver work over the coordination
 // rounds of a sharded solve, and keeps its latest successful result — the
-// one the coordinator merged — for the solve's LP cost, rounded cost, LP size
-// and retries.
+// one the coordinator merged — for the solve's LP cost, LP size and retries.
 type shardTotals struct {
 	last              *Result
 	pivots            int
@@ -206,12 +204,8 @@ func (t *shardTotals) add(res *Result) {
 	t.last = res
 	t.pivots += res.LPPivots
 	t.stats.Add(res.LPStats)
-	if p := res.Patch; p != nil {
-		t.patched += p.Patches()
-		if p.Rebuilt {
-			t.rebuilds++
-		}
-	}
+	t.patched += res.LPPatches
+	t.rebuilds += res.LPRebuilds
 	// The shard's lp-build / lp-patch walls: the inner pipeline's model
 	// construction, which the outer shard-solve stage timing subsumes.
 	t.buildNS += res.StageWall("lp-build").Nanoseconds()

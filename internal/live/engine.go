@@ -102,12 +102,8 @@ func (e *Engine) Step() (EpochReport, *core.ReoptimizeResult, error) {
 	for _, st := range res.Stages {
 		er.StageWallNS[st.Name] = st.Wall.Nanoseconds()
 	}
-	if res.Patch != nil {
-		er.LPPatches = res.Patch.Patches()
-		if res.Patch.Rebuilt {
-			er.LPRebuilds = 1
-		}
-	}
+	er.LPPatches = res.LPPatches
+	er.LPRebuilds = res.LPRebuilds
 	er.Refactorizations = res.LPStats.Refactorizations
 	er.FTUpdates = res.LPStats.FTUpdates
 	er.WarmFallbacks = res.LPStats.WarmFallbacks
@@ -115,12 +111,6 @@ func (e *Engine) Step() (EpochReport, *core.ReoptimizeResult, error) {
 	er.LPWarm = er.LPWarmOffered && er.WarmFallbacks == 0
 	if si := res.ShardInfo; si != nil {
 		er.ExtractionsSkipped = si.ExtractionsSkipped
-		for _, n := range si.PerShardPatches {
-			er.LPPatches += n
-		}
-		for _, n := range si.PerShardRebuilds {
-			er.LPRebuilds += n
-		}
 		// Surface the per-shard model-construction cost under the same
 		// stage names the monolithic path reports, so lp-build/lp-patch
 		// accounting is uniform across solve paths (summed over

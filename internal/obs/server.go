@@ -110,6 +110,19 @@ func NewServer(reg *Registry) *Server {
 // net/http server (or an httptest one).
 func (s *Server) Handler() http.Handler { return s.mux }
 
+// headerTimeout bounds how long an HTTPServer waits for a request's
+// headers.
+const headerTimeout = 5 * time.Second
+
+// HTTPServer returns the http.Server that overlayd and overlaylive -listen
+// serve h with. A client that trickles its request headers must not hold a
+// connection and its goroutine forever, so the header read is bounded in
+// time and size. The body read and the response write stay unbounded: an
+// overlayd ingest can legitimately wait behind a multi-second solve.
+func HTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: headerTimeout, MaxHeaderBytes: 64 << 10}
+}
+
 // SetHealth atomically replaces the /healthz state.
 func (s *Server) SetHealth(h HealthStatus) { s.health.Store(&h) }
 

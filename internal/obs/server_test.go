@@ -3,10 +3,12 @@ package obs
 import (
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 )
 
 func get(t *testing.T, srv *httptest.Server, path string) (int, string) {
@@ -138,5 +140,46 @@ func TestServerPprofAndExpvar(t *testing.T) {
 	code, body = get(t, srv, "/debug/vars")
 	if code != http.StatusOK || !strings.Contains(body, "overlay") {
 		t.Fatalf("/debug/vars status %d", code)
+	}
+}
+
+// TestHTTPServerCutsStalledHeader: a client that sends part of a request
+// line and then stalls is disconnected once the header timeout passes, and
+// not before.
+func TestHTTPServerCutsStalledHeader(t *testing.T) {
+	t.Parallel()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := HTTPServer(http.NotFoundHandler())
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+	defer func() {
+		srv.Close()
+		<-served
+	}()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	if _, err := conn.Write([]byte("GET /metr")); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.SetReadDeadline(start.Add(headerTimeout + 5*time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	// Whatever the server says on the way out (net/http answers 400), it
+	// must close the connection.
+	_, err = io.ReadAll(conn)
+	elapsed := time.Since(start)
+	if err != nil {
+		t.Fatalf("connection not closed %v after a stalled request line: %v", elapsed, err)
+	}
+	if elapsed < headerTimeout-100*time.Millisecond {
+		t.Fatalf("connection closed after %v, before the %v header timeout", elapsed, headerTimeout)
 	}
 }

@@ -206,85 +206,40 @@ type Plan struct {
 func (p *Plan) Shards() int { return len(p.Sinks) }
 
 // PartitionSinks groups the instance's sinks into k balanced shards by cost
-// anchor: each sink's anchor is its cheapest serving reflector, sinks are
-// ordered by (anchor, id), and the order is cut into k near-equal chunks.
-// On region-clustered topologies the cheapest reflector is intra-region, so
-// the cut recovers the region clusters; on unstructured instances it
-// degrades to a balanced deterministic split. The result depends only on
-// the cost matrix — never on thresholds — so live sink churn does not move
-// sinks between shards. On multi-stream instances the partition works on
-// real sinks: a viewer's demand units are assigned atomically, so one
-// sink's streams never straddle shards (stream churn then routes to exactly
-// one shard's Patcher, and per-viewer accounting stays shard-local).
+// anchor. It works on real sinks (viewers): a viewer's anchor is the
+// reflector that serves its whole stream bundle cheapest, viewers are
+// ordered by (anchor, id), and the order is cut into k chunks balanced by
+// UNIT count (a 3-stream viewer weighs three single-stream ones), never
+// splitting a viewer. On region-clustered topologies the cheapest reflector
+// is intra-region, so the cut recovers the region clusters; on unstructured
+// instances it degrades to a balanced deterministic split. The result
+// depends only on the cost matrix — never on thresholds — so live sink churn
+// does not move sinks between shards. Because a viewer's demand units are
+// assigned atomically, one sink's streams never straddle shards (stream
+// churn then routes to exactly one shard's Patcher, and per-viewer
+// accounting stays shard-local).
 func PartitionSinks(in *netmodel.Instance, k int) [][]int {
-	if in.MultiStream() {
-		return partitionViewers(in, k)
-	}
-	_, R, D := in.Dims()
-	if k > D {
-		k = D
-	}
-	if k < 1 {
-		k = 1
-	}
-	anchor := make([]int, D)
-	for j := 0; j < D; j++ {
-		best, bestC := 0, in.RefSinkCost[0][j]
-		for i := 1; i < R; i++ {
-			if c := in.RefSinkCost[i][j]; c < bestC {
-				best, bestC = i, c
-			}
-		}
-		anchor[j] = best
-	}
-	order := make([]int, D)
-	for j := range order {
-		order[j] = j
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		if anchor[order[a]] != anchor[order[b]] {
-			return anchor[order[a]] < anchor[order[b]]
-		}
-		return order[a] < order[b]
-	})
-	out := make([][]int, k)
-	for s := 0; s < k; s++ {
-		lo, hi := s*D/k, (s+1)*D/k
-		shard := append([]int(nil), order[lo:hi]...)
-		sort.Ints(shard)
-		out[s] = shard
-	}
-	return out
-}
-
-// partitionViewers is the multi-stream variant of PartitionSinks: viewers
-// (not units) carry the cost anchor — the reflector serving the whole
-// stream bundle cheapest — are ordered by (anchor, id), and the order is
-// cut into k chunks balanced by UNIT count (a 3-stream viewer weighs three
-// single-stream ones), never splitting a viewer.
-func partitionViewers(in *netmodel.Instance, k int) [][]int {
-	_, R, D := in.Dims()
-	groups := in.ViewerUnits()
-	G := len(groups)
-	if k > G {
-		k = G
-	}
-	if k < 1 {
-		k = 1
-	}
+	D, G := in.NumSinks, in.NumViewers()
+	k = EffectiveShards(in, k)
+	// One row-major pass per reflector: sum each viewer's bundle cost (its
+	// units in ascending order) and keep the first reflector with the
+	// strictly smallest sum.
 	anchor := make([]int, G)
-	for g, units := range groups {
-		best, bestC := 0, math.Inf(1)
-		for i := 0; i < R; i++ {
-			c := 0.0
-			for _, j := range units {
-				c += in.RefSinkCost[i][j]
-			}
-			if c < bestC {
-				best, bestC = i, c
+	bestC := make([]float64, G)
+	for g := range bestC {
+		bestC[g] = math.Inf(1)
+	}
+	bundle := make([]float64, G)
+	for i, row := range in.RefSinkCost {
+		clear(bundle)
+		for j, c := range row {
+			bundle[in.Viewer(j)] += c
+		}
+		for g, c := range bundle {
+			if c < bestC[g] {
+				anchor[g], bestC[g] = i, c
 			}
 		}
-		anchor[g] = best
 	}
 	order := make([]int, G)
 	for g := range order {
@@ -309,8 +264,11 @@ func partitionViewers(in *netmodel.Instance, k int) [][]int {
 		if s < k-1 && len(out[s]) > 0 && (mustAdvance || canAdvance) {
 			s++
 		}
-		out[s] = append(out[s], groups[g]...)
-		acc += len(groups[g])
+		lo, hi := in.ViewerRange(g)
+		for j := lo; j < hi; j++ {
+			out[s] = append(out[s], j)
+		}
+		acc += hi - lo
 	}
 	for s := range out {
 		sort.Ints(out[s])

@@ -2,6 +2,8 @@ package shard_test
 
 import (
 	"fmt"
+	"reflect"
+	"sort"
 	"sync"
 	"testing"
 
@@ -156,6 +158,71 @@ func TestShardedConcurrentStress(t *testing.T) {
 		}
 		if costs[g] != costs[0] {
 			t.Fatalf("solver %d cost %v differs from solver 0 cost %v", g, costs[g], costs[0])
+		}
+	}
+}
+
+// singleStreamPartition is the reference partition of a single-stream
+// instance: each sink's anchor is its cheapest serving reflector (strict <
+// from reflector 0), sinks are ordered by (anchor, id), and the order is cut
+// at (s+1)·D/k. TestPartitionSinksSingleStreamReference holds the viewer
+// partition to it.
+func singleStreamPartition(in *netmodel.Instance, k int) [][]int {
+	_, R, D := in.Dims()
+	if k > D {
+		k = D
+	}
+	if k < 1 {
+		k = 1
+	}
+	anchor := make([]int, D)
+	for j := 0; j < D; j++ {
+		best, bestC := 0, in.RefSinkCost[0][j]
+		for i := 1; i < R; i++ {
+			if c := in.RefSinkCost[i][j]; c < bestC {
+				best, bestC = i, c
+			}
+		}
+		anchor[j] = best
+	}
+	order := make([]int, D)
+	for j := range order {
+		order[j] = j
+	}
+	sort.SliceStable(order, func(a, b int) bool {
+		if anchor[order[a]] != anchor[order[b]] {
+			return anchor[order[a]] < anchor[order[b]]
+		}
+		return order[a] < order[b]
+	})
+	out := make([][]int, k)
+	for s := 0; s < k; s++ {
+		lo, hi := s*D/k, (s+1)*D/k
+		shard := append([]int(nil), order[lo:hi]...)
+		sort.Ints(shard)
+		out[s] = shard
+	}
+	return out
+}
+
+// TestPartitionSinksSingleStreamReference checks that on single-stream
+// instances, where every viewer is one unit, the viewer partition cuts
+// exactly where the single-stream reference does, for every k from 0 to
+// D+2 on random uniform and clustered instances.
+func TestPartitionSinksSingleStreamReference(t *testing.T) {
+	for seed := uint64(1); seed <= 12; seed++ {
+		for _, in := range []*netmodel.Instance{
+			gen.Uniform(gen.DefaultUniform(2, 3+int(seed%5), 5+int(seed%17)), seed),
+			gen.Clustered(gen.DefaultClustered(2, 2+int(seed%3), 2, 3+int(seed%6)), seed),
+		} {
+			if in.MultiStream() {
+				t.Fatal("generator made a multi-stream instance")
+			}
+			for k := 0; k <= in.NumSinks+2; k++ {
+				if got, want := shard.PartitionSinks(in, k), singleStreamPartition(in, k); !reflect.DeepEqual(got, want) {
+					t.Fatalf("seed %d, D=%d, k=%d: partition %v, reference %v", seed, in.NumSinks, k, got, want)
+				}
+			}
 		}
 	}
 }

@@ -70,8 +70,9 @@ type Audit = netmodel.Audit
 // SolveOptions configures the approximation algorithm.
 type SolveOptions = core.Options
 
-// SolveResult carries the design plus per-stage diagnostics (LP optimum,
-// rounding instrumentation, timings).
+// SolveResult carries the design plus diagnostics: the audit, the LP
+// optimum, the solver's work (pivots, LP cells patched, full builds) and
+// per-stage timings.
 type SolveResult = core.Result
 
 // SimConfig configures the packet-level simulator.
