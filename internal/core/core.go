@@ -102,13 +102,13 @@ type Options struct {
 	rebuildLP bool
 }
 
-// carry is the state a Session threads from one solve into the next: what
-// a warm start resumes and what the incremental LP rebuild patches. A
+// carry is the state one LP's solves thread from one solve into the next:
+// what a warm start resumes and what the incremental LP rebuild patches. A
 // Session hands one to each of its solves, and the solve leaves in it what
-// the next one starts from (basis and shards). A one-shot Solve has none, so
-// nothing a session carries can reach it: it builds every LP, extracts every
-// shard and solves every LP cold. Inside a sharded solve each shard's solve
-// gets a carry of its own (see solveSharded).
+// the next one starts from (basis, shards and shard LPs). A one-shot Solve
+// has none, so nothing a session carries can reach it: it builds every LP,
+// extracts every shard and solves every LP cold. Every shard LP of a sharded
+// solve has a carry of the same kind (shardLPs, see solveSharded).
 type carry struct {
 	// fixedShape pins the LP shape to the instance dimensions
 	// (lpmodel.Options.FixedShape), so the basis and the Patcher stay valid
@@ -118,9 +118,11 @@ type carry struct {
 	fixedShape bool
 	// basis warm-starts the main LP (nil: cold).
 	basis *lp.Basis
-	// shards is the sharded path's state: the partition, capacity split,
-	// per-shard bases, Patchers and cached sub-instances (see shard.State).
-	shards *shard.State
+	// shards is the sharded path's state (see shard.State), and shardLPs
+	// one carry per shard of its partition; both are kept and dropped
+	// together.
+	shards   *shard.State
+	shardLPs []carry
 	// patcher and dirty drive the lp-patch stage: the persistent patch state
 	// and the dirty set accumulated since the previous solve (nil patcher:
 	// build the LP afresh).

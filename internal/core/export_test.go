@@ -67,7 +67,7 @@ func (s *Session) CheckPatchers(in *netmodel.Instance) error {
 		return fmt.Errorf("the session carries neither a Patcher nor shard state")
 	}
 	for k, sub := range st.Subs {
-		if err := check(fmt.Sprintf("shard %d", k), st.Patchers[k], sub); err != nil {
+		if err := check(fmt.Sprintf("shard %d", k), s.carried.shardLPs[k].patcher, sub); err != nil {
 			return err
 		}
 	}

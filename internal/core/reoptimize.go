@@ -55,24 +55,28 @@ func reoptimized(in *netmodel.Instance, prior *netmodel.Design, res *Result) *Re
 // design (freezing it regardless of how the network moved) and negative
 // values would penalize it, neither of which is a meaningful bias.
 func Reoptimize(in *netmodel.Instance, prior *netmodel.Design, stickiness float64, opts Options) (*ReoptimizeResult, error) {
-	res, err := reoptimize(in, prior, stickiness, opts, nil)
+	res, onClone, err := reoptimize(in, prior, stickiness, opts, nil)
 	if err != nil {
 		return nil, err
 	}
-	// Re-audit against the true instance (costs were biased).
-	res.Audit = netmodel.AuditDesign(in, res.Design)
+	if onClone {
+		// Re-audit against the true instance (costs were biased).
+		res.Audit = netmodel.AuditDesign(in, res.Design)
+	}
 	return reoptimized(in, prior, res), nil
 }
 
 // reoptimize range-checks stickiness, biases in toward prior and solves it,
 // with the carried state of a Session's solve (nil for a one-shot re-solve).
-// The result's audit is of the biased instance, and its LP cost the biased
-// LP's bound: the callers re-audit the design on the true instance.
-func reoptimize(in *netmodel.Instance, prior *netmodel.Design, stickiness float64, opts Options, c *carry) (*Result, error) {
+// onClone reports that it solved a biased clone, whose audit a caller that
+// wants the true one must redo on in; the LP cost is the solved LP's bound.
+func reoptimize(in *netmodel.Instance, prior *netmodel.Design, stickiness float64, opts Options, c *carry) (res *Result, onClone bool, err error) {
 	if stickiness < 0 || stickiness >= 1 {
-		return nil, fmt.Errorf("core: stickiness %g outside [0,1)", stickiness)
+		return nil, false, fmt.Errorf("core: stickiness %g outside [0,1)", stickiness)
 	}
-	return solve(biased(in, prior, stickiness), opts, c)
+	work := biased(in, prior, stickiness)
+	res, err = solve(work, opts, c)
+	return res, work != in, err
 }
 
 // biased returns in with the costs of prior's reflectors, ingests and

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/gen"
+	"repro/internal/netmodel"
 )
 
 func TestReoptimizeReducesChurn(t *testing.T) {
@@ -57,6 +59,11 @@ func TestReoptimizeNoPriorIsColdSolve(t *testing.T) {
 	}
 	if re.ArcChurn != 0 {
 		t.Fatal("churn must be 0 without a prior")
+	}
+	// Without a prior nothing is biased: the pipeline's audit of in itself
+	// is the true audit.
+	if want := netmodel.AuditDesign(in, re.Design); !reflect.DeepEqual(re.Audit, want) {
+		t.Fatalf("no-prior reoptimize audit %+v, want the true audit %+v", re.Audit, want)
 	}
 }
 
@@ -123,7 +130,7 @@ func TestReoptimizeWarmStartFewerIterations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := reoptimize(perturbed, base.Design, 0.5, opts, &carry{basis: base.Frac.Basis})
+	warm, _, err := reoptimize(perturbed, base.Design, 0.5, opts, &carry{basis: base.Frac.Basis})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/lpmodel"
 	"repro/internal/netmodel"
 	"repro/internal/obs"
@@ -20,7 +22,7 @@ import (
 // rows for demanding sinks only.
 //
 // A Session also carries the BUILT LP across epochs: a persistent
-// lpmodel.Patcher (or one per shard, inside the shard.State) rewrites only
+// lpmodel.Patcher (or one per shard, in the shard's carry) rewrites only
 // the coefficients churn touched instead of rebuilding the constraint
 // matrix, turning the per-epoch model cost from O(instance) into O(delta).
 // The contract is the delta flow: callers that mutate the instance between
@@ -42,11 +44,11 @@ type Session struct {
 	steps int
 
 	// carried is the state the session threads from Step to Step: the
-	// basis and shard state the last solve left, the monolithic Patcher
-	// (nil on the sharded path, whose Patchers live in the shard state),
-	// and the §6.5 path LP, which only a warm monolithic session keeps —
-	// per-shard path LPs start from nothing. Its dirt is always nil: each
-	// Step hands its solve a copy with the epoch's dirt.
+	// basis, shard state and per-shard carries the last solve left, the
+	// monolithic Patcher (nil on the sharded path, whose Patchers live in
+	// the per-shard carries), and in a warm session the §6.5 path LP, as
+	// every per-shard carry of a warm session keeps its own. Its dirt is
+	// always nil: each Step hands its solve a copy with the epoch's dirt.
 	carried carry
 
 	// pending accumulates dirty sets reported via Observe since the last
@@ -66,13 +68,13 @@ type Session struct {
 func NewSession(opts Options, stickiness float64, warmStart bool) *Session {
 	s := &Session{stickiness: stickiness, warm: warmStart, opts: opts}
 	s.carried.fixedShape = true
-	if opts.Shards < 2 {
-		if !opts.rebuildLP {
-			s.carried.patcher = lpmodel.NewPatcher()
-		}
-		if warmStart {
-			s.carried.path = &stround.State{}
-		}
+	// Sharded, each shard LP's carry holds its Patcher; a monolithic one
+	// would miss the sharded epochs' dirt, so the fallback builds afresh.
+	if opts.Shards < 2 && !opts.rebuildLP {
+		s.carried.patcher = lpmodel.NewPatcher()
+	}
+	if warmStart {
+		s.carried.path = &stround.State{}
 	}
 	return s
 }
@@ -124,10 +126,6 @@ func (s *Session) Step(in *netmodel.Instance) (*ReoptimizeResult, error) {
 		res, err = s.agg.solve(in, s.opts, dirty, s.prior, s.reoptimize)
 	} else {
 		res, err = s.reoptimize(in, s.prior, dirty, s.opts)
-		if err == nil {
-			// Re-audit against the true instance (costs were biased).
-			res.Audit = netmodel.AuditDesign(in, res.Design)
-		}
 	}
 	if err != nil {
 		return nil, err
@@ -168,13 +166,17 @@ func (s *Session) reoptimize(plane *netmodel.Instance, prior *netmodel.Design, d
 	if !s.warm {
 		// Cold means every epoch's simplex starts from scratch, the sharded
 		// path's capacity split included: a cold session withholds the
-		// basis, the shard bases and the split, which Prepare then
+		// basis, every shard LP's basis and the split, which Prepare then
 		// recomputes from affinity. It keeps the LP structure — the
-		// partition, the Patchers and the cached sub-instances — as it keeps
-		// its monolithic Patcher.
+		// partition, the cached sub-instances and the shards' Patchers — as
+		// it keeps its monolithic Patcher.
 		c.basis = nil
 		if st := c.shards; st != nil {
-			c.shards = &shard.State{S: st.S, R: st.R, D: st.D, Sinks: st.Sinks, Patchers: st.Patchers, Subs: st.Subs}
+			c.shards = &shard.State{S: st.S, R: st.R, D: st.D, Sinks: st.Sinks, Subs: st.Subs}
+			c.shardLPs = slices.Clone(c.shardLPs)
+			for i := range c.shardLPs {
+				c.shardLPs[i].basis = nil
+			}
 		}
 	}
 	if s.opts.Aggregate != nil && s.steps > 0 && dirty.Empty() {
@@ -188,11 +190,16 @@ func (s *Session) reoptimize(plane *netmodel.Instance, prior *netmodel.Design, d
 	// With no prior deployment reoptimize applies no bias; the stickiness
 	// still gets range-checked there, so an invalid policy fails on the
 	// first step instead of being silently coerced.
-	res, err := reoptimize(plane, prior, s.stickiness, opts, &c)
+	res, onClone, err := reoptimize(plane, prior, s.stickiness, opts, &c)
 	if err != nil {
 		return nil, err
 	}
-	s.carried.basis, s.carried.shards = c.basis, c.shards
+	if onClone && s.opts.Aggregate == nil {
+		// Re-audit against the true instance (costs were biased); the
+		// aggregate plane's true audit is the disaggregate stage's.
+		res.Audit = netmodel.AuditDesign(plane, res.Design)
+	}
+	s.carried.basis, s.carried.shards, s.carried.shardLPs = c.basis, c.shards, c.shardLPs
 	s.steps++
 	return res, nil
 }

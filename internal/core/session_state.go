@@ -29,15 +29,15 @@ import (
 //     re-patches exactly the deployed design's discounted cells, restoring
 //     the biased objective value-for-value.
 //
-// The sharded solve state (partition, capacity split, per-shard bases) is
-// intentionally not checkpointed: it is a performance cache that the next
-// sharded epoch rebuilds from scratch, so a restored sharded session is
-// design-faithful but pays one cold re-partition. The carried §6.5 path LP
-// (stround.State) is a performance cache in the same way and is not
-// checkpointed either: a restored session's first path LP solves cold. A
-// cold and a carried path LP reach the same optimum, so the restored
-// timeline still deploys what the uninterrupted one does (the round-trip
-// tests lock it).
+// Neither the sharded solve state (the shard.State and the per-shard
+// carries) nor the carried §6.5 path LP (stround.State) is checkpointed. A
+// restored session's first path LP solves cold; a cold and a carried path
+// LP reach the same optimum, so a restored monolithic timeline still
+// deploys what the uninterrupted one does (the round-trip tests lock it). A
+// restored sharded session re-partitions, re-splits capacity from affinity
+// and rebuilds each shard LP once, cold: its designs can part from the
+// uninterrupted session's, and every epoch still passes the audit
+// (TestShardedSessionSnapshotRoundTrip).
 type SessionState struct {
 	Steps    int              `json:"steps"`
 	Prior    *netmodel.Design `json:"prior,omitempty"`

@@ -1,10 +1,12 @@
 package core_test
 
-// Locks for session checkpointing: a session snapshotted mid-timeline
-// (state → JSON, instance → JSON) and restored in a "new process" must
-// continue the epoch sequence bit-identically to the uninterrupted session —
-// same designs, costs, pivots, churn. The first post-restore warm start must
-// adopt the persisted factorization rather than refactorize cold.
+// Locks for session checkpointing: a monolithic session snapshotted
+// mid-timeline (state → JSON, instance → JSON) and restored in a "new
+// process" must continue the epoch sequence bit-identically to the
+// uninterrupted session — same designs, costs, pivots, churn. The first
+// post-restore warm start must adopt the persisted factorization rather than
+// refactorize cold. A sharded session restores without its shard state, and
+// its locks say what holds instead.
 
 import (
 	"bytes"
@@ -136,6 +138,72 @@ func TestSessionSnapshotRoundTripAggregated(t *testing.T) {
 	opts := core.DefaultOptions(11)
 	opts.Aggregate = &agg.Config{}
 	runRoundTrip(t, opts, 7)
+}
+
+// TestShardedSessionSnapshotRoundTrip: a checkpoint holds no shard state, so
+// a restored sharded session re-partitions, re-splits capacity from
+// affinity, rebuilds every shard LP once and starts every path LP cold. Its
+// designs may then part from the uninterrupted session's, so none is
+// compared; what holds is that every epoch passes the audit and every
+// shard's patched LP matches a fresh build after every Step.
+func TestShardedSessionSnapshotRoundTrip(t *testing.T) {
+	const shards, restartAt = 3, 3
+	for _, tc := range []struct {
+		name string
+		agg  *agg.Config
+	}{{"flat", nil}, {"aggregated", &agg.Config{}}} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := core.DefaultOptions(11)
+			opts.Shards = shards
+			opts.Aggregate = tc.agg
+			sc := live.FlashCrowd(11, 14)
+			in := sc.Base.Clone()
+			sess := core.NewSession(opts, 0.4, true)
+			for e := 0; e < sc.Epochs; e++ {
+				if e == restartAt {
+					st, rin := snapshotSession(t, sess, in)
+					in = rin
+					var err error
+					if sess, err = core.RestoreSession(in, opts, 0.4, true, st); err != nil {
+						t.Fatalf("epoch %d: restore: %v", e, err)
+					}
+				}
+				for _, ev := range sc.Events {
+					if ev.Epoch != e {
+						continue
+					}
+					ds, err := ev.Delta.Apply(in)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sess.Observe(ds)
+				}
+				res, err := sess.Step(in)
+				if err != nil {
+					t.Fatalf("epoch %d: %v", e, err)
+				}
+				if !res.AuditOK() {
+					t.Fatalf("epoch %d: audit failed: %+v", e, res.Audit)
+				}
+				if err := sess.CheckPatchers(in); err != nil {
+					t.Fatalf("epoch %d: %v", e, err)
+				}
+				if e != restartAt {
+					continue
+				}
+				t.Logf("first restored step: %d LP rebuilds, path rounding %v, path LP %+v", res.LPRebuilds, res.PathRounding, res.PathLP)
+				if si := res.ShardInfo; si == nil || si.Shards != shards || si.Fallback {
+					t.Fatalf("first restored step: want %d shards without fallback, got %+v", shards, si)
+				}
+				if res.LPRebuilds != shards {
+					t.Fatalf("first restored step rebuilt %d shard LPs, want %d", res.LPRebuilds, shards)
+				}
+				if res.PathRounding && res.PathLP.Cold != shards {
+					t.Fatalf("first restored step solved %d path LPs cold, want %d: %+v", res.PathLP.Cold, shards, res.PathLP)
+				}
+			}
+		})
+	}
 }
 
 // TestRestoreSessionRejects: checkpoints inconsistent with the restored

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/lp"
 	"repro/internal/lpmodel"
@@ -31,39 +32,36 @@ const shardSeedMix = 0x94d049bb133111eb
 // either proves the instance itself infeasible or produces a design — and
 // marks Result.ShardInfo.Fallback.
 //
-// A Session's solve passes its carry c: the shard state to start from, and
-// the epoch's dirt to route to the shards' Patchers. The solve leaves the
-// next epoch's shard state in c (nil after a fallback, whose basis it leaves
-// instead). A one-shot solve passes nil and extracts and builds every shard
-// afresh.
+// A Session's solve passes its carry c: the shard state and carries to
+// start from, and the epoch's dirt to route to the shards' Patchers. The
+// solve leaves the next epoch's in c (nil after a fallback, whose basis it
+// leaves instead). A one-shot solve passes nil and extracts and builds
+// every shard afresh.
 func solveSharded(in *netmodel.Instance, opts Options, c *carry) (*Result, error) {
 	// Clamp to real sinks: a viewer's streams are shard-atomic, so there
 	// can never be more shards than viewers.
 	k := shard.EffectiveShards(in, opts.Shards)
 	sopts := shard.Options{Shards: k, Rounds: opts.ShardRounds}
-	// The stage closures read what the carry hands the shards from locals,
-	// so the carry itself stays off the heap.
+	// The stage closures read a copy of what the carry hands the shards
+	// (zero for a one-shot solve), so the carry itself stays off the heap.
 	session := c != nil
-	var state *shard.State
-	var dirty *netmodel.DirtySet
+	var held carry
 	if session {
-		state, dirty = c.shards, c.dirty
+		held = *c
 	}
 
-	// localDirty is filled by the shard-partition stage of a Session step:
-	// the epoch's global dirty set routed through the stable sink
-	// partition, so a churn event confined to one region reaches — and
-	// patches — only that region's shard. totals gets one entry per shard
-	// there. Both are read by the concurrent per-shard solves after the
-	// partition stage completes (a happens-before established by the
-	// sequential stage pipeline), and each solve writes only its own shard's
-	// totals. A one-shot solve leaves localDirty nil: without a delta flow
-	// every shard extracts its sub-instance and builds its LP afresh.
-	var localDirty []*netmodel.DirtySet
+	// lps gets one carry per shard in the shard-partition stage: a copy of
+	// the kept ones while Prepare keeps their partition (committed to c only
+	// on success, so a failed solve leaves the carried bases as they were),
+	// else fresh ones, each with its routed dirt; totals one entry per shard.
+	// The concurrent per-shard solves use both after that stage (a
+	// happens-before the sequential stage pipeline establishes), each only
+	// its own shard's entries.
+	var lps []carry
 	var totals []shardTotals
 	var ps *pipelineState
 
-	solveFn := func(s int, sub *netmodel.Instance, warm *lp.Basis) (*shard.SolveResult, error) {
+	solveFn := func(s int, sub *netmodel.Instance) (*shard.SolveResult, error) {
 		shOpts := opts
 		shOpts.Shards = 0
 		shOpts.Seed = opts.Seed + (uint64(s)+1)*shardSeedMix
@@ -77,40 +75,50 @@ func solveSharded(in *netmodel.Instance, opts Options, c *carry) (*Result, error
 		co, sp := ps.stageObs.TraceOnly().StartSpan("shard", obs.A("shard", s))
 		defer sp.End()
 		shOpts.Obs = co
-		// The shard's carry: the round's warm basis and, in a Session, the
-		// pinned LP shape and the shard's Patcher with its routed dirt.
-		shc := &carry{fixedShape: session, basis: warm}
-		if localDirty != nil {
-			if ps.plan.Patchers[s] == nil {
-				ps.plan.Patchers[s] = lpmodel.NewPatcher()
-			}
-			shc.patcher, shc.dirty = ps.plan.Patchers[s], localDirty[s]
-		}
-		res, err := solveMono(sub, shOpts, shc)
+		res, err := solveMono(sub, shOpts, &lps[s])
 		if err != nil {
 			return nil, err
 		}
 		totals[s].add(res)
-		return &shard.SolveResult{Design: res.Design, Audit: res.Audit, LPCost: res.LPCost, Basis: shc.basis}, nil
+		return &shard.SolveResult{Design: res.Design, Audit: res.Audit, LPCost: res.LPCost}, nil
 	}
 
 	ps = &pipelineState{in: in, opts: opts}
 	tracker := newStageTracker(opts.StageMemStats, opts.Obs)
 	stages := []Stage{
 		{Name: "shard-partition", Run: func(ps *pipelineState) error {
-			plan, err := shard.Prepare(in, sopts, state)
+			plan, err := shard.Prepare(in, sopts, held.shards)
 			ps.plan = plan
 			if err != nil {
 				return err
 			}
-			totals = make([]shardTotals, plan.Shards())
+			n := plan.Shards()
+			totals = make([]shardTotals, n)
+			var localDirty []*netmodel.DirtySet
 			if session && !opts.rebuildLP {
 				// The delta flow guarantees every instance mutation is in
 				// the dirty set, so shards it doesn't route to can reuse
 				// their cached sub-instance without re-extraction.
-				localDirty = routeDirty(dirty, plan.Sinks, in.NumSinks)
+				localDirty = routeDirty(held.dirty, plan.Sinks, in.NumSinks)
 			}
 			plan.BindSubs(localDirty)
+			if plan.Reused {
+				lps = slices.Clone(held.shardLPs)
+			} else {
+				lps = make([]carry, n)
+				for s := range lps {
+					lps[s].fixedShape = session
+					if localDirty != nil {
+						lps[s].patcher = lpmodel.NewPatcher()
+					}
+					if held.path != nil {
+						lps[s].path = &stround.State{}
+					}
+				}
+			}
+			for s, d := range localDirty {
+				lps[s].dirty = d
+			}
 			return nil
 		}},
 		{Name: "shard-solve", Run: func(ps *pipelineState) error {
@@ -137,7 +145,7 @@ func solveSharded(in *netmodel.Instance, opts Options, c *carry) (*Result, error
 				return nil, ferr
 			}
 			if c != nil {
-				c.shards = nil
+				c.shards, c.shardLPs = nil, nil
 			}
 			res.ShardInfo = &ShardInfo{Shards: k, Fallback: true}
 			return res, nil
@@ -147,7 +155,10 @@ func solveSharded(in *netmodel.Instance, opts Options, c *carry) (*Result, error
 
 	out := ps.shardOut
 	if c != nil {
-		c.basis, c.shards = nil, out.State
+		for s := range lps {
+			lps[s].dirty = nil
+		}
+		c.basis, c.shards, c.shardLPs = nil, out.State, lps
 	}
 	n := len(totals)
 	si := &ShardInfo{

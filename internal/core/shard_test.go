@@ -13,6 +13,7 @@ import (
 	"repro/internal/lpmodel"
 	"repro/internal/netmodel"
 	"repro/internal/obs"
+	"repro/internal/stround"
 )
 
 // TestShardsOneGoldenEquivalence locks the pipeline refactor down: setting
@@ -60,7 +61,8 @@ func TestShardsOneGoldenEquivalence(t *testing.T) {
 
 // TestShardedStageStructure pins the sharded pipeline's stage names — the
 // overlaysolve -json schema and the CI smoke check key off them — and that a
-// sharded session step carries per-shard warm state forward.
+// sharded session step carries one carry per shard forward, for as long as
+// the partition is kept.
 func TestShardedStageStructure(t *testing.T) {
 	in := gen.Clustered(gen.DefaultClustered(2, 3, 2, 6), 17)
 	opts := DefaultOptions(4)
@@ -85,8 +87,25 @@ func TestShardedStageStructure(t *testing.T) {
 	if _, err := sess.Step(in); err != nil {
 		t.Fatal(err)
 	}
-	if st := sess.carried.shards; st == nil || len(st.Bases) != 3 {
-		t.Fatal("sharded session step must carry per-shard warm state")
+	if sess.carried.shards == nil || len(sess.carried.shardLPs) != 3 {
+		t.Fatal("sharded session step must carry shard state and one carry per shard")
+	}
+	for s, lc := range sess.carried.shardLPs {
+		if lc.basis == nil || lc.patcher == nil || lc.path == nil {
+			t.Fatalf("shard %d carries basis %v, Patcher %v, path LP %v: want all three", s, lc.basis != nil, lc.patcher != nil, lc.path != nil)
+		}
+	}
+	// The carries live exactly as long as Prepare keeps their partition: a
+	// shard state of another shape gets a fresh partition and fresh
+	// carries, so the step builds every shard LP and starts every path LP
+	// cold again.
+	sess.carried.shards.D++
+	re, err := sess.Step(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if re.LPRebuilds != 3 || re.PathLP.Cold != 3 {
+		t.Fatalf("after a fresh partition: %d shard LP builds and %d cold path LPs, want 3 and 3", re.LPRebuilds, re.PathLP.Cold)
 	}
 }
 
@@ -293,7 +312,9 @@ func TestCoordinationRecoversStarvedShard(t *testing.T) {
 
 // TestShardedSolveReportsPathLP: every shard of a colored instance rounds
 // through the §6.5 path LP, and the sharded Result sums the shards' path-LP
-// work — which the registry's path-LP families then count.
+// work — which the registry's path-LP families then count. A one-shot solve
+// starts every shard's path LP cold; a warm session carries each one in the
+// shard's carry, so only its first epoch starts them cold.
 func TestShardedSolveReportsPathLP(t *testing.T) {
 	cc := gen.DefaultClustered(2, 3, 3, 8)
 	cc.Fanout = int(1.5*float64(cc.Fanout) + 0.5)
@@ -314,10 +335,61 @@ func TestShardedSolveReportsPathLP(t *testing.T) {
 		t.Fatalf("sharded solve reported no path LP: %+v", pl)
 	}
 	if pl.Resumed != 0 || pl.Remapped != 0 {
-		t.Fatalf("per-shard path LPs start cold, got %+v", pl)
+		t.Fatalf("a one-shot solve starts every shard's path LP cold, got %+v", pl)
 	}
 	if got := reg.Counter(obs.MPathLPPivots).Value(); got != float64(pl.Pivots) {
 		t.Fatalf("path-LP pivot counter %v != result %d", got, pl.Pivots)
+	}
+
+	// The session half: a colored timeline of quiet, retarget and repricing
+	// epochs through a warm 3-shard session.
+	reg = obs.NewRegistry()
+	opts.Obs = &obs.Observer{Reg: reg}
+	sess := NewSession(opts, 0.4, true)
+	epochs := []*netmodel.Delta{
+		nil,
+		nil,
+		{Note: "retarget", SetThreshold: []netmodel.SinkValue{{Sink: 0, Value: 0.9}}},
+		{Note: "reprice", ScaleRefSinkCost: []netmodel.ArcValue{{A: 0, B: 1, Value: 1.2}}},
+		nil,
+	}
+	var total stround.Totals
+	for e, d := range epochs {
+		if d != nil {
+			ds, err := d.Apply(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sess.Observe(ds)
+		}
+		res, err := sess.Step(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.ShardInfo == nil || res.ShardInfo.Fallback || !res.PathRounding {
+			t.Fatalf("epoch %d: want a sharded path-rounding step, got ShardInfo %+v, PathRounding %v", e, res.ShardInfo, res.PathRounding)
+		}
+		pl := res.PathLP
+		want := 0
+		if e == 0 {
+			want = 3
+		}
+		if pl.Cold != want {
+			t.Fatalf("epoch %d: %d path LPs started cold, want %d: %+v", e, pl.Cold, want, pl)
+		}
+		if pl.LPStats.WarmFallbacks != 0 {
+			t.Fatalf("epoch %d: %d path-LP warm fallbacks", e, pl.LPStats.WarmFallbacks)
+		}
+		total.Merge(pl)
+	}
+	t.Logf("session path LPs: %+v", total)
+	if total.Resumed == 0 {
+		t.Fatalf("no shard resumed its carried path LP: %+v", total)
+	}
+	for start, n := range map[stround.Start]int{stround.StartResumed: total.Resumed, stround.StartRemapped: total.Remapped, stround.StartCold: total.Cold} {
+		if got := reg.Counter(obs.MPathLPSolves, obs.L("start", start.String())).Value(); got != float64(n) {
+			t.Fatalf("path-LP solves{start=%v} counter %v != results %d", start, got, n)
+		}
 	}
 }
 

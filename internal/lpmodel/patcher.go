@@ -49,7 +49,7 @@ func (st PatchStats) Patches() int { return st.Coefs + st.RHS + st.Obj }
 //
 // A Patcher is single-threaded: Sync must not race with solves of the
 // returned Problem. One Patcher serves one LP shape; per-shard LPs each get
-// their own (carried in shard.State).
+// their own (carried in the shard LP's core carry).
 type Patcher struct {
 	prob *lp.Problem
 	vm   *VarMap

@@ -46,6 +46,9 @@ func TestEffectiveShardsClamps(t *testing.T) {
 // the viewer population: the cached State — which always carries the CLAMPED
 // partition, because PartitionSinks clamps — must still be recognized as
 // compatible and reused, not silently discarded against the raw request.
+// Prepare reports the reuse (Plan.Reused), which is what keeps the caller's
+// per-shard state; a nil State, or one of another shape, gets a fresh
+// partition and no reuse.
 func TestPrepareOverAskReusesState(t *testing.T) {
 	in := gen.Clustered(gen.DefaultClustered(2, 2, 2, 4), 3)
 	G := in.NumViewers()
@@ -72,6 +75,24 @@ func TestPrepareOverAskReusesState(t *testing.T) {
 	for s := range parts {
 		if len(p.Sinks[s]) == 0 || &p.Sinks[s][0] != &parts[s][0] {
 			t.Fatalf("shard %d: over-asked Prepare recomputed the partition instead of reusing the state", s)
+		}
+	}
+	if !p.Reused {
+		t.Fatal("Prepare kept the state's partition but did not report the reuse")
+	}
+
+	other := *state
+	other.R++
+	for name, st := range map[string]*shard.State{"nil state": nil, "state of another shape": &other} {
+		p, err := shard.Prepare(in, shard.Options{Shards: ask}, st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Reused {
+			t.Fatalf("%s: Prepare reported reuse", name)
+		}
+		if p.Shards() != G || &p.Sinks[0][0] == &parts[0][0] {
+			t.Fatalf("%s: want a fresh %d-shard partition", name, G)
 		}
 	}
 }

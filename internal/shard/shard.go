@@ -32,17 +32,19 @@
 //  4. Coordinate: shards that saturated their allocation at a reflector (or
 //     whose LP went infeasible outright) bid for contested capacity; the
 //     residual is re-split proportionally to realized use plus bids, and
-//     only the shards whose allocation materially changed re-solve, warm
-//     started from their previous basis. Rounds repeat until no shard is
-//     starved and no capacity is contested, or the round cap hits.
+//     only the shards whose allocation materially changed re-solve (the
+//     caller warm-starts each from its previous basis). Rounds repeat until
+//     no shard is starved and no capacity is contested, or the round cap
+//     hits.
 //  5. Merge: per-shard designs are OR-ed into one full-shape design
 //     (build/ingest union, serve arcs re-indexed to global sink ids) and
 //     audited against the full instance by the caller.
 //
-// The package deliberately does not import internal/core: the caller
-// supplies the per-shard solver as a callback, and core threads the phases
-// through its instrumented pipeline as the shard-partition / shard-solve /
-// shard-coordinate stages.
+// The package deliberately does not import internal/core and holds no
+// solver state: the caller supplies the per-shard solver as a callback,
+// keeps whatever each shard's solve carries (basis, built LP, path LP) beside
+// the State, and threads the phases through its instrumented pipeline as the
+// shard-partition / shard-solve / shard-coordinate stages.
 package shard
 
 import (
@@ -51,7 +53,6 @@ import (
 	"math"
 	"sort"
 
-	"repro/internal/lp"
 	"repro/internal/lpmodel"
 	"repro/internal/netmodel"
 	"repro/internal/par"
@@ -82,22 +83,18 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// State is the warm-start currency of the sharded path across live epochs:
-// the partition (so per-shard LP shapes stay identical), the last capacity
-// allocation (so the split adapts instead of restarting from affinity), one
-// simplex basis per shard, and — when a core.Session solves — one
-// lpmodel.Patcher per shard, carrying each shard's built LP so a churn
-// epoch patches only the shards its dirty set routes to. A State from a
-// differently-shaped instance or a different shard count is detected and
-// ignored. A State without Alloc or Bases keeps the partition, the Patchers
-// and the cached sub-instances but starts the split from affinity and every
-// shard LP cold: what a cold session hands its solve.
+// State is what the sharded path keeps across live epochs: the partition
+// (so per-shard LP shapes stay identical), the last capacity allocation (so
+// the split adapts instead of restarting from affinity) and the cached
+// sub-instances. A State from a differently-shaped instance or a different
+// shard count is detected and ignored (Plan.Reused). A State without Alloc
+// keeps the partition and the cached sub-instances but starts the split from
+// affinity: what a cold session hands its solve. The shards' solver state is
+// the caller's, kept per shard beside the State.
 type State struct {
-	S, R, D  int
-	Sinks    [][]int
-	Alloc    [][]float64
-	Bases    []*lp.Basis
-	Patchers []*lpmodel.Patcher
+	S, R, D int
+	Sinks   [][]int
+	Alloc   [][]float64
 	// Subs caches each shard's extracted sub-instance. Under the delta flow
 	// (BindSubs given routed dirty sets) the next epoch patches the cached
 	// sub in place — re-pointing the matrices shared with the parent and
@@ -157,49 +154,43 @@ func (st *State) hasAlloc() bool {
 
 // SolveResult is what the caller's per-shard solver returns: what the
 // coordinator reads of a shard's solve. The design and its audit drive the
-// capacity usage and hunger checks, the LP cost the improvement check, and
-// the basis warm-starts the shard's next re-solve. Solver counters stay with
-// the caller.
+// capacity usage and hunger checks, and the LP cost the improvement check.
+// Solver counters and warm starts stay with the caller.
 type SolveResult struct {
 	Design *netmodel.Design
 	Audit  netmodel.Audit
 	LPCost float64
-	Basis  *lp.Basis
 }
 
-// SolveFunc solves one shard: s is the shard index (for seed mixing), sub
-// the extracted sub-instance, warm the shard's previous basis (nil = cold).
-// An LP-infeasible shard must return an error wrapping
-// lpmodel.ErrInfeasible; the coordinator treats it as capacity starvation
-// and re-allocates instead of failing the solve.
-type SolveFunc func(s int, sub *netmodel.Instance, warm *lp.Basis) (*SolveResult, error)
+// SolveFunc solves one shard: s is the shard index (for seed mixing and for
+// the caller's per-shard state), sub the extracted sub-instance. An
+// LP-infeasible shard must return an error wrapping lpmodel.ErrInfeasible;
+// the coordinator treats it as capacity starvation and re-allocates instead
+// of failing the solve.
+type SolveFunc func(s int, sub *netmodel.Instance) (*SolveResult, error)
 
 // Plan is a prepared sharded solve: the partition, the current capacity
-// allocation, the extracted sub-instances, and the per-shard solve state the
+// allocation, the extracted sub-instances, and the coordination state the
 // coordinator updates round by round.
 type Plan struct {
 	In    *netmodel.Instance
 	Sinks [][]int     // per-shard global sink ids, ascending
 	Alloc [][]float64 // [shard][reflector] fanout share; Σ_s Alloc[s][i] = F_i
 	Subs  []*netmodel.Instance
-	opts  Options
-	aff   [][]float64 // bandwidth-weighted cheap-set affinity [shard][reflector]
+	// Reused reports that Prepare kept the given State's partition. What a
+	// caller keeps per shard beside the State is valid exactly as long: on
+	// another sink set, a carried shard LP would describe the wrong sinks.
+	Reused bool
+	opts   Options
+	aff    [][]float64 // bandwidth-weighted cheap-set affinity [shard][reflector]
 
 	results      []*SolveResult // latest per-shard results (nil = starved)
 	starved      []bool
-	starveRounds []int       // consecutive rounds a shard has stayed starved
-	settled      []bool      // shard re-solved with more capacity and didn't improve
-	warmBases    []*lp.Basis // per-shard bases from a previous epoch's State
+	starveRounds []int  // consecutive rounds a shard has stayed starved
+	settled      []bool // shard re-solved with more capacity and didn't improve
 
 	cachedSubs []*netmodel.Instance // previous epoch's sub-instances (nil = none)
 	skips      int                  // shards whose extraction BindSubs skipped
-
-	// Patchers holds one incremental-rebuild state per shard, reused from a
-	// compatible previous-epoch State and carried forward in the Outcome's
-	// State. The caller's SolveFunc wires Patchers[s] into its per-shard
-	// solve; nil entries mean the shard (re)builds from scratch. Writes to
-	// distinct entries from concurrent per-shard solves are safe.
-	Patchers []*lpmodel.Patcher
 }
 
 // Shards returns the shard count of the plan.
@@ -289,15 +280,9 @@ func Prepare(in *netmodel.Instance, opts Options, state *State) (*Plan, error) {
 	// number of atomic demand groups, so a State built from an over-asked k
 	// carries the clamped partition and must still match.
 	opts.Shards = EffectiveShards(in, opts.Shards)
-	p := &Plan{In: in, opts: opts}
-	if state.compatible(in, opts.Shards) {
+	p := &Plan{In: in, opts: opts, Reused: state.compatible(in, opts.Shards)}
+	if p.Reused {
 		p.Sinks = state.Sinks
-		if len(state.Bases) == len(state.Sinks) {
-			p.warmBases = state.Bases
-		}
-		if len(state.Patchers) == len(state.Sinks) {
-			p.Patchers = state.Patchers
-		}
 		if len(state.Subs) == len(state.Sinks) {
 			p.cachedSubs = state.Subs
 		}
@@ -306,9 +291,6 @@ func Prepare(in *netmodel.Instance, opts Options, state *State) (*Plan, error) {
 		p.Sinks = PartitionSinks(in, opts.Shards)
 	}
 	k := len(p.Sinks)
-	if p.Patchers == nil {
-		p.Patchers = make([]*lpmodel.Patcher, k)
-	}
 	p.computeAffinity()
 	if state != nil && state.hasAlloc() {
 		p.Alloc = rescaleAlloc(state.Alloc, in.Fanout, p.aff)
@@ -582,14 +564,7 @@ func (p *Plan) solveShards(idx []int, solve SolveFunc) error {
 	errs := make([]error, len(idx))
 	par.ForEach(len(idx), 0, func(n int) {
 		s := idx[n]
-		warm := (*lp.Basis)(nil)
-		switch {
-		case p.results[s] != nil:
-			warm = p.results[s].Basis
-		case p.warmBases != nil:
-			warm = p.warmBases[s]
-		}
-		res, err := solve(s, p.Subs[s], warm)
+		res, err := solve(s, p.Subs[s])
 		switch {
 		case err == nil:
 			p.results[s] = res
@@ -617,7 +592,7 @@ func (p *Plan) solveShards(idx []int, solve SolveFunc) error {
 }
 
 // Outcome is the result of the coordination pass: the merged full-shape
-// design, what coordination did, and the warm state for the next epoch. The
+// design, what coordination did, and the State for the next epoch. The
 // shards' solver counters are the caller's: its SolveFunc sees every solve.
 type Outcome struct {
 	Design *netmodel.Design
@@ -641,7 +616,7 @@ type Outcome struct {
 // new share is proportional to its realized use plus a bid (saturated
 // shards bid to roughly double, starved shards bid their affinity share
 // plus a flat claim) — and the shards whose allocation materially changed
-// re-solve warm-started. Terminates when nothing is contested or after the
+// re-solve. Terminates when nothing is contested or after the
 // round cap; a shard still starved then fails the solve with
 // lpmodel.ErrInfeasible (the caller may fall back to a monolithic solve,
 // which will prove whether the instance itself is infeasible).
@@ -706,11 +681,8 @@ func (p *Plan) finishOutcome(out *Outcome) {
 	out.ConsolidatedBuilds = Consolidate(in, design)
 	out.Design = design
 	out.ExtractionsSkipped = p.skips
-	st := &State{Sinks: p.Sinks, Alloc: p.Alloc, Bases: make([]*lp.Basis, p.Shards()), Patchers: p.Patchers, Subs: p.Subs}
+	st := &State{Sinks: p.Sinks, Alloc: p.Alloc, Subs: p.Subs}
 	st.S, st.R, st.D = in.Dims()
-	for s, r := range p.results {
-		st.Bases[s] = r.Basis
-	}
 	out.State = st
 }
 
