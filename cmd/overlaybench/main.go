@@ -43,7 +43,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -54,8 +53,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/exp"
 	"repro/internal/gen"
-	"repro/internal/live"
-	"repro/internal/lpmodel"
 	"repro/internal/netmodel"
 	"repro/internal/obs"
 )
@@ -225,183 +222,81 @@ func reportStages(print bool, jsonPath string) error {
 				AllocBytes: s.AllocBytes, Allocs: s.Allocs, Runs: s.Runs,
 			})
 		}
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(jsonPath, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote stage timings to %s\n", jsonPath)
+		return writeBench(jsonPath, "stage timings", rep)
 	}
 	return nil
 }
 
-// incrRow is one scenario of the BENCH_incr.json sweep (exp.ReplayPatches).
-type incrRow struct {
-	Scenario string `json:"scenario"`
-	Epochs   int    `json:"epochs"`
-	// RebuildNS sums the per-epoch walls of a fresh lpmodel.Build, PatchNS
-	// those of Patcher.Sync, each epoch the minimum over exp.ReplayRuns
-	// replays.
-	RebuildNS int64   `json:"rebuild_ns"`
-	PatchNS   int64   `json:"patch_ns"`
-	Speedup   float64 `json:"speedup"`
-	// Patches / Rebuilds are the Patcher's totals; Identical records that
-	// the patched LP equalled the fresh build cell by cell after every
-	// epoch.
-	Patches   int  `json:"patches"`
-	Rebuilds  int  `json:"rebuilds"`
-	Identical bool `json:"identical"`
+// rowsBench is the schema of BENCH_incr.json and BENCH_multistream.json:
+// the workload, one exp row per scenario, and the generation time.
+type rowsBench[R any] struct {
+	Workload  string `json:"workload"`
+	Rows      []R    `json:"rows"`
+	Generated string `json:"generated"`
 }
 
-// incrBench is the BENCH_incr.json schema.
-type incrBench struct {
-	Workload  string    `json:"workload"`
-	Rows      []incrRow `json:"rows"`
-	Generated string    `json:"generated"`
+// sweepEpochs is the timeline length of the -incrjson and -multijson
+// sweeps: the 50 epochs of the flash-crowd acceptance workload, 16 under
+// -quick. Both sweeps make their scenarios at seed 1.
+func sweepEpochs(quick bool) int {
+	if quick {
+		return 16
+	}
+	return 50
 }
 
 // incrSweep measures the incremental LP rebuild against a per-epoch full
-// build on every library scenario's delta schedule, headlined by the
-// 50-epoch flash crowd the bench_test acceptance asserts ≥3x on.
+// build on every library scenario's delta schedule (exp.L5Rows), headlined
+// by the 50-epoch flash crowd the bench_test acceptance asserts ≥3x on.
 func incrSweep(outPath string, quick bool) error {
-	epochs := 50
-	if quick {
-		epochs = 16
+	rows, err := exp.L5Rows(1, sweepEpochs(quick))
+	if err != nil {
+		return err
 	}
-	bench := incrBench{
+	for _, r := range rows {
+		fmt.Printf("%s: rebuild %v vs patch %v (%.1fx), %d patches, %d builds, identical=%v\n",
+			r.Scenario, time.Duration(r.RebuildNS).Round(time.Microsecond),
+			time.Duration(r.PatchNS).Round(time.Microsecond), r.Speedup,
+			r.Patches, r.Rebuilds, r.Identical)
+	}
+	return writeBench(outPath, "incremental-rebuild sweep", rowsBench[exp.L5Row]{
 		Workload: fmt.Sprintf("scenario library on gen.Clustered (DefaultTopo), delta schedule replayed through one lpmodel.Patcher vs a fresh lpmodel.Build per epoch, per-epoch minimums of %d runs",
 			exp.ReplayRuns),
+		Rows:      rows,
 		Generated: time.Now().UTC().Format(time.RFC3339),
-	}
-	for _, name := range live.Names() {
-		sc, err := live.Make(name, 1, epochs)
-		if err != nil {
-			return err
-		}
-		rp, err := exp.ReplayPatches(sc, exp.ReplayRuns)
-		if err != nil {
-			return err
-		}
-		row := incrRow{
-			Scenario:  name,
-			Epochs:    epochs,
-			RebuildNS: rp.BuildNS,
-			PatchNS:   rp.PatchNS,
-			Speedup:   float64(rp.BuildNS) / float64(rp.PatchNS),
-			Patches:   rp.Patches,
-			Rebuilds:  rp.Rebuilds,
-			Identical: rp.Identical,
-		}
-		fmt.Printf("%s: rebuild %v vs patch %v (%.1fx), %d patches, %d builds, identical=%v\n",
-			name, time.Duration(row.RebuildNS).Round(time.Microsecond),
-			time.Duration(row.PatchNS).Round(time.Microsecond), row.Speedup,
-			row.Patches, row.Rebuilds, row.Identical)
-		bench.Rows = append(bench.Rows, row)
-	}
-	data, err := json.MarshalIndent(bench, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(outPath, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote incremental-rebuild sweep to %s\n", outPath)
-	return nil
+	})
 }
 
-// multiRow is one scenario of the BENCH_multistream.json sweep.
-type multiRow struct {
-	Scenario string `json:"scenario"`
-	Epochs   int    `json:"epochs"`
-	// Units counts demand units (subscriptions), Viewers the real sinks
-	// behind them.
-	Units   int `json:"units"`
-	Viewers int `json:"viewers"`
-	// StreamChurn counts subscription switches; ViewerChurn is the native
-	// fractional viewer accounting; Overcount is StreamChurn/ViewerChurn —
-	// the factor by which the paper's copy-split WLOG would have
-	// exaggerated viewer churn.
-	StreamChurn int     `json:"stream_churn"`
-	ViewerChurn float64 `json:"viewer_churn"`
-	Overcount   float64 `json:"copy_split_overcount"`
-	ArcChurn    int     `json:"arc_churn"`
-	// Patches / Rebuilds: stream churn must ride the incremental LP path
-	// (Rebuilds stays at the epoch-0 build).
-	Patches  int `json:"lp_patches"`
-	Rebuilds int `json:"lp_rebuilds"`
-	// SplitLPEqual re-verifies the WLOG theorem on the base instance: the
-	// native LP optimum equals the copy-split optimum.
-	SplitLPEqual bool `json:"split_lp_equal"`
-	AuditOK      bool `json:"all_audit_ok"`
-}
-
-// multiBench is the BENCH_multistream.json schema.
-type multiBench struct {
-	Workload  string     `json:"workload"`
-	Rows      []multiRow `json:"rows"`
-	Generated string     `json:"generated"`
-}
-
-// multiSweep runs the L6 workload — the multi-stream scenario pair under
-// warm+sticky incremental re-provisioning — and records the native
+// multiSweep runs the L6 workload (exp.L6Rows): the multi-stream scenario
+// pair under warm+sticky incremental re-provisioning, the native
 // stream/viewer churn accounting next to the copy-split equivalence check.
 func multiSweep(outPath string, quick bool) error {
-	epochs := 50
-	if quick {
-		epochs = 16
-	}
-	bench := multiBench{
-		Workload:  "multi-stream scenarios on gen.Clustered (MultiStreamTopo: 3 streams, 2 per sink), warm+sticky, incremental LP",
-		Generated: time.Now().UTC().Format(time.RFC3339),
-	}
-	for _, name := range []string{"streamwave", "streamfailover"} {
-		sc, err := live.Make(name, 1, epochs)
-		if err != nil {
-			return err
-		}
-		rep, err := live.Run(sc, live.Config{Policy: live.WarmStickyPolicy()})
-		if err != nil {
-			return fmt.Errorf("%s: %w", name, err)
-		}
-		row := multiRow{
-			Scenario:    name,
-			Epochs:      epochs,
-			Units:       sc.Base.NumSinks,
-			Viewers:     sc.Base.NumViewers(),
-			StreamChurn: rep.TotalStreamChurn,
-			ViewerChurn: rep.TotalViewerChurn,
-			ArcChurn:    rep.TotalArcChurn,
-			Patches:     rep.TotalLPPatches,
-			Rebuilds:    rep.TotalLPRebuilds,
-			AuditOK:     rep.AllAuditOK,
-		}
-		if row.ViewerChurn > 0 {
-			row.Overcount = float64(row.StreamChurn) / row.ViewerChurn
-		}
-		nat, err := lpmodel.SolveLP(sc.Base, lpmodel.DefaultOptions(sc.Base))
-		if err != nil {
-			return fmt.Errorf("%s native LP: %w", name, err)
-		}
-		split := sc.Base.SplitStreams()
-		sp, err := lpmodel.SolveLP(split, lpmodel.DefaultOptions(split))
-		if err != nil {
-			return fmt.Errorf("%s copy-split LP: %w", name, err)
-		}
-		row.SplitLPEqual = math.Abs(nat.Cost-sp.Cost) <= 1e-9*(1+math.Abs(sp.Cost))
-		fmt.Printf("%s: %d stream switches → %.1f viewer churn (%.1fx copy-split overcount), %d patches, %d builds, lp≡split=%v, auditOK=%v\n",
-			name, row.StreamChurn, row.ViewerChurn, row.Overcount, row.Patches, row.Rebuilds, row.SplitLPEqual, row.AuditOK)
-		bench.Rows = append(bench.Rows, row)
-	}
-	data, err := json.MarshalIndent(bench, "", "  ")
+	rows, err := exp.L6Rows(1, sweepEpochs(quick))
 	if err != nil {
 		return err
 	}
-	if err := os.WriteFile(outPath, append(data, '\n'), 0o644); err != nil {
+	for _, r := range rows {
+		fmt.Printf("%s: %d stream switches → %.1f viewer churn (%.1fx copy-split overcount), %d patches, %d builds, lp≡split=%v, auditOK=%v\n",
+			r.Scenario, r.StreamChurn, r.ViewerChurn, r.Overcount, r.Patches, r.Rebuilds, r.SplitLPEqual, r.AuditOK)
+	}
+	return writeBench(outPath, "multi-stream sweep", rowsBench[exp.L6Row]{
+		Workload:  "multi-stream scenarios on gen.Clustered (MultiStreamTopo: 3 streams, 2 per sink), warm+sticky, incremental LP",
+		Rows:      rows,
+		Generated: time.Now().UTC().Format(time.RFC3339),
+	})
+}
+
+// writeBench writes a sweep's record to path as indented JSON and reports
+// what it wrote.
+func writeBench(path, what string, record any) error {
+	data, err := json.MarshalIndent(record, "", "  ")
+	if err != nil {
 		return err
 	}
-	fmt.Printf("wrote multi-stream sweep to %s\n", outPath)
+	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+		return err
+	}
+	fmt.Printf("wrote %s to %s\n", what, path)
 	return nil
 }
 
@@ -460,30 +355,6 @@ type aggBench struct {
 // and that the worst case, a repricing epoch whose warm start falls back to
 // a full cold solve, still fits on a contended CI core.
 const aggEpochWallBudget = 120 * time.Second
-
-// aggAnchors mirrors internal/agg's default grouping (each viewer labeled by
-// the reflector serving it cheapest, ties to the lowest index) so the sweep
-// can construct churn that is provably intra-aggregate. Computed on the
-// pristine instance — the fold's membership is fixed at build time.
-func aggAnchors(in *netmodel.Instance) []int {
-	_, R, _ := in.Dims()
-	units := in.ViewerUnits()
-	out := make([]int, len(units))
-	for g, us := range units {
-		best, bestC := 0, math.Inf(1)
-		for i := 0; i < R; i++ {
-			c := 0.0
-			for _, j := range us {
-				c += in.RefSinkCost[i][j]
-			}
-			if c < bestC {
-				best, bestC = i, c
-			}
-		}
-		out[g] = best
-	}
-	return out
-}
 
 // aggSweep scales the hierarchical aggregation to production viewer counts:
 // each size folds a clustered footprint into weighted super-sinks, solves
@@ -554,7 +425,7 @@ func aggSweep(outPath string, quick bool, maxViewers int) error {
 
 		// The churn timeline. Membership is fixed at the session's first
 		// Step, so the swap pair is chosen on the pristine instance.
-		anchors := aggAnchors(in)
+		anchors := in.CostAnchors()
 		G := in.NumViewers()
 		const stride = 100 // every 100th viewer churns: a 1% storm
 		var sample []int
@@ -639,15 +510,7 @@ func aggSweep(outPath string, quick bool, maxViewers int) error {
 			row.LPFreeEpochs, row.Patches, row.Pivots)
 		bench.Rows = append(bench.Rows, row)
 	}
-	data, err := json.MarshalIndent(bench, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(outPath, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote aggregation sweep to %s\n", outPath)
-	return nil
+	return writeBench(outPath, "aggregation sweep", bench)
 }
 
 // benchArtifacts is the CI artifact mode: every BENCH_*.json sweep written
@@ -879,16 +742,7 @@ func shardSweep(outPath string, deadline time.Duration, quick bool) error {
 		return err
 	}
 	bench.ReflectorRows = rows
-
-	data, err := json.MarshalIndent(bench, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(outPath, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote shard sweep to %s\n", outPath)
-	return nil
+	return writeBench(outPath, "shard sweep", bench)
 }
 
 // reflectorSweep grows the reflector axis 50 → 500 over a fixed sink

@@ -63,7 +63,7 @@ func main() {
 		instPath   = flag.String("instance", "", "boot from this netmodel instance JSON file")
 		scenario   = flag.String("scenario", "", "boot from this scenario's base instance instead of -instance: "+strings.Join(live.Names(), "|"))
 		seed       = flag.Uint64("seed", 1, "solver seed (and -scenario topology seed)")
-		stickiness = flag.Float64("stickiness", 0.4, "deployed-design cost discount, in [0,1); 0 disables stickiness")
+		stickiness = flag.Float64("stickiness", live.WarmStickyPolicy().Stickiness, "deployed-design cost discount, in [0,1); 0 disables stickiness")
 		shards     = flag.Int("shards", 0, "≥2: sharded per-epoch solves with per-shard warm state")
 		aggr       = flag.Bool("aggregate", false, "fold viewers into weighted super-sinks before every solve")
 		interval   = flag.Duration("interval", 0, "re-optimization cadence, timed from the end of each solve (0 = solve only under pressure or POST /solve)")
@@ -71,8 +71,8 @@ func main() {
 		snapPath   = flag.String("snapshot", "", "snapshot file: written on SIGTERM, POST /snapshot and every -snapshot-every solves")
 		snapEvery  = flag.Int("snapshot-every", 0, "additionally snapshot after every n-th solve (0 = shutdown/POST only)")
 		resume     = flag.Bool("resume", false, "resume warm from the -snapshot file when it exists")
-		sloWindow  = flag.Int("slowindow", 8, "availability SLO sliding window, in epochs")
-		sloTarget  = flag.Float64("slotarget", 0.5, "fraction of active sinks that must meet their threshold for an epoch to count as available")
+		sloWindow  = flag.Int("slowindow", live.DefaultSLOWindow, "availability SLO sliding window, in epochs")
+		sloTarget  = flag.Float64("slotarget", live.DefaultSLOTarget, "fraction of active sinks that must meet their threshold for an epoch to count as available")
 	)
 	flag.Parse()
 	if (*instPath == "") == (*scenario == "") {
@@ -80,6 +80,12 @@ func main() {
 	}
 	if *stickiness < 0 || *stickiness >= 1 {
 		usage("-stickiness must be in [0,1), got %g", *stickiness)
+	}
+	if *sloWindow < 1 {
+		usage("-slowindow must be ≥ 1, got %d", *sloWindow)
+	}
+	if !(*sloTarget > 0 && *sloTarget <= 1) {
+		usage("-slotarget must be in (0,1], got %g", *sloTarget)
 	}
 	if *shards < 0 {
 		usage("-shards must be ≥ 0, got %d", *shards)

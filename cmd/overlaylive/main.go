@@ -60,7 +60,7 @@ func main() {
 		epochs     = flag.Int("epochs", 50, "timeline length in epochs")
 		seed       = flag.Uint64("seed", 1, "scenario seed (events, topology, rounding)")
 		policy     = flag.String("policy", "both", "re-provisioning policy: cold|warm|both")
-		stickiness = flag.Float64("stickiness", 0.4, "deployed-design cost discount for the warm policy, in [0,1)")
+		stickiness = flag.Float64("stickiness", live.WarmStickyPolicy().Stickiness, "deployed-design cost discount for the warm policy, in [0,1)")
 		shards     = flag.Int("shards", 0, "≥2: sharded per-epoch solves with per-shard warm state (internal/shard)")
 		aggr       = flag.Bool("aggregate", false, "fold viewers into weighted super-sinks before every epoch's LP (internal/agg)")
 		simPkts    = flag.Int("sim", 0, "packets per simulated epoch (0 = no packet sim)")
@@ -69,8 +69,8 @@ func main() {
 		verbose    = flag.Bool("v", false, "print every epoch (default: only event epochs)")
 		record     = flag.String("record", "", "serialize the scenario (base instance + timed delta schedule) as JSON to this file")
 		replay     = flag.String("replay", "", "run a scenario recorded with -record instead of building one (-scenario/-epochs/-seed ignored)")
-		sloWindow  = flag.Int("slowindow", 8, "availability SLO sliding window, in epochs")
-		sloTarget  = flag.Float64("slotarget", 0.5, "fraction of active sinks that must meet their threshold for an epoch to count as available (raise toward 1 with -repair-style solvers)")
+		sloWindow  = flag.Int("slowindow", live.DefaultSLOWindow, "availability SLO sliding window, in epochs")
+		sloTarget  = flag.Float64("slotarget", live.DefaultSLOTarget, "fraction of active sinks that must meet their threshold for an epoch to count as available (raise toward 1 with -repair-style solvers)")
 		listen     = flag.String("listen", "", "serve live telemetry on this address during the run: /metrics, /healthz, /slo, /debug/vars, /debug/pprof")
 		tracePath  = flag.String("trace", "", "write the hierarchical solve trace (epoch → stage → shard → simplex events) as JSONL to this file")
 		flame      = flag.Bool("flame", false, "print an aggregated flame summary of the solve trace after the run (implies tracing)")
@@ -83,6 +83,12 @@ func main() {
 	// is actually used — -replay ignores it by documented contract.
 	if *replay == "" && *epochs <= 0 {
 		usage("-epochs must be positive, got %d", *epochs)
+	}
+	if *sloWindow < 1 {
+		usage("-slowindow must be ≥ 1, got %d", *sloWindow)
+	}
+	if !(*sloTarget > 0 && *sloTarget <= 1) {
+		usage("-slotarget must be in (0,1], got %g", *sloTarget)
 	}
 	if *shards < 0 {
 		usage("-shards must be ≥ 0, got %d", *shards)

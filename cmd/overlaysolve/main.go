@@ -4,21 +4,31 @@
 // Usage:
 //
 //	overlaysolve -in instance.json [-o design.json] [-seed 1] [-c 64]
-//	             [-greedy] [-exact] [-lp-only] [-shards 8]
-//	             [-json report.json]
+//	             [-greedy] [-exact] [-shards 8] [-aggregate [-agg-colo 4]]
+//	             [-repair] [-prior design.json [-stickiness 0.5]]
+//	             [-json report.json] [-stages] [-trace trace.jsonl]
+//	overlaysolve -in instance.json -lp-only [-aggregate [-agg-colo 4]]
 //
 // -greedy and -exact run the baseline / exact IP solver instead of the
 // LP-rounding algorithm (exact is exponential: tiny instances only).
 // -shards ≥ 2 solves one LP per commodity-region shard in parallel with a
 // capacity-coordination pass instead of the monolithic LP — the scaling
-// path for thousands of sinks. -json writes a machine-readable report
+// path for thousands of sinks. -aggregate folds viewers into weighted
+// super-sinks first (internal/agg). -json writes a machine-readable report
 // (per-stage timings, audit, shard counters) next to the human output;
 // -trace writes the hierarchical solve trace (pipeline stages, per-shard
 // solves, simplex refactorization/adoption events) as JSONL.
+//
+// -lp-only solves the §2 LP relaxation alone (lpmodel.Build and
+// lpmodel.SolveBuiltOpts), on the -aggregate fold's plane when given, and
+// prints the bound a full monolithic solve reports. It makes no design and
+// runs no pipeline, so combining it with -prior, -o, -repair, -shards,
+// -stages, -trace or -json is a usage error (exit 2).
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -28,6 +38,8 @@ import (
 	"repro/internal/bnb"
 	"repro/internal/core"
 	"repro/internal/greedy"
+	"repro/internal/lp"
+	"repro/internal/lpmodel"
 	"repro/internal/netmodel"
 	"repro/internal/obs"
 )
@@ -40,7 +52,7 @@ func main() {
 		c       = flag.Float64("c", 64, "rounding constant c (§3; 64 ⇒ δ=1/4)")
 		useG    = flag.Bool("greedy", false, "run the greedy baseline instead")
 		useX    = flag.Bool("exact", false, "run exact branch-and-bound instead (tiny instances!)")
-		lpOnly  = flag.Bool("lp-only", false, "solve the LP relaxation only")
+		lpOnly  = flag.Bool("lp-only", false, "solve the LP relaxation only (after the -aggregate fold, if given)")
 		repair  = flag.Bool("repair", false, "top coverage up to full demand after rounding (§7 heuristic)")
 		prior   = flag.String("prior", "", "prior design JSON for churn-aware re-solve (§1.3)")
 		sticky  = flag.Float64("stickiness", 0.5, "cost discount on prior arcs during re-solve, in [0,1)")
@@ -53,41 +65,48 @@ func main() {
 	)
 	flag.Parse()
 	if *inPath == "" {
-		fmt.Fprintln(os.Stderr, "overlaysolve: -in is required")
-		flag.Usage()
-		os.Exit(2)
+		usage("-in is required")
 	}
 	if *jsonOut != "" && (*useG || *useX || *lpOnly) {
-		fmt.Fprintln(os.Stderr, "overlaysolve: -json requires a full LP-rounding solve (not -greedy/-exact/-lp-only)")
-		os.Exit(2)
+		usage("-json requires a full LP-rounding solve (not -greedy/-exact/-lp-only)")
+	}
+	if *lpOnly {
+		// The relaxation alone has no design and runs no pipeline stage.
+		flag.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "prior", "o", "repair", "shards", "stages", "trace":
+				usage("-%s needs a design or the solve pipeline (not -lp-only)", f.Name)
+			}
+		})
 	}
 	if *shards < 0 {
-		fmt.Fprintf(os.Stderr, "overlaysolve: -shards %d is negative (want 0, or ≥ 2 to shard)\n", *shards)
-		os.Exit(2)
+		usage("-shards %d is negative (want 0, or ≥ 2 to shard)", *shards)
 	}
 	if *aggr && (*useG || *useX) {
-		fmt.Fprintln(os.Stderr, "overlaysolve: -aggregate requires the LP pipeline (not -greedy/-exact)")
-		os.Exit(2)
+		usage("-aggregate requires the LP pipeline (not -greedy/-exact)")
 	}
 	if *aggColo < 0 || *aggColo == 1 {
-		fmt.Fprintf(os.Stderr, "overlaysolve: -agg-colo %d out of range (want 0 = per-reflector anchors, or ≥ 2 reflectors per colo)\n", *aggColo)
-		os.Exit(2)
+		usage("-agg-colo %d out of range (want 0 = per-reflector anchors, or ≥ 2 reflectors per colo)", *aggColo)
 	}
 	if *aggColo >= 2 && !*aggr {
-		fmt.Fprintln(os.Stderr, "overlaysolve: -agg-colo requires -aggregate")
-		os.Exit(2)
+		usage("-agg-colo requires -aggregate")
 	}
 	if *trace != "" && (*useG || *useX) {
-		fmt.Fprintln(os.Stderr, "overlaysolve: -trace requires the LP pipeline (not -greedy/-exact)")
-		os.Exit(2)
+		usage("-trace requires the LP pipeline (not -greedy/-exact)")
 	}
 	in, err := netmodel.LoadFile(*inPath)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "overlaysolve: %v\n", err)
-		os.Exit(1)
+		fatal(err)
 	}
 	fmt.Printf("instance %s: |S|=%d |R|=%d |D|=%d colors=%d\n",
 		in.Name, in.NumSources, in.NumReflectors, in.NumSinks, in.NumColors)
+	var aggCfg *agg.Config
+	if *aggr {
+		aggCfg = &agg.Config{}
+		if *aggColo >= 2 {
+			aggCfg.GroupOf = agg.ColoGroups(in, *aggColo)
+		}
+	}
 
 	var design *netmodel.Design
 	var solveRes *core.Result
@@ -100,28 +119,40 @@ func main() {
 	case *useX:
 		res, err := bnb.Solve(in, bnb.Options{})
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "overlaysolve: %v\n", err)
-			os.Exit(1)
+			fatal(err)
 		}
 		if res.Design == nil {
-			fmt.Fprintln(os.Stderr, "overlaysolve: no feasible integral design found")
-			os.Exit(1)
+			fatal(errors.New("no feasible integral design found"))
 		}
 		design = res.Design
 		fmt.Printf("exact IP: cost %.4f (optimal=%v, %d nodes) in %v\n",
 			res.Cost, res.Optimal, res.Nodes, time.Since(start).Round(time.Millisecond))
+	case *lpOnly:
+		// The LP a monolithic solve solves: on the aggregate plane of the
+		// same fold when aggregated.
+		plane := in
+		if aggCfg != nil {
+			fold, err := agg.Build(in, *aggCfg)
+			if err != nil {
+				fatal(err)
+			}
+			plane = fold.Agg
+		}
+		start = time.Now()
+		prob, vm := lpmodel.Build(plane, lpmodel.DefaultOptions(plane))
+		frac, err := lpmodel.SolveBuiltOpts(plane, prob, vm, lp.Options{})
+		if err != nil {
+			fatal(err)
+		}
+		fmt.Printf("LP relaxation: cost %.4f, %d vars, %d rows, %d pivots, %v\n",
+			frac.Cost, prob.NumVars(), prob.NumRows(), frac.Iterations, time.Since(start).Round(time.Microsecond))
+		return
 	default:
 		opts := core.DefaultOptions(*seed)
 		opts.C = *c
-		opts.LPOnly = *lpOnly
 		opts.RepairCoverage = *repair
 		opts.Shards = *shards
-		if *aggr {
-			opts.Aggregate = &agg.Config{}
-			if *aggColo >= 2 {
-				opts.Aggregate.GroupOf = agg.ColoGroups(in, *aggColo)
-			}
-		}
+		opts.Aggregate = aggCfg
 		// A trace-only observer: spans for every pipeline stage, per-shard
 		// solve, and simplex event, with no metrics registry attached.
 		var tracer *obs.Tracer
@@ -129,8 +160,7 @@ func main() {
 		if *trace != "" {
 			traceFile, err = os.Create(*trace)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "overlaysolve: %v\n", err)
-				os.Exit(1)
+				fatal(err)
 			}
 			tracer = obs.NewTracer(traceFile)
 			opts.Obs = &obs.Observer{Tr: tracer}
@@ -139,19 +169,16 @@ func main() {
 		if *prior != "" {
 			pf, err := os.Open(*prior)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "overlaysolve: %v\n", err)
-				os.Exit(1)
+				fatal(err)
 			}
 			priorDesign, err := netmodel.ReadDesignJSON(pf)
 			pf.Close()
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "overlaysolve: %v\n", err)
-				os.Exit(1)
+				fatal(err)
 			}
 			re, err := core.Reoptimize(in, priorDesign, *sticky, opts)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "overlaysolve: %v\n", err)
-				os.Exit(1)
+				fatal(err)
 			}
 			fmt.Printf("churn-aware re-solve: %d service arcs changed, %d reflectors flipped\n",
 				re.ArcChurn, re.ReflectorChurn)
@@ -159,19 +186,16 @@ func main() {
 		} else {
 			res, err = core.Solve(in, opts)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "overlaysolve: %v\n", err)
-				os.Exit(1)
+				fatal(err)
 			}
 		}
 		solveRes = res
 		if tracer != nil {
 			if terr := tracer.Err(); terr != nil {
-				fmt.Fprintf(os.Stderr, "overlaysolve: trace: %v\n", terr)
-				os.Exit(1)
+				fatal(fmt.Errorf("trace: %w", terr))
 			}
 			if terr := traceFile.Close(); terr != nil {
-				fmt.Fprintf(os.Stderr, "overlaysolve: trace: %v\n", terr)
-				os.Exit(1)
+				fatal(fmt.Errorf("trace: %w", terr))
 			}
 			fmt.Printf("wrote solve trace to %s\n", *trace)
 		}
@@ -185,9 +209,6 @@ func main() {
 			fmt.Printf("LP relaxation: cost %.4f, %d vars, %d rows, %d pivots, %v\n",
 				res.LPCost, res.LPVars, res.LPRows, res.LPPivots,
 				res.StageWall("lp-build", "lp-patch", "lp-solve").Round(time.Microsecond))
-		}
-		if *lpOnly {
-			return
 		}
 		design = res.Design
 		fmt.Printf("algorithm: %s rounding, %d retries\n", map[bool]string{true: "§6.5 path", false: "§5 GAP"}[res.PathRounding], res.Retries)
@@ -206,18 +227,30 @@ func main() {
 	}
 	if *jsonOut != "" && solveRes != nil {
 		if err := writeReport(*jsonOut, in, solveRes, audit); err != nil {
-			fmt.Fprintf(os.Stderr, "overlaysolve: %v\n", err)
-			os.Exit(1)
+			fatal(err)
 		}
 		fmt.Printf("wrote solve report to %s\n", *jsonOut)
 	}
 	if *outPath != "" {
 		if err := writeDesign(*outPath, design); err != nil {
-			fmt.Fprintf(os.Stderr, "overlaysolve: %v\n", err)
-			os.Exit(1)
+			fatal(err)
 		}
 		fmt.Printf("wrote design to %s\n", *outPath)
 	}
+}
+
+// usage reports a flag-validation failure as a usage error: the message plus
+// the flag summary on stderr, exit code 2 (the flag package's own code for
+// malformed command lines).
+func usage(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "overlaysolve: "+format+"\n", args...)
+	flag.Usage()
+	os.Exit(2)
+}
+
+func fatal(err error) {
+	fmt.Fprintf(os.Stderr, "overlaysolve: %v\n", err)
+	os.Exit(1)
 }
 
 // writeDesign writes the design to path as JSON; a failed Close fails the

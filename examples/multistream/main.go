@@ -14,6 +14,7 @@ import (
 
 	overlay "repro"
 	"repro/internal/live"
+	"repro/internal/lpmodel"
 	"repro/internal/netmodel"
 )
 
@@ -38,17 +39,17 @@ func main() {
 	// The paper's §2 WLOG, executed: splitting each sink into one copy per
 	// stream must not change the LP optimum.
 	split := in.SplitStreams()
-	nat, err := overlay.Solve(in, lpOnly(1))
+	nat, err := lpmodel.SolveLP(in, lpmodel.DefaultOptions(in))
 	if err != nil {
 		log.Fatal(err)
 	}
-	sp, err := overlay.Solve(split, lpOnly(1))
+	sp, err := lpmodel.SolveLP(split, lpmodel.DefaultOptions(split))
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\n=== copy-split equivalence (the WLOG as a theorem) ===\n")
 	fmt.Printf("native LP optimum %.4f | copy-split LP optimum %.4f | equal: %v\n",
-		nat.LPCost, sp.LPCost, nat.LPCost == sp.LPCost)
+		nat.Cost, sp.Cost, nat.Cost == sp.Cost)
 
 	// Fractional churn: re-pull ONE of a sink's two streams and compare the
 	// native accounting against the copy-split view.
@@ -80,10 +81,4 @@ func main() {
 	fmt.Printf("\n=== 12-epoch stream popularity wave (warm+sticky, incremental LP) ===\n")
 	fmt.Printf("stream switches: %d | viewer churn: %.1f | LP builds: %d | cells patched: %d | all audits ok: %v\n",
 		rep.TotalStreamChurn, rep.TotalViewerChurn, rep.TotalLPRebuilds, rep.TotalLPPatches, rep.AllAuditOK)
-}
-
-func lpOnly(seed uint64) overlay.SolveOptions {
-	o := overlay.DefaultSolveOptions(seed)
-	o.LPOnly = true
-	return o
 }

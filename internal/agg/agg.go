@@ -10,10 +10,11 @@
 //
 //   - Viewers are keyed by (group, stream-slot set): the group label is a
 //     caller-supplied (region, ISP) key — or, by default, the viewer's cost
-//     anchor, the reflector that serves its whole bundle cheapest (the same
-//     signal internal/shard partitions by) — and the slot set is the set of
-//     streams the viewer was BUILT with. Members of an aggregate therefore
-//     agree on both economics and LP shape.
+//     anchor (netmodel.Instance.CostAnchors, the reflector that serves its
+//     whole bundle cheapest, which internal/shard partitions by too) — and
+//     the slot set is the set of streams the viewer was BUILT with.
+//     Members of an aggregate therefore agree on both economics and LP
+//     shape.
 //   - Each aggregate contributes one weighted demand unit per stream slot.
 //     The unit's UnitWeight is the number of member subscriptions currently
 //     active, so reflector fanout is consumed for every real viewer behind
@@ -52,7 +53,8 @@ import (
 type Config struct {
 	// GroupOf[g] is the aggregation group label of viewer g — typically a
 	// (region, ISP) product key. Viewers sharing a label and a stream-slot
-	// set merge into one aggregate. Nil auto-groups by cost anchor.
+	// set merge into one aggregate. Nil auto-groups by cost anchor
+	// (netmodel.Instance.CostAnchors).
 	GroupOf []int
 }
 
@@ -103,7 +105,7 @@ func Build(in *netmodel.Instance, cfg Config) (*State, error) {
 	}
 	groups := cfg.GroupOf
 	if groups == nil {
-		groups = anchorGroups(in)
+		groups = in.CostAnchors()
 	}
 	units := in.ViewerUnits()
 
@@ -226,33 +228,11 @@ func buildFromMembers(in *netmodel.Instance, members [][]int) (*State, error) {
 // site, which is what keeps the composed aggregated+sharded epoch inside its
 // wall budget at |R| ≥ 200. Pass the result as Config.GroupOf.
 func ColoGroups(in *netmodel.Instance, reflectorsPerColo int) []int {
-	out := anchorGroups(in)
+	out := in.CostAnchors()
 	if reflectorsPerColo > 1 {
 		for g := range out {
 			out[g] /= reflectorsPerColo
 		}
-	}
-	return out
-}
-
-// anchorGroups labels each viewer with its cost anchor: the reflector
-// serving its whole stream bundle cheapest (ties to the lowest index).
-func anchorGroups(in *netmodel.Instance) []int {
-	_, R, _ := in.Dims()
-	units := in.ViewerUnits()
-	out := make([]int, len(units))
-	for g, us := range units {
-		best, bestC := 0, math.Inf(1)
-		for i := 0; i < R; i++ {
-			c := 0.0
-			for _, j := range us {
-				c += in.RefSinkCost[i][j]
-			}
-			if c < bestC {
-				best, bestC = i, c
-			}
-		}
-		out[g] = best
 	}
 	return out
 }

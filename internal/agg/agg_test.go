@@ -149,7 +149,7 @@ func TestSyncMatchesRebuild(t *testing.T) {
 	// Pin the grouping: auto anchor groups are a function of costs, so a
 	// fresh Build over the drifted instance would partition differently —
 	// membership is fixed at Build by design.
-	cfg := Config{GroupOf: anchorGroups(in)}
+	cfg := Config{GroupOf: in.CostAnchors()}
 	st, err := Build(in, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -392,7 +392,7 @@ func TestColoGroupsFoldsAnchors(t *testing.T) {
 	cfg := gen.DefaultClustered(2, 3, 2, 5)
 	cfg.ReflectorsPerColo = 3
 	in := gen.Clustered(cfg, 11)
-	anchors := anchorGroups(in)
+	anchors := in.CostAnchors()
 	colos := ColoGroups(in, 3)
 	if len(colos) != len(anchors) {
 		t.Fatalf("ColoGroups returned %d labels for %d viewers", len(colos), len(anchors))

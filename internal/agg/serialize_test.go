@@ -149,7 +149,7 @@ func TestStateRestoreRejects(t *testing.T) {
 // reprices — still reproduce a fresh Build cell-exactly.
 func TestRestoreThenSyncMatchesBuild(t *testing.T) {
 	in := clustered(t, 2, 33)
-	cfg := Config{GroupOf: anchorGroups(in)}
+	cfg := Config{GroupOf: in.CostAnchors()}
 	st, err := Build(in, cfg)
 	if err != nil {
 		t.Fatal(err)

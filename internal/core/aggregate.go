@@ -32,8 +32,7 @@ type planeSolve func(plane *netmodel.Instance, prior *netmodel.Design, dirty *ne
 // and a disaggregate stage maps the solved aggregate design back to real
 // viewers, sticky to prior, the previous true deployment (nil: none), and
 // audits it on the true instance. The two stage walls bracket inner's in
-// Result.Stages. Under LPOnly there is no design: the result is inner's
-// behind the aggregate stage.
+// Result.Stages.
 func (p *aggPlane) solve(in *netmodel.Instance, opts Options, dirty *netmodel.DirtySet, prior *netmodel.Design, inner planeSolve) (*Result, error) {
 	tracker := newStageTracker(opts.StageMemStats, opts.Obs)
 	ps := &pipelineState{in: in, opts: opts}
@@ -56,10 +55,6 @@ func (p *aggPlane) solve(in *netmodel.Instance, opts Options, dirty *netmodel.Di
 	res, err := inner(p.fold.Agg, p.prior, planeDirty, innerOpts)
 	if err != nil {
 		return nil, err
-	}
-	if opts.LPOnly {
-		res.Stages = slices.Concat(tracker.stats, res.Stages)
-		return res, nil
 	}
 
 	p.prior = res.Design

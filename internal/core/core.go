@@ -30,7 +30,9 @@ import (
 	"repro/internal/stround"
 )
 
-// Options configures Solve.
+// Options configures Solve, which always runs the whole pipeline: the LP
+// relaxation alone is lpmodel.SolveLP (or lpmodel.Build followed by
+// lpmodel.SolveBuiltOpts), the LP a monolithic Solve solves.
 type Options struct {
 	// C is the rounding multiplier constant of §3 (default 64, the value
 	// that gives the δ=1/4 weight guarantee of Lemma 4.3).
@@ -40,12 +42,6 @@ type Options struct {
 	// ForcePathRounding uses the §6.5 path rounding even without
 	// colors/edge capacities (for ablation experiments).
 	ForcePathRounding bool
-	// DisableCuttingPlane drops constraint (4) from the LP (ablation;
-	// Claim 2.1 shows the IP doesn't need it, §4 shows the rounding does).
-	DisableCuttingPlane bool
-	// LPOnly stops after the LP relaxation (used by experiments that
-	// only need the fractional optimum).
-	LPOnly bool
 	// RepairCoverage runs the §7-style greedy repair pass after
 	// rounding, topping every sink up to its FULL weight demand where
 	// capacity admits (colors stay hard, fanout ≤ 4F). The paper's
@@ -55,9 +51,7 @@ type Options struct {
 	// shards solved in parallel with a capacity-coordination pass
 	// (internal/shard); the pipeline then runs the shard-partition /
 	// shard-solve / shard-coordinate stages instead of lp-build/lp-solve/
-	// round/integralize/repair. 0 or 1 solves monolithically, as does
-	// LPOnly (the fractional optimum of the monolithic LP is what LPOnly
-	// callers want — shard-sum LP costs are not comparable).
+	// round/integralize/repair. 0 or 1 solves monolithically.
 	Shards int
 	// ShardRounds caps the coordination rounds of a sharded solve
 	// (default 3).
@@ -223,20 +217,18 @@ type ShardInfo struct {
 	Fallback bool
 }
 
-// lpOptions derives the model options of a solve from the instance, the
-// pipeline options and whether the LP shape is pinned (carry.fixedShape):
-// one definition shared by the build and patch paths, so the two can never
-// drift apart.
-func lpOptions(in *netmodel.Instance, opts Options, fixedShape bool) lpmodel.Options {
+// lpOptions derives the model options of a solve from the instance and
+// whether the LP shape is pinned (carry.fixedShape): one definition shared by
+// the build and patch paths, so the two can never drift apart.
+func lpOptions(in *netmodel.Instance, fixedShape bool) lpmodel.Options {
 	lpOpts := lpmodel.DefaultOptions(in)
-	lpOpts.CuttingPlane = !opts.DisableCuttingPlane
 	lpOpts.FixedShape = fixedShape
 	return lpOpts
 }
 
 // lpOptions returns the model options of the pipeline's solve.
 func (ps *pipelineState) lpOptions() lpmodel.Options {
-	return lpOptions(ps.in, ps.opts, ps.carry.fixedShape)
+	return lpOptions(ps.in, ps.carry.fixedShape)
 }
 
 // lpStages is the head of the pipeline: model construction and the exact
@@ -384,10 +376,9 @@ func solve(in *netmodel.Instance, opts Options, c *carry) (*Result, error) {
 
 // solvePlane runs the sharded or the monolithic pipeline on in. The sharded
 // path needs at least two nonempty shards to be a decomposition at all (two
-// real sinks — a viewer's streams are shard-atomic); LPOnly wants the
-// monolithic fractional optimum.
+// real sinks — a viewer's streams are shard-atomic).
 func solvePlane(in *netmodel.Instance, opts Options, c *carry) (*Result, error) {
-	if opts.Shards >= 2 && in.NumViewers() >= 2 && !opts.LPOnly {
+	if opts.Shards >= 2 && in.NumViewers() >= 2 {
 		return solveSharded(in, opts, c)
 	}
 	return solveMono(in, opts, c)
@@ -454,9 +445,6 @@ func solveMono(in *netmodel.Instance, opts Options, c *carry) (*Result, error) {
 		LPPatches:  ps.lpPatches,
 		LPRebuilds: ps.lpRebuilds,
 		Stages:     tracker.stats,
-	}
-	if opts.LPOnly {
-		return res, nil
 	}
 
 	ps.usePath = usePathRounding(in, opts)

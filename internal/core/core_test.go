@@ -1,11 +1,12 @@
 package core
 
 import (
-	"slices"
 	"testing"
 
 	"repro/internal/agg"
 	"repro/internal/gen"
+	"repro/internal/lp"
+	"repro/internal/lpmodel"
 	"repro/internal/netmodel"
 )
 
@@ -46,34 +47,57 @@ func TestSolveClusteredWithColors(t *testing.T) {
 	}
 }
 
-// TestLPOnly stops after the LP relaxation: no design, a positive LP cost,
-// and the LP stages alone — behind the aggregate stage when aggregated,
-// where Shards does not change the path (LPOnly wants the monolithic LP).
-func TestLPOnly(t *testing.T) {
+// TestLPRelaxationMatchesSolve locks the LP relaxation on its own to the LP
+// the pipeline solves: lpmodel.Build followed by SolveBuiltOpts, and SolveLP,
+// on the instance a monolithic Solve solves (the aggregate plane of agg.Build
+// with the same Config when aggregated) report Solve's LP cost, pivots and
+// size bit for bit. This is what keeps `overlaysolve -lp-only` printing the
+// bound a full solve reports.
+func TestLPRelaxationMatchesSolve(t *testing.T) {
 	clustered := gen.Clustered(gen.DefaultClustered(2, 3, 2, 8), 9)
 	for _, tc := range []struct {
-		name   string
-		in     *netmodel.Instance
-		opts   Options
-		stages []string
+		name string
+		in   *netmodel.Instance
+		cfg  *agg.Config
 	}{
-		{"flat", gen.Uniform(gen.DefaultUniform(1, 4, 6), 9), Options{Seed: 1, LPOnly: true}, []string{"lp-build", "lp-solve"}},
-		{"aggregate", clustered, Options{Seed: 1, LPOnly: true, Aggregate: &agg.Config{}}, []string{"aggregate", "lp-build", "lp-solve"}},
-		{"aggregate-shards-3", clustered, Options{Seed: 1, LPOnly: true, Aggregate: &agg.Config{}, Shards: 3}, []string{"aggregate", "lp-build", "lp-solve"}},
+		{"flat-uniform", gen.Uniform(gen.DefaultUniform(1, 4, 6), 9), nil},
+		{"flat-clustered", clustered, nil},
+		{"aggregate", clustered, &agg.Config{}},
+		{"aggregate-colo", clustered, &agg.Config{GroupOf: agg.ColoGroups(clustered, 2)}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			res, err := Solve(tc.in, tc.opts)
+			plane, opts := tc.in, DefaultOptions(1)
+			if tc.cfg != nil {
+				fold, err := agg.Build(tc.in, *tc.cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				plane, opts.Aggregate = fold.Agg, tc.cfg
+			}
+			p, m := lpmodel.Build(plane, lpmodel.DefaultOptions(plane))
+			frac, err := lpmodel.SolveBuiltOpts(plane, p, m, lp.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.Design != nil {
-				t.Fatal("LPOnly must not produce a design")
+			one, err := lpmodel.SolveLP(plane, lpmodel.DefaultOptions(plane))
+			if err != nil {
+				t.Fatal(err)
 			}
-			if res.LPCost <= 0 {
-				t.Fatalf("LP cost %v, want positive", res.LPCost)
+			res, err := Solve(tc.in, opts)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if got := StageNames(res); !slices.Equal(got, tc.stages) {
-				t.Fatalf("stages %v, want %v", got, tc.stages)
+			if res.LPCost <= 0 || res.Frac == nil {
+				t.Fatalf("Solve: LP cost %v, Frac %v; want a positive monolithic LP", res.LPCost, res.Frac)
+			}
+			got := [4]float64{frac.Cost, float64(frac.Iterations), float64(p.NumVars()), float64(p.NumRows())}
+			want := [4]float64{res.LPCost, float64(res.LPPivots), float64(res.LPVars), float64(res.LPRows)}
+			if got != want {
+				t.Fatalf("Build+SolveBuiltOpts (cost, pivots, vars, rows) %v, Solve %v", got, want)
+			}
+			if one.Cost != frac.Cost || one.Iterations != frac.Iterations {
+				t.Fatalf("SolveLP cost %v in %d pivots, Build+SolveBuiltOpts %v in %d",
+					one.Cost, one.Iterations, frac.Cost, frac.Iterations)
 			}
 		})
 	}

@@ -46,7 +46,7 @@ func (s *Session) CheckPatchers(in *netmodel.Instance) error {
 		if pt == nil || pt.Problem() == nil {
 			return fmt.Errorf("%s: no synced Patcher", what)
 		}
-		want, _ := lpmodel.Build(plane, lpOptions(plane, s.opts, true))
+		want, _ := lpmodel.Build(plane, lpOptions(plane, true))
 		if err := pt.Problem().Diff(want); err != nil {
 			return fmt.Errorf("%s: %w", what, err)
 		}

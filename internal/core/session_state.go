@@ -147,7 +147,7 @@ func RestoreSession(in *netmodel.Instance, opts Options, stickiness float64, war
 		// Rebuild the persistent Problem the session will keep patching and
 		// bind the factorization to it, so the next Step's install adopts it
 		// as an uninterrupted epoch would.
-		p, _, _ := s.carried.patcher.Sync(plane, lpOptions(plane, s.opts, true), nil)
+		p, _, _ := s.carried.patcher.Sync(plane, lpOptions(plane, true), nil)
 		b, err := lp.RestoreBasis(p, st.Basis)
 		if err != nil {
 			return nil, err

@@ -67,7 +67,8 @@ type Config struct {
 	Pressure int
 
 	// SLOWindow / SLOTarget parameterize the availability tracker feeding
-	// /slo (defaults 8 and 0.5, as in live.Config).
+	// /slo; zero takes live.DefaultSLOWindow and live.DefaultSLOTarget, as
+	// in live.Config.
 	SLOWindow int
 	SLOTarget float64
 	// SinkRegion optionally maps demand units to topology regions for the

@@ -32,7 +32,7 @@ func T13MulticastTree(cfg Config) *stats.Table {
 		size = gen.DefaultUniform(2, 6, 10)
 	}
 	in := gen.Uniform(size, cfg.seed(3))
-	lpRes, err := core.Solve(in, core.Options{Seed: 1, LPOnly: true})
+	lpRes, err := lpmodel.SolveLP(in, lpmodel.DefaultOptions(in))
 	if err != nil {
 		t.AddNote("LP failed: %v", err)
 		return t
@@ -53,7 +53,7 @@ func T13MulticastTree(cfg Config) *stats.Table {
 
 	tr := tree.Build(in)
 	meet, mean, joint, co, blast := evaluate(tr.Design)
-	t.AddRowf("single tree (§1.4)", tr.Design.Cost(in)/lpRes.LPCost, meet, mean, joint, co, blast)
+	t.AddRowf("single tree (§1.4)", tr.Design.Cost(in)/lpRes.Cost, meet, mean, joint, co, blast)
 
 	opts := core.DefaultOptions(cfg.seed(5))
 	opts.RepairCoverage = true
@@ -63,7 +63,7 @@ func T13MulticastTree(cfg Config) *stats.Table {
 		return t
 	}
 	meet, mean, joint, co, blast = evaluate(ov.Design)
-	t.AddRowf("multi-path overlay", ov.Audit.Cost/lpRes.LPCost, meet, mean, joint, co, blast)
+	t.AddRowf("multi-path overlay", ov.Audit.Cost/lpRes.Cost, meet, mean, joint, co, blast)
 
 	t.AddNote("joint-loss rate/pair: probability a same-stream sink pair loses the SAME packet — the absolute")
 	t.AddNote("measure of §1.4's \"all leaves downstream see the same loss\"; the tree is an order of magnitude worse")

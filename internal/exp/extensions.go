@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/gen"
+	"repro/internal/lpmodel"
 	"repro/internal/netmodel"
 	"repro/internal/par"
 	"repro/internal/reliability"
@@ -317,8 +318,9 @@ func A1CuttingPlaneAblation(cfg Config) *stats.Table {
 	in := gen.Uniform(gen.DefaultUniform(size[0], size[1], size[2]), 23)
 	trials := cfg.trials(100)
 	for _, withPlane := range []bool{true, false} {
-		opts := core.Options{Seed: 1, LPOnly: true, DisableCuttingPlane: !withPlane}
-		res, err := core.Solve(in, opts)
+		opts := lpmodel.DefaultOptions(in)
+		opts.CuttingPlane = withPlane
+		frac, err := lpmodel.SolveLP(in, opts)
 		if err != nil {
 			t.AddNote("LP failed: %v", err)
 			return t
@@ -331,7 +333,7 @@ func A1CuttingPlaneAblation(cfg Config) *stats.Table {
 		// randomizes — at the paper's c=64 the saturated procedure is
 		// deterministic and the cutting plane's effect is invisible.
 		outs := par.Map(trials, cfg.Workers, func(ti int) obs {
-			r := roundWith(in, res, cfg.seed(ti))
+			r := roundWith(in, frac, cfg.seed(ti))
 			return obs{ff: r.MaxFanoutFactor, bad: r.FanoutViolations > 0}
 		})
 		var ffs []float64
@@ -346,7 +348,7 @@ func A1CuttingPlaneAblation(cfg Config) *stats.Table {
 		if !withPlane {
 			name = "without (4)"
 		}
-		t.AddRowf(name, res.LPCost, stats.Mean(ffs), fmt.Sprintf("%d/%d", bad, trials))
+		t.AddRowf(name, frac.Cost, stats.Mean(ffs), fmt.Sprintf("%d/%d", bad, trials))
 	}
 	t.AddNote("Claim 2.1: (4) is redundant for the IP; §4 uses it as the cutting plane that makes Lemma 4.6 go through")
 	t.AddNote("rounding at C=1 (randomization regime); at this scale the fanout tail never fires either way —")
@@ -407,7 +409,7 @@ func A2GapVsPathRounding(cfg Config) *stats.Table {
 
 // roundWith reruns the §3 rounding against a precomputed LP result at the
 // randomization-regime multiplier C=1 and returns its instrumentation.
-func roundWith(in *netmodel.Instance, lpRes *core.Result, seed uint64) round.Instrumentation {
-	r := round.Apply(in, lpRes.Frac, round.Options{C: 1, Seed: seed, MinMultiplier: 1})
-	return r.Instrument(in, lpRes.LPCost)
+func roundWith(in *netmodel.Instance, frac *lpmodel.FracSolution, seed uint64) round.Instrumentation {
+	r := round.Apply(in, frac, round.Options{C: 1, Seed: seed, MinMultiplier: 1})
+	return r.Instrument(in, frac.Cost)
 }

@@ -135,14 +135,14 @@ type Config struct {
 	// and /slo state and to pace the timeline.
 	OnEpoch func(er EpochReport)
 	// SLOWindow is the sliding window (in epochs) of the availability SLO
-	// tracker; default 8. SLOTarget is the fraction of active sinks that
-	// must meet their exact reliability threshold for an epoch to count as
-	// available; default 0.5. The default is deliberately below the ~60%
-	// met-demand a repair-less solve delivers in steady state (the paper
-	// guarantees W/4 weight, not full demand), so breaches flag genuine
-	// incidents — outages, flash-crowd onsets — rather than firing every
-	// epoch; operators running RepairCoverage-style solvers should raise
-	// it toward 1.
+	// tracker; default DefaultSLOWindow. SLOTarget is the fraction of
+	// active sinks that must meet their exact reliability threshold for an
+	// epoch to count as available; default DefaultSLOTarget, deliberately
+	// below the ~60% met-demand a repair-less solve delivers in steady state
+	// (the paper guarantees W/4 weight, not full demand), so breaches flag
+	// genuine incidents — outages, flash-crowd onsets — rather than firing
+	// every epoch; operators running RepairCoverage-style solvers should
+	// raise it toward 1.
 	SLOWindow int
 	SLOTarget float64
 }

@@ -21,6 +21,14 @@ type SLOEpoch struct {
 	Streams []obs.StreamSLO
 }
 
+// DefaultSLOWindow and DefaultSLOTarget are the availability SLO's window
+// (in epochs) and target when none is given (see Config.SLOWindow for why
+// the target is deliberately low).
+const (
+	DefaultSLOWindow = 8
+	DefaultSLOTarget = 0.5
+)
+
 // SLOTracker maintains the sliding-window availability SLO of §1.3's
 // monitoring loop: an epoch is available when at least Target of its active
 // demand units meet their exact reliability threshold, and the tracker
@@ -28,8 +36,8 @@ type SLOEpoch struct {
 // globally, per topology region, and per stream. One tracker serves one
 // timeline; it is not safe for concurrent Observe calls.
 type SLOTracker struct {
-	// Window / Target are fixed at construction (defaults 8 and 0.5 — see
-	// Config.SLOWindow for why the default target is deliberately low).
+	// Window / Target are fixed at construction (DefaultSLOWindow and
+	// DefaultSLOTarget when not positive).
 	Window int
 	Target float64
 
@@ -56,10 +64,10 @@ type SLOTracker struct {
 // pass the instance's Commodity slice).
 func NewSLOTracker(window int, target float64, sinkRegion, commodity []int) *SLOTracker {
 	if window <= 0 {
-		window = 8
+		window = DefaultSLOWindow
 	}
 	if target <= 0 {
-		target = 0.5
+		target = DefaultSLOTarget
 	}
 	t := &SLOTracker{Window: window, Target: target, minWindow: 1,
 		sinkRegion: sinkRegion, commodity: commodity}

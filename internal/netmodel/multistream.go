@@ -18,7 +18,8 @@ package netmodel
 //     viewer) — coupling the §6.3 EdgeCap across a sink's streams, which
 //     the copy-split cannot express;
 //   - shard partitions viewers atomically, so one sink's streams never
-//     straddle shards;
+//     straddle shards, and it and agg key viewers by their bundle's cost
+//     anchor (CostAnchors);
 //   - live/core report fractional viewer churn (a 3-stream sink switching
 //     one stream churns 1/3 of a viewer, not a whole one) and viewer-level
 //     audit counts.
@@ -31,6 +32,7 @@ package netmodel
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -90,6 +92,36 @@ func (in *Instance) FindUnit(g, k int) int {
 		}
 	}
 	return -1
+}
+
+// CostAnchors returns each viewer's cost anchor: the reflector that serves
+// its whole stream bundle cheapest, ties to the lowest index. On a
+// region-clustered topology the cheapest reflector is intra-region, so the
+// anchor is the region signal both the aggregation fold (internal/agg) and
+// the shard partition (internal/shard) key on. It reads costs only, never
+// thresholds, so sink churn does not move it. One row-major pass per
+// reflector sums each viewer's bundle cost, adding its units in ascending
+// order.
+func (in *Instance) CostAnchors() []int {
+	G := in.NumViewers()
+	anchor := make([]int, G)
+	bestC := make([]float64, G)
+	for g := range bestC {
+		bestC[g] = math.Inf(1)
+	}
+	bundle := make([]float64, G)
+	for i, row := range in.RefSinkCost {
+		clear(bundle)
+		for j, c := range row {
+			bundle[in.Viewer(j)] += c
+		}
+		for g, c := range bundle {
+			if c < bestC[g] {
+				anchor[g], bestC[g] = i, c
+			}
+		}
+	}
+	return anchor
 }
 
 // validateSinkOf checks the grouping invariants: one entry per demand unit,

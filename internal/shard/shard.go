@@ -198,12 +198,13 @@ func (p *Plan) Shards() int { return len(p.Sinks) }
 
 // PartitionSinks groups the instance's sinks into k balanced shards by cost
 // anchor. It works on real sinks (viewers): a viewer's anchor is the
-// reflector that serves its whole stream bundle cheapest, viewers are
-// ordered by (anchor, id), and the order is cut into k chunks balanced by
-// UNIT count (a 3-stream viewer weighs three single-stream ones), never
-// splitting a viewer. On region-clustered topologies the cheapest reflector
-// is intra-region, so the cut recovers the region clusters; on unstructured
-// instances it degrades to a balanced deterministic split. The result
+// reflector that serves its whole stream bundle cheapest
+// (netmodel.Instance.CostAnchors), viewers are ordered by (anchor, id), and
+// the order is cut into k chunks balanced by UNIT count (a 3-stream viewer
+// weighs three single-stream ones), never splitting a viewer. On
+// region-clustered topologies the cheapest reflector is intra-region, so the
+// cut recovers the region clusters; on unstructured instances it degrades to
+// a balanced deterministic split. The result
 // depends only on the cost matrix — never on thresholds — so live sink churn
 // does not move sinks between shards. Because a viewer's demand units are
 // assigned atomically, one sink's streams never straddle shards (stream
@@ -212,26 +213,7 @@ func (p *Plan) Shards() int { return len(p.Sinks) }
 func PartitionSinks(in *netmodel.Instance, k int) [][]int {
 	D, G := in.NumSinks, in.NumViewers()
 	k = EffectiveShards(in, k)
-	// One row-major pass per reflector: sum each viewer's bundle cost (its
-	// units in ascending order) and keep the first reflector with the
-	// strictly smallest sum.
-	anchor := make([]int, G)
-	bestC := make([]float64, G)
-	for g := range bestC {
-		bestC[g] = math.Inf(1)
-	}
-	bundle := make([]float64, G)
-	for i, row := range in.RefSinkCost {
-		clear(bundle)
-		for j, c := range row {
-			bundle[in.Viewer(j)] += c
-		}
-		for g, c := range bundle {
-			if c < bestC[g] {
-				anchor[g], bestC[g] = i, c
-			}
-		}
-	}
+	anchor := in.CostAnchors()
 	order := make([]int, G)
 	for g := range order {
 		order[g] = g
