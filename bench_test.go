@@ -249,7 +249,7 @@ func BenchmarkStageLPSolve(b *testing.B) {
 	in := gen.Uniform(gen.DefaultUniform(2, 8, 20), 3)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := lpmodel.SolveLP(in, lpmodel.DefaultOptions(in)); err != nil {
+		if _, err := lpmodel.SolveLP(in, lpmodel.DefaultOptions()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -259,7 +259,7 @@ func BenchmarkStageLPSolve(b *testing.B) {
 // cost-churned instance — the §1.3 monitoring-loop workload.
 func BenchmarkStageLPWarmResolve(b *testing.B) {
 	in := gen.Uniform(gen.DefaultUniform(2, 8, 20), 3)
-	base, err := lpmodel.SolveLP(in, lpmodel.DefaultOptions(in))
+	base, err := lpmodel.SolveLP(in, lpmodel.DefaultOptions())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -273,7 +273,7 @@ func BenchmarkStageLPWarmResolve(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p, m := lpmodel.Build(churned, lpmodel.DefaultOptions(churned))
+		p, m := lpmodel.Build(churned, lpmodel.DefaultOptions())
 		if _, err := lpmodel.SolveBuiltOpts(churned, p, m, lp.Options{WarmStart: base.Basis}); err != nil {
 			b.Fatal(err)
 		}
@@ -283,7 +283,7 @@ func BenchmarkStageLPWarmResolve(b *testing.B) {
 // BenchmarkStageRounding measures the §3 randomized rounding alone.
 func BenchmarkStageRounding(b *testing.B) {
 	in := gen.Uniform(gen.DefaultUniform(2, 8, 20), 3)
-	fs, err := lpmodel.SolveLP(in, lpmodel.DefaultOptions(in))
+	fs, err := lpmodel.SolveLP(in, lpmodel.DefaultOptions())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -296,7 +296,7 @@ func BenchmarkStageRounding(b *testing.B) {
 // BenchmarkStageGAPFlow measures the §5 conversion-network rounding alone.
 func BenchmarkStageGAPFlow(b *testing.B) {
 	in := gen.Uniform(gen.DefaultUniform(2, 8, 20), 3)
-	fs, err := lpmodel.SolveLP(in, lpmodel.DefaultOptions(in))
+	fs, err := lpmodel.SolveLP(in, lpmodel.DefaultOptions())
 	if err != nil {
 		b.Fatal(err)
 	}

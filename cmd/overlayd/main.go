@@ -67,7 +67,7 @@ func main() {
 		shards     = flag.Int("shards", 0, "≥2: sharded per-epoch solves with per-shard warm state")
 		aggr       = flag.Bool("aggregate", false, "fold viewers into weighted super-sinks before every solve")
 		interval   = flag.Duration("interval", 0, "re-optimization cadence, timed from the end of each solve (0 = solve only under pressure or POST /solve)")
-		pressure   = flag.Int("pressure", 64, "queued delta edits that force an immediate solve (negative disables)")
+		pressure   = flag.Int("pressure", daemon.DefaultPressure, "queued delta edits that force an immediate solve (negative disables)")
 		snapPath   = flag.String("snapshot", "", "snapshot file: written on SIGTERM, POST /snapshot and every -snapshot-every solves")
 		snapEvery  = flag.Int("snapshot-every", 0, "additionally snapshot after every n-th solve (0 = shutdown/POST only)")
 		resume     = flag.Bool("resume", false, "resume warm from the -snapshot file when it exists")

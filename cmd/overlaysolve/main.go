@@ -23,7 +23,8 @@
 // lpmodel.SolveBuiltOpts), on the -aggregate fold's plane when given, and
 // prints the bound a full monolithic solve reports. It makes no design and
 // runs no pipeline, so combining it with -prior, -o, -repair, -shards,
-// -stages, -trace or -json is a usage error (exit 2).
+// -stages, -trace or -json is a usage error (exit 2). So is -stickiness
+// outside [0,1), or given without -prior.
 package main
 
 import (
@@ -42,6 +43,7 @@ import (
 	"repro/internal/lpmodel"
 	"repro/internal/netmodel"
 	"repro/internal/obs"
+	"repro/internal/round"
 )
 
 func main() {
@@ -49,7 +51,7 @@ func main() {
 		inPath  = flag.String("in", "", "instance JSON file (required)")
 		outPath = flag.String("o", "", "write the design JSON here")
 		seed    = flag.Uint64("seed", 1, "randomized-rounding seed")
-		c       = flag.Float64("c", 64, "rounding constant c (§3; 64 ⇒ δ=1/4)")
+		c       = flag.Float64("c", round.DefaultC, "rounding constant c (§3; the default gives δ=1/4)")
 		useG    = flag.Bool("greedy", false, "run the greedy baseline instead")
 		useX    = flag.Bool("exact", false, "run exact branch-and-bound instead (tiny instances!)")
 		lpOnly  = flag.Bool("lp-only", false, "solve the LP relaxation only (after the -aggregate fold, if given)")
@@ -78,6 +80,14 @@ func main() {
 				usage("-%s needs a design or the solve pipeline (not -lp-only)", f.Name)
 			}
 		})
+	}
+	flag.Visit(func(f *flag.Flag) {
+		if f.Name == "stickiness" && *prior == "" {
+			usage("-stickiness needs -prior (it discounts the prior design's arcs)")
+		}
+	})
+	if *sticky < 0 || *sticky >= 1 {
+		usage("-stickiness must be in [0,1), got %g", *sticky)
 	}
 	if *shards < 0 {
 		usage("-shards %d is negative (want 0, or ≥ 2 to shard)", *shards)
@@ -139,7 +149,7 @@ func main() {
 			plane = fold.Agg
 		}
 		start = time.Now()
-		prob, vm := lpmodel.Build(plane, lpmodel.DefaultOptions(plane))
+		prob, vm := lpmodel.Build(plane, lpmodel.DefaultOptions())
 		frac, err := lpmodel.SolveBuiltOpts(plane, prob, vm, lp.Options{})
 		if err != nil {
 			fatal(err)

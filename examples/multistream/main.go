@@ -39,11 +39,11 @@ func main() {
 	// The paper's §2 WLOG, executed: splitting each sink into one copy per
 	// stream must not change the LP optimum.
 	split := in.SplitStreams()
-	nat, err := lpmodel.SolveLP(in, lpmodel.DefaultOptions(in))
+	nat, err := lpmodel.SolveLP(in, lpmodel.DefaultOptions())
 	if err != nil {
 		log.Fatal(err)
 	}
-	sp, err := lpmodel.SolveLP(split, lpmodel.DefaultOptions(split))
+	sp, err := lpmodel.SolveLP(split, lpmodel.DefaultOptions())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -53,7 +53,7 @@ func Solve(in *netmodel.Instance, opts Options) (*Result, error) {
 	if opts.Gap <= 0 {
 		opts.Gap = 1e-6
 	}
-	lpOpts := lpmodel.DefaultOptions(in)
+	lpOpts := lpmodel.DefaultOptions()
 	// The cutting plane (4) is implied for the IP (Claim 2.1) but
 	// tightens LP bounds, so keep it.
 	prob, vm := lpmodel.Build(in, lpOpts)
@@ -105,7 +105,7 @@ func Solve(in *netmodel.Instance, opts Options) (*Result, error) {
 			}
 		}
 		if branchVar < 0 {
-			// Integral: new incumbent.
+			// An integral solution: new incumbent.
 			if sol.Objective < best {
 				best = sol.Objective
 				bestX = append(bestX[:0], sol.X...)

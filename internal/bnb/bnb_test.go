@@ -39,7 +39,7 @@ func TestTinyExact(t *testing.T) {
 func TestIPAtLeastLP(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
 		in := gen.Uniform(gen.DefaultUniform(1, 3, 5), seed)
-		fs, err := lpmodel.SolveLP(in, lpmodel.DefaultOptions(in))
+		fs, err := lpmodel.SolveLP(in, lpmodel.DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -34,8 +34,8 @@ import (
 // relaxation alone is lpmodel.SolveLP (or lpmodel.Build followed by
 // lpmodel.SolveBuiltOpts), the LP a monolithic Solve solves.
 type Options struct {
-	// C is the rounding multiplier constant of §3 (default 64, the value
-	// that gives the δ=1/4 weight guarantee of Lemma 4.3).
+	// C is the rounding multiplier constant of §3 (0 takes round.DefaultC,
+	// the value that gives the δ=1/4 weight guarantee of Lemma 4.3).
 	C float64
 	// Seed drives all randomness.
 	Seed uint64
@@ -104,12 +104,6 @@ type Options struct {
 // extracts every shard and solves every LP cold. Every shard LP of a sharded
 // solve has a carry of the same kind (shardLPs, see solveSharded).
 type carry struct {
-	// fixedShape pins the LP shape to the instance dimensions
-	// (lpmodel.Options.FixedShape), so the basis and the Patcher stay valid
-	// while sinks join and leave. Every carry of a Session's solve sets it,
-	// per-shard ones included; the per-shard carries of a one-shot sharded
-	// solve, which hold only a coordination round's basis, do not.
-	fixedShape bool
 	// basis warm-starts the main LP (nil: cold).
 	basis *lp.Basis
 	// shards is the sharded path's state (see shard.State), and shardLPs
@@ -130,7 +124,7 @@ type carry struct {
 
 // DefaultOptions returns the paper's constants.
 func DefaultOptions(seed uint64) Options {
-	return Options{C: 64, Seed: seed}
+	return Options{C: round.DefaultC, Seed: seed}
 }
 
 // maxRetries is how often a monolithic solve re-runs its randomized stages
@@ -217,26 +211,12 @@ type ShardInfo struct {
 	Fallback bool
 }
 
-// lpOptions derives the model options of a solve from the instance and
-// whether the LP shape is pinned (carry.fixedShape): one definition shared by
-// the build and patch paths, so the two can never drift apart.
-func lpOptions(in *netmodel.Instance, fixedShape bool) lpmodel.Options {
-	lpOpts := lpmodel.DefaultOptions(in)
-	lpOpts.FixedShape = fixedShape
-	return lpOpts
-}
-
-// lpOptions returns the model options of the pipeline's solve.
-func (ps *pipelineState) lpOptions() lpmodel.Options {
-	return lpOptions(ps.in, ps.carry.fixedShape)
-}
-
 // lpStages is the head of the pipeline: model construction and the exact
 // simplex solve, warm-started from the carried basis. It runs once per
 // Solve. With a carried Patcher the construction step becomes lp-patch —
 // delta-sized in-place updates of the persistent problem — except on epochs
-// where the patcher must fall back to a full build (the first, or a
-// shape/options change), which still report as lp-build.
+// where the patcher must fall back to a full build (the first, or a shape
+// change), which still report as lp-build.
 func lpStages(ps *pipelineState) []Stage {
 	solve := Stage{Name: "lp-solve", Run: func(ps *pipelineState) error {
 		sopts := lp.Options{WarmStart: ps.carry.basis, RefactorOnInstall: ps.opts.refactorOnInstall}
@@ -258,13 +238,13 @@ func lpStages(ps *pipelineState) []Stage {
 	}}
 	if pt := ps.carry.patcher; pt != nil {
 		name := "lp-patch"
-		if pt.NeedsRebuild(ps.in, ps.lpOptions()) {
+		if pt.NeedsRebuild(ps.in) {
 			name = "lp-build"
 		}
 		return []Stage{
 			{Name: name, Run: func(ps *pipelineState) error {
 				var st lpmodel.PatchStats
-				ps.prob, ps.vm, st = pt.Sync(ps.in, ps.lpOptions(), ps.carry.dirty)
+				ps.prob, ps.vm, st = pt.Sync(ps.in, ps.carry.dirty)
 				ps.lpPatches = st.Patches()
 				if st.Rebuilt {
 					ps.lpRebuilds = 1
@@ -276,7 +256,7 @@ func lpStages(ps *pipelineState) []Stage {
 	}
 	return []Stage{
 		{Name: "lp-build", Run: func(ps *pipelineState) error {
-			ps.prob, ps.vm = lpmodel.Build(ps.in, ps.lpOptions())
+			ps.prob, ps.vm = lpmodel.Build(ps.in, lpmodel.DefaultOptions())
 			return nil
 		}},
 		solve,
@@ -289,9 +269,7 @@ func lpStages(ps *pipelineState) []Stage {
 func attemptStages() []Stage {
 	return []Stage{
 		{Name: "round", Run: func(ps *pipelineState) error {
-			rOpts := round.DefaultOptions(ps.seed)
-			rOpts.C = ps.opts.C
-			ps.rounded = round.Apply(ps.in, ps.frac, rOpts)
+			ps.rounded = round.Apply(ps.in, ps.frac, round.Options{C: ps.opts.C, Seed: ps.seed})
 			return nil
 		}},
 		{Name: "integralize", Run: func(ps *pipelineState) error {
@@ -302,7 +280,7 @@ func attemptStages() []Stage {
 			}
 			ps.stRes = nil
 			if ps.usePath {
-				stRes, err := ps.carry.path.Round(ps.in, ps.rounded.XBar, stround.DefaultOptions(ps.seed^0xabcdef))
+				stRes, err := ps.carry.path.Round(ps.in, ps.rounded.XBar, ps.seed^0xabcdef)
 				if err != nil {
 					return fmt.Errorf("path rounding: %w", err)
 				}
@@ -355,9 +333,6 @@ func Solve(in *netmodel.Instance, opts Options) (*Result, error) {
 func solve(in *netmodel.Instance, opts Options, c *carry) (*Result, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
-	}
-	if opts.C == 0 {
-		opts.C = 64
 	}
 	var res *Result
 	var err error

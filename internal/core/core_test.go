@@ -74,12 +74,12 @@ func TestLPRelaxationMatchesSolve(t *testing.T) {
 				}
 				plane, opts.Aggregate = fold.Agg, tc.cfg
 			}
-			p, m := lpmodel.Build(plane, lpmodel.DefaultOptions(plane))
+			p, m := lpmodel.Build(plane, lpmodel.DefaultOptions())
 			frac, err := lpmodel.SolveBuiltOpts(plane, p, m, lp.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			one, err := lpmodel.SolveLP(plane, lpmodel.DefaultOptions(plane))
+			one, err := lpmodel.SolveLP(plane, lpmodel.DefaultOptions())
 			if err != nil {
 				t.Fatal(err)
 			}

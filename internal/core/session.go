@@ -15,11 +15,10 @@ import (
 // Step is an incremental re-optimization instead of a cold solve. The live
 // engine drives one Session per policy across a scenario timeline.
 //
-// A Session always solves with a fixed-shape LP: one covering row per sink,
-// zero-demand sinks included, so the LP shape follows the instance
-// dimensions (lpmodel.Options.FixedShape) and the carried basis stays
-// warm-start compatible while sinks join and leave. One-shot solves build
-// rows for demanding sinks only.
+// Its LP is the one every solve builds (lpmodel.Build): one covering row
+// per sink, zero-demand sinks included, so the LP shape follows the
+// instance dimensions and the carried basis stays warm-start compatible
+// while sinks join and leave.
 //
 // A Session also carries the BUILT LP across epochs: a persistent
 // lpmodel.Patcher (or one per shard, in the shard's carry) rewrites only
@@ -67,7 +66,6 @@ type Session struct {
 // NewSession returns a fresh session; the first Step is a cold solve.
 func NewSession(opts Options, stickiness float64, warmStart bool) *Session {
 	s := &Session{stickiness: stickiness, warm: warmStart, opts: opts}
-	s.carried.fixedShape = true
 	// Sharded, each shard LP's carry holds its Patcher; a monolithic one
 	// would miss the sharded epochs' dirt, so the fallback builds afresh.
 	if opts.Shards < 2 && !opts.rebuildLP {

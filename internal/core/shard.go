@@ -107,7 +107,6 @@ func solveSharded(in *netmodel.Instance, opts Options, c *carry) (*Result, error
 			} else {
 				lps = make([]carry, n)
 				for s := range lps {
-					lps[s].fixedShape = session
 					if localDirty != nil {
 						lps[s].patcher = lpmodel.NewPatcher()
 					}

@@ -63,7 +63,8 @@ type Config struct {
 	// manually).
 	SolveInterval time.Duration
 	// Pressure forces an immediate solve once this many atomic delta edits
-	// are queued; 0 means 64. Negative disables pressure solves.
+	// are queued; 0 means DefaultPressure. Negative disables pressure
+	// solves.
 	Pressure int
 
 	// SLOWindow / SLOTarget parameterize the availability tracker feeding
@@ -79,20 +80,18 @@ type Config struct {
 	// SnapshotEvery > 0 additionally snapshots after every n-th solve.
 	SnapshotPath  string
 	SnapshotEvery int
-
-	// Obs receives the engine's and the solver's observability signals
-	// (one trace span per solve, the per-epoch and solver metric families);
-	// its registry backs the mounted /metrics endpoint. Nil gets a fresh
-	// registry, so /metrics always serves.
-	Obs *obs.Observer
 }
+
+// DefaultPressure is the queued-edit count that forces a solve when
+// Config.Pressure is 0 (overlayd's -pressure default).
+const DefaultPressure = 64
 
 func (c *Config) defaults() {
 	if c.Solver.Seed == 0 {
 		c.Solver.Seed = 1
 	}
 	if c.Pressure == 0 {
-		c.Pressure = 64
+		c.Pressure = DefaultPressure
 	}
 }
 
@@ -138,6 +137,8 @@ type View struct {
 type Daemon struct {
 	cfg Config
 	srv *obs.Server
+	// reg is the registry behind /metrics (see newDaemon).
+	reg *obs.Registry
 
 	mu        sync.Mutex
 	in        *netmodel.Instance
@@ -233,13 +234,9 @@ func newDaemon(in, base *netmodel.Instance, sess *core.Session, cfg Config) *Dae
 	// engine's epoch/churn/SLO families, and the solver stack (the session's
 	// observer records pivots, factorization events and patch counters into
 	// the same families live.Run would).
-	reg := cfg.Obs.Registry()
-	if reg == nil {
-		reg = obs.NewRegistry()
-		d.cfg.Obs = &obs.Observer{Reg: reg}
-	}
-	d.eng = live.NewEngine(in, sess, cfg.SinkRegion, cfg.SLOWindow, cfg.SLOTarget, d.cfg.Obs)
-	d.srv = obs.NewServer(reg)
+	d.reg = obs.NewRegistry()
+	d.eng = live.NewEngine(in, sess, cfg.SinkRegion, cfg.SLOWindow, cfg.SLOTarget, &obs.Observer{Reg: d.reg})
+	d.srv = obs.NewServer(d.reg)
 	return d
 }
 

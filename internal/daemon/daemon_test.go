@@ -522,13 +522,11 @@ func TestDaemonScenarioReplay(t *testing.T) {
 // active-viewer gauge.
 func TestDaemonFeedsEpochFamilies(t *testing.T) {
 	const rounds = 5
-	reg := obs.NewRegistry()
-	cfg := testConfig(17)
-	cfg.Obs = &obs.Observer{Reg: reg}
-	d, err := New(testInstance(t, 17), cfg)
+	d, err := New(testInstance(t, 17), testConfig(17))
 	if err != nil {
 		t.Fatal(err)
 	}
+	reg := d.reg
 	infos := []EpochInfo{d.View().Last}
 	for e := 1; e <= rounds; e++ {
 		sink := (e * 5) % d.View().In.NumSinks

@@ -32,7 +32,7 @@ func T13MulticastTree(cfg Config) *stats.Table {
 		size = gen.DefaultUniform(2, 6, 10)
 	}
 	in := gen.Uniform(size, cfg.seed(3))
-	lpRes, err := lpmodel.SolveLP(in, lpmodel.DefaultOptions(in))
+	lpRes, err := lpmodel.SolveLP(in, lpmodel.DefaultOptions())
 	if err != nil {
 		t.AddNote("LP failed: %v", err)
 		return t
@@ -100,13 +100,13 @@ func T14IngestCaps(cfg Config) *stats.Table {
 			excess, ratio float64
 			ok            bool
 		}
-		outs := par.Map(trials, cfg.Workers, func(ti int) obs {
+		outs := par.Map(trials, 0, func(ti int) obs {
 			in := mkInstance(cfg.seed(ti))
-			fs, err := lpmodel.SolveLP(in, lpmodel.DefaultOptions(in))
+			fs, err := lpmodel.SolveLP(in, lpmodel.DefaultOptions())
 			if err != nil {
 				return obs{}
 			}
-			r := round.Apply(in, fs, round.Options{C: c, Seed: cfg.seed(ti) + 7, MinMultiplier: 1})
+			r := round.Apply(in, fs, round.Options{C: c, Seed: cfg.seed(ti) + 7})
 			inst := r.Instrument(in, fs.Cost)
 			return obs{excess: inst.MaxIngestExcess, ratio: r.Cost / fs.Cost, ok: true}
 		})

@@ -46,7 +46,7 @@ func T1EndToEndApprox(cfg Config) *stats.Table {
 			ratioOPT, ratioLP, wf, ff float64
 			ok                        bool
 		}
-		outs := par.Map(trials, cfg.Workers, func(ti int) outcome {
+		outs := par.Map(trials, 0, func(ti int) outcome {
 			in := fam.mk(cfg.seed(ti))
 			// Prime the incumbent with the greedy cost when greedy
 			// fully covers — a valid upper bound that prunes hard.
@@ -109,7 +109,7 @@ func T2RoundingGuarantees(cfg Config) *stats.Table {
 		size = [3]int{2, 6, 14}
 	}
 	in := gen.Uniform(gen.DefaultUniform(size[0], size[1], size[2]), 42)
-	fs, err := lpmodel.SolveLP(in, lpmodel.DefaultOptions(in))
+	fs, err := lpmodel.SolveLP(in, lpmodel.DefaultOptions())
 	t := stats.NewTable(fmt.Sprintf("T2 — §3 rounding stage on uniform %d×%d×%d (n=%d sinks)", size[0], size[1], size[2], size[2]),
 		"metric", "measured", "paper bound", "holds?")
 	if err != nil {
@@ -121,7 +121,7 @@ func T2RoundingGuarantees(cfg Config) *stats.Table {
 		cost, minWF, maxFF float64
 		wViol, fViol       int
 	}
-	outs := par.Map(trials, cfg.Workers, func(ti int) obs {
+	outs := par.Map(trials, 0, func(ti int) obs {
 		r := round.Apply(in, fs, round.DefaultOptions(cfg.seed(ti)))
 		inst := r.Instrument(in, fs.Cost)
 		return obs{cost: r.Cost, minWF: inst.MinWeightFactor, maxFF: inst.MaxFanoutFactor,
@@ -163,7 +163,7 @@ func T3ParameterTradeoff(cfg Config) *stats.Table {
 		size = [3]int{2, 6, 12}
 	}
 	in := gen.Uniform(gen.DefaultUniform(size[0], size[1], size[2]), 17)
-	fs, err := lpmodel.SolveLP(in, lpmodel.DefaultOptions(in))
+	fs, err := lpmodel.SolveLP(in, lpmodel.DefaultOptions())
 	t := stats.NewTable("T3 — trade-off in the rounding constant c (δ²·c = 4 ⇒ δ = 2/√c)",
 		"c", "λ=c·ln n", "cost/LP mean", "weight-violation seeds", "fanout-violation seeds", "min weight factor")
 	if err != nil {
@@ -176,13 +176,13 @@ func T3ParameterTradeoff(cfg Config) *stats.Table {
 	// and the procedure becomes deterministic (the LP is near-integral on
 	// realistic instances). Genuine coin flips — and hence violations —
 	// only appear at small multipliers.
-	for _, c := range []float64{0.25, 0.5, 1, 2, 4, 16, 64} {
+	for _, c := range []float64{0.25, 0.5, 1, 2, 4, 16, round.DefaultC} {
 		type obs struct {
 			cost, minWF float64
 			w, f        bool
 		}
-		outs := par.Map(trials, cfg.Workers, func(ti int) obs {
-			o := round.Options{C: c, Seed: cfg.seed(ti), MinMultiplier: 1}
+		outs := par.Map(trials, 0, func(ti int) obs {
+			o := round.Options{C: c, Seed: cfg.seed(ti)}
 			r := round.Apply(in, fs, o)
 			inst := r.Instrument(in, fs.Cost)
 			return obs{cost: r.Cost, minWF: inst.MinWeightFactor,
@@ -228,7 +228,7 @@ func T8Baselines(cfg Config) *stats.Table {
 		rCov                     int
 		ok                       bool
 	}
-	outs := par.Map(trials, cfg.Workers, func(ti int) obs {
+	outs := par.Map(trials, 0, func(ti int) obs {
 		in := gen.Uniform(gen.DefaultUniform(size[0], size[1], size[2]), cfg.seed(ti))
 		res, err := core.Solve(in, core.DefaultOptions(cfg.seed(ti)+3))
 		if err != nil {
@@ -296,7 +296,7 @@ func A3RepairCost(cfg Config) *stats.Table {
 		grdFull             int
 		ok                  bool
 	}
-	outs := par.Map(trials, cfg.Workers, func(ti int) obs {
+	outs := par.Map(trials, 0, func(ti int) obs {
 		in := gen.Uniform(gen.DefaultUniform(size[0], size[1], size[2]), cfg.seed(ti))
 		raw, err := core.Solve(in, core.DefaultOptions(cfg.seed(ti)+3))
 		if err != nil {

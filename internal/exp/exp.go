@@ -11,11 +11,7 @@
 // functions; EXPERIMENTS.md records their output.
 package exp
 
-import (
-	"runtime"
-
-	"repro/internal/stats"
-)
+import "repro/internal/stats"
 
 // Config scales the experiment suite.
 type Config struct {
@@ -24,20 +20,16 @@ type Config struct {
 	// Quick shrinks instance sizes and trial counts so the whole suite
 	// finishes in seconds (used by `go test -bench` smoke runs).
 	Quick bool
-	// Workers for parallel trial execution (0 = GOMAXPROCS).
-	Workers int
-	// BaseSeed offsets all seeds (default 1).
-	BaseSeed uint64
 }
 
 // DefaultConfig returns the full-size configuration.
 func DefaultConfig() Config {
-	return Config{Trials: 10, Workers: runtime.GOMAXPROCS(0), BaseSeed: 1}
+	return Config{Trials: 10}
 }
 
 // QuickConfig returns a configuration that runs the suite in seconds.
 func QuickConfig() Config {
-	return Config{Trials: 3, Quick: true, Workers: runtime.GOMAXPROCS(0), BaseSeed: 1}
+	return Config{Trials: 3, Quick: true}
 }
 
 func (c Config) trials(full int) int {
@@ -50,11 +42,9 @@ func (c Config) trials(full int) int {
 	return full
 }
 
+// seed returns the i-th seed of the suite's fixed sequence.
 func (c Config) seed(i int) uint64 {
-	if c.BaseSeed == 0 {
-		c.BaseSeed = 1
-	}
-	return c.BaseSeed + uint64(i)*1000003
+	return 1 + uint64(i)*1000003
 }
 
 // Experiment couples an ID to its runner, for the `all` driver.

@@ -33,7 +33,7 @@ func T4ColorConstraints(cfg Config) *stats.Table {
 			served, total, retries int
 			ok                     bool
 		}
-		outs := par.Map(trials, cfg.Workers, func(ti int) obs {
+		outs := par.Map(trials, 0, func(ti int) obs {
 			ccfg := gen.DefaultClustered(2, 2, m, 5)
 			if cfg.Quick {
 				ccfg = gen.DefaultClustered(2, 2, m, 3)
@@ -200,7 +200,7 @@ func T10Bandwidth(cfg Config) *stats.Table {
 			ratio, wf, ff float64
 			ok            bool
 		}
-		outs := par.Map(trials, cfg.Workers, func(ti int) obs {
+		outs := par.Map(trials, 0, func(ti int) obs {
 			ucfg := gen.DefaultUniform(2, 8, 14)
 			if cfg.Quick {
 				ucfg = gen.DefaultUniform(2, 6, 10)
@@ -251,7 +251,7 @@ func T11EdgeCapacities(cfg Config) *stats.Table {
 			viol      int
 			ok        bool
 		}
-		outs := par.Map(trials, cfg.Workers, func(ti int) obs {
+		outs := par.Map(trials, 0, func(ti int) obs {
 			ucfg := gen.DefaultUniform(1, 8, 12)
 			if cfg.Quick {
 				ucfg = gen.DefaultUniform(1, 6, 8)
@@ -318,7 +318,7 @@ func A1CuttingPlaneAblation(cfg Config) *stats.Table {
 	in := gen.Uniform(gen.DefaultUniform(size[0], size[1], size[2]), 23)
 	trials := cfg.trials(100)
 	for _, withPlane := range []bool{true, false} {
-		opts := lpmodel.DefaultOptions(in)
+		opts := lpmodel.DefaultOptions()
 		opts.CuttingPlane = withPlane
 		frac, err := lpmodel.SolveLP(in, opts)
 		if err != nil {
@@ -332,7 +332,7 @@ func A1CuttingPlaneAblation(cfg Config) *stats.Table {
 		// Use a small multiplier (C=1) so the rounding genuinely
 		// randomizes — at the paper's c=64 the saturated procedure is
 		// deterministic and the cutting plane's effect is invisible.
-		outs := par.Map(trials, cfg.Workers, func(ti int) obs {
+		outs := par.Map(trials, 0, func(ti int) obs {
 			r := roundWith(in, frac, cfg.seed(ti))
 			return obs{ff: r.MaxFanoutFactor, bad: r.FanoutViolations > 0}
 		})
@@ -367,7 +367,7 @@ func A2GapVsPathRounding(cfg Config) *stats.Table {
 			ratio, wf, ff float64
 			ok            bool
 		}
-		outs := par.Map(trials, cfg.Workers, func(ti int) obs {
+		outs := par.Map(trials, 0, func(ti int) obs {
 			size := gen.DefaultUniform(2, 8, 14)
 			if cfg.Quick {
 				size = gen.DefaultUniform(2, 6, 10)
@@ -410,6 +410,6 @@ func A2GapVsPathRounding(cfg Config) *stats.Table {
 // roundWith reruns the §3 rounding against a precomputed LP result at the
 // randomization-regime multiplier C=1 and returns its instrumentation.
 func roundWith(in *netmodel.Instance, frac *lpmodel.FracSolution, seed uint64) round.Instrumentation {
-	r := round.Apply(in, frac, round.Options{C: 1, Seed: seed, MinMultiplier: 1})
+	r := round.Apply(in, frac, round.Options{C: 1, Seed: seed})
 	return r.Instrument(in, frac.Cost)
 }

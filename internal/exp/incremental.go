@@ -60,7 +60,7 @@ func L5Rows(seed uint64, epochs int) ([]L5Row, error) {
 
 // ReplayPatches replays sc's delta schedule runs times. Each epoch applies
 // the epoch's deltas, then times Patcher.Sync with their dirty sets and a
-// fresh Build of the fixed-shape LP a Session solves, and compares the two,
+// fresh Build of the LP every solve builds, and compares the two,
 // reporting the replay as the scenario's L5 row.
 func ReplayPatches(sc *live.Scenario, runs int) (*L5Row, error) {
 	byEpoch := make(map[int][]netmodel.Delta, len(sc.Events))
@@ -71,8 +71,6 @@ func ReplayPatches(sc *live.Scenario, runs int) (*L5Row, error) {
 	var patchRuns, buildRuns [][]int64
 	for run := 0; run < runs; run++ {
 		in := sc.Base.Clone()
-		opts := lpmodel.DefaultOptions(in)
-		opts.FixedShape = true
 		pt := lpmodel.NewPatcher()
 		patchNS := make([]int64, sc.Epochs)
 		buildNS := make([]int64, sc.Epochs)
@@ -87,10 +85,10 @@ func ReplayPatches(sc *live.Scenario, runs int) (*L5Row, error) {
 				dirty.Merge(ds)
 			}
 			start := time.Now()
-			prob, _, st := pt.Sync(in, opts, dirty)
+			prob, _, st := pt.Sync(in, dirty)
 			patchNS[e] = time.Since(start).Nanoseconds()
 			start = time.Now()
-			fresh, _ := lpmodel.Build(in, opts)
+			fresh, _ := lpmodel.Build(in, lpmodel.DefaultOptions())
 			buildNS[e] = time.Since(start).Nanoseconds()
 
 			out.Patches += st.Patches()

@@ -66,12 +66,12 @@ func L6Rows(seed uint64, epochs int) ([]L6Row, error) {
 		if row.ViewerChurn > 0 {
 			row.Overcount = float64(row.StreamChurn) / row.ViewerChurn
 		}
-		nat, err := lpmodel.SolveLP(sc.Base, lpmodel.DefaultOptions(sc.Base))
+		nat, err := lpmodel.SolveLP(sc.Base, lpmodel.DefaultOptions())
 		if err != nil {
 			return rows, fmt.Errorf("%s native LP: %w", name, err)
 		}
 		split := sc.Base.SplitStreams()
-		sp, err := lpmodel.SolveLP(split, lpmodel.DefaultOptions(split))
+		sp, err := lpmodel.SolveLP(split, lpmodel.DefaultOptions())
 		if err != nil {
 			return rows, fmt.Errorf("%s copy-split LP: %w", name, err)
 		}

@@ -73,7 +73,7 @@ func TestBoxesEmptyAndTiny(t *testing.T) {
 func TestEndToEndGAPGuarantees(t *testing.T) {
 	for seed := uint64(1); seed <= 5; seed++ {
 		in := gen.Uniform(gen.DefaultUniform(2, 6, 14), seed)
-		fs, err := lpmodel.SolveLP(in, lpmodel.DefaultOptions(in))
+		fs, err := lpmodel.SolveLP(in, lpmodel.DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,7 +100,7 @@ func TestEndToEndGAPGuarantees(t *testing.T) {
 // box demands; verify it does on typical rounded solutions.
 func TestGAPSaturatesBoxes(t *testing.T) {
 	in := gen.Uniform(gen.DefaultUniform(2, 6, 14), 9)
-	fs, err := lpmodel.SolveLP(in, lpmodel.DefaultOptions(in))
+	fs, err := lpmodel.SolveLP(in, lpmodel.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestGAPSaturatesBoxes(t *testing.T) {
 // x-cost against 2× the x̄ cost.
 func TestGAPCostBounded(t *testing.T) {
 	in := gen.Uniform(gen.DefaultUniform(2, 6, 14), 11)
-	fs, err := lpmodel.SolveLP(in, lpmodel.DefaultOptions(in))
+	fs, err := lpmodel.SolveLP(in, lpmodel.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

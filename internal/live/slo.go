@@ -41,6 +41,9 @@ type SLOTracker struct {
 	Window int
 	Target float64
 
+	// Each series keeps its verdicts in a ring of Window entries, epoch e
+	// at e % Window, and the count of ok verdicts in it: the only entry
+	// an epoch reads back is the one leaving the window.
 	epoch     int
 	okHist    []bool
 	okCount   int
@@ -88,8 +91,18 @@ func NewSLOTracker(window int, target float64, sinkRegion, commodity []int) *SLO
 	return t
 }
 
-// Epochs returns how many epochs the tracker has observed.
-func (t *SLOTracker) Epochs() int { return t.epoch }
+// record adds the current epoch's verdict to a series' ring and reports
+// whether it overwrote an ok verdict: the one leaving the window.
+func (t *SLOTracker) record(ring *[]bool, ok bool) (droppedOK bool) {
+	if len(*ring) < t.Window {
+		*ring = append(*ring, ok)
+		return false
+	}
+	slot := t.epoch % t.Window
+	droppedOK = (*ring)[slot]
+	(*ring)[slot] = ok
+	return droppedOK
+}
 
 // Breaches returns how many observed epochs missed the target.
 func (t *SLOTracker) Breaches() int { return t.breaches }
@@ -101,7 +114,7 @@ func (t *SLOTracker) MinWindowFrac() float64 { return t.minWindow }
 // slice is one breakdown dimension's per-epoch update: shared by the
 // region and stream axes, which differ only in their unit→bucket map.
 func (t *SLOTracker) slice(keyOf []int, n int, hist [][]bool, okCount []int,
-	thresholds []float64, met []bool, window int) (active, metN []int) {
+	thresholds []float64, met []bool) (active, metN []int) {
 	active = make([]int, n)
 	metN = make([]int, n)
 	for j, key := range keyOf {
@@ -118,8 +131,7 @@ func (t *SLOTracker) slice(keyOf []int, n int, hist [][]bool, okCount []int,
 		if ok {
 			okCount[key]++
 		}
-		hist[key] = append(hist[key], ok)
-		if drop := t.epoch - t.Window; drop >= 0 && hist[key][drop] {
+		if t.record(&hist[key], ok) {
 			okCount[key]--
 		}
 	}
@@ -146,8 +158,7 @@ func (t *SLOTracker) Observe(thresholds []float64, met []bool) SLOEpoch {
 	} else {
 		t.breaches++
 	}
-	t.okHist = append(t.okHist, out.Ok)
-	if drop := t.epoch - t.Window; drop >= 0 && t.okHist[drop] {
+	if t.record(&t.okHist, out.Ok) {
 		t.okCount--
 	}
 	window := t.Window
@@ -160,7 +171,7 @@ func (t *SLOTracker) Observe(thresholds []float64, met []bool) SLOEpoch {
 	}
 
 	if t.numRegions > 0 {
-		active, metR := t.slice(t.sinkRegion, t.numRegions, t.regHist, t.regOK, thresholds, met, window)
+		active, metR := t.slice(t.sinkRegion, t.numRegions, t.regHist, t.regOK, thresholds, met)
 		for reg := 0; reg < t.numRegions; reg++ {
 			frac := 1.0
 			if active[reg] > 0 {
@@ -176,7 +187,7 @@ func (t *SLOTracker) Observe(thresholds []float64, met []bool) SLOEpoch {
 		}
 	}
 	if t.numStreams > 0 {
-		active, metS := t.slice(t.commodity, t.numStreams, t.strHist, t.strOK, thresholds, met, window)
+		active, metS := t.slice(t.commodity, t.numStreams, t.strHist, t.strOK, thresholds, met)
 		for k := 0; k < t.numStreams; k++ {
 			frac := 1.0
 			if active[k] > 0 {

@@ -29,7 +29,7 @@ func overlayFixtures() []*netmodel.Instance {
 
 func TestSparseMatchesDenseOnOverlayLPs(t *testing.T) {
 	for fi, in := range overlayFixtures() {
-		opts := lpmodel.DefaultOptions(in)
+		opts := lpmodel.DefaultOptions()
 		p, _ := lpmodel.Build(in, opts)
 		sparse, err := p.Solve()
 		if err != nil {
@@ -55,7 +55,7 @@ func BenchmarkOverlayLPSparseVsDense(b *testing.B) {
 	in := gen.Uniform(gen.DefaultUniform(2, 8, 20), 3)
 	b.Run("sparse", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			p, _ := lpmodel.Build(in, lpmodel.DefaultOptions(in))
+			p, _ := lpmodel.Build(in, lpmodel.DefaultOptions())
 			if _, err := p.Solve(); err != nil {
 				b.Fatal(err)
 			}
@@ -63,7 +63,7 @@ func BenchmarkOverlayLPSparseVsDense(b *testing.B) {
 	})
 	b.Run("dense", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			p, _ := lpmodel.Build(in, lpmodel.DefaultOptions(in))
+			p, _ := lpmodel.Build(in, lpmodel.DefaultOptions())
 			lp.SolveDense(p)
 		}
 	})

@@ -26,7 +26,7 @@ func solveWarm(in *netmodel.Instance, opts Options, basis *lp.Basis) (*FracSolut
 // optimum with almost no work.
 func TestWarmStartAcrossRebuiltModel(t *testing.T) {
 	in := gen.Uniform(gen.DefaultUniform(2, 6, 12), 12)
-	opts := DefaultOptions(in)
+	opts := DefaultOptions()
 	cold, err := SolveLP(in, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -50,7 +50,7 @@ func TestWarmStartAcrossRebuiltModel(t *testing.T) {
 // lpmodel layer: discount some arc costs (stickiness) and re-solve warm.
 func TestWarmStartAfterCostScaling(t *testing.T) {
 	in := gen.Uniform(gen.DefaultUniform(2, 8, 20), 3)
-	opts := DefaultOptions(in)
+	opts := DefaultOptions()
 	base, err := SolveLP(in, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -84,7 +84,7 @@ func TestWarmStartAfterCostScaling(t *testing.T) {
 // cost-scaled re-solve (the churn workload).
 func BenchmarkOverlayLPWarmVsCold(b *testing.B) {
 	in := gen.Uniform(gen.DefaultUniform(2, 8, 20), 3)
-	base, err := SolveLP(in, DefaultOptions(in))
+	base, err := SolveLP(in, DefaultOptions())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -98,14 +98,14 @@ func BenchmarkOverlayLPWarmVsCold(b *testing.B) {
 	}
 	b.Run("warm", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := solveWarm(biased, DefaultOptions(biased), base.Basis); err != nil {
+			if _, err := solveWarm(biased, DefaultOptions(), base.Basis); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("cold", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := SolveLP(biased, DefaultOptions(biased)); err != nil {
+			if _, err := SolveLP(biased, DefaultOptions()); err != nil {
 				b.Fatal(err)
 			}
 		}

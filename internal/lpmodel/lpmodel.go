@@ -36,40 +36,20 @@ import (
 // re-solves — match it with errors.Is instead of parsing messages.
 var ErrInfeasible = errors.New("infeasible")
 
-// Options selects model features.
+// Options selects model features the instance does not decide. The §6.3
+// edge caps and the §6.4 colour rows (9) follow the instance: Build applies
+// each when the instance carries its data.
 type Options struct {
 	// CuttingPlane includes constraint (4). The IP does not need it
 	// (Claim 2.1) but the rounding analysis does; experiments can switch
 	// it off to measure its effect.
 	CuttingPlane bool
-	// Colors includes constraints (9) when the instance has colors.
-	Colors bool
-	// EdgeCaps applies §6.3 capacities as upper bounds on x when the
-	// instance has them.
-	EdgeCaps bool
-	// Integral restricts variables to {0,1}; used only by the
-	// branch-and-bound solver, which adds the integrality by branching
-	// (the LP itself stays continuous).
-	Integral bool
-	// FixedShape emits the reliability covering row (5) for every sink,
-	// including zero-demand (inactive) ones, whose rows degenerate to the
-	// trivially satisfied 0 ≥ 0 (their coefficients are structural zeros,
-	// arithmetic no-ops for the simplex). This pins both the LP shape AND
-	// the constraint-matrix sparsity pattern to the instance dimensions
-	// alone, so a simplex basis stays warm-start compatible across sink
-	// join/leave churn and a Patcher can refresh coefficients in place
-	// (the live engine's workload). Off by default: static solves skip the
-	// dead rows.
-	FixedShape bool
 }
 
-// DefaultOptions enables every feature present in the instance.
-func DefaultOptions(in *netmodel.Instance) Options {
-	return Options{
-		CuttingPlane: true,
-		Colors:       in.Color != nil,
-		EdgeCaps:     in.EdgeCap != nil,
-	}
+// DefaultOptions returns the model every solve builds: the cutting plane
+// on.
+func DefaultOptions() Options {
+	return Options{CuttingPlane: true}
 }
 
 // VarMap locates structured variables inside the flat LP vector.
@@ -97,7 +77,7 @@ func (m *VarMap) X(i, j int) int { return m.XOff + i*m.D + j }
 // CapRow returns the LP row index of reflector i's fanout-capacity
 // constraint (3). Build emits rows in a fixed order — the S·R rows of (1),
 // the R·D rows of (2), then the R capacity rows — so the index is pure
-// arithmetic and holds for every Options combination (the optional row
+// arithmetic and holds with or without the cutting plane (the optional row
 // families all come after). FracSolution.CapDuals reads its shadow prices
 // off exactly these rows.
 func (m *VarMap) CapRow(i int) int { return m.S*m.R + m.R*m.D + i }
@@ -115,6 +95,13 @@ func NewVarMap(in *netmodel.Instance) *VarMap {
 
 // Build constructs the LP relaxation. The returned problem minimizes the §2
 // objective over [0,1] variables.
+//
+// Its shape follows the instance dimensions alone: every demand unit gets a
+// covering row (5), an inactive one the trivially satisfied 0 ≥ 0 whose
+// coefficients are structural zeros (arithmetic no-ops for the simplex).
+// That pins both the row count and the sparsity pattern, so a simplex basis
+// stays warm-start compatible across sink join/leave churn and a Patcher can
+// refresh coefficients in place.
 func Build(in *netmodel.Instance, opts Options) (*lp.Problem, *VarMap) {
 	S, R, D := in.Dims()
 	m := NewVarMap(in)
@@ -135,7 +122,7 @@ func Build(in *netmodel.Instance, opts Options) (*lp.Problem, *VarMap) {
 		for j := 0; j < D; j++ {
 			p.SetObjectiveCoef(m.X(i, j), in.RefSinkCost[i][j])
 			hi := 1.0
-			if opts.EdgeCaps && in.EdgeCap != nil && in.EdgeCap[i][j] < 1 {
+			if in.EdgeCap != nil && in.EdgeCap[i][j] < 1 {
 				hi = in.EdgeCap[i][j]
 			}
 			p.SetBounds(m.X(i, j), 0, hi)
@@ -184,29 +171,13 @@ func Build(in *netmodel.Instance, opts Options) (*lp.Problem, *VarMap) {
 			}
 		}
 	}
-	// (5) reliability covering with capped weights. Under FixedShape the
-	// SPARSITY PATTERN is pinned too, not just the row count: every sink's
-	// row carries all R coefficients, with structural zeros (arithmetic
-	// no-ops for the simplex) standing in for inactive sinks. Sink
-	// join/leave churn then changes coefficient VALUES only, which is what
-	// lets the Patcher refresh the shared CSC in place instead of
-	// rebuilding it.
+	// (5) reliability covering with capped weights. Every sink's row
+	// carries all R coefficients, structural zeros standing in for an
+	// inactive sink's, so join/leave churn changes coefficient values only
+	// and the Patcher refreshes the shared CSC in place. An active sink's
+	// weights are all positive (−log of a clamped loss probability).
 	for j := 0; j < D; j++ {
-		if opts.FixedShape {
-			p.AddConstraint(lp.GE, coveringRHS(in, j), coveringCoefs(in, m, j)...)
-			continue
-		}
-		if in.Threshold[j] <= 0 {
-			continue
-		}
-		coefs := make([]lp.Coef, 0, R)
-		for i := 0; i < R; i++ {
-			w := in.CappedWeight(i, j)
-			if w > 0 {
-				coefs = append(coefs, lp.Coef{Var: m.X(i, j), Val: w})
-			}
-		}
-		p.AddConstraint(lp.GE, in.Demand(j), coefs...)
+		p.AddConstraint(lp.GE, coveringRHS(in, j), coveringCoefs(in, m, j)...)
 	}
 	// (8) §6.2 ingest caps: Σ_k y^k_i ≤ u_i. Kept in the LP (the
 	// fractional optimum respects it); the rounding can only promise an
@@ -221,7 +192,7 @@ func Build(in *netmodel.Instance, opts Options) (*lp.Problem, *VarMap) {
 		}
 	}
 	// (9) color constraints.
-	if opts.Colors && in.Color != nil {
+	if in.Color != nil {
 		byColor := make([][]int, in.NumColors)
 		for i := 0; i < R; i++ {
 			byColor[in.Color[i]] = append(byColor[in.Color[i]], i)
@@ -247,7 +218,7 @@ func Build(in *netmodel.Instance, opts Options) (*lp.Problem, *VarMap) {
 	// tests pin both the equivalence without edge caps and the strict gap
 	// with them. Emitted last so the Patcher's row layout for (1)–(5) is
 	// unaffected; the rows themselves are static (deltas never edit caps).
-	if opts.EdgeCaps && in.EdgeCap != nil && in.MultiStream() {
+	if in.EdgeCap != nil && in.MultiStream() {
 		for _, units := range in.ViewerUnits() {
 			if len(units) < 2 {
 				continue
@@ -268,9 +239,9 @@ func Build(in *netmodel.Instance, opts Options) (*lp.Problem, *VarMap) {
 	return p, m
 }
 
-// coveringRHS returns the right-hand side of sink j's fixed-shape covering
-// row: the weight demand W_j for active sinks, 0 (trivially satisfied) for
-// inactive ones.
+// coveringRHS returns the right-hand side of sink j's covering row: the
+// weight demand W_j for active sinks, 0 (trivially satisfied) for inactive
+// ones.
 func coveringRHS(in *netmodel.Instance, j int) float64 {
 	if in.Threshold[j] <= 0 {
 		return 0
@@ -278,9 +249,9 @@ func coveringRHS(in *netmodel.Instance, j int) float64 {
 	return in.Demand(j)
 }
 
-// coveringCoefs fills sink j's fixed-shape covering row: position i always
-// holds variable X(i,j), with value CappedWeight(i,j) when the sink is
-// active and 0 otherwise. The Patcher relies on this positional layout
+// coveringCoefs fills sink j's covering row: position i always holds
+// variable X(i,j), with value CappedWeight(i,j) when the sink is active and
+// 0 otherwise. The Patcher relies on this positional layout
 // (patchCoverings rewrites cell i of row j in place through SetRowCoef).
 func coveringCoefs(in *netmodel.Instance, m *VarMap, j int) []lp.Coef {
 	R := m.R

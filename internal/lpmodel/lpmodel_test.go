@@ -42,7 +42,7 @@ func TestVarMapLayout(t *testing.T) {
 
 func TestSolveLPBasics(t *testing.T) {
 	in := gen.Uniform(gen.DefaultUniform(2, 5, 8), 3)
-	fs, err := SolveLP(in, DefaultOptions(in))
+	fs, err := SolveLP(in, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,11 +130,13 @@ func TestColorConstraintsBind(t *testing.T) {
 	in.Color = []int{0, 0, 1}
 	in.NumColors = 2
 
-	plain, err := SolveLP(in, Options{CuttingPlane: true, Colors: false})
+	uncolored := in.Clone()
+	uncolored.Color, uncolored.NumColors = nil, 0
+	plain, err := SolveLP(uncolored, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	colored, err := SolveLP(in, Options{CuttingPlane: true, Colors: true})
+	colored, err := SolveLP(in, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +152,7 @@ func TestColorConstraintsBind(t *testing.T) {
 func TestEdgeCapsAsBounds(t *testing.T) {
 	in := gen.Uniform(gen.DefaultUniform(1, 3, 3), 2)
 	in.EdgeCap = [][]float64{{0.5, 1, 1}, {1, 1, 1}, {1, 1, 1}}
-	fs, err := SolveLP(in, DefaultOptions(in))
+	fs, err := SolveLP(in, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +170,7 @@ func TestInfeasibleLPReported(t *testing.T) {
 	in.SrcRefCost[0][0] = 1
 	in.RefSinkCost[0][0] = 1
 	in.Threshold[0] = 0.99999 // one 75%-loss path cannot reach five nines
-	_, err := SolveLP(in, DefaultOptions(in))
+	_, err := SolveLP(in, DefaultOptions())
 	if err == nil {
 		t.Fatal("expected infeasibility")
 	}
@@ -177,13 +179,13 @@ func TestInfeasibleLPReported(t *testing.T) {
 func TestBandwidthExtensionScalesFanout(t *testing.T) {
 	// §6.1: a stream with B=2 consumes twice the fanout.
 	in := gen.Uniform(gen.DefaultUniform(2, 3, 6), 8)
-	base, err := SolveLP(in, DefaultOptions(in))
+	base, err := SolveLP(in, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	heavy := in.Clone()
 	heavy.Bandwidth = []float64{2, 2}
-	bw, err := SolveLP(heavy, DefaultOptions(heavy))
+	bw, err := SolveLP(heavy, DefaultOptions())
 	if err != nil {
 		// Heavier streams can make the instance infeasible; that is a
 		// legitimate outcome for this random instance.
@@ -218,46 +220,70 @@ func TestBuildRowCount(t *testing.T) {
 	var _ = lp.LE
 }
 
-func TestFixedShapePinsRowsAndOptimum(t *testing.T) {
+// TestBuildShapePinsRowsAndOptimum: the LP's shape follows the instance
+// dimensions alone, the 0 ≥ 0 rows of inactive sinks leave the optimum of
+// the demand-only model unchanged, and a basis carries across a sink
+// reactivation.
+func TestBuildShapePinsRowsAndOptimum(t *testing.T) {
 	in := gen.Uniform(gen.DefaultUniform(2, 4, 6), 11)
-	// Deactivate two sinks: the default build drops their covering rows,
-	// the fixed-shape build keeps degenerate 0 >= 0 rows in their place.
 	in.Threshold[1] = 0
 	in.Threshold[4] = 0
-	opts := DefaultOptions(in)
-	pDef, _ := Build(in, opts)
-	opts.FixedShape = true
-	pFix, _ := Build(in, opts)
-	if pFix.NumRows() != pDef.NumRows()+2 {
-		t.Fatalf("fixed-shape rows = %d, default = %d, want +2", pFix.NumRows(), pDef.NumRows())
-	}
-	// Shape must depend only on dimensions: reactivating every sink keeps
-	// the fixed-shape row count unchanged.
+	p, m := Build(in, DefaultOptions())
+	// Reactivating every sink keeps the row count unchanged.
 	all := in.Clone()
 	all.Threshold[1] = 0.99
 	all.Threshold[4] = 0.99
-	pAll, _ := Build(all, Options{CuttingPlane: true, FixedShape: true})
-	if pAll.NumRows() != pFix.NumRows() {
-		t.Fatalf("row count moved with thresholds: %d vs %d", pAll.NumRows(), pFix.NumRows())
+	pAll, _ := Build(all, DefaultOptions())
+	if pAll.NumRows() != p.NumRows() {
+		t.Fatalf("row count moved with thresholds: %d vs %d", pAll.NumRows(), p.NumRows())
 	}
-	// The dead rows are inert: optima agree.
-	sDef, err := pDef.Solve()
+	ref := demandOnly(in, p, m)
+	if ref.NumRows() != p.NumRows()-2 {
+		t.Fatalf("demand-only reference has %d rows, want %d", ref.NumRows(), p.NumRows()-2)
+	}
+	sol, err := p.Solve()
 	if err != nil {
 		t.Fatal(err)
 	}
-	sFix, err := pFix.Solve()
+	sRef, err := ref.Solve()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if diff := sDef.Objective - sFix.Objective; diff > 1e-7 || diff < -1e-7 {
-		t.Fatalf("fixed-shape optimum %.9f != default %.9f", sFix.Objective, sDef.Objective)
+	if diff := sRef.Objective - sol.Objective; diff > 1e-7 || diff < -1e-7 {
+		t.Fatalf("optimum %.9f != demand-only %.9f", sol.Objective, sRef.Objective)
 	}
-	// And a basis from one fixed-shape solve warm-starts the reactivated
-	// model (same shape) without error.
-	mopts := Options{CuttingPlane: true, FixedShape: true}
-	if _, err := solveWarm(all, mopts, sFix.Basis); err != nil {
+	// A basis from one solve warm-starts the reactivated model (same
+	// shape) without error.
+	if _, err := solveWarm(all, DefaultOptions(), sol.Basis); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// demandOnly is the reference model for the inactive covering rows: p, a
+// Build of in, with the covering rows (5) of zero-demand sinks left out, as
+// the model once had them.
+func demandOnly(in *netmodel.Instance, p *lp.Problem, m *VarMap) *lp.Problem {
+	q := lp.NewProblem(p.NumVars())
+	for j := 0; j < p.NumVars(); j++ {
+		q.SetObjectiveCoef(j, p.ObjectiveCoef(j))
+		lo, hi := p.Bounds(j)
+		q.SetBounds(j, lo, hi)
+	}
+	nonempty := 0
+	for _, sinks := range in.SinksOfCommodity() {
+		if len(sinks) > 0 {
+			nonempty++
+		}
+	}
+	base5 := m.CapRow(m.R-1) + 1 + m.R*nonempty
+	for r := 0; r < p.NumRows(); r++ {
+		if j := r - base5; j >= 0 && j < m.D && in.Threshold[j] <= 0 {
+			continue
+		}
+		rel, rhs := p.RHS(r)
+		q.AddConstraint(rel, rhs, p.RowCoefs(r)...)
+	}
+	return q
 }
 
 // TestCapRowAndCapDuals locks the capacity-row arithmetic and the dual
@@ -269,7 +295,7 @@ func TestCapRowAndCapDuals(t *testing.T) {
 	cfg := gen.DefaultUniform(2, 4, 12)
 	cfg.FanoutLo, cfg.FanoutHi = 3, 4 // tight capacity: some rows must bind
 	in := gen.Uniform(cfg, 11)
-	p, m := Build(in, DefaultOptions(in))
+	p, m := Build(in, DefaultOptions())
 	S, R, D := in.Dims()
 	for i := 0; i < R; i++ {
 		r := m.CapRow(i)

@@ -49,11 +49,10 @@ func requireSolutionsEqual(t *testing.T, native, split *lpmodel.FracSolution, ct
 
 // checkNativeEqualsSplit builds the native and the copy-split LP of one
 // instance state and compares them cell for cell, optionally solving both.
-func checkNativeEqualsSplit(t *testing.T, in *netmodel.Instance, fixedShape, solve bool, ctx string) {
+func checkNativeEqualsSplit(t *testing.T, in *netmodel.Instance, solve bool, ctx string) {
 	t.Helper()
 	split := in.SplitStreams()
-	opts := lpmodel.DefaultOptions(in)
-	opts.FixedShape = fixedShape
+	opts := lpmodel.DefaultOptions()
 	pn, mn := lpmodel.Build(in, opts)
 	ps, ms := lpmodel.Build(split, opts)
 	requireProblemsEqual(t, pn, ps, ctx)
@@ -89,12 +88,12 @@ func TestNativeMatchesCopySplitAcrossScenarios(t *testing.T) {
 				t.Fatal(err)
 			}
 			in := sc.Base.Clone()
-			checkNativeEqualsSplit(t, in, false, true, "base")
+			checkNativeEqualsSplit(t, in, true, "base")
 			for evi, ev := range sc.Events {
 				if _, err := ev.Delta.Apply(in); err != nil {
 					t.Fatal(err)
 				}
-				checkNativeEqualsSplit(t, in, true, evi%3 == 0, ev.Delta.Note)
+				checkNativeEqualsSplit(t, in, evi%3 == 0, ev.Delta.Note)
 			}
 		})
 	}
@@ -111,7 +110,7 @@ func TestNativeMatchesCopySplitOnGenerated(t *testing.T) {
 		if err := in.Validate(); err != nil {
 			t.Fatal(err)
 		}
-		checkNativeEqualsSplit(t, in, false, true, in.Name)
+		checkNativeEqualsSplit(t, in, true, in.Name)
 	}
 }
 
@@ -139,13 +138,13 @@ func TestSharedArcCapStrictlyStronger(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	opts := lpmodel.DefaultOptions(in)
+	opts := lpmodel.DefaultOptions()
 	native, err := lpmodel.SolveLP(in, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	split := in.SplitStreams()
-	splitSol, err := lpmodel.SolveLP(split, lpmodel.DefaultOptions(split))
+	splitSol, err := lpmodel.SolveLP(split, lpmodel.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +159,7 @@ func TestSharedArcCapStrictlyStronger(t *testing.T) {
 	}
 	// And the row count shows the native coupling rows exist.
 	pn, _ := lpmodel.Build(in, opts)
-	ps, _ := lpmodel.Build(split, lpmodel.DefaultOptions(split))
+	ps, _ := lpmodel.Build(split, lpmodel.DefaultOptions())
 	if pn.NumRows() != ps.NumRows()+2 {
 		t.Fatalf("native has %d rows, split %d; want exactly 2 shared-cap rows more",
 			pn.NumRows(), ps.NumRows())

@@ -3,11 +3,11 @@ package lpmodel
 // The incremental LP rebuild. Every epoch of the §1.3 monitoring loop used
 // to rebuild the whole CSC constraint matrix from the instance (lp-build ≈
 // lp-solve wall under warm starts); a Patcher instead owns one lp.Problem
-// across epochs and, because Options.FixedShape pins both the row layout
-// and the sparsity pattern to the instance dimensions, translates a churn
-// delta's dirty set into in-place coefficient/rhs/objective patches. Only
-// the cells a delta touched are recomputed — the per-epoch model cost drops
-// from O(instance) to O(delta).
+// across epochs and, because Build pins both the row layout and the
+// sparsity pattern to the instance dimensions, translates a churn delta's
+// dirty set into in-place coefficient/rhs/objective patches. Only the cells
+// a delta touched are recomputed — the per-epoch model cost drops from
+// O(instance) to O(delta).
 
 import (
 	"repro/internal/lp"
@@ -17,7 +17,7 @@ import (
 // PatchStats reports what one Sync did.
 type PatchStats struct {
 	// Rebuilt is true when Sync fell back to a full Build (first call, or
-	// the instance shape / model options changed).
+	// the instance shape changed).
 	Rebuilt bool
 	// Coefs counts constraint-matrix values actually changed, RHS the
 	// right-hand sides, Obj the objective coefficients. Idempotent
@@ -30,13 +30,14 @@ func (st PatchStats) Patches() int { return st.Coefs + st.RHS + st.Obj }
 
 // Patcher owns a persistent, patchable Build: the lp.Problem and VarMap of
 // one instance shape, kept semantically identical to a fresh
-// Build(in, opts) across epochs by Sync. The zero lifecycle is:
+// Build(in, DefaultOptions()) — the model every solve builds — across epochs
+// by Sync. The zero lifecycle is:
 //
 //	pt := lpmodel.NewPatcher()
-//	prob, vm, _ := pt.Sync(in, opts, nil)      // epoch 0: full Build
+//	prob, vm, _ := pt.Sync(in, nil)      // epoch 0: full Build
 //	... solve, deploy ...
-//	dirty, _ := delta.Apply(in)                 // churn
-//	prob, vm, st := pt.Sync(in, opts, dirty)    // epoch 1: O(delta) patches
+//	dirty, _ := delta.Apply(in)           // churn
+//	prob, vm, st := pt.Sync(in, dirty)    // epoch 1: O(delta) patches
 //
 // The contract is the dirty set's: every instance cell that changed since
 // the previous Sync must be listed (netmodel.Delta.Apply reports its edits;
@@ -54,9 +55,8 @@ type Patcher struct {
 	prob *lp.Problem
 	vm   *VarMap
 
-	// Shape and options identity of the current build.
+	// Shape of the current build.
 	s, r, d int
-	opts    Options
 
 	// Row-layout offsets (Build emits rows in a fixed order; see layout()).
 	base3, base5 int
@@ -78,28 +78,25 @@ func NewPatcher() *Patcher { return &Patcher{} }
 // Problem returns the Problem of the latest Sync (nil before the first).
 func (pt *Patcher) Problem() *lp.Problem { return pt.prob }
 
-// NeedsRebuild reports whether the next Sync with these arguments will fall
-// back to a full Build instead of patching. Callers use it to pick the
-// stage name (lp-build vs lp-patch) before running the stage.
-func (pt *Patcher) NeedsRebuild(in *netmodel.Instance, opts Options) bool {
-	if pt.prob == nil || pt.opts != opts {
+// NeedsRebuild reports whether the next Sync on in will fall back to a full
+// Build instead of patching. Callers use it to pick the stage name
+// (lp-build vs lp-patch) before running the stage.
+func (pt *Patcher) NeedsRebuild(in *netmodel.Instance) bool {
+	if pt.prob == nil {
 		return true
-	}
-	if !opts.FixedShape {
-		return true // patching relies on the pinned pattern
 	}
 	S, R, D := in.Dims()
 	return pt.s != S || pt.r != R || pt.d != D
 }
 
 // Sync makes the patcher's Problem semantically identical to a fresh
-// Build(in, opts): a full Build when NeedsRebuild, otherwise in-place
-// patches of the cells listed in dirty (plus a fanout value-diff). The
-// returned Problem has its CSC cache fresh either way.
-func (pt *Patcher) Sync(in *netmodel.Instance, opts Options, dirty *netmodel.DirtySet) (*lp.Problem, *VarMap, PatchStats) {
+// Build(in, DefaultOptions()): a full Build when NeedsRebuild, otherwise
+// in-place patches of the cells listed in dirty (plus a fanout value-diff).
+// The returned Problem has its CSC cache fresh either way.
+func (pt *Patcher) Sync(in *netmodel.Instance, dirty *netmodel.DirtySet) (*lp.Problem, *VarMap, PatchStats) {
 	pt.Syncs++
-	if pt.NeedsRebuild(in, opts) {
-		pt.rebuild(in, opts)
+	if pt.NeedsRebuild(in) {
+		pt.rebuild(in)
 		return pt.prob, pt.vm, PatchStats{Rebuilt: true}
 	}
 	st := PatchStats{}
@@ -113,18 +110,17 @@ func (pt *Patcher) Sync(in *netmodel.Instance, opts Options, dirty *netmodel.Dir
 }
 
 // rebuild performs the full Build and records the layout and shadows.
-func (pt *Patcher) rebuild(in *netmodel.Instance, opts Options) {
-	pt.prob, pt.vm = Build(in, opts)
+func (pt *Patcher) rebuild(in *netmodel.Instance) {
+	pt.prob, pt.vm = Build(in, DefaultOptions())
 	pt.prob.Precompute()
 	pt.s, pt.r, pt.d = in.Dims()
-	pt.opts = opts
 	pt.Builds++
 
 	// Row layout mirrors Build's emission order:
 	//   (1) S*R rows, (2) R*D rows, (3) R rows,
-	//   (4) kCount rows per reflector when CuttingPlane (only nonempty
-	//       commodities get a row — commodity assignment never changes),
-	//   (5) D rows under FixedShape, then (8)/(9) (never patched).
+	//   (4) kCount rows per reflector (only nonempty commodities get a
+	//       row — commodity assignment never changes),
+	//   (5) D rows, then (8)/(9)/(10) (never patched).
 	S, R, D := pt.s, pt.r, pt.d
 	pt.base3 = S*R + R*D
 	pt.byCommodity = in.SinksOfCommodity()
@@ -138,10 +134,7 @@ func (pt *Patcher) rebuild(in *netmodel.Instance, opts Options) {
 		pt.kRank[k] = pt.kCount
 		pt.kCount++
 	}
-	pt.base5 = pt.base3 + R
-	if opts.CuttingPlane {
-		pt.base5 += R * pt.kCount
-	}
+	pt.base5 = pt.base3 + R + R*pt.kCount
 	pt.posInK = make([]int, D)
 	for _, sinks := range pt.byCommodity {
 		for pos, j := range sinks {
@@ -164,17 +157,15 @@ func (pt *Patcher) patchFanout(in *netmodel.Instance, st *PatchStats) {
 		if pt.prob.SetRowCoef(pt.base3+i, pt.d, -f) {
 			st.Coefs++
 		}
-		if pt.opts.CuttingPlane {
-			for k := 0; k < pt.s; k++ {
-				rank := pt.kRank[k]
-				if rank < 0 {
-					continue
-				}
-				// Row (4)_{i,k}: the sinks of k, then the y^k_i coefficient.
-				r := pt.base3 + pt.r + i*pt.kCount + rank
-				if pt.prob.SetRowCoef(r, len(pt.byCommodity[k]), -f) {
-					st.Coefs++
-				}
+		for k := 0; k < pt.s; k++ {
+			rank := pt.kRank[k]
+			if rank < 0 {
+				continue
+			}
+			// Row (4)_{i,k}: the sinks of k, then the y^k_i coefficient.
+			r := pt.base3 + pt.r + i*pt.kCount + rank
+			if pt.prob.SetRowCoef(r, len(pt.byCommodity[k]), -f) {
+				st.Coefs++
 			}
 		}
 	}
@@ -183,7 +174,7 @@ func (pt *Patcher) patchFanout(in *netmodel.Instance, st *PatchStats) {
 // patchWeights rewrites the fanout-load coefficients of demand units whose
 // UnitWeight changed (the aggregation layer's dirty category): unit j's cell
 // in constraint (3) of every reflector, and its cell in the commodity's
-// cutting plane (4) when present.
+// cutting plane (4), which its own membership keeps nonempty.
 func (pt *Patcher) patchWeights(in *netmodel.Instance, dirty *netmodel.DirtySet, st *PatchStats) {
 	for _, j := range dirty.SinkWeight {
 		load := in.UnitLoad(j)
@@ -194,11 +185,9 @@ func (pt *Patcher) patchWeights(in *netmodel.Instance, dirty *netmodel.DirtySet,
 			if pt.prob.SetRowCoef(pt.base3+i, j, load) {
 				st.Coefs++
 			}
-			if pt.opts.CuttingPlane && rank >= 0 {
-				r := pt.base3 + pt.r + i*pt.kCount + rank
-				if pt.prob.SetRowCoef(r, pt.posInK[j], load) {
-					st.Coefs++
-				}
+			r := pt.base3 + pt.r + i*pt.kCount + rank
+			if pt.prob.SetRowCoef(r, pt.posInK[j], load) {
+				st.Coefs++
 			}
 		}
 	}

@@ -44,10 +44,9 @@ func TestPatcherGoldenEquivalenceAcrossScenarios(t *testing.T) {
 				t.Fatal(err)
 			}
 			in := sc.Base.Clone()
-			opts := lpmodel.DefaultOptions(in)
-			opts.FixedShape = true
+			opts := lpmodel.DefaultOptions()
 			pt := lpmodel.NewPatcher()
-			prob, _, st := pt.Sync(in, opts, nil)
+			prob, _, st := pt.Sync(in, nil)
 			if !st.Rebuilt {
 				t.Fatal("first sync must be a full build")
 			}
@@ -59,7 +58,7 @@ func TestPatcherGoldenEquivalenceAcrossScenarios(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				prob, _, st = pt.Sync(in, opts, dirty)
+				prob, _, st = pt.Sync(in, dirty)
 				if st.Rebuilt {
 					t.Fatalf("event %d (%s): sync rebuilt instead of patching", evi, ev.Delta.Note)
 				}
@@ -77,17 +76,16 @@ func TestPatcherGoldenEquivalenceAcrossScenarios(t *testing.T) {
 func TestPatcherSolveBitIdentical(t *testing.T) {
 	sc := live.FlashCrowd(5, 14)
 	in := sc.Base.Clone()
-	opts := lpmodel.DefaultOptions(in)
-	opts.FixedShape = true
+	opts := lpmodel.DefaultOptions()
 	pt := lpmodel.NewPatcher()
-	pt.Sync(in, opts, nil)
+	pt.Sync(in, nil)
 
 	for evi, ev := range sc.Events {
 		dirty, err := ev.Delta.Apply(in)
 		if err != nil {
 			t.Fatal(err)
 		}
-		prob, _, _ := pt.Sync(in, opts, dirty)
+		prob, _, _ := pt.Sync(in, dirty)
 		if evi%3 != 0 {
 			continue // solving every event would dominate the test's runtime
 		}
@@ -121,10 +119,9 @@ func TestPatcherSolveBitIdentical(t *testing.T) {
 // fresh build of the biased instance.
 func TestPatcherBiasFlipsViaDirtySet(t *testing.T) {
 	in := gen.Clustered(gen.DefaultClustered(2, 2, 2, 5), 3)
-	opts := lpmodel.DefaultOptions(in)
-	opts.FixedShape = true
+	opts := lpmodel.DefaultOptions()
 	pt := lpmodel.NewPatcher()
-	pt.Sync(in, opts, nil)
+	pt.Sync(in, nil)
 
 	// "Deploy" a design and discount its arcs, as core.Reoptimize does.
 	d := netmodel.NewDesign(in)
@@ -143,7 +140,7 @@ func TestPatcherBiasFlipsViaDirtySet(t *testing.T) {
 	for _, a := range dirty.RefSinkCost {
 		biased.RefSinkCost[a.A][a.B] *= keep
 	}
-	prob, _, st := pt.Sync(biased, opts, dirty)
+	prob, _, st := pt.Sync(biased, dirty)
 	if st.Rebuilt || st.Obj == 0 {
 		t.Fatalf("bias sync: rebuilt=%v obj patches=%d", st.Rebuilt, st.Obj)
 	}
@@ -151,30 +148,22 @@ func TestPatcherBiasFlipsViaDirtySet(t *testing.T) {
 	requireProblemsEqual(t, prob, fresh, "biased")
 }
 
-// TestPatcherRebuildsOnShapeOrOptionChange: a different instance shape or
-// different model options must fall back to a full Build, never a stale
-// patch.
-func TestPatcherRebuildsOnShapeOrOptionChange(t *testing.T) {
+// TestPatcherRebuildsOnShapeChange: a different instance shape must fall
+// back to a full Build, never a stale patch.
+func TestPatcherRebuildsOnShapeChange(t *testing.T) {
 	a := gen.Uniform(gen.DefaultUniform(2, 4, 6), 1)
 	b := gen.Uniform(gen.DefaultUniform(2, 4, 8), 1)
-	opts := lpmodel.DefaultOptions(a)
-	opts.FixedShape = true
 	pt := lpmodel.NewPatcher()
-	if _, _, st := pt.Sync(a, opts, nil); !st.Rebuilt {
+	if _, _, st := pt.Sync(a, nil); !st.Rebuilt {
 		t.Fatal("first sync must build")
 	}
-	if _, _, st := pt.Sync(b, opts, nil); !st.Rebuilt {
+	if _, _, st := pt.Sync(b, nil); !st.Rebuilt {
 		t.Fatal("shape change must rebuild")
 	}
-	opts2 := opts
-	opts2.CuttingPlane = false
-	if _, _, st := pt.Sync(b, opts2, nil); !st.Rebuilt {
-		t.Fatal("option change must rebuild")
-	}
-	if !pt.NeedsRebuild(a, opts) {
+	if !pt.NeedsRebuild(a) {
 		t.Fatal("NeedsRebuild must report the pending rebuild")
 	}
-	if pt.NeedsRebuild(b, opts2) {
-		t.Fatal("NeedsRebuild must be false for the current shape+options")
+	if pt.NeedsRebuild(b) {
+		t.Fatal("NeedsRebuild must be false for the current shape")
 	}
 }

@@ -3,7 +3,8 @@
 // solution (z̄, ȳ, x̄) in which z and y are 0/1 and only x remains
 // fractional (values 0, x̂, or 1/(c·ln n)).
 //
-// The procedure, with multiplier λ = c·ln n:
+// The procedure, with multiplier λ = c·ln n (floored at 1; c = DefaultC =
+// 64 unless a caller sets another):
 //
 //	[1] ż_i   = min(ẑ_i·λ, 1)
 //	[2] ẏ^k_i = min(ŷ^k_i·λ / ż_i, 1)
@@ -28,22 +29,27 @@ import (
 	"repro/internal/stats"
 )
 
+// DefaultC is the paper's constant c: 64 gives the δ = 1/4 weight
+// guarantee of Lemma 4.3 (Lemma 4.6 needs only c ≥ 24).
+const DefaultC = 64
+
+// minMultiplier floors λ = c·ln n. On tiny instances λ could fall below 1;
+// the floor keeps the procedure from shrinking values without changing
+// the asymptotics.
+const minMultiplier = 1
+
 // Options configures the rounding.
 type Options struct {
-	// C is the paper's constant c (≥ 24 for Lemma 4.6; 64 for the
-	// δ=1/4 weight guarantee). Default 64.
+	// C is the paper's constant c; 0 takes DefaultC. Experiments sweep it
+	// (the c / δ trade-off) and run the randomization regime at C = 1.
 	C float64
 	// Seed drives the coin flips.
 	Seed uint64
-	// MinMultiplier floors λ = c·ln n. On tiny instances (n ≤ 3) the
-	// paper's λ would be < c; the floor keeps the procedure sane without
-	// changing asymptotics. Default 1 (i.e. λ never shrinks values).
-	MinMultiplier float64
 }
 
-// DefaultOptions returns the paper's constants (c = 64).
+// DefaultOptions returns the paper's constants (c = DefaultC).
 func DefaultOptions(seed uint64) Options {
-	return Options{C: 64, Seed: seed, MinMultiplier: 1}
+	return Options{C: DefaultC, Seed: seed}
 }
 
 // Rounded is the outcome of the §3 procedure.
@@ -86,15 +92,9 @@ type Instrumentation struct {
 func Apply(in *netmodel.Instance, fs *lpmodel.FracSolution, opts Options) *Rounded {
 	S, R, D := in.Dims()
 	if opts.C == 0 {
-		opts.C = 64
+		opts.C = DefaultC
 	}
-	if opts.MinMultiplier == 0 {
-		opts.MinMultiplier = 1
-	}
-	lambda := opts.C * math.Log(float64(D))
-	if lambda < opts.MinMultiplier {
-		lambda = opts.MinMultiplier
-	}
+	lambda := max(opts.C*math.Log(float64(D)), minMultiplier)
 	rng := stats.NewRNG(opts.Seed)
 
 	r := &Rounded{

@@ -10,7 +10,7 @@ import (
 
 func TestRoundingStructure(t *testing.T) {
 	in := gen.Uniform(gen.DefaultUniform(2, 6, 15), 4)
-	fs, err := lpmodel.SolveLP(in, lpmodel.DefaultOptions(in))
+	fs, err := lpmodel.SolveLP(in, lpmodel.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestRoundingStructure(t *testing.T) {
 
 func TestRoundingDeterministicInSeed(t *testing.T) {
 	in := gen.Uniform(gen.DefaultUniform(2, 6, 15), 4)
-	fs, err := lpmodel.SolveLP(in, lpmodel.DefaultOptions(in))
+	fs, err := lpmodel.SolveLP(in, lpmodel.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestRoundingDeterministicInSeed(t *testing.T) {
 // unit-test scale; experiment T2 does it more thoroughly.
 func TestLemma41CostInExpectation(t *testing.T) {
 	in := gen.Uniform(gen.DefaultUniform(2, 6, 15), 4)
-	fs, err := lpmodel.SolveLP(in, lpmodel.DefaultOptions(in))
+	fs, err := lpmodel.SolveLP(in, lpmodel.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestLemma41CostInExpectation(t *testing.T) {
 // at (1-δ)=3/4 for the overwhelming majority of seeds.
 func TestLemma43WeightRetention(t *testing.T) {
 	in := gen.Uniform(gen.DefaultUniform(2, 6, 15), 4)
-	fs, err := lpmodel.SolveLP(in, lpmodel.DefaultOptions(in))
+	fs, err := lpmodel.SolveLP(in, lpmodel.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestLemma43WeightRetention(t *testing.T) {
 // TestLemma46Fanout: fanout use after rounding stays ≤ 2F w.h.p. for c≥24.
 func TestLemma46Fanout(t *testing.T) {
 	in := gen.Uniform(gen.DefaultUniform(2, 6, 15), 4)
-	fs, err := lpmodel.SolveLP(in, lpmodel.DefaultOptions(in))
+	fs, err := lpmodel.SolveLP(in, lpmodel.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,11 +136,11 @@ func TestLambdaFloor(t *testing.T) {
 	// n=2 sinks: ln 2 < 1, multiplier must not shrink values below the
 	// fractional solution's scale.
 	in := gen.Uniform(gen.DefaultUniform(1, 3, 2), 5)
-	fs, err := lpmodel.SolveLP(in, lpmodel.DefaultOptions(in))
+	fs, err := lpmodel.SolveLP(in, lpmodel.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := Apply(in, fs, Options{C: 1, Seed: 1, MinMultiplier: 1})
+	r := Apply(in, fs, Options{C: 1, Seed: 1})
 	if r.Lambda < 1 {
 		t.Fatalf("lambda = %v < 1", r.Lambda)
 	}
@@ -148,7 +148,7 @@ func TestLambdaFloor(t *testing.T) {
 
 func TestInstrumentZeroLPCost(t *testing.T) {
 	in := gen.Uniform(gen.DefaultUniform(1, 3, 2), 5)
-	fs, err := lpmodel.SolveLP(in, lpmodel.DefaultOptions(in))
+	fs, err := lpmodel.SolveLP(in, lpmodel.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,9 +6,9 @@
 // with dependent randomized rounding in the spirit of Srinivasan–Teo
 // (Theorem 2.2 of [28]): the paper needs only the existence of an integral
 // solution with cost ≤ 14X and additive constraint violation ≤ 7, and this
-// package certifies exactly those bounds on every run (retrying the
-// randomness when a rare tail event exceeds them, and surfacing the realized
-// violations in the result).
+// package certifies exactly those bounds, as constants, on every run
+// (retrying the randomness when a rare tail event exceeds them, and
+// surfacing the realized violations in the result).
 //
 // Because every s→box path in the Figure-2 network is fully determined by a
 // ((reflector, sink) pair, box) choice, the path LP collapses to variables
@@ -37,24 +37,18 @@ import (
 	"repro/internal/stats"
 )
 
-// Options configures the path rounding.
-type Options struct {
-	Seed uint64
-	// MaxRetries bounds re-randomization when the audited bounds fail.
-	// Default 32.
-	MaxRetries int
-	// CostFactor is the certified cost bound versus the fractional
-	// stage cost X (paper: 14). Default 14.
-	CostFactor float64
-	// AdditiveSlack is the certified additive violation bound on fanout
-	// and color constraints (paper: 7). Default 7.
-	AdditiveSlack float64
-}
-
-// DefaultOptions returns the paper's §6.5 constants.
-func DefaultOptions(seed uint64) Options {
-	return Options{Seed: seed, MaxRetries: 32, CostFactor: 14, AdditiveSlack: 7}
-}
+// The §6.5 bounds Round certifies on every call, and how often it
+// re-randomizes to meet them.
+const (
+	// maxRetries bounds re-randomization when the audited bounds fail.
+	maxRetries = 32
+	// costFactor is the certified cost bound versus the fractional stage
+	// cost X.
+	costFactor = 14
+	// additiveSlack is the certified additive violation bound on fanout
+	// and color constraints.
+	additiveSlack = 7
+)
 
 // Result is the outcome of the path rounding.
 type Result struct {
@@ -406,23 +400,14 @@ func (m *pathLP) rowKeys() []rowKey {
 }
 
 // Round runs the §6.5 stage on the fractional x̄ from the §3 rounding,
-// solving its path LP from nothing.
-func Round(in *netmodel.Instance, xbar [][]float64, opts Options) (*Result, error) {
-	return (*State)(nil).Round(in, xbar, opts)
+// solving its path LP from nothing; seed drives the dependent rounding.
+func Round(in *netmodel.Instance, xbar [][]float64, seed uint64) (*Result, error) {
+	return (*State)(nil).Round(in, xbar, seed)
 }
 
 // Round is the package-level Round with the path LP carried in st from
 // the previous call (see State).
-func (st *State) Round(in *netmodel.Instance, xbar [][]float64, opts Options) (*Result, error) {
-	if opts.MaxRetries == 0 {
-		opts.MaxRetries = 32
-	}
-	if opts.CostFactor == 0 {
-		opts.CostFactor = 14
-	}
-	if opts.AdditiveSlack == 0 {
-		opts.AdditiveSlack = 7
-	}
+func (st *State) Round(in *netmodel.Instance, xbar [][]float64, seed uint64) (*Result, error) {
 	_, R, D := in.Dims()
 	m := newPathLP(in, xbar)
 	if len(m.boxes) == 0 {
@@ -447,14 +432,14 @@ func (st *State) Round(in *netmodel.Instance, xbar [][]float64, opts Options) (*
 	}
 
 	// Dependent rounding with audit-and-retry.
-	rng := stats.NewRNG(opts.Seed)
+	rng := stats.NewRNG(seed)
 	var best *Result
-	for attempt := 0; attempt <= opts.MaxRetries; attempt++ {
+	for attempt := 0; attempt <= maxRetries; attempt++ {
 		res := sampleOnce(in, m, g, rng)
 		res.FracCost = fracCost
 		res.Retries = attempt
-		okCost := fracCost <= 0 || res.FinalCost <= opts.CostFactor*fracCost
-		if okCost && res.MaxFanoutExcess <= opts.AdditiveSlack && float64(res.MaxColorExcess) <= opts.AdditiveSlack {
+		okCost := fracCost <= 0 || res.FinalCost <= costFactor*fracCost
+		if okCost && res.MaxFanoutExcess <= additiveSlack && res.MaxColorExcess <= additiveSlack {
 			best = res
 			break
 		}

@@ -12,7 +12,7 @@ import (
 
 func roundedXBar(t *testing.T, in *netmodel.Instance, seed uint64) [][]float64 {
 	t.Helper()
-	fs, err := lpmodel.SolveLP(in, lpmodel.DefaultOptions(in))
+	fs, err := lpmodel.SolveLP(in, lpmodel.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,7 +23,7 @@ func roundedXBar(t *testing.T, in *netmodel.Instance, seed uint64) [][]float64 {
 func TestColorConstraintsRespectedWithinSlack(t *testing.T) {
 	in := gen.Clustered(gen.DefaultClustered(2, 2, 3, 4), 7)
 	xbar := roundedXBar(t, in, 3)
-	res, err := Round(in, xbar, DefaultOptions(5))
+	res, err := Round(in, xbar, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestColorConstraintsRespectedWithinSlack(t *testing.T) {
 func TestBoxCoverage(t *testing.T) {
 	in := gen.Clustered(gen.DefaultClustered(2, 2, 2, 4), 11)
 	xbar := roundedXBar(t, in, 9)
-	res, err := Round(in, xbar, DefaultOptions(1))
+	res, err := Round(in, xbar, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,11 +57,11 @@ func TestBoxCoverage(t *testing.T) {
 func TestDeterministicGivenSeed(t *testing.T) {
 	in := gen.Clustered(gen.DefaultClustered(1, 2, 2, 3), 2)
 	xbar := roundedXBar(t, in, 4)
-	a, err := Round(in, xbar, DefaultOptions(10))
+	a, err := Round(in, xbar, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Round(in, xbar, DefaultOptions(10))
+	b, err := Round(in, xbar, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestEdgeCapsRespectedFractionally(t *testing.T) {
 	// Forbid one arc entirely.
 	in.EdgeCap[0][0] = 0
 	xbar := roundedXBar(t, in, 6)
-	res, err := Round(in, xbar, DefaultOptions(2))
+	res, err := Round(in, xbar, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestEmptyXBar(t *testing.T) {
 	for i := range xbar {
 		xbar[i] = make([]float64, in.NumSinks)
 	}
-	res, err := Round(in, xbar, DefaultOptions(1))
+	res, err := Round(in, xbar, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestWeightGuaranteeEndToEnd(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
 		in := gen.Clustered(gen.DefaultClustered(2, 2, 3, 4), seed)
 		xbar := roundedXBar(t, in, seed*13)
-		res, err := Round(in, xbar, DefaultOptions(seed))
+		res, err := Round(in, xbar, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,7 +148,7 @@ func TestPathLPCarriedMatchesCold(t *testing.T) {
 			case 3:
 				xbar = roundedXBar(t, in, seed+100)
 			}
-			if _, err := st.Round(in, xbar, DefaultOptions(seed+call)); err != nil {
+			if _, err := st.Round(in, xbar, seed+call); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -179,7 +179,7 @@ func TestStage2ColdWithoutStage1Basis(t *testing.T) {
 		got = sol
 	})
 	in := gen.Clustered(gen.DefaultClustered(2, 2, 3, 4), 7)
-	_, err := Round(in, roundedXBar(t, in, 3), DefaultOptions(5))
+	_, err := Round(in, roundedXBar(t, in, 3), 5)
 	restore()
 	if err != nil {
 		t.Fatal(err)
